@@ -34,7 +34,7 @@ from .evolution import (
     verify_theorem_ii,
 )
 from .expr import ExprError, parse, to_latex, to_string
-from .identity import DEFAULT_PRIME, DEFAULT_TRIALS
+from .identity import DEFAULT_PRIME, DEFAULT_TRIALS, check_sampling
 from .lax import CLAIMS, verify_gauge_claims
 from .report import Report
 from .weyl import (
@@ -161,8 +161,13 @@ def cmd_evolve(args) -> int:
         st0 = state_from_record(record)
     except (OSError, ValueError, KeyError) as err:
         return _usage_error(f"bad params file: {err}")
+    if args.steps < 0:
+        return _usage_error(f"--steps must be >= 0, got {args.steps}")
     result: OrbitResult = orbit(fam, st0, args.steps)
-    doc = orbit_to_json(result)
+    try:
+        doc = orbit_to_json(result)
+    except ValueError as err:
+        return _usage_error(str(err))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(doc + "\n")
@@ -256,6 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        check_sampling(args.trials, args.prime)
+    except ValueError as err:
+        return _usage_error(str(err))
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -372,8 +372,19 @@ def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
 
 
 def orbit_to_json(result: OrbitResult) -> str:
-    doc = {"schema": 1,
-           "states": [st.to_record() for st in result.states]}
+    """The orbit as JSON.  Raises ValueError naming the first state with a
+    numerator or denominator past Python's limit on int-to-str conversion
+    (4300 digits by default)."""
+    records = []
+    for st in result.states:
+        try:
+            records.append(st.to_record())
+        except ValueError:
+            raise ValueError(
+                f"state t={st.t} has a rational past Python's int-to-str digit "
+                f"limit; ask for fewer steps"
+            ) from None
+    doc = {"schema": 1, "states": records}
     if result.pole is not None:
         doc["pole"] = {"step": result.pole.step, "where": result.pole.where}
     return json.dumps(doc, sort_keys=True, indent=2)

@@ -13,7 +13,9 @@ expressions.
 
 from __future__ import annotations
 
+import functools
 import re
+import threading
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -90,18 +92,26 @@ class Expr:
         return to_string(self)
 
 
+# The intern table never evicts: a node lives as long as the process.
 _INTERN: dict[tuple, Expr] = {}
+_INTERN_LOCK = threading.Lock()
 _NEXT_UID = 1
 
 
 def _intern(key: tuple, build) -> Expr:
+    """The node for key, built on a miss.  A hit takes no lock; a miss checks
+    again under the lock, so racing builders share one node and one uid."""
     global _NEXT_UID
     node = _INTERN.get(key)
-    if node is None:
-        node = build()
-        node.uid = _NEXT_UID
-        _NEXT_UID += 1
-        _INTERN[key] = node
+    if node is not None:
+        return node
+    with _INTERN_LOCK:
+        node = _INTERN.get(key)
+        if node is None:
+            node = build()
+            node.uid = _NEXT_UID
+            _NEXT_UID += 1
+            _INTERN[key] = node
     return node
 
 
@@ -217,10 +227,6 @@ def sub(a: Expr, b: Expr) -> Expr:
     return add(a, neg(b))
 
 
-def inv(e: Expr) -> Expr:
-    return div(ONE, e)
-
-
 def dag_size(e: Expr) -> int:
     """Number of distinct nodes reachable from e."""
     seen: set[Expr] = set()
@@ -283,90 +289,160 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# A residual is evaluated at many sampled points, so it is compiled once into
+# a straight-line program (Kaltofen 1988): one instruction per DAG node in
+# post-order, each referring to its children by slot.  Over F_p the program
+# runs projectively on (numerator, denominator) pairs.  Every denominator
+# stays nonzero because a quotient or negative power first checks that its
+# divisor's numerator is nonzero, so a run needs no modular inverse until the
+# final pair becomes a value.
 
-def _mod_inverse(a: int, p: int, node: Expr) -> int:
-    a %= p
-    if a == 0:
-        raise DivisionByZero(node)
-    return pow(a, p - 2, p)
+@functools.lru_cache(maxsize=8)
+def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
+    """The post-order program of e and the node behind each slot.
+
+    An instruction is (kind, arg): arg is the Fraction of a constant, the
+    name of a symbol, the child slots of a sum, product or quotient, and
+    (base slot, exponent) of a power.  The cache is bounded because the
+    intern table keeps every node alive and programs are as large as DAGs.
+    """
+    slot: dict[Expr, int] = {}
+    code: list[tuple] = []
+    nodes: list[Expr] = []
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in slot:
+            stack.pop()
+            continue
+        pending = [ch for ch in node.children if ch not in slot]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        kind = node.kind
+        if kind == "num":
+            arg = node.value
+        elif kind == "sym":
+            arg = node.name
+        elif kind == "pow":
+            arg = (slot[node.children[0]], node.exp)
+        else:
+            arg = tuple(slot[ch] for ch in node.children)
+        slot[node] = len(code)
+        code.append((kind, arg))
+        nodes.append(node)
+    return tuple(code), tuple(nodes)
+
+
+def _run_rational(code, nodes, values: Mapping[str, object]) -> Fraction:
+    vals: list = []
+    for i, (kind, arg) in enumerate(code):
+        if kind == "mul":
+            v = Fraction(1)
+            for k in arg:
+                v *= vals[k]
+        elif kind == "add":
+            v = sum((vals[k] for k in arg), Fraction(0))
+        elif kind == "sym":
+            try:
+                v = Fraction(values[arg])
+            except KeyError:
+                raise ExprError(f"no value for symbol '{arg}'") from None
+        elif kind == "pow":
+            v = vals[arg[0]]
+            if v == 0 and arg[1] < 0:
+                raise DivisionByZero(nodes[i])
+            v = v ** arg[1]
+        elif kind == "div":
+            v = vals[arg[1]]
+            if v == 0:
+                raise DivisionByZero(nodes[i])
+            v = vals[arg[0]] / v
+        else:
+            v = arg
+        vals.append(v)
+    return vals[-1]
+
+
+def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[int, int]:
+    """Run the program over F_p; returns the pair (n, d) with d != 0 mod p.
+
+    Pairs are stored reduced mod p.  A sum adds numerators while the
+    denominators agree, and a product skips denominators of 1.
+    """
+    size = len(code)
+    nums = [0] * size
+    dens = [1] * size
+    for i, (kind, arg) in enumerate(code):
+        if kind == "mul":
+            x = y = 1
+            for k in arg:
+                x = x * nums[k] % p
+                d = dens[k]
+                if d != 1:
+                    y = y * d % p
+            nums[i] = x
+            dens[i] = y
+        elif kind == "add":
+            x = 0
+            y = 1
+            for k in arg:
+                d = dens[k]
+                if d == y:
+                    x += nums[k]
+                else:
+                    x = (x * d + nums[k] * y) % p
+                    y = y * d % p
+            nums[i] = x % p
+            dens[i] = y
+        elif kind == "sym":
+            try:
+                nums[i] = values[arg] % p
+            except KeyError:
+                raise ExprError(f"no value for symbol '{arg}'") from None
+        elif kind == "pow":
+            k, n = arg
+            x, y = nums[k], dens[k]
+            if n < 0:
+                if x == 0:
+                    raise DivisionByZero(nodes[i])
+                x, y, n = y, x, -n
+            nums[i] = pow(x, n, p)
+            if y != 1:
+                dens[i] = pow(y, n, p)
+        elif kind == "div":
+            a, b = arg
+            x = nums[b]
+            if x == 0:
+                raise DivisionByZero(nodes[i])
+            nums[i] = nums[a] * dens[b] % p
+            dens[i] = dens[a] * x % p
+        else:
+            d = arg.denominator % p
+            if d == 0:
+                raise DivisionByZero(nodes[i])
+            nums[i] = arg.numerator % p
+            dens[i] = d
+    return nums[-1], dens[-1]
 
 
 def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
     """Evaluate over the exact rationals (p=None) or the prime field F_p.
 
     `values` must cover every free symbol of e.  Raises DivisionByZero with
-    the offending subexpression when a denominator vanishes; the caller is
+    the offending subexpression when a denominator vanishes: the first node
+    in post-order that divides by zero or raises zero to a negative power,
+    or, over F_p, a constant whose denominator p divides.  The caller is
     expected to resample.
     """
-    memo: dict[Expr, object] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        kind = node.kind
-        if kind == "num":
-            if p is None:
-                memo[node] = node.value
-            else:
-                den = node.value.denominator % p
-                memo[node] = node.value.numerator % p * _mod_inverse(den, p, node) % p
-            stack.pop()
-            continue
-        if kind == "sym":
-            try:
-                v = values[node.name]
-            except KeyError:
-                raise ExprError(f"no value for symbol '{node.name}'") from None
-            memo[node] = v % p if p is not None else Fraction(v)
-            stack.pop()
-            continue
-        pending = [ch for ch in node.children if ch not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        kids = [memo[ch] for ch in node.children]
-        if kind == "add":
-            if p is None:
-                memo[node] = sum(kids, Fraction(0))
-            else:
-                acc = 0
-                for v in kids:
-                    acc = (acc + v) % p
-                memo[node] = acc
-        elif kind == "mul":
-            if p is None:
-                acc = Fraction(1)
-                for v in kids:
-                    acc *= v
-                memo[node] = acc
-            else:
-                acc = 1
-                for v in kids:
-                    acc = acc * v % p
-                memo[node] = acc
-        elif kind == "pow":
-            base = kids[0]
-            n = node.exp
-            if p is None:
-                if base == 0 and n < 0:
-                    raise DivisionByZero(node)
-                memo[node] = base ** n
-            else:
-                if n < 0:
-                    base = _mod_inverse(base, p, node)
-                    n = -n
-                memo[node] = pow(base, n, p)
-        elif kind == "div":
-            if p is None:
-                if kids[1] == 0:
-                    raise DivisionByZero(node)
-                memo[node] = kids[0] / kids[1]
-            else:
-                memo[node] = kids[0] * _mod_inverse(kids[1], p, node) % p
-    return memo[e]
+    code, nodes = _compile(e)
+    if p is None:
+        return _run_rational(code, nodes, values)
+    n, d = _run_projective(code, nodes, values, p)
+    # A zero residual, the common case, needs no inverse at all.
+    return n if n == 0 or d == 1 else n * pow(d, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ composites blow up.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -92,8 +93,60 @@ def rng_for(seed: int, label: str) -> random.Random:
 
 
 def sample_point(rng: random.Random, names, prime: int) -> dict[str, int]:
+    """One uniform nonzero value per name, drawn in the order given; pass the
+    names sorted for draws that are reproducible across runs."""
     # Never sample 0: most symbols sit in denominators.
-    return {n: rng.randrange(1, prime) for n in sorted(names)}
+    return {n: rng.randrange(1, prime) for n in names}
+
+
+# Bases 2..41 make Miller-Rabin deterministic below 3.3e24 (Sorenson and
+# Webster 2015); larger moduli get further rounds with bases seeded by n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+_MR_EXTRA_ROUNDS = 32
+
+
+@functools.lru_cache(maxsize=16)
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality test; cached because every check asks again."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    bases = list(_MR_BASES)
+    if n >= _MR_DETERMINISTIC_BELOW:
+        rng = random.Random(n)
+        bases += [rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)]
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_sampling(trials: int, prime: int) -> None:
+    """Raise ValueError unless trials >= 1 and prime is a prime above 2^60.
+
+    The sampled field must be a field: projective evaluation relies on every
+    nonzero denominator being invertible, and the error bound on p - 1
+    nonzero values.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if prime <= 1 << 60:
+        raise ValueError(f"prime must exceed 2^60, got {prime}")
+    if not is_prime(prime):
+        raise ValueError(f"prime {prime} is composite")
 
 
 def identities_equal(
@@ -109,18 +162,11 @@ def identities_equal(
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> IdentityResult:
     """Decide whether a and b agree as rational functions (mod constraint)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if prime <= 1 << 60:
-        raise ValueError("prime must exceed 2^60")
+    check_sampling(trials, prime)
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
-        a_c = constraint.apply(a)
-        b_c = constraint.apply(b)
-    else:
-        a_c, b_c = a, b
-    names = r.free
+    names = sorted(r.free)
     rng = rng_for(seed, label)
 
     result = IdentityResult(verdict="equal")
@@ -139,8 +185,11 @@ def identities_equal(
             continue
         done += 1
         if v != 0:
-            va = evaluate(a_c, point, prime)
-            vb = evaluate(b_c, point, prime)
+            # Only a refutation needs the constrained sides: for its witness values.
+            if constraint is not None:
+                a, b = constraint.apply(a), constraint.apply(b)
+            va = evaluate(a, point, prime)
+            vb = evaluate(b, point, prime)
             result.verdict = "unequal"
             result.witness = point
             result.witness_values = (va, vb)

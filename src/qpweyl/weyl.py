@@ -48,9 +48,6 @@ class Transformation:
     def __call__(self, e: Expr, memo: dict | None = None) -> Expr:
         return substitute(e, self.images, memo)
 
-    def moved_symbols(self) -> frozenset[str]:
-        return frozenset(n for n, img in self.images.items() if img is not sym(n))
-
 
 IDENTITY = Transformation(images={}, label="id")
 
@@ -117,9 +114,6 @@ class FamilyDescriptor:
     constraint: ConstraintRelation
     evolution_word: tuple[str, ...]
     xi: Transformation
-
-    def generator(self, name: str) -> Transformation:
-        return self.generators[name]
 
     def with_generator(self, name: str, images: dict[str, str]) -> "FamilyDescriptor":
         """Copy of the family with one generator replaced (mutation fixtures)."""

@@ -239,3 +239,47 @@ def test_evolve_rejects_float_rationals(capsys, tmp_path):
     code, _, err = run(capsys, "evolve", "--family", "D5", "--params", path,
                        "--steps", "1")
     assert code == 2
+
+
+def test_evolve_negative_steps_exit_2(capsys, tmp_path):
+    path = write_params(tmp_path)
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path,
+                         "--steps", "-3")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*steps[^\n]*\n", err)
+
+
+def test_evolve_past_int_str_limit_names_step(capsys):
+    # D5 from sample-params.json: state 22 has a numerator past 4300 digits.
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params",
+                         "sample-params.json", "--steps", "22")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: state t=22 [^\n]*\n", err)
+
+
+# ---------------------------------------------------------------------------
+# sampling options
+
+@pytest.mark.parametrize("argv", [
+    ("--prime", "7"),
+    ("--prime", str(1 << 60)),
+    ("--prime", "1000000000000000000000"),   # composite
+    ("--prime", str((1 << 61) + 1)),         # composite, divisible by 3
+    ("--trials", "0"),
+    ("--trials", "-2"),
+])
+@pytest.mark.parametrize("command", ["verify-theorem", "verify-relations", "apply"])
+def test_bad_sampling_options_exit_2(capsys, command, argv):
+    extra = ("--expr", "f") if command == "apply" else ()
+    code, out, err = run(capsys, command, "--family", "D5", *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]+\n", err)
+
+
+def test_larger_prime_is_accepted(capsys):
+    code, _, _ = run(capsys, "verify-theorem", "--family", "D5",
+                     "--prime", str((1 << 89) - 1), "--format", "json")
+    assert code == 0

@@ -1,9 +1,12 @@
 """Expression core: parsing, printing, interning, substitution, evaluation."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpweyl.expr import (
     DivisionByZero,
@@ -173,6 +176,129 @@ def test_eval_division_by_zero_carries_node():
     with pytest.raises(DivisionByZero) as err:
         evaluate(e, {"f": Fraction(7), "nu3": Fraction(7)})
     assert err.value.node is e
+
+
+def _reference_evaluate(e, values, p=None):
+    """The plain post-order walk with one dict memo and one inverse per
+    quotient: the reference the compiled projective evaluation must match,
+    down to the node a DivisionByZero names."""
+    memo = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        pending = [ch for ch in node.children if ch not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+
+        def inverse(v):
+            if (v % p if p else v) == 0:
+                raise DivisionByZero(node)
+            return pow(v, -1, p) if p else 1 / v
+
+        kids = [memo[ch] for ch in node.children]
+        if node.kind == "num":
+            v = node.value
+            value = v if p is None else v.numerator * inverse(v.denominator) % p
+        elif node.kind == "sym":
+            v = values[node.name]
+            value = Fraction(v) if p is None else v % p
+        elif node.kind == "add":
+            value = sum(kids, Fraction(0)) if p is None else sum(kids) % p
+        elif node.kind == "mul":
+            value = Fraction(1) if p is None else 1
+            for v in kids:
+                value = value * v if p is None else value * v % p
+        elif node.kind == "pow":
+            base, n = kids[0], node.exp
+            if n < 0:
+                base, n = inverse(base), -n
+            value = base ** n if p is None else pow(base, n, p)
+        else:
+            value = kids[0] * inverse(kids[1])
+            value = value if p is None else value % p
+        memo[node] = value
+    return memo[e]
+
+
+_DAG_LEAVES = (sym("f"), sym("g"), sym("q"), num(2), num(Fraction(1, 3)), num(-1))
+
+
+@st.composite
+def small_dags(draw):
+    """Random small DAGs built as straight-line programs, so later nodes share
+    earlier ones; a step the factories reject is skipped."""
+    nodes = list(_DAG_LEAVES)
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from("+-*/^"))
+        # Operands lean to recent nodes, so the DAG grows deep and wide.
+        a = nodes[-draw(st.integers(1, len(nodes)))]
+        b = nodes[-draw(st.integers(1, len(nodes)))]
+        try:
+            if op == "^":
+                node = pow_(a, draw(st.integers(-3, 3)))
+            else:
+                node = {"+": add, "-": sub, "*": mul, "/": div}[op](a, b)
+        except ExprError:
+            continue
+        nodes.append(node)
+    return nodes[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]),
+       st.tuples(*[st.integers(-2, 3)] * 3))
+def test_evaluation_matches_reference_walk(e, p, point):
+    # Small primes and small values make zero divisors, zero negative-power
+    # bases and constants with denominator 3 vanishing mod p all frequent.
+    values = dict(zip(("f", "g", "q"), point))
+    for prime in (None, p):
+        try:
+            expected = _reference_evaluate(e, values, prime)
+        except DivisionByZero as err:
+            with pytest.raises(DivisionByZero) as got:
+                evaluate(e, values, prime)
+            assert got.value.node is err.node
+        else:
+            assert evaluate(e, values, prime) == expected
+    try:
+        over_q = evaluate(e, values)
+        over_fp = evaluate(e, values, p)
+    except DivisionByZero:
+        return
+    assert over_fp == over_q.numerator * pow(over_q.denominator, -1, p) % p
+
+
+def test_interning_is_thread_safe():
+    # Racing builders of the same fresh keys must get one node per key, and
+    # distinct keys distinct uids (add keys are built from child uids).
+    workers, keys = 8, 3000
+    built = [None] * workers
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def build(slot):
+        barrier.wait()
+        built[slot] = [add(sym("f"), num(Fraction(k, 1_000_003))) for k in range(1, keys + 1)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for nodes in built[1:]:
+        assert all(x is y for x, y in zip(nodes, built[0]))
+    assert len({n.uid for n in built[0]}) == keys
+    assert len({n.children[1].uid for n in built[0]}) == keys
 
 
 def test_substitute_simultaneous():

@@ -86,6 +86,32 @@ def test_trials_validation():
         identities_equal(parse("f"), parse("f"), trials=0)
     with pytest.raises(ValueError):
         identities_equal(parse("f"), parse("f"), prime=97)
+    with pytest.raises(ValueError, match="composite"):
+        identities_equal(parse("f"), parse("f"), prime=10**21)
+
+
+def test_is_prime_matches_sympy():
+    import random
+    import sympy
+    from qpweyl.identity import is_prime
+    rng = random.Random(3)
+    candidates = list(range(2000)) + [rng.randrange(1 << 60, 1 << 100) for _ in range(300)]
+    # strong pseudoprimes to the first several prime bases, and Mersenne primes
+    candidates += [3825123056546413051, 318665857834031151167461,
+                   3317044064679887385961981, (1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1]
+    for n in candidates:
+        assert is_prime.__wrapped__(n) == sympy.isprime(n), n
+
+
+def test_witness_values_are_constrained_sides():
+    k = constraint()
+    a, b = parse("nu8*f"), parse("g")
+    r = identities_equal(a, b, k, label="wv")
+    assert r.verdict == "unequal"
+    va = evaluate(k.apply(a), r.witness, DEFAULT_PRIME)
+    vb = evaluate(k.apply(b), r.witness, DEFAULT_PRIME)
+    assert r.witness_values == (va, vb)
+    assert "nu8" not in r.witness
 
 
 def test_degenerate_comparison_raises():
