@@ -159,7 +159,7 @@ def cmd_evolve(args) -> int:
         with open(args.params, encoding="utf-8") as handle:
             record = json.load(handle)
         st0 = state_from_record(record)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         return _usage_error(f"bad params file: {err}")
     if args.steps < 0:
         return _usage_error(f"--steps must be >= 0, got {args.steps}")

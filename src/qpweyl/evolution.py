@@ -18,18 +18,18 @@ two paths pointwise.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Expr, ZERO, parse, substitute, sym
-from .identity import identities_equal
-from .lax import d5_dilation_scaling, d5_power_scaling, e6_scaling, e7_scaling
-from .report import CheckResult, Report
+from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
+from .lax import d5_dilation_scaling, d5_power_scaling, e_scaling
+from .report import Report
 from .weyl import (
     CheckConfig,
     FamilyDescriptor,
     Transformation,
+    check,
     compose,
     word_to_transform,
 )
@@ -89,30 +89,17 @@ def time_evolution(fam: FamilyDescriptor) -> Transformation:
 
 def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
     cfg = cfg or CheckConfig()
-    constraint = fam.constraint if cfg.use_constraint else None
+    constraint = cfg.constraint(fam)
     T = time_evolution(fam)
-    report = Report()
-
-    def check(check_id, a, b):
-        start = time.monotonic()
-        res = identities_equal(a, b, constraint, trials=cfg.trials,
-                               prime=cfg.prime, seed=cfg.seed,
-                               exact=cfg.exact, label=check_id)
-        report.add(CheckResult(check_id, "pass" if res.verdict != "unequal" else "fail",
-                               witness=res.witness,
-                               detail="exact" if res.verdict == "exact-proved" else "",
-                               elapsed=time.monotonic() - start))
-
-    for i in range(1, 9):
-        check(f"{fam.name}:T:nu{i}", T.image(f"nu{i}"), sym(f"nu{i}"))
-    check(f"{fam.name}:T:kappa1", T.image("kappa1"), parse("kappa1/q"))
-    check(f"{fam.name}:T:kappa2", T.image("kappa2"), parse("q*kappa2"))
-
-    spec = make_evolution_spec(fam)
+    claims = [(f"nu{i}", T.image(f"nu{i}"), sym(f"nu{i}")) for i in range(1, 9)]
+    claims += [("kappa1", T.image("kappa1"), parse("kappa1/q")),
+               ("kappa2", T.image("kappa2"), parse("q*kappa2"))]
     images = {"fbar": T.image("f"), "gbar": T.image("g")}
-    for tag, rel in zip(("rel1", "rel2"), spec.qp_relations):
-        residual = substitute(rel, images)
-        check(f"{fam.name}:T:{tag}", residual, ZERO)
+    claims += [(tag, substitute(rel, images), ZERO)
+               for tag, rel in zip(("rel1", "rel2"), make_evolution_spec(fam).qp_relations)]
+    report = Report()
+    for tag, a, b in claims:
+        report.add(check(f"{fam.name}:T:{tag}", [("", a, b)], constraint, cfg))
     return report
 
 
@@ -139,26 +126,19 @@ def xi_scaling_map(fam: FamilyDescriptor) -> Transformation:
                        d5_dilation_scaling(parse("kappa1/(q*nu3*nu4)")),
                        label="G*D")
     if fam.name == "E6":
-        return e6_scaling(parse("nu5*nu6/kappa2"))
-    return e7_scaling(parse("kappa1/(q*kappa2)"))
+        return e_scaling(parse("nu5*nu6/kappa2"))
+    return e_scaling(parse("kappa1/(q*kappa2)"))
 
 
 def verify_theorem_ii(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
     cfg = cfg or CheckConfig()
-    constraint = fam.constraint if cfg.use_constraint else None
+    constraint = cfg.constraint(fam)
     scaling = xi_scaling_map(fam)
     report = Report()
     for zeta_text in _XI_GENERATORS[fam.name]:
         zeta = parse(zeta_text)
-        check_id = f"{fam.name}:xi:{zeta_text}"
-        start = time.monotonic()
-        res = identities_equal(fam.xi(zeta), scaling(zeta), constraint,
-                               trials=cfg.trials, prime=cfg.prime,
-                               seed=cfg.seed, exact=cfg.exact, label=check_id)
-        report.add(CheckResult(check_id, "pass" if res.verdict != "unequal" else "fail",
-                               witness=res.witness,
-                               detail="exact" if res.verdict == "exact-proved" else "",
-                               elapsed=time.monotonic() - start))
+        report.add(check(f"{fam.name}:xi:{zeta_text}",
+                         [("", fam.xi(zeta), scaling(zeta))], constraint, cfg))
     return report
 
 
@@ -208,11 +188,12 @@ def _frac_str(v: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, str):
+    if not isinstance(text, (str, int)):
+        raise ValueError(f"rationals must be strings like '3/4', got {text!r}")
+    try:
         return Fraction(text)
-    if isinstance(text, int):
-        return Fraction(text)
-    raise ValueError(f"rationals must be strings like '3/4', got {text!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
@@ -231,7 +212,11 @@ def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
     return OrbitState(q, tuple(nu) + (nu8,), kappa1, kappa2, f, g, t)
 
 
-def state_from_record(rec: dict) -> OrbitState:
+def state_from_record(rec) -> OrbitState:
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    if not isinstance(rec.get("nu"), list):
+        raise ValueError(f"'nu' must be a list of rationals, got {rec.get('nu')!r}")
     nu = [parse_rational(v) for v in rec["nu"]]
     if len(nu) == 8:
         nu = nu[:7]

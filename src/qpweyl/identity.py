@@ -24,7 +24,7 @@ from typing import Mapping
 from .expr import (
     DivisionByZero,
     Expr,
-    dag_size,
+    _compile,
     evaluate,
     sub,
     substitute,
@@ -159,7 +159,6 @@ def identities_equal(
     seed: int = 0,
     label: str = "",
     exact: bool = False,
-    size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> IdentityResult:
     """Decide whether a and b agree as rational functions (mod constraint)."""
     check_sampling(trials, prime)
@@ -198,7 +197,7 @@ def identities_equal(
 
     if exact and result.verdict == "equal":
         try:
-            if exact_zero(r, size_bound=size_bound):
+            if exact_zero(r):
                 result.verdict = "exact-proved"
             else:
                 # The probabilistic pass accepted but the exact normal form is
@@ -295,65 +294,55 @@ def _strip(numer, denom):
 def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
     """Prove or refute e == 0 exactly.
 
-    Raises ExactPathUnavailable when e exceeds the size bound or an
-    intermediate expansion exceeds the term cap.
+    Runs the compiled program of e (see expr.evaluate) over polynomial
+    fractions.  Raises ExactPathUnavailable when e has more than size_bound
+    nodes or an intermediate expansion exceeds the term cap.
     """
-    if dag_size(e) > size_bound:
+    code, _nodes = _compile(e)
+    if len(code) > size_bound:
         raise ExactPathUnavailable(f"expression exceeds {size_bound} nodes")
     order = tuple(sorted(e.free))
-    index = {n: i for i, n in enumerate(order)}
     nvars = len(order)
-    one = {(0,) * nvars: Fraction(1)}
+    const = (0,) * nvars
+    one = {const: Fraction(1)}
+    monomial = {n: tuple(int(i == j) for j in range(nvars)) for i, n in enumerate(order)}
 
-    memo: dict[Expr, tuple[dict, dict]] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        if node.kind == "num":
-            memo[node] = ({(0,) * nvars: node.value} if node.value else {}, dict(one))
-            stack.pop()
-            continue
-        if node.kind == "sym":
-            mono = tuple(1 if i == index[node.name] else 0 for i in range(nvars))
-            memo[node] = ({mono: Fraction(1)}, dict(one))
-            stack.pop()
-            continue
-        pending = [ch for ch in node.children if ch not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        kids = [memo[ch] for ch in node.children]
-        if node.kind == "add":
-            n_acc, d_acc = kids[0]
-            for n2, d2 in kids[1:]:
+    vals: list[tuple[dict, dict]] = []
+    for kind, arg in code:
+        if kind == "num":
+            pair = ({const: arg} if arg else {}, one)
+        elif kind == "sym":
+            pair = ({monomial[arg]: Fraction(1)}, one)
+        elif kind == "add":
+            n_acc, d_acc = vals[arg[0]]
+            for k in arg[1:]:
+                n2, d2 = vals[k]
                 n_acc = _poly_add(_poly_mul(n_acc, d2), _poly_mul(n2, d_acc))
                 d_acc = _poly_mul(d_acc, d2)
                 n_acc, d_acc = _strip(n_acc, d_acc) if n_acc else (n_acc, d_acc)
-            memo[node] = (n_acc, d_acc)
-        elif node.kind == "mul":
-            n_acc, d_acc = kids[0]
-            for n2, d2 in kids[1:]:
+            pair = (n_acc, d_acc)
+        elif kind == "mul":
+            n_acc, d_acc = vals[arg[0]]
+            for k in arg[1:]:
+                n2, d2 = vals[k]
                 n_acc = _poly_mul(n_acc, n2)
                 d_acc = _poly_mul(d_acc, d2)
-            memo[node] = _strip(n_acc, d_acc) if n_acc else (n_acc, d_acc)
-        elif node.kind == "pow":
-            n1, d1 = kids[0]
-            k = node.exp
+            pair = _strip(n_acc, d_acc) if n_acc else (n_acc, d_acc)
+        elif kind == "pow":
+            n1, d1 = vals[arg[0]]
+            k = arg[1]
             if k < 0:
                 n1, d1 = d1, n1
                 k = -k
             if not d1:
                 raise ExactPathUnavailable("inverse of an identically zero expression")
-            memo[node] = (_poly_pow(n1, k), _poly_pow(d1, k))
-        elif node.kind == "div":
-            (n1, d1), (n2, d2) = kids
+            pair = (_poly_pow(n1, k), _poly_pow(d1, k))
+        else:  # div
+            (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
             if not n2:
                 raise ExactPathUnavailable("division by an identically zero expression")
             pair = (_poly_mul(n1, d2), _poly_mul(d1, n2))
-            memo[node] = _strip(*pair) if pair[0] else pair
-    numer, _denom = memo[e]
+            pair = _strip(*pair) if pair[0] else pair
+        vals.append(pair)
+    numer, _denom = vals[-1]
     return not numer

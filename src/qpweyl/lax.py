@@ -24,13 +24,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .expr import Expr, div, mul, parse, sub, substitute, sym
-from .identity import ConstraintRelation, identities_equal
+from .expr import ZERO, Expr, div, mul, parse, sub, substitute, sym
+from .identity import ConstraintRelation, DegenerateComparison, identities_equal
 from .report import CheckResult, Report
 from .weyl import (
     CheckConfig,
     FamilyDescriptor,
     Transformation,
+    check,
     word_to_transform,
 )
 
@@ -173,13 +174,17 @@ def equations_equivalent(
     cfg: CheckConfig | None = None,
     label: str = "",
 ) -> bool:
-    """True iff the equations agree up to one common rational factor."""
+    """True iff the equations agree up to one common rational factor.
+
+    Raises DegenerateEquation when no pivot coefficient is nonzero, and
+    DegenerateComparison when a cross-multiplied pair has no sample point
+    off its poles.
+    """
     cfg = cfg or CheckConfig()
     if e1.shift_var != e2.shift_var:
         raise ValueError("equations use different shift variables")
 
     def is_zero(e: Expr, tag: str) -> bool:
-        from .expr import ZERO
         return identities_equal(e, ZERO, constraint, trials=cfg.trials,
                                 prime=cfg.prime, seed=cfg.seed,
                                 label=f"{label}:zero:{tag}").verdict == "equal"
@@ -193,15 +198,12 @@ def equations_equivalent(
     if pivot is None:
         raise DegenerateEquation("all candidate pivot coefficients vanish")
     p1, p2 = pairs[pivot]
-    for idx, (c1, c2) in enumerate(pairs):
-        if idx == pivot:
-            continue
-        res = identities_equal(mul(c1, p2), mul(c2, p1), constraint,
-                               trials=cfg.trials, prime=cfg.prime, seed=cfg.seed,
-                               exact=cfg.exact, label=f"{label}:cross:{idx}")
-        if res.verdict not in ("equal", "exact-proved"):
-            return False
-    return True
+    cross = ((f"cross:{idx}", mul(c1, p2), mul(c2, p1))
+             for idx, (c1, c2) in enumerate(pairs) if idx != pivot)
+    result = check(label, cross, constraint, cfg)
+    if result.status == "degenerate":
+        raise DegenerateComparison(result.detail)
+    return result.ok
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +232,17 @@ def d5_dilation_scaling(c: Expr) -> Transformation:
     }, "D")
 
 
-def e6_scaling(c: Expr) -> Transformation:
-    """Joint dilation+power action with c*q^d = 1."""
+def e_scaling(c: Expr) -> Transformation:
+    """nu1..nu4, f -> c x; nu5..nu8, g -> x/c; kappa1, kappa2 fixed.
+
+    E6 realizes it as dilation plus power gauge with c q^d = 1, E7 as a pure
+    dilation.
+    """
     images = {f"nu{i}": mul(c, sym(f"nu{i}")) for i in (1, 2, 3, 4)}
     images.update({f"nu{i}": div(sym(f"nu{i}"), c) for i in (5, 6, 7, 8)})
     images["f"] = mul(c, sym("f"))
     images["g"] = div(sym("g"), c)
-    return Transformation(images, "S_E6")
-
-
-def e7_scaling(c: Expr) -> Transformation:
-    """Pure dilation action; kappa1, kappa2 and kappa2/kappa1 stay fixed."""
-    images = {f"nu{i}": mul(c, sym(f"nu{i}")) for i in (1, 2, 3, 4)}
-    images.update({f"nu{i}": div(sym(f"nu{i}"), c) for i in (5, 6, 7, 8)})
-    images["f"] = mul(c, sym("f"))
-    images["g"] = div(sym("g"), c)
-    return Transformation(images, "S_E7")
+    return Transformation(images, "S")
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +300,7 @@ def _claim_registry() -> dict[str, GaugeClaim]:
         GaugeClaim(
             "e6.S", "E6",
             (PowerGauge(parse("1/c")), Dilation(z("c"))),
-            lambda fam: e6_scaling(z("c")),
+            lambda fam: e_scaling(z("c")),
             "dilation plus power gauge with c q^d = 1",
         ),
         GaugeClaim(
@@ -319,7 +316,7 @@ def _claim_registry() -> dict[str, GaugeClaim]:
         GaugeClaim(
             "e7.S", "E7",
             (Dilation(z("c")),),
-            lambda fam: e7_scaling(z("c")),
+            lambda fam: e_scaling(z("c")),
             "pure dilation",
         ),
     ]
@@ -357,8 +354,11 @@ def verify_gauge_claim(
         gauged = apply_gauge(gauged, gauge)
     target = substitute_params(eq, claim.target(fam))
     target = rename_shift(target, gauged.shift_var)
-    constraint = fam.constraint if cfg.use_constraint else None
-    ok = equations_equivalent(gauged, target, constraint, cfg, label=claim_id)
+    try:
+        ok = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim_id)
+    except (DegenerateEquation, DegenerateComparison) as err:
+        return CheckResult(claim_id, "degenerate", detail=f"{claim.note}: {err}",
+                           elapsed=time.monotonic() - start)
     return CheckResult(claim_id, "pass" if ok else "fail",
                        detail=claim.note if ok else f"{claim.note}: mismatch",
                        elapsed=time.monotonic() - start)

@@ -29,6 +29,7 @@ from .identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
+    DegenerateComparison,
     identities_equal,
 )
 from .report import CheckResult, Report
@@ -337,44 +338,62 @@ class CheckConfig:
     exact: bool = False
     use_constraint: bool = True
 
+    def constraint(self, fam: FamilyDescriptor) -> ConstraintRelation | None:
+        """The family's constraint, or None when checks run without it."""
+        return fam.constraint if self.use_constraint else None
 
-def _check_images_equal(
-    fam: FamilyDescriptor,
-    t1: Transformation,
-    t2: Transformation,
-    check_id: str,
-    cfg: CheckConfig,
-    symbols=ACTION_SYMBOLS,
-) -> CheckResult:
-    constraint = fam.constraint if cfg.use_constraint else None
+
+def check(check_id: str, pairs, constraint: ConstraintRelation | None,
+          cfg: CheckConfig) -> CheckResult:
+    """The verdict of every suite: does a equal b for each (name, a, b)?
+
+    Pairs are compared in order, each sampled under the label
+    "check_id:name", or check_id when name is empty.  The first pair that
+    differs fails the check with its witness.  A comparison that finds no
+    sample point off the poles makes the check degenerate.  A pass is
+    marked exact when cfg.exact is set and every pair was proved exactly.
+    """
     start = time.monotonic()
-    for name in symbols:
-        res = identities_equal(
-            t1.image(name), t2.image(name), constraint,
-            trials=cfg.trials, prime=cfg.prime, seed=cfg.seed,
-            exact=cfg.exact, label=f"{check_id}:{name}",
-        )
-        if res.verdict == "unequal":
-            return CheckResult(check_id, "fail", witness=res.witness,
-                               detail=f"images of {name} differ",
-                               elapsed=time.monotonic() - start)
-    return CheckResult(check_id, "pass", elapsed=time.monotonic() - start)
+    proved = cfg.exact
+    try:
+        for name, a, b in pairs:
+            res = identities_equal(
+                a, b, constraint,
+                trials=cfg.trials, prime=cfg.prime, seed=cfg.seed,
+                exact=cfg.exact, label=f"{check_id}:{name}" if name else check_id,
+            )
+            if res.verdict == "unequal":
+                return CheckResult(check_id, "fail", witness=res.witness,
+                                   detail=f"images of {name} differ" if name else "",
+                                   elapsed=time.monotonic() - start)
+            proved = proved and res.verdict == "exact-proved"
+    except DegenerateComparison as err:
+        return CheckResult(check_id, "degenerate", detail=str(err),
+                           elapsed=time.monotonic() - start)
+    return CheckResult(check_id, "pass", detail="exact" if proved else "",
+                       elapsed=time.monotonic() - start)
+
+
+def _image_pairs(t1: Transformation, t2: Transformation):
+    """(name, t1 image, t2 image) for every symbol a transformation moves."""
+    return ((name, t1.image(name), t2.image(name)) for name in ACTION_SYMBOLS)
 
 
 def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
     cfg = cfg or CheckConfig()
+    constraint = cfg.constraint(fam)
     report = Report()
     for name in fam.s_names + fam.pi_names:
         gen = fam.generators[name]
-        t2 = compose(gen, gen)
-        report.add(_check_images_equal(fam, t2, IDENTITY,
-                                       f"{fam.name}:invol:{name}", cfg))
+        report.add(check(f"{fam.name}:invol:{name}",
+                         _image_pairs(compose(gen, gen), IDENTITY), constraint, cfg))
     return report
 
 
 def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
     """Braid relation on Dynkin edges, commutation on non-edges."""
     cfg = cfg or CheckConfig()
+    constraint = cfg.constraint(fam)
     report = Report()
     indices = [int(n[1:]) for n in fam.s_names]
     for i, j in itertools.combinations(indices, 2):
@@ -387,8 +406,8 @@ def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Repor
             lhs = compose(si, sj)
             rhs = compose(sj, si)
             kind = "commute"
-        report.add(_check_images_equal(fam, lhs, rhs,
-                                       f"{fam.name}:{kind}:s{i},s{j}", cfg))
+        report.add(check(f"{fam.name}:{kind}:s{i},s{j}",
+                         _image_pairs(lhs, rhs), constraint, cfg))
     return report
 
 
@@ -412,15 +431,16 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
     finds the j with pi s_i = s_j pi, failing if none matches.
     """
     cfg = cfg or CheckConfig()
+    constraint = cfg.constraint(fam)
     report = Report()
     if fam.name == "D5":
         for lhs_word, rhs_word in _D5_PI_RELATIONS:
             lhs = word_to_transform(fam, lhs_word)
             rhs = word_to_transform(fam, rhs_word)
-            report.add(_check_images_equal(
-                fam, lhs, rhs, f"D5:pi:{lhs_word} = {rhs_word}", cfg))
+            report.add(check(f"D5:pi:{lhs_word} = {rhs_word}",
+                             _image_pairs(lhs, rhs), constraint, cfg))
         t = word_to_transform(fam, "(pi1 pi2)^4")
-        report.add(_check_images_equal(fam, t, IDENTITY, "D5:pi:(pi1 pi2)^4", cfg))
+        report.add(check("D5:pi:(pi1 pi2)^4", _image_pairs(t, IDENTITY), constraint, cfg))
         return report
 
     for pi_name in fam.pi_names:
@@ -428,27 +448,28 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
         for s_name in fam.s_names:
             lhs = compose(pi, fam.generators[s_name])
             found = None
-            first_witness = None
+            missed = None   # a degenerate probe, else the first failed one
             for cand in fam.s_names:
                 rhs = compose(fam.generators[cand], pi)
-                probe = _check_images_equal(
-                    fam, lhs, rhs,
-                    f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
-                    cfg)
+                probe = check(f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
+                              _image_pairs(lhs, rhs), constraint, cfg)
                 if probe.ok:
                     found = cand
                     break
-                if first_witness is None:
-                    first_witness = probe.witness
+                if missed is None or probe.status == "degenerate":
+                    missed = probe
             check_id = f"{fam.name}:pi:{pi_name} {s_name}"
-            if found is None:
-                # No generator matches; the witness separates the conjugate
-                # from the natural candidate.
-                report.add(CheckResult(check_id, "fail", witness=first_witness,
-                                       detail="no matching conjugate generator"))
-            else:
+            if found is not None:
                 report.add(CheckResult(check_id, "pass",
                                        detail=f"{pi_name} {s_name} = {found} {pi_name}"))
+            elif missed.status == "degenerate":
+                # The candidate that could not be compared may be the match.
+                report.add(CheckResult(check_id, "degenerate", detail=missed.detail))
+            else:
+                # No generator matches; the witness separates the conjugate
+                # from the natural candidate.
+                report.add(CheckResult(check_id, "fail", witness=missed.witness,
+                                       detail="no matching conjugate generator"))
     return report
 
 

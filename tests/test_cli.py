@@ -135,6 +135,30 @@ def test_exact_flag_marks_proved_checks(capsys):
     code, out, _ = run(capsys, "verify-theorem", "--family", "D5", "--exact")
     assert code == 0
     assert "(exact)" in out
+    code, out, _ = run(capsys, "verify-relations", "--family", "D5", "--exact",
+                       "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 32
+    assert all(c.get("detail") == "exact" for c in checks)
+
+
+def test_pole_at_every_sample_is_degenerate_not_a_traceback(capsys, monkeypatch, d5):
+    mutant = d5.with_generator("s0", {"nu7": "nu8", "nu8": "nu8/(nu1 - nu1)"})
+    monkeypatch.setattr(cli, "make_family", lambda name: mutant)
+    code, out, err = run(capsys, "verify-relations", "--family", "D5",
+                         "--trials", "2", "--format", "json")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    degenerate = [c for c in doc["checks"] if c["status"] == "degenerate"]
+    assert {c["id"] for c in degenerate} == {
+        "D5:invol:s0", "D5:braid:s0,s2", "D5:pi:pi1 s0 = s1 pi1",
+        "D5:pi:pi2 s0 = s4 pi2",
+        *(f"D5:commute:s0,s{j}" for j in (1, 3, 4, 5)),
+    }
+    assert all("exhausted" in c["detail"] for c in degenerate)
+    assert doc["summary"] == {"pass": 24, "fail": 0, "degenerate": 8, "total": 32}
 
 
 def test_list_families(capsys):
@@ -232,6 +256,25 @@ def test_evolve_malformed_params_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "evolve", "--family", "D5", "--steps", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"f": "1/0"}, "zero denominator"),
+    ([1, 2], "JSON object"),
+    ({"nu": "2357111"}, "'nu' must be a list"),
+])
+def test_evolve_bad_params_values_exit_2(capsys, tmp_path, content, message):
+    if isinstance(content, dict):
+        path = write_params(tmp_path, **content)
+    else:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params",
+                         str(path), "--steps", "1")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: bad params file: [^\n]+\n", err)
+    assert message in err
 
 
 def test_evolve_rejects_float_rationals(capsys, tmp_path):

@@ -24,7 +24,7 @@ from qpweyl.lax import (
     verify_gauge_claim,
     verify_gauge_claims,
 )
-from qpweyl.weyl import transformation, word_to_transform
+from qpweyl.weyl import CheckConfig, transformation, word_to_transform
 
 
 def eq(a, b, k=None, label="t"):
@@ -218,6 +218,25 @@ def test_all_zero_equation_is_degenerate():
     zero_eq = LinearQDE(ZERO, ZERO, ZERO, "z")
     with pytest.raises(DegenerateEquation):
         equations_equivalent(zero_eq, zero_eq, label="degen")
+
+
+def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
+    import qpweyl.lax as lax
+    monkeypatch.setattr(lax, "build_L1", lambda fam: LinearQDE(ZERO, ZERO, ZERO, "z"))
+    result = verify_gauge_claim(d5, "d5.s2")
+    assert result.status == "degenerate"
+    assert "pivot" in result.detail
+    assert not result.ok
+
+
+def test_gauge_claim_with_pole_everywhere_is_degenerate(monkeypatch, d5):
+    import qpweyl.lax as lax
+    eq5 = build_L1(d5)
+    broken = LinearQDE(parse("z/(f - f)"), eq5.coeff_mid, eq5.coeff_down, "z")
+    monkeypatch.setattr(lax, "build_L1", lambda fam: broken)
+    result = verify_gauge_claim(d5, "d5.s2", CheckConfig(trials=2))
+    assert result.status == "degenerate"
+    assert "exhausted" in result.detail
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from qpweyl.expr import parse, substitute, sym
 from qpweyl.identity import identities_equal
 from qpweyl.weyl import (
     IDENTITY,
+    CheckConfig,
+    check,
     compose,
     make_family,
     parse_word,
@@ -401,3 +403,46 @@ def test_corrupted_generator_fails_with_witness(d5):
     report = verify_involutions(mutant)
     bad = report.failures()
     assert bad and any(c.witness for c in bad)
+
+
+# ---------------------------------------------------------------------------
+# the single check path
+
+def test_check_fails_at_first_differing_pair_with_its_witness():
+    f, g = sym("f"), sym("g")
+    pairs = [("f", f, f), ("g", g, parse("2*g")), ("q", f, g)]
+    res = check("c", pairs, None, CheckConfig())
+    assert res.status == "fail"
+    assert res.detail == "images of g differ"
+    # the pair is sampled under "check_id:name", like a direct comparison
+    direct = identities_equal(g, parse("2*g"), None, label="c:g")
+    assert res.witness == direct.witness
+
+
+def test_check_empty_name_samples_under_the_check_id():
+    res = check("c", [("", sym("f"), sym("g"))], None, CheckConfig())
+    assert res.status == "fail" and res.detail == ""
+    assert res.witness == identities_equal(sym("f"), sym("g"), label="c").witness
+
+
+def test_check_marks_exact_only_when_every_pair_is_proved():
+    pairs = [("f", parse("f*g/g"), sym("f")), ("g", sym("g"), sym("g"))]
+    assert check("c", pairs, None, CheckConfig()).detail == ""
+    assert check("c", pairs, None, CheckConfig(exact=True)).detail == "exact"
+
+
+def test_check_reports_a_pole_everywhere_as_degenerate():
+    pole = parse("f/(g - g)")
+    res = check("c", [("f", sym("f"), sym("f")), ("g", pole, sym("g"))],
+                None, CheckConfig(trials=2))
+    assert res.status == "degenerate"
+    assert "c:g" in res.detail
+    assert not res.ok
+
+
+def test_degenerate_probe_makes_discovery_degenerate(e6):
+    mutant = e6.with_generator("s1", {"nu5": "nu6/(nu1 - nu1)", "nu6": "nu5"})
+    report = verify_pi_relations(mutant, CheckConfig(trials=2))
+    by_id = {c.id: c for c in report.checks}
+    assert by_id["E6:pi:pi1 s1"].status == "degenerate"
+    assert by_id["E6:pi:pi1 s2"].ok
