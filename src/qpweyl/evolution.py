@@ -12,7 +12,11 @@ forward step solves the first relation for fbar at the current state,
 advances kappa1 -> kappa1/q and kappa2 -> q kappa2, then solves the second
 relation for gbar at the advanced parameters.  This ordering is the only one
 consistent with the symbolic T, and the acceptance suite cross-checks the
-two paths pointwise.
+two paths pointwise.  Each relation is affine in its unknown, and the step
+solves it on the integer numerators and denominators of f and g: a factor
+(x - p/r) with x = c/d becomes the integer c*r - p*d, the powers of d cancel
+by hand, and each new coordinate is one Fraction(num, den), so one gcd per
+coordinate instead of one per Fraction operation.
 """
 
 from __future__ import annotations
@@ -206,8 +210,8 @@ def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
     prod = Fraction(1)
     for v in nu:
         prod *= v
-    if q == 0 or prod == 0:
-        raise ValueError("q and nu1..nu7 must be nonzero")
+    if q == 0 or prod == 0 or kappa1 == 0 or kappa2 == 0:
+        raise ValueError("q, kappa1, kappa2 and nu1..nu7 must be nonzero")
     nu8 = kappa1**2 * kappa2**2 / (q * prod)
     return OrbitState(q, tuple(nu) + (nu8,), kappa1, kappa2, f, g, t)
 
@@ -226,109 +230,101 @@ def state_from_record(rec) -> OrbitState:
                       t=int(rec.get("t", 0)))
 
 
-def _div(numer: Fraction, denom: Fraction, step: int, where: str) -> Fraction:
-    if denom == 0:
-        raise PoleError(step, where)
-    return numer / denom
-
-
 def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward") -> OrbitState:
+    """One step of the family's orbit.  Forward solves rel1 for fbar, then
+    rel2 for gbar at the advanced kappas; backward solves rel2 for the
+    previous g, then rel1 at the previous kappas for the previous f."""
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward or backward, got {direction!r}")
+    solve, q = _SOLVERS[fam.name], st.q
     if direction == "forward":
-        return _STEPPERS[fam.name](st, +1)
-    if direction == "backward":
-        return _STEPPERS[fam.name](st, -1)
-    raise ValueError(f"direction must be forward or backward, got {direction!r}")
-
-
-def _step_d5(st: OrbitState, sign: int) -> OrbitState:
-    q = st.q
-    n = (None,) + st.nu  # 1-based
-    if sign > 0:
-        rhs1 = _div(n[3] * n[4] * (st.g - n[5] / st.kappa2) * (st.g - n[6] / st.kappa2),
-                    (st.g - 1 / n[1]) * (st.g - 1 / n[2]), st.t, "rel1 denominator")
-        fbar = _div(rhs1, st.f, st.t, "f")
         k1, k2 = st.kappa1 / q, st.kappa2 * q
-        rhs2 = _div((fbar - k1 / n[7]) * (fbar - k1 / n[8]),
-                    n[1] * n[2] * (fbar - n[3]) * (fbar - n[4]), st.t, "rel2 denominator")
-        gbar = _div(rhs2, st.g, st.t, "g")
-        return OrbitState(q, st.nu, k1, k2, fbar, gbar, st.t + 1)
-    rhs2 = _div((st.f - st.kappa1 / n[7]) * (st.f - st.kappa1 / n[8]),
-                n[1] * n[2] * (st.f - n[3]) * (st.f - n[4]), st.t, "rel2 denominator")
-    gdown = _div(rhs2, st.g, st.t, "g")
+        f = solve(st, 1, st.g, st.f, st.kappa1, st.kappa2, True)
+        return OrbitState(q, st.nu, k1, k2, f, solve(st, 2, f, st.g, k1, k2, True), st.t + 1)
     k1, k2 = st.kappa1 * q, st.kappa2 / q
-    rhs1 = _div(n[3] * n[4] * (gdown - n[5] / k2) * (gdown - n[6] / k2),
-                (gdown - 1 / n[1]) * (gdown - 1 / n[2]), st.t, "rel1 denominator")
-    fdown = _div(rhs1, st.f, st.t, "f")
-    return OrbitState(q, st.nu, k1, k2, fdown, gdown, st.t - 1)
+    g = solve(st, 2, st.f, st.g, st.kappa1, st.kappa2, False)
+    return OrbitState(q, st.nu, k1, k2, solve(st, 1, g, st.f, k1, k2, False), g, st.t - 1)
 
 
-def _step_e6(st: OrbitState, sign: int) -> OrbitState:
-    q = st.q
-    n = (None,) + st.nu
-    if sign > 0:
-        r1 = _div((st.g - 1 / n[1]) * (st.g - 1 / n[2]) * (st.g - 1 / n[3]) * (st.g - 1 / n[4]),
-                  (st.g - n[5] / st.kappa2) * (st.g - n[6] / st.kappa2), st.t, "rel1 rhs")
-        fg1 = st.f * st.g - 1
-        fbar = _div(fg1, fg1 * st.g - r1 * st.f, st.t, "rel1 solve")
-        k1, k2 = st.kappa1 / q, st.kappa2 * q
-        r2 = _div((fbar - n[1]) * (fbar - n[2]) * (fbar - n[3]) * (fbar - n[4]),
-                  (fbar - k1 / n[7]) * (fbar - k1 / n[8]), st.t, "rel2 rhs")
-        fg2 = fbar * st.g - 1
-        gbar = _div(fg2, fbar * fg2 - r2 * st.g, st.t, "rel2 solve")
-        return OrbitState(q, st.nu, k1, k2, fbar, gbar, st.t + 1)
-    r2 = _div((st.f - n[1]) * (st.f - n[2]) * (st.f - n[3]) * (st.f - n[4]),
-              (st.f - st.kappa1 / n[7]) * (st.f - st.kappa1 / n[8]), st.t, "rel2 rhs")
-    fg1 = st.f * st.g - 1
-    gdown = _div(fg1, fg1 * st.f - r2 * st.g, st.t, "rel2 solve")
-    k1, k2 = st.kappa1 * q, st.kappa2 / q
-    r1 = _div((gdown - 1 / n[1]) * (gdown - 1 / n[2]) * (gdown - 1 / n[3]) * (gdown - 1 / n[4]),
-              (gdown - n[5] / k2) * (gdown - n[6] / k2), st.t, "rel1 rhs")
-    fg2 = st.f * gdown - 1
-    fdown = _div(fg2, fg2 * gdown - r1 * st.f, st.t, "rel1 solve")
-    return OrbitState(q, st.nu, k1, k2, fdown, gdown, st.t - 1)
+# Each solver takes relation `rel` (1 or 2) at the kappas k1, k2 it is
+# written at (those of the earlier state for rel1, of the later state for
+# rel2), the coordinate x shared by both states (g for rel1, f for rel2), the
+# known coordinate y paired with the unknown z, and `up`, true when z belongs
+# to the later state.  It works on the integer numerators and denominators
+# of x and y, so the only reduction is the one Fraction(num, den) of z.
+# Every denominator is tested before it is used, so a pole raises PoleError.
+
+def _ratio(x: Fraction, top, bottom) -> tuple[int, int]:
+    """Integers (u, v) with prod(x - a for a in top) / prod(x - b for b in
+    bottom) == u / (v * d**(len(top) - len(bottom))), d the denominator of
+    x; v is 0 exactly when a bottom factor is."""
+    c, d = x.numerator, x.denominator
+    u = v = 1
+    for a in top:
+        v *= a.denominator
+        u *= c * a.denominator - a.numerator * d
+    for b in bottom:
+        u *= b.denominator
+        v *= c * b.denominator - b.numerator * d
+    return u, v
 
 
-def _step_e7(st: OrbitState, sign: int) -> OrbitState:
-    q = st.q
-    n = (None,) + st.nu
-    if sign > 0:
-        r1 = _div((st.g - n[5] / st.kappa2) * (st.g - n[6] / st.kappa2)
-                  * (st.g - n[7] / st.kappa2) * (st.g - n[8] / st.kappa2),
-                  (st.g - 1 / n[1]) * (st.g - 1 / n[2]) * (st.g - 1 / n[3]) * (st.g - 1 / n[4]),
-                  st.t, "rel1 rhs")
-        kr = st.kappa1 / st.kappa2
-        a = st.f * st.g - kr
-        b = st.f * st.g - 1
-        fbar = _div(kr / q * a - r1 * b, st.g * (a - r1 * b), st.t, "rel1 solve")
-        k1, k2 = st.kappa1 / q, st.kappa2 * q
-        r2 = _div((fbar - k1 / n[5]) * (fbar - k1 / n[6]) * (fbar - k1 / n[7]) * (fbar - k1 / n[8]),
-                  (fbar - n[1]) * (fbar - n[2]) * (fbar - n[3]) * (fbar - n[4]),
-                  st.t, "rel2 rhs")
-        krn = k1 / k2
-        p = fbar * st.g - q * krn
-        w = fbar * st.g - 1
-        gbar = _div(krn * p - r2 * w, fbar * (p - r2 * w), st.t, "rel2 solve")
-        return OrbitState(q, st.nu, k1, k2, fbar, gbar, st.t + 1)
-    kr = st.kappa1 / st.kappa2
-    r2 = _div((st.f - st.kappa1 / n[5]) * (st.f - st.kappa1 / n[6])
-              * (st.f - st.kappa1 / n[7]) * (st.f - st.kappa1 / n[8]),
-              (st.f - n[1]) * (st.f - n[2]) * (st.f - n[3]) * (st.f - n[4]),
-              st.t, "rel2 rhs")
-    a0 = st.f * st.g - kr
-    b0 = st.f * st.g - 1
-    gdown = _div(q * kr * a0 - r2 * b0, st.f * (a0 - r2 * b0), st.t, "rel2 solve")
-    k1, k2 = st.kappa1 * q, st.kappa2 / q
-    krp = k1 / k2
-    r1 = _div((gdown - n[5] / k2) * (gdown - n[6] / k2) * (gdown - n[7] / k2) * (gdown - n[8] / k2),
-              (gdown - 1 / n[1]) * (gdown - 1 / n[2]) * (gdown - 1 / n[3]) * (gdown - 1 / n[4]),
-              st.t, "rel1 rhs")
-    p = st.f * gdown - krp / q
-    w = st.f * gdown - 1
-    fdown = _div(krp * p - r1 * w, gdown * (p - r1 * w), st.t, "rel1 solve")
-    return OrbitState(q, st.nu, k1, k2, fdown, gdown, st.t - 1)
+def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
+    """z y prod(x - b) = c prod(x - a), solved for z."""
+    n = st.nu
+    if rel == 1:
+        c, top, bottom = n[2] * n[3], (n[4] / k2, n[5] / k2), (1 / n[0], 1 / n[1])
+    else:
+        c, top, bottom = 1 / (n[0] * n[1]), (k1 / n[6], k1 / n[7]), (n[2], n[3])
+    u, v = _ratio(x, top, bottom)
+    if v == 0:
+        raise PoleError(st.t, f"rel{rel} denominator")
+    if y == 0:
+        raise PoleError(st.t, "f" if rel == 1 else "g")
+    return Fraction(c.numerator * u * y.denominator, c.denominator * v * y.numerator)
 
 
-_STEPPERS = {"D5": _step_d5, "E6": _step_e6, "E7": _step_e7}
+def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
+    """(x z - 1)(x y - 1) prod(x - b) = z y prod(x - a), solved for z."""
+    n = st.nu
+    if rel == 1:
+        top, bottom = tuple(1 / v for v in n[:4]), (n[4] / k2, n[5] / k2)
+    else:
+        top, bottom = n[:4], (k1 / n[6], k1 / n[7])
+    u, v = _ratio(x, top, bottom)            # prod(x - a) / prod(x - b) = u / (v xd^2)
+    if v == 0:
+        raise PoleError(st.t, f"rel{rel} rhs")
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    m = xn * yn - xd * yd                    # (x y - 1) xd yd
+    den = m * xn * v - u * yn
+    if den == 0:
+        raise PoleError(st.t, f"rel{rel} solve")
+    return Fraction(m * v * xd, den)
+
+
+def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
+    """(x z - s)(x y - t) prod(x - b) = (x z - 1)(x y - 1) prod(x - a),
+    solved for z; s and t are c and q c, swapped going backward."""
+    n, q = st.nu, st.q
+    if rel == 1:
+        top, bottom, c = tuple(v / k2 for v in n[4:]), tuple(1 / v for v in n[:4]), k1 / (q * k2)
+    else:
+        top, bottom, c = tuple(k1 / v for v in n[4:]), n[:4], k1 / k2
+    s, t = (c, q * c) if up else (q * c, c)
+    u, v = _ratio(x, top, bottom)            # prod(x - a) / prod(x - b) = u / v
+    if v == 0:
+        raise PoleError(st.t, f"rel{rel} rhs")
+    xn, xd = x.numerator, x.denominator
+    xy, dd = xn * y.numerator, xd * y.denominator
+    a = (xy * t.denominator - t.numerator * dd) * v      # (x y - t) v, times xd yd t.den
+    b = (xy - dd) * u * t.denominator                    # (x y - 1) u, times xd yd t.den
+    den = xn * (a - b)
+    if den == 0:
+        raise PoleError(st.t, f"rel{rel} solve")
+    return Fraction((s.numerator * a - s.denominator * b) * xd, s.denominator * den)
+
+
+_SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}
 
 
 @dataclass

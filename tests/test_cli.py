@@ -1,7 +1,11 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,16 @@ def test_list_families(capsys):
     assert "e7.s0s4s0" in out
 
 
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qpweyl", "list"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "families: D5 E6 E7" in proc.stdout
+
+
 def test_list_family_details(capsys):
     code, out, _ = run(capsys, "list", "--family", "E7")
     assert code == 0
@@ -262,6 +276,8 @@ def test_evolve_malformed_params_exit_2(capsys, tmp_path):
     ({"f": "1/0"}, "zero denominator"),
     ([1, 2], "JSON object"),
     ({"nu": "2357111"}, "'nu' must be a list"),
+    ({"kappa1": "0"}, "nonzero"),
+    ({"kappa2": "0/5"}, "nonzero"),
 ])
 def test_evolve_bad_params_values_exit_2(capsys, tmp_path, content, message):
     if isinstance(content, dict):

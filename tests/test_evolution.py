@@ -1,8 +1,10 @@
 """Time-evolution identities and exact orbit iteration."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qpweyl.evolution import (
     PoleError,
@@ -186,6 +188,10 @@ def test_make_state_validation():
         make_state("2", ["1", "2", "3"], "1", "1", "1", "1")
     with pytest.raises(ValueError):
         make_state("0", ["1"] * 7, "1", "1", "1", "1")
+    # a zero kappa would make nu8 = 0, which the relations divide by
+    for k1, k2 in (("0", "1"), ("1", "0"), ("0", "0")):
+        with pytest.raises(ValueError, match="nonzero"):
+            make_state("2", ["1"] * 7, k1, k2, "1", "1")
 
 
 def test_d5_one_step_hand_oracle(d5):
@@ -282,3 +288,102 @@ def test_orbit_json_round_trip(d5):
     assert st0 == res.states[0]
     # rationals serialize as "p/q" strings
     assert all("/" in rec["f"] for rec in parsed["states"])
+
+
+# Starts on which the first step meets each pole, one per family, direction
+# and label: (q, nu1..nu7, kappa1, kappa2, f, g).  The labels and the order of
+# the tests were recorded from the Fraction steppers these replaced.
+POLE_STARTS = [
+    ("D5", "forward", "rel1 denominator",
+     ("1/2", ["3", "1", "-1/2", "-2", "1", "2", "-1"], "3", "-1/2", "-2", "1/3")),
+    ("D5", "forward", "f",
+     ("1/2", ["-1/2", "2", "2", "2", "1/3", "2", "-1"], "-2", "1", "0", "-1")),
+    ("D5", "forward", "rel2 denominator",
+     ("-1", ["-1", "-2", "1/3", "1", "1/2", "-1", "3"], "3", "-1", "-1/2", "1/3")),
+    ("D5", "forward", "g",
+     ("3", ["2", "1", "1", "-2", "-2", "2", "2"], "1/2", "3", "-2", "0")),
+    ("D5", "backward", "rel2 denominator",
+     ("-1", ["1/2", "2", "-1/2", "-2", "-2", "1", "-1/2"], "1/2", "3", "-2", "1")),
+    ("D5", "backward", "g",
+     ("3", ["3", "1/2", "-1", "1", "3", "-2", "1/3"], "-1", "1", "-1/2", "0")),
+    ("D5", "backward", "rel1 denominator",
+     ("3", ["-1", "3", "3", "3", "2", "1/3", "-1/2"], "3", "-1", "0", "-2")),
+    ("D5", "backward", "f",
+     ("2", ["3", "-2", "1/2", "1/3", "-1/2", "-2", "2"], "3", "1/3", "0", "1")),
+    ("E6", "forward", "rel1 rhs",
+     ("1/2", ["-1/2", "1/3", "1/3", "1/3", "-1/2", "3", "3"], "-2", "1", "3", "-1/2")),
+    ("E6", "forward", "rel1 solve",
+     ("-1", ["-1", "3", "2", "-2", "-1", "2", "3"], "-1/2", "1/2", "0", "0")),
+    ("E6", "forward", "rel2 rhs",
+     ("-1", ["-2", "3", "-1/2", "2", "-1", "2", "2"], "1", "-2", "1/2", "-2")),
+    ("E6", "forward", "rel2 solve",
+     ("3", ["-1/2", "-1/2", "2", "1/2", "1/3", "3", "1/2"], "-1/2", "3", "-2", "2")),
+    ("E6", "backward", "rel2 rhs",
+     ("3", ["2", "3", "1/3", "2", "-1/2", "1", "1/2"], "1", "-2", "2", "1/2")),
+    ("E6", "backward", "rel2 solve",
+     ("2", ["1/3", "1/3", "3", "-1", "1/3", "-1", "3"], "-1", "-2", "3", "1/3")),
+    ("E6", "backward", "rel1 rhs",
+     ("3", ["-2", "-2", "-1/2", "1/2", "1/2", "3", "-1"], "1", "-1", "0", "-1/2")),
+    ("E6", "backward", "rel1 solve",
+     ("2", ["2", "1", "-1/2", "1/3", "1/3", "2", "2"], "1/3", "1/2", "1/3", "1")),
+    ("E7", "forward", "rel1 rhs",
+     ("2", ["-1/2", "-1", "3", "-2", "-1", "-1", "3"], "1/2", "1/3", "-1", "1/3")),
+    ("E7", "forward", "rel1 solve",
+     ("1/2", ["-1/2", "3", "1", "-1", "3", "3", "1/3"], "1/3", "1", "1/3", "0")),
+    ("E7", "forward", "rel2 rhs",
+     ("-1", ["1/2", "1", "1", "1/2", "2", "2", "1/2"], "-1", "-1/2", "-1/2", "-2")),
+    ("E7", "forward", "rel2 solve",
+     ("1/2", ["1", "-2", "3", "2", "1", "-2", "2"], "-2", "-2", "-1/2", "3")),
+    ("E7", "backward", "rel2 rhs",
+     ("2", ["1", "1/2", "-1", "-2", "2", "2", "1"], "1", "2", "1", "-1")),
+    ("E7", "backward", "rel2 solve",
+     ("2", ["3", "2", "3", "3", "-1/2", "2", "-1"], "1", "2", "0", "2")),
+    ("E7", "backward", "rel1 rhs",
+     ("2", ["1/2", "-2", "-2", "1/2", "-1/2", "-2", "-1/2"], "-1", "2", "2", "-2")),
+    ("E7", "backward", "rel1 solve",
+     ("3", ["2", "-2", "2", "-1/2", "1", "2", "-2"], "1/3", "2", "1/3", "-2")),
+]
+
+
+@pytest.mark.parametrize("family, direction, where, start", POLE_STARTS,
+                         ids=[f"{f}-{d}-{w}" for f, d, w, _ in POLE_STARTS])
+def test_pole_table(families, family, direction, where, start):
+    st = make_state(*start, t=5)
+    with pytest.raises(PoleError) as err:
+        orbit_step(families[family], st, direction)
+    assert (err.value.step, err.value.where) == (5, where)
+
+
+_SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_NONZERO = _SMALL.filter(lambda v: v != 0)
+
+
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+@settings(max_examples=100, deadline=None)
+@given(start=st.tuples(_NONZERO, st.lists(_NONZERO, min_size=7, max_size=7),
+                       _NONZERO, _NONZERO, _SMALL, _SMALL))
+def test_forward_then_backward_returns_the_start(families, family, start):
+    fam, st0 = families[family], make_state(*start)
+    try:
+        back = orbit_step(fam, orbit_step(fam, st0, "forward"), "backward")
+    except PoleError:
+        assume(False)
+    assert back == st0
+
+
+def test_forward_steps_solve_both_relations(families):
+    rng = random.Random(11)
+    for fam in families.values():
+        rels = make_evolution_spec(fam).qp_relations
+        for _ in range(20):
+            nu = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(7)]
+            cur = make_state(rng.randint(2, 5), nu,
+                             *(Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4)))
+            try:
+                for _ in range(3):
+                    nxt = orbit_step(fam, cur, "forward")
+                    values = dict(cur.valuation(), fbar=nxt.f, gbar=nxt.g)
+                    assert [evaluate(r, values) for r in rels] == [0, 0], (fam.name, cur)
+                    cur = nxt
+            except PoleError:
+                continue

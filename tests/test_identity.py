@@ -10,6 +10,8 @@ from qpweyl.identity import (
     ExactPathUnavailable,
     exact_zero,
     identities_equal,
+    rng_for,
+    sample_point,
 )
 
 
@@ -79,6 +81,17 @@ def test_seed_reproducibility():
     assert r1.witness == r2.witness
     r3 = identities_equal(a, b, seed=6, label="same")
     assert r3.witness != r1.witness
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, (1 << 89) - 1])
+def test_sample_point_draws_what_randrange_draws(prime):
+    # Every witness and golden hash depends on these values.
+    names = [f"x{i}" for i in range(13)]
+    for seed in range(20):
+        rng = rng_for(seed, "draws")
+        points = [sample_point(rng, names, prime) for _ in range(50)]
+        ref = rng_for(seed, "draws")
+        assert points == [{n: ref.randrange(1, prime) for n in names} for _ in range(50)]
 
 
 def test_trials_validation():
