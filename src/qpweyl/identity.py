@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .expr import (
@@ -228,11 +228,18 @@ def to_label(a: Expr, b: Expr) -> str:
 # ---------------------------------------------------------------------------
 # exact path: normalize to a single polynomial fraction and test the numerator
 #
-# Polynomials are dicts mapping exponent tuples to Fraction coefficients.
+# A polynomial is a dict from monomial to nonzero int coefficient.  A monomial
+# is one int with a fixed-width bit field per variable (packed exponent
+# vectors, Monagan and Pearce 2007), so multiplying monomials is one int
+# addition.  The width holds the program's degree bound, so no exponent ever
+# carries into its neighbour's field.
 # No polynomial GCD is attempted: the numerator of the combined fraction is
 # the zero polynomial iff the rational function is identically zero, which is
-# all the zero-proof needs.  A cheap monomial/content cancellation keeps the
-# intermediate fractions from carrying dead weight.
+# all the zero-proof needs.  _strip divides a pair by the gcd of all its
+# coefficients to keep them small.  Scaling a pair by a nonzero constant or
+# by a monomial changes no polynomial's number of terms, so the term cap
+# trips at the same step whichever such normalization is made.  A common
+# monomial is not cancelled: in a packed monomial it costs nothing to carry.
 
 _TERM_CAP = 400_000
 
@@ -251,20 +258,16 @@ def _poly_add(p, q):
 def _poly_mul(p, q):
     if not p or not q:
         return {}
+    # A product has at most len(p) * len(q) terms: its size needs no test.
     if len(p) * len(q) > _TERM_CAP:
         raise ExactPathUnavailable("term blow-up")
     out: dict = {}
+    get = out.get
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            nc = out.get(m, 0) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    if len(out) > _TERM_CAP:
-        raise ExactPathUnavailable("term blow-up")
-    return out
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _poly_pow(p, n):
@@ -280,25 +283,31 @@ def _poly_pow(p, n):
 
 
 def _strip(numer, denom):
-    """Cancel the common monomial and rational content of a fraction pair."""
-    if not numer or not denom:
+    """Divide a fraction pair by the integer content it has in common."""
+    if not numer:
         return numer, denom
-    nvars = len(next(iter(numer)))
-    mins = [None] * nvars
-    for poly in (numer, denom):
-        for m in poly:
-            for i, e in enumerate(m):
-                if mins[i] is None or e < mins[i]:
-                    mins[i] = e
-    if any(mins):
-        numer = {tuple(e - m for e, m in zip(mon, mins)): c for mon, c in numer.items()}
-        denom = {tuple(e - m for e, m in zip(mon, mins)): c for mon, c in denom.items()}
-    # Divide through by the first numerator coefficient to tame growth.
-    first = next(iter(numer.values()))
-    if first != 1:
-        numer = {m: c / first for m, c in numer.items()}
-        denom = {m: c / first for m, c in denom.items()}
+    content = math.gcd(*numer.values(), *denom.values())
+    if content != 1:
+        numer = {m: c // content for m, c in numer.items()}
+        denom = {m: c // content for m, c in denom.items()}
     return numer, denom
+
+
+def _degree_bound(code) -> int:
+    """A bound on every exponent the program can produce: 0 for a constant,
+    1 for a symbol, the sum over the operands of a sum, product or quotient,
+    and |k| times the base of a k-th power."""
+    bound: list[int] = []
+    for kind, arg in code:
+        if kind == "num":
+            bound.append(0)
+        elif kind == "sym":
+            bound.append(1)
+        elif kind == "pow":
+            bound.append(abs(arg[1]) * bound[arg[0]])
+        else:
+            bound.append(sum(bound[k] for k in arg))
+    return max(bound)
 
 
 def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
@@ -311,25 +320,24 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
     code, _nodes = _compile(e)
     if len(code) > size_bound:
         raise ExactPathUnavailable(f"expression exceeds {size_bound} nodes")
-    order = tuple(sorted(e.free))
-    nvars = len(order)
-    const = (0,) * nvars
-    one = {const: Fraction(1)}
-    monomial = {n: tuple(int(i == j) for j in range(nvars)) for i, n in enumerate(order)}
+    order = sorted(e.free)
+    width = max(1, _degree_bound(code).bit_length())
+    one = {0: 1}
+    monomial = {n: 1 << (i * width) for i, n in enumerate(order)}
 
     vals: list[tuple[dict, dict]] = []
     for kind, arg in code:
         if kind == "num":
-            pair = ({const: arg} if arg else {}, one)
+            pair = ({0: arg.numerator}, {0: arg.denominator}) if arg else ({}, one)
         elif kind == "sym":
-            pair = ({monomial[arg]: Fraction(1)}, one)
+            pair = ({monomial[arg]: 1}, one)
         elif kind == "add":
             n_acc, d_acc = vals[arg[0]]
             for k in arg[1:]:
                 n2, d2 = vals[k]
                 n_acc = _poly_add(_poly_mul(n_acc, d2), _poly_mul(n2, d_acc))
                 d_acc = _poly_mul(d_acc, d2)
-                n_acc, d_acc = _strip(n_acc, d_acc) if n_acc else (n_acc, d_acc)
+                n_acc, d_acc = _strip(n_acc, d_acc)
             pair = (n_acc, d_acc)
         elif kind == "mul":
             n_acc, d_acc = vals[arg[0]]
@@ -337,7 +345,7 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
                 n2, d2 = vals[k]
                 n_acc = _poly_mul(n_acc, n2)
                 d_acc = _poly_mul(d_acc, d2)
-            pair = _strip(n_acc, d_acc) if n_acc else (n_acc, d_acc)
+            pair = _strip(n_acc, d_acc)
         elif kind == "pow":
             n1, d1 = vals[arg[0]]
             k = arg[1]
@@ -351,8 +359,7 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
             (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
             if not n2:
                 raise ExactPathUnavailable("division by an identically zero expression")
-            pair = (_poly_mul(n1, d2), _poly_mul(d1, n2))
-            pair = _strip(*pair) if pair[0] else pair
+            pair = _strip(_poly_mul(n1, d2), _poly_mul(d1, n2))
         vals.append(pair)
     numer, _denom = vals[-1]
     return not numer

@@ -6,6 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from dags import small_dags
 from hypothesis import given, settings, strategies as st
 
 from qpweyl.expr import (
@@ -118,6 +119,12 @@ def test_round_trip_on_random_expressions():
         assert parse(to_string(e)) is e, to_string(e)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_dags())
+def test_print_parse_round_trip_on_dags(e):
+    assert parse(to_string(e)) is e
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse("nu1 + * nu2")
@@ -225,30 +232,6 @@ def _reference_evaluate(e, values, p=None):
     return memo[e]
 
 
-_DAG_LEAVES = (sym("f"), sym("g"), sym("q"), num(2), num(Fraction(1, 3)), num(-1))
-
-
-@st.composite
-def small_dags(draw):
-    """Random small DAGs built as straight-line programs, so later nodes share
-    earlier ones; a step the factories reject is skipped."""
-    nodes = list(_DAG_LEAVES)
-    for _ in range(draw(st.integers(1, 12))):
-        op = draw(st.sampled_from("+-*/^"))
-        # Operands lean to recent nodes, so the DAG grows deep and wide.
-        a = nodes[-draw(st.integers(1, len(nodes)))]
-        b = nodes[-draw(st.integers(1, len(nodes)))]
-        try:
-            if op == "^":
-                node = pow_(a, draw(st.integers(-3, 3)))
-            else:
-                node = {"+": add, "-": sub, "*": mul, "/": div}[op](a, b)
-        except ExprError:
-            continue
-        nodes.append(node)
-    return nodes[-1]
-
-
 @settings(max_examples=300, deadline=None)
 @given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]),
        st.tuples(*[st.integers(-2, 3)] * 3))
@@ -323,6 +306,34 @@ def test_substitution_is_homomorphism():
         lhs = substitute(add(mul(a, b), a), images)
         ga, gb = substitute(a, images), substitute(b, images)
         assert lhs is add(mul(ga, gb), ga)
+
+
+_P = (1 << 61) - 1
+_IMAGES = {"f": add(sym("g"), sym("q")), "g": mul(sym("f"), sym("q"))}
+_OPS = {"+": (add, lambda x, y: (x + y) % _P),
+        "-": (sub, lambda x, y: (x - y) % _P),
+        "*": (mul, lambda x, y: x * y % _P),
+        "/": (div, lambda x, y: x * pow(y, -1, _P) % _P)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dags(), small_dags(), st.sampled_from(sorted(_OPS)),
+       st.tuples(*[st.integers(1, _P - 1)] * 3))
+def test_substitute_is_a_ring_homomorphism_over_fp(a, b, op, point):
+    # The image of a o b evaluates like the o of the images; points where a
+    # denominator vanishes (or the factories reject a o b) say nothing.
+    build, combine = _OPS[op]
+    values = dict(zip(("f", "g", "q"), point))
+    try:
+        composite = build(a, b)
+        lhs = evaluate(substitute(composite, _IMAGES), values, _P)
+        va = evaluate(substitute(a, _IMAGES), values, _P)
+        vb = evaluate(substitute(b, _IMAGES), values, _P)
+    except (ExprError, DivisionByZero):
+        return
+    if op == "/" and vb == 0:
+        return
+    assert lhs == combine(va, vb)
 
 
 def test_dag_size_counts_shared_nodes_once():

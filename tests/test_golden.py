@@ -5,7 +5,11 @@ projective evaluation.  The sampled points are the same, so every verdict,
 witness and byte of output must be the same; the `--no-constraint` runs
 fail with witnesses.  The `--exact` hashes were recorded before every suite
 took its verdict from `weyl.check`; they pin the `exact` marks of the
-theorem suites.
+theorem suites.  The E7 theorem, the relation and the gauge `--exact` hashes
+were recorded before the exact normalizer moved to packed-integer monomials
+with integer coefficients: the same term counts reach the term cap, so the
+same checks are marked `exact`.  The gauge suite marks none, so its hash is
+that of the run without `--exact`.
 """
 
 import contextlib
@@ -69,6 +73,16 @@ GOLDEN = [
      "70043d1928765773a44f61300ca7ea218007a99c22dfc0b98162842ecbbd8f1d"),
     ("verify-theorem --family E6 --seed 0 --exact --format json", 0,
      "1b390720980a66fc14a01509093ba25dff59b1ef98df7794d10a06f8e872159b"),
+    ("verify-theorem --family E7 --seed 0 --exact --format json", 0,
+     "53fd53317e4776a030fe403643459d84bbbb3f76a201d954df3ceb84f634c716"),
+    ("verify-relations --family D5 --seed 0 --exact --format json", 0,
+     "f2a43cf928cbdcc50fe02bef22fb9614d4414008ea7989df5e5ed3c86bd3c29d"),
+    ("verify-relations --family E6 --seed 0 --exact --format json", 0,
+     "0d718ee1d68862f9360f64578a6bce32276e032ce4277c08025ad1e8f7d67cf8"),
+    ("verify-relations --family E7 --seed 0 --exact --format json", 0,
+     "d5a32d31b356e751b295fec61a6484143e8e0a773103d013c25dcb7202b22b09"),
+    ("verify-gauge --family D5 --seed 0 --exact --format json", 0,
+     "d881083e9ff7df28c60541221ea4a5d7e795b2025e3ec3928fd0e86af503ccc9"),
 ]
 
 

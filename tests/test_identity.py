@@ -1,8 +1,13 @@
 """Randomized and exact identity testing."""
 
-import pytest
+from unittest import mock
 
-from qpweyl.expr import evaluate, parse
+import pytest
+from dags import small_dags
+from hypothesis import given, settings
+
+from qpweyl import identity
+from qpweyl.expr import evaluate, mul, parse, pow_, sub
 from qpweyl.identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
@@ -215,3 +220,175 @@ def test_exact_matches_sympy_on_small_identities():
         assert bool(mine) == expected
         assert (sympy.simplify(sympy.sympify(str(sexpr)) - sympy.sympify(
             text.replace("^", "**"))) == 0) == expected
+
+
+# ---------------------------------------------------------------------------
+# exact normalizer: packed-integer monomials against the tuple/Fraction form
+
+
+def _reference_exact_zero(e, cap):
+    """The exact normalizer as it was before monomials were packed into ints:
+    exponent tuples to Fraction coefficients, each pair divided through by
+    its first numerator coefficient.  Same program, same cap tests."""
+    from fractions import Fraction
+
+    from qpweyl.expr import _compile
+
+    def padd(p, q):
+        out = dict(p)
+        for m, c in q.items():
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+        return out
+
+    def pmul(p, q):
+        if not p or not q:
+            return {}
+        if len(p) * len(q) > cap:
+            raise ExactPathUnavailable("term blow-up")
+        out = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                nc = out.get(m, 0) + c1 * c2
+                if nc:
+                    out[m] = nc
+                else:
+                    out.pop(m, None)
+        if len(out) > cap:
+            raise ExactPathUnavailable("term blow-up")
+        return out
+
+    def ppow(p, n):
+        result, base = None, p
+        while n:
+            if n & 1:
+                result = base if result is None else pmul(result, base)
+            n >>= 1
+            if n:
+                base = pmul(base, base)
+        return result
+
+    def strip(numer, denom):
+        if not numer or not denom:
+            return numer, denom
+        mins = [min(col) for col in zip(*numer, *denom)]
+        if any(mins):
+            numer = {tuple(e - m for e, m in zip(mon, mins)): c for mon, c in numer.items()}
+            denom = {tuple(e - m for e, m in zip(mon, mins)): c for mon, c in denom.items()}
+        first = next(iter(numer.values()))
+        if first != 1:
+            numer = {m: c / first for m, c in numer.items()}
+            denom = {m: c / first for m, c in denom.items()}
+        return numer, denom
+
+    code, _nodes = _compile(e)
+    order = sorted(e.free)
+    const = (0,) * len(order)
+    one = {const: Fraction(1)}
+    monomial = {n: tuple(int(i == j) for j in range(len(order))) for i, n in enumerate(order)}
+    vals = []
+    for kind, arg in code:
+        if kind == "num":
+            pair = ({const: arg} if arg else {}, one)
+        elif kind == "sym":
+            pair = ({monomial[arg]: Fraction(1)}, one)
+        elif kind == "add":
+            n_acc, d_acc = vals[arg[0]]
+            for k in arg[1:]:
+                n2, d2 = vals[k]
+                n_acc = padd(pmul(n_acc, d2), pmul(n2, d_acc))
+                d_acc = pmul(d_acc, d2)
+                n_acc, d_acc = strip(n_acc, d_acc)
+            pair = (n_acc, d_acc)
+        elif kind == "mul":
+            n_acc, d_acc = vals[arg[0]]
+            for k in arg[1:]:
+                n2, d2 = vals[k]
+                n_acc, d_acc = pmul(n_acc, n2), pmul(d_acc, d2)
+            pair = strip(n_acc, d_acc)
+        elif kind == "pow":
+            n1, d1 = vals[arg[0]]
+            k = arg[1]
+            if k < 0:
+                n1, d1, k = d1, n1, -k
+            if not d1:
+                raise ExactPathUnavailable("inverse of an identically zero expression")
+            pair = (ppow(n1, k), ppow(d1, k))
+        else:
+            (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
+            if not n2:
+                raise ExactPathUnavailable("division by an identically zero expression")
+            pair = strip(pmul(n1, d2), pmul(d1, n2))
+        vals.append(pair)
+    return not vals[-1][0]
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except ExactPathUnavailable as err:
+        return f"unavailable: {err}"
+
+
+@pytest.mark.parametrize("cap", [4, 12, 40, identity._TERM_CAP])
+@settings(max_examples=150, deadline=None)
+@given(a=small_dags(), b=small_dags())
+def test_exact_zero_matches_tuple_fraction_normalizer(cap, a, b):
+    # Both forms keep every pair a constant multiple of the other, so every
+    # polynomial has the same support: the same verdicts, and the cap trips
+    # at the same step for the same reason.
+    r = sub(a, b)
+    with mock.patch.object(identity, "_TERM_CAP", cap):
+        got = _outcome(lambda: exact_zero(r))
+    assert got == _outcome(lambda: _reference_exact_zero(r, cap))
+
+
+def test_exact_zero_matches_tuple_fraction_normalizer_on_theorem_residuals(families):
+    # The Theorem I residuals are the paper's largest; under these caps some
+    # of them blow up at different steps (E6 and E7 rel1/rel2 at every cap).
+    from qpweyl.evolution import verify_theorem_i
+    from qpweyl.weyl import CheckConfig
+
+    residuals = []
+
+    def record(e, **kwargs):
+        residuals.append(e)
+        return True
+
+    with mock.patch.object(identity, "exact_zero", record):
+        for fam in families.values():
+            verify_theorem_i(fam, CheckConfig(exact=True))
+    assert len(residuals) == 36
+    for cap in (40, 4000, 40000):
+        with mock.patch.object(identity, "_TERM_CAP", cap):
+            got = [_outcome(lambda: exact_zero(r)) for r in residuals]
+        assert got == [_outcome(lambda: _reference_exact_zero(r, cap)) for r in residuals]
+        assert "unavailable: term blow-up" in got and True in got
+
+
+@pytest.mark.parametrize("text, zero", [
+    # One field too narrow for 65536 would carry f's exponent into g's.
+    ("f^65536 - g", False),
+    ("f^1048576*g - g*f^1048576", True),
+    ("f^-40000*f^40000 - 1", True),
+    ("2/3 - 4/6", True),
+    ("g*f^3/(f*g) - f^2", True),
+    ("(2*f + 4*g)/(6*f + 12*g) - 1/3", True),
+])
+def test_exact_zero_packing_edge_cases(text, zero):
+    assert exact_zero(parse(text)) is zero
+
+
+def test_exact_zero_fields_never_carry():
+    # f's field sits below g's, so a field one bit too narrow for the degree
+    # bound of a power or of a repeated product would turn f^k into g.
+    f, g = parse("f"), parse("g")
+    for k in range(1, 70):
+        for fk in (pow_(f, k), mul(*[f] * k)):
+            assert not exact_zero(sub(fk, g))
+            assert not exact_zero(sub(fk, mul(g, g)))
+            assert exact_zero(sub(mul(fk, g), mul(g, fk)))
