@@ -56,11 +56,18 @@ class UnknownSymbolError(ExprError):
 
 
 class DivisionByZero(ArithmeticError):
-    """Evaluation hit a zero denominator; carries the offending subexpression."""
+    """Evaluation hit a zero denominator; carries the offending subexpression.
+
+    The message prints the node only when asked for: a sampler that
+    resamples at a pole raises and catches this many times and reads none.
+    """
 
     def __init__(self, node: "Expr"):
-        super().__init__(f"division by zero in {node}")
+        super().__init__(node)
         self.node = node
+
+    def __str__(self):
+        return f"division by zero in {self.node}"
 
 
 class Expr:
@@ -447,54 +454,149 @@ def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
 
 # ---------------------------------------------------------------------------
 # printing
+#
+# Both printers expand the DAG into a tree, yet build each distinct node's
+# text once, from its children's texts, in the post-order of the compiled
+# program.  A text is kept as (negative, body), its printed form being
+# "-" + body when negative, so a parent joins a child's body as it is and
+# never slices or wraps a copy of it.  A child's text leaves the memo once
+# its last parent is built, so memory stays near twice the output and time
+# grows with the bytes printed, not with the tree.
 
-def to_string(e: Expr) -> str:
-    if e.kind == "num":
-        return str(e.value)
-    if e.kind == "sym":
-        return e.name
-    if e.kind == "add":
-        parts: list[str] = []
-        for i, ch in enumerate(e.children):
-            s = to_string(ch)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
-    if e.kind == "mul":
-        children = e.children
-        lead = ""
-        if children[0].kind == "num" and children[0].value == -1 and len(children) > 1:
-            lead = "-"
-            children = children[1:]
-        parts = []
-        for i, ch in enumerate(children):
-            s = to_string(ch)
+_PAREN = ("(", ")")
+_LATEX_PAREN = (r"\left(", r"\right)")
+
+
+def _put(out: list, text: tuple[bool, str], wrap=None) -> None:
+    """Append a child's printed form to out, inside the pair wrap if given."""
+    neg, body = text
+    if wrap:
+        out.append(wrap[0])
+    if neg:
+        out.append("-")
+    out.append(body)
+    if wrap:
+        out.append(wrap[1])
+
+
+def _first(out: list, text: tuple[bool, str], wrap=None) -> bool:
+    """Append the first child of a node; returns whether the node's printed
+    form starts with a minus sign, which an unwrapped child hands up."""
+    if wrap:
+        _put(out, text, wrap)
+        return False
+    out.append(text[1])
+    return text[0]
+
+
+def _sum_rule(arg, texts) -> tuple[bool, list]:
+    out: list = []
+    neg = _first(out, texts[arg[0]])
+    for k in arg[1:]:
+        n, body = texts[k]
+        out += (" - " if n else " + ", body)
+    return neg, out
+
+
+def _string_rule(kind, arg, code, texts) -> tuple[bool, list]:
+    out: list = []
+    if kind == "mul":
+        # A leading -1 factor prints as a bare minus sign.
+        minus = len(arg) > 1 and code[arg[0]] == ("num", -1)
+        neg = minus
+        for j, k in enumerate(arg[1:] if minus else arg):
             # A quotient after the first slot must be wrapped: * and / are
             # left-associative, so a*b/c reparses as (a*b)/c.
-            if ch.kind == "add" or (ch.kind == "div" and i > 0):
-                s = "(" + s + ")"
-            parts.append(s)
-        return lead + "*".join(parts)
-    if e.kind == "pow":
-        base = e.children[0]
-        s = to_string(base)
-        if base.kind != "sym":
-            s = "(" + s + ")"
-        return f"{s}^{e.exp}"
-    if e.kind == "div":
-        n, d = e.children
-        ns = to_string(n)
-        if n.kind in ("add", "mul", "div"):
-            ns = "(" + ns + ")"
-        ds = to_string(d)
-        if d.kind in ("add", "mul", "div"):
-            ds = "(" + ds + ")"
-        return f"{ns}/{ds}"
-    raise ExprError(f"unprintable node kind {e.kind}")
+            child = code[k][0]
+            wrap = _PAREN if child == "add" or (child == "div" and j) else None
+            if j:
+                out.append("*")
+            if j or minus:
+                _put(out, texts[k], wrap)
+            else:
+                neg = _first(out, texts[k], wrap)
+        return neg, out
+    if kind == "pow":
+        base, exp = arg
+        neg = _first(out, texts[base], None if code[base][0] == "sym" else _PAREN)
+        out += ("^", str(exp))
+        return neg, out
+    if kind == "div":
+        n, d = arg
+        neg = _first(out, texts[n], _PAREN if code[n][0] in ("add", "mul", "div") else None)
+        out.append("/")
+        _put(out, texts[d], _PAREN if code[d][0] in ("add", "mul", "div") else None)
+        return neg, out
+    raise ExprError(f"unprintable node kind {kind}")
+
+
+def _latex_rule(kind, arg, code, texts) -> tuple[bool, list]:
+    out: list = []
+    if kind == "mul":
+        neg = False
+        for j, k in enumerate(arg):
+            wrap = _LATEX_PAREN if code[k][0] == "add" else None
+            if j:
+                out.append(r" \cdot ")
+                _put(out, texts[k], wrap)
+            else:
+                neg = _first(out, texts[k], wrap)
+        return neg, out
+    if kind == "pow":
+        base, exp = arg
+        out.append("{")
+        _put(out, texts[base], None if code[base][0] == "sym" else _LATEX_PAREN)
+        out += ("}^{", str(exp), "}")
+        return False, out
+    if kind == "div":
+        n, d = arg
+        out.append(r"\frac{")
+        _put(out, texts[n])
+        out.append("}{")
+        _put(out, texts[d])
+        out.append("}")
+        return False, out
+    raise ExprError(f"unprintable node kind {kind}")
+
+
+def _print(e: Expr, leaf, rule) -> str:
+    """The printed form of e: leaf(arg) gives the text of a constant's
+    Fraction or a symbol's name, and rule(kind, arg, code, texts) the sign and the pieces
+    of the body of a product, power or quotient; both printers write sums
+    alike."""
+    code, _ = _compile(e)
+    uses = [0] * len(code)
+    for kind, arg in code:
+        if kind != "num" and kind != "sym":
+            for k in arg[:1] if kind == "pow" else arg:
+                uses[k] += 1
+    texts: list = [None] * len(code)
+    last = len(code) - 1
+    for i, (kind, arg) in enumerate(code):
+        if kind == "num" or kind == "sym":
+            s = leaf(arg)
+            if i == last:
+                return s
+            neg = s.startswith("-")
+            texts[i] = (neg, s[1:] if neg else s)
+            continue
+        if kind == "add":
+            neg, out = _sum_rule(arg, texts)
+        else:
+            neg, out = rule(kind, arg, code, texts)
+        for k in arg[:1] if kind == "pow" else arg:
+            uses[k] -= 1
+            if not uses[k]:
+                texts[k] = None
+        if i == last:
+            if neg:
+                out.insert(0, "-")
+            return "".join(out)
+        texts[i] = (neg, "".join(out))
+
+
+def to_string(e: Expr) -> str:
+    return _print(e, str, _string_rule)
 
 
 _LATEX_SYMBOLS = {
@@ -505,51 +607,28 @@ for _i in range(1, 9):
     _LATEX_SYMBOLS[f"nu{_i}"] = r"\nu_{%d}" % _i
 
 
+def _latex_leaf(arg) -> str:
+    if isinstance(arg, str):
+        return _LATEX_SYMBOLS.get(arg, arg)
+    if arg.denominator == 1:
+        return str(arg.numerator)
+    s = r"\frac{%d}{%d}" % (abs(arg.numerator), arg.denominator)
+    return "-" + s if arg < 0 else s
+
+
 def to_latex(e: Expr) -> str:
-    if e.kind == "num":
-        v = e.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        s = r"\frac{%d}{%d}" % (abs(v.numerator), v.denominator)
-        return "-" + s if v < 0 else s
-    if e.kind == "sym":
-        return _LATEX_SYMBOLS.get(e.name, e.name)
-    if e.kind == "add":
-        parts = []
-        for i, ch in enumerate(e.children):
-            s = to_latex(ch)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
-    if e.kind == "mul":
-        parts = []
-        for ch in e.children:
-            s = to_latex(ch)
-            if ch.kind == "add":
-                s = r"\left(" + s + r"\right)"
-            parts.append(s)
-        return r" \cdot ".join(parts)
-    if e.kind == "pow":
-        base = e.children[0]
-        s = to_latex(base)
-        if base.kind != "sym":
-            s = r"\left(" + s + r"\right)"
-        return "{%s}^{%d}" % (s, e.exp)
-    if e.kind == "div":
-        n, d = e.children
-        return r"\frac{%s}{%s}" % (to_latex(n), to_latex(d))
-    raise ExprError(f"unprintable node kind {e.kind}")
+    return _print(e, _latex_leaf, _latex_rule)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 #
 # Grammar: integers, rationals p/q, symbols, + - * / ^ and parentheses.
-# ^ takes an integer literal exponent (optionally negated).
+# ^ takes an integer literal exponent (optionally negated).  The parser is
+# recursive descent, four Python frames per parenthesis, so nesting is
+# capped well inside the default recursion limit.
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*/^()])|(?P<WS>\s+)"
@@ -576,6 +655,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.allowed = allowed
+        self.depth = 0      # parentheses and unary minus signs now open
 
     def peek(self):
         return self.tokens[self.i]
@@ -647,12 +727,17 @@ class _Parser:
             if text not in self.allowed:
                 raise UnknownSymbolError(text, pos)
             return sym(text)
-        if kind == "OP" and text == "(":
-            e = self.parse_expr()
-            self.expect_op(")")
+        if kind == "OP" and text in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
+            if text == "(":
+                e = self.parse_expr()
+                self.expect_op(")")
+            else:
+                e = neg(self.parse_atom())
+            self.depth -= 1
             return e
-        if kind == "OP" and text == "-":
-            return neg(self.parse_atom())
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 

@@ -64,6 +64,16 @@ def test_apply_bad_expression_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_apply_deeply_nested_expression_is_usage_error(capsys):
+    # 1,200 parentheses used to end in a RecursionError traceback.
+    code, out, err = run(capsys, "apply", "--family", "D5", "--word", "s1",
+                         "--expr", "(" * 1200 + "f" + ")" * 1200)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: nesting deeper than") and "at offset" in err
+
+
 def test_apply_unknown_symbol_reports_name(capsys):
     code, _, err = run(capsys, "apply", "--family", "D5", "--word", "s0",
                        "--expr", "bogus")

@@ -3,13 +3,20 @@
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from dags import small_dags
 from hypothesis import given, settings, strategies as st
 
+import qpweyl.expr as expr_module
+from qpweyl.evolution import time_evolution
 from qpweyl.expr import (
+    _LATEX_SYMBOLS,
+    MAX_NESTING,
+    MINUS_ONE,
+    ONE,
     DivisionByZero,
     ExprError,
     ExprSyntaxError,
@@ -29,6 +36,7 @@ from qpweyl.expr import (
     to_latex,
     to_string,
 )
+from qpweyl.weyl import make_family, word_to_transform
 
 
 def test_parse_product_of_symbols():
@@ -348,3 +356,205 @@ def test_latex_subscripts():
     s = to_latex(parse("kappa1*kappa2/(nu3*nu7)"))
     assert s.count("{") == s.count("}")
     assert r"\frac" in s
+
+
+# ---------------------------------------------------------------------------
+# printers against the tree-recursive reference
+
+def _reference_to_string(e):
+    """The tree-recursive printer the post-order printer replaced, kept as
+    the reference it must match byte for byte."""
+    if e.kind == "num":
+        return str(e.value)
+    if e.kind == "sym":
+        return e.name
+    if e.kind == "add":
+        parts = []
+        for i, ch in enumerate(e.children):
+            s = _reference_to_string(ch)
+            if i == 0:
+                parts.append(s)
+            elif s.startswith("-"):
+                parts.append(" - " + s[1:])
+            else:
+                parts.append(" + " + s)
+        return "".join(parts)
+    if e.kind == "mul":
+        children = e.children
+        lead = ""
+        if children[0].kind == "num" and children[0].value == -1 and len(children) > 1:
+            lead = "-"
+            children = children[1:]
+        parts = []
+        for i, ch in enumerate(children):
+            s = _reference_to_string(ch)
+            if ch.kind == "add" or (ch.kind == "div" and i > 0):
+                s = "(" + s + ")"
+            parts.append(s)
+        return lead + "*".join(parts)
+    if e.kind == "pow":
+        base = e.children[0]
+        s = _reference_to_string(base)
+        if base.kind != "sym":
+            s = "(" + s + ")"
+        return f"{s}^{e.exp}"
+    n, d = e.children
+    ns = _reference_to_string(n)
+    if n.kind in ("add", "mul", "div"):
+        ns = "(" + ns + ")"
+    ds = _reference_to_string(d)
+    if d.kind in ("add", "mul", "div"):
+        ds = "(" + ds + ")"
+    return f"{ns}/{ds}"
+
+
+def _reference_to_latex(e):
+    if e.kind == "num":
+        v = e.value
+        if v.denominator == 1:
+            return str(v.numerator)
+        s = r"\frac{%d}{%d}" % (abs(v.numerator), v.denominator)
+        return "-" + s if v < 0 else s
+    if e.kind == "sym":
+        return _LATEX_SYMBOLS.get(e.name, e.name)
+    if e.kind == "add":
+        parts = []
+        for i, ch in enumerate(e.children):
+            s = _reference_to_latex(ch)
+            if i == 0:
+                parts.append(s)
+            elif s.startswith("-"):
+                parts.append(" - " + s[1:])
+            else:
+                parts.append(" + " + s)
+        return "".join(parts)
+    if e.kind == "mul":
+        parts = []
+        for ch in e.children:
+            s = _reference_to_latex(ch)
+            if ch.kind == "add":
+                s = r"\left(" + s + r"\right)"
+            parts.append(s)
+        return r" \cdot ".join(parts)
+    if e.kind == "pow":
+        base = e.children[0]
+        s = _reference_to_latex(base)
+        if base.kind != "sym":
+            s = r"\left(" + s + r"\right)"
+        return "{%s}^{%d}" % (s, e.exp)
+    n, d = e.children
+    return r"\frac{%s}{%s}" % (_reference_to_latex(n), _reference_to_latex(d))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_dags())
+def test_printers_match_tree_recursion_on_dags(e):
+    assert to_string(e) == _reference_to_string(e)
+    assert to_latex(e) == _reference_to_latex(e)
+
+
+def test_printers_match_tree_recursion_on_sign_edge_cases():
+    # Negative constants and -1 leads in every slot where a sign is handed
+    # up, wrapped or written as " - ".
+    f, g = sym("f"), sym("g")
+    half = num(Fraction(-1, 2))
+    cases = [
+        num(-3), half, neg(f), mul(num(-3), f), add(f, neg(g)), add(neg(f), g),
+        add(half, f), add(f, half), add(f, mul(half, g)), mul(neg(f), g),
+        mul(MINUS_ONE, div(f, g)), mul(MINUS_ONE, add(f, g)),
+        mul(MINUS_ONE, add(neg(f), g)), mul(f, div(neg(g), f), add(neg(f), g)),
+        div(neg(f), add(g, ONE)), div(add(neg(f), g), neg(g)),
+        pow_(add(neg(f), g), -2), pow_(neg(f), 3), pow_(div(f, g), 2),
+        add(neg(add(f, g)), mul(MINUS_ONE, pow_(g, 2))),
+    ]
+    for e in cases:
+        assert to_string(e) == _reference_to_string(e), _reference_to_string(e)
+        assert to_latex(e) == _reference_to_latex(e), _reference_to_latex(e)
+
+
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+def test_printers_match_tree_recursion_on_family_images(family):
+    fam = make_family(family)
+    maps = [fam.generators[name] for name in fam.s_names + fam.pi_names]
+    maps.append(time_evolution(fam))
+    for t in maps:
+        for name in ("f", "g", "kappa1", "nu8"):
+            image = t.image(name)
+            assert to_string(image) == _reference_to_string(image)
+            assert to_latex(image) == _reference_to_latex(image)
+
+
+def test_printers_finish_on_deep_dags():
+    # 1,500 levels: the tree recursion raises RecursionError here.
+    f, g = sym("f"), sym("g")
+    e, text, latex = f, "f", "f"
+    for i in range(1500):
+        e = add(mul(e, g), ONE)
+        if i == 0:
+            text, latex = "f*g + 1", r"f \cdot g + 1"
+        else:
+            text = "(" + text + ")*g + 1"
+            latex = r"\left(" + latex + r"\right) \cdot g + 1"
+    assert to_string(e) == text
+    assert to_latex(e) == latex
+
+
+def test_to_string_memory_stays_near_its_output():
+    # Each text is built once and dropped after its last parent: the peak
+    # is the output plus the children it is joined from, about twice its
+    # length; keeping every text and copying children reached 5.6 times.
+    image = word_to_transform(make_family("D5"), "(s2 s3 s1 s4)^6")(parse("f"))
+    tracemalloc.start()
+    try:
+        text = to_string(image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 1_452_297
+    assert peak <= 2.5 * len(text)
+
+
+def test_division_by_zero_message_is_unchanged():
+    e = parse("f + 1/(g - nu3)")
+    with pytest.raises(DivisionByZero) as err:
+        evaluate(e, {"f": 1, "g": 5, "nu3": 5}, (1 << 61) - 1)
+    assert str(err.value) == "division by zero in " + _reference_to_string(err.value.node)
+    assert str(err.value) == "division by zero in 1/(g - nu3)"
+
+
+def test_raising_division_by_zero_prints_nothing(monkeypatch):
+    calls = []
+    real = expr_module.to_string
+    monkeypatch.setattr(expr_module, "to_string", lambda e: calls.append(e) or real(e))
+    image = word_to_transform(make_family("D5"), "(s2 s3 s1 s4)^6")(parse("f"))
+    caught = []
+    for p in (2, 3, 5, 7):
+        for point in [(a, b) for a in range(p) for b in range(p)]:
+            values = {name: 1 + k % (p - 1) for k, name in enumerate(sorted(image.free))}
+            values["f"], values["g"] = point
+            try:
+                evaluate(image, values, p)
+            except DivisionByZero as err:
+                caught.append(err)
+    assert caught and not calls
+    assert str(caught[0]).startswith("division by zero in ")
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# parser nesting
+
+def test_parser_accepts_nesting_up_to_the_cap():
+    assert parse("(" * MAX_NESTING + "f" + ")" * MAX_NESTING) is sym("f")
+    assert parse("-" * (MAX_NESTING + 1) + "f") is neg(sym("f"))
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200, 5000])
+def test_parser_rejects_deeper_nesting_with_offset(depth):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("(" * depth + "f" + ")" * depth)
+    assert err.value.offset == MAX_NESTING
+    assert "nesting deeper than" in str(err.value)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("f + " + "-" * (depth + 1) + "g")
+    assert err.value.offset == 4 + MAX_NESTING

@@ -10,6 +10,10 @@ were recorded before the exact normalizer moved to packed-integer monomials
 with integer coefficients: the same term counts reach the term cap, so the
 same checks are marked `exact`.  The gauge suite marks none, so its hash is
 that of the run without `--exact`.
+
+The `apply` hashes were recorded while the printers still recursed over the
+tree; they pin every byte of the text, JSON and LaTeX images the post-order
+printers now build, up to 3.8 MB for D5 `(s2 s3 s1 s4)^6`.
 """
 
 import contextlib
@@ -91,5 +95,53 @@ def test_json_report_bytes_unchanged(argv, code, sha256):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         got = cli.main(argv.split())
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
+
+
+#: The E7 evolution word, squared.
+_E7_EVOLUTION_SQUARED = "(s4 s5 s3 s4 s6 s5 s2 s3 s4 s7 s6 s5 s1 s2 s3 s4 s0)^2"
+
+APPLY_GOLDEN = [
+    ("D5", "(s2 s3 s1 s4)^2", "f", "text", 0,
+     "4cd82c58b62982c858e9d97471efab87b393f99e0c0ed338069158aa41e272bf"),
+    ("D5", "(s2 s3 s1 s4)^2", "f", "json", 0,
+     "1a956d80451e24505639bce2426fcc8c63138744e9da3fc45054bd770b77f526"),
+    ("D5", "(s2 s3 s1 s4)^2", "f", "latex", 0,
+     "73c428c9a5cf85495f14c9ba56a428d763eda80512c02dae2487abbb23275036"),
+    ("D5", "(s2 s3 s1 s4)^4", "f", "text", 0,
+     "140b944daae5bdc668d00e06d4a1c0955f57fca8d5a48491a5bfe73b8a8fa757"),
+    ("D5", "(s2 s3 s1 s4)^4", "f", "json", 0,
+     "f492b0d0f6b0acec921d669ed9b4875a2daa9ad11857f5bfbcb3f34b24687ad2"),
+    ("D5", "(s2 s3 s1 s4)^4", "f", "latex", 0,
+     "e9de8d3b10e67a69f29b15da97f0412b05fecc2ffa3f53e78f1dba7c3bea9569"),
+    ("D5", "(s2 s3 s1 s4)^6", "f", "text", 0,
+     "6383aa83ee42a2d9e2a196bc5f2753cb37a2b015fbe70abb41effd4a7b572c60"),
+    ("D5", "(s2 s3 s1 s4)^6", "f", "json", 0,
+     "9c1b6e1d61e4c5319fba85486ff324aa37d912f5bcdbeacc4cb9406953c5d13e"),
+    ("D5", "(s2 s3 s1 s4)^6", "f", "latex", 0,
+     "979444dfb9d631ee50cd7fba05720a18a9222676ff7a0039d89db0a391d59e94"),
+    ("E7", _E7_EVOLUTION_SQUARED, "f", "text", 0,
+     "035536f70701a61ff5d0fb61da6b09c37a0d32dca4dd6d0b697f61e10e3cfa2d"),
+    ("E7", _E7_EVOLUTION_SQUARED, "f", "json", 0,
+     "f3be56cb0a7e65f37fba1733df67a3eb40d3be8f5d29331fab709439a4b3ec6b"),
+    ("E7", _E7_EVOLUTION_SQUARED, "f", "latex", 0,
+     "1196921c5d56ce53ea48aa3fedc21fdb0364d2f8d4d7b7d921397ae2f1c3a581"),
+    ("E7", _E7_EVOLUTION_SQUARED, "g", "text", 0,
+     "fb1df06cc10ea9f116dc300a37bdf7a8aebce11e1226141b0d8c8786ef5a9e9f"),
+    ("E7", _E7_EVOLUTION_SQUARED, "g", "json", 0,
+     "062c02de247d95df0da84aa5b349e1d82c919cf9b8a15aa9f2c37475d8bfbe0f"),
+    ("E7", _E7_EVOLUTION_SQUARED, "g", "latex", 0,
+     "49f2e3f2bb51e5fac2132b1e9d4a7b316198a6c8a36b2b2bacf89f0d2bcf64f0"),
+]
+
+
+@pytest.mark.parametrize("family, word, expr, fmt, code, sha256", APPLY_GOLDEN,
+                         ids=[f"{g[0]} {g[1]} {g[2]} {g[3]}" for g in APPLY_GOLDEN])
+def test_apply_bytes_unchanged(family, word, expr, fmt, code, sha256):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main(["apply", "--family", family, "--word", word,
+                        "--expr", expr, "--format", fmt])
     assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
