@@ -303,7 +303,8 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
 # runs projectively on (numerator, denominator) pairs.  Every denominator
 # stays nonzero because a quotient or negative power first checks that its
 # divisor's numerator is nonzero, so a run needs no modular inverse until the
-# final pair becomes a value.
+# final pair becomes a value.  Where only the zero test matters, one run
+# carries many points at once, one lane per point, and needs no inverse.
 
 @functools.lru_cache(maxsize=8)
 def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
@@ -433,6 +434,97 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
             nums[i] = arg.numerator % p
             dens[i] = d
     return nums[-1], dens[-1]
+
+
+def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
+    """Run the program over F_p at m points at once, lane i of each symbol's
+    column being point i; returns each lane's final numerator, or None where
+    _run_projective would raise DivisionByZero.
+
+    Column values must lie in [0, p).  Only whether a lane's value is zero
+    matters, so no lane is ever inverted, and a value may be kept as its
+    negative: every stored value lies strictly between -p and p.  A lane
+    whose divisor numerator is 0 is marked and left to run on; its other
+    lanes keep nonzero denominators.  A denominator column of ones is kept
+    as None, and a product takes its constant factor as one scalar.
+    """
+    nums: list[list] = []
+    dens: list = []
+    consts: dict[int, int] = {}     # slot -> numerator of a constant
+    dead: set[int] = set()
+    for i, (kind, arg) in enumerate(code):
+        y = None
+        if kind == "mul":
+            x = None
+            c = 1
+            for k in arg:
+                if k in consts:
+                    c = c * consts[k] % p
+                elif x is None:
+                    x = nums[k]
+                else:
+                    x = [a * b % p for a, b in zip(x, nums[k])]
+            if x is None:
+                x = [c] * m
+            elif c == p - 1:
+                x = [-a for a in x]
+            elif c != 1:
+                x = [c * a % p for a in x]
+            for k in arg:
+                d = dens[k]
+                if d is not None:
+                    y = d if y is None else [a * b % p for a, b in zip(y, d)]
+        elif kind == "add":
+            x, y = nums[arg[0]], dens[arg[0]]
+            for k in arg[1:]:
+                n, d = nums[k], dens[k]
+                if d is None:
+                    if y is None:
+                        x = [(a + b) % p for a, b in zip(x, n)]
+                    else:
+                        x = [(a + b * c) % p for a, b, c in zip(x, n, y)]
+                elif y is None:
+                    x, y = [(a * c + b) % p for a, b, c in zip(x, n, d)], d
+                else:
+                    x = [(a * c + b * e) % p for a, b, c, e in zip(x, n, d, y)]
+                    y = [a * b % p for a, b in zip(y, d)]
+        elif kind == "sym":
+            try:
+                x = columns[arg]
+            except KeyError:
+                raise ExprError(f"no value for symbol '{arg}'") from None
+        elif kind == "pow":
+            k, n = arg
+            x, y = nums[k], dens[k]
+            if n < 0:
+                if 0 in x:
+                    dead.update(j for j, a in enumerate(x) if a == 0)
+                x, y, n = [1] * m if y is None else y, x, -n
+            if n != 1:
+                x = [pow(a, n, p) for a in x]
+                if y is not None:
+                    y = [pow(a, n, p) for a in y]
+        elif kind == "div":
+            a, b = arg
+            x, y = nums[a], dens[a]
+            n, d = nums[b], dens[b]
+            if 0 in n:
+                dead.update(j for j, c in enumerate(n) if c == 0)
+            if d is not None:
+                x = [c * e % p for c, e in zip(x, d)]
+            y = n if y is None else [c * e % p for c, e in zip(y, n)]
+        else:
+            if arg.denominator % p == 0:
+                return [None] * m
+            consts[i] = arg.numerator % p
+            x = [consts[i]] * m
+            if arg.denominator != 1:
+                y = [arg.denominator % p] * m
+        nums.append(x)
+        dens.append(y)
+    if not dead:
+        return nums[-1]
+    return [None if j in dead else v for j, v in enumerate(nums[-1])]
 
 
 def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):

@@ -6,10 +6,17 @@ eliminating the constrained symbol.  Any nonzero value disproves the
 identity and the sampled point is returned as a witness; agreement at every
 trial accepts it with error probability at most (deg/p) per trial.
 
+The first point is a probe, evaluated alone: most false identities fail
+there.  The remaining trials run the residual's compiled program once over
+all their points, one lane per point, which needs no modular inverse since
+only whether a value is zero matters.  The points are drawn and the lanes
+scanned in the order of a point-by-point loop, so verdicts, witnesses and
+counts are that loop's.
+
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an
 expression-size bound because fully expanded normal forms of long Weyl-word
-composites blow up.
+composites blow up, and it remembers its outcome per residual.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
 
 from .expr import (
     DivisionByZero,
     Expr,
     _compile,
+    _run_lanes,
     evaluate,
     sub,
     substitute,
@@ -42,20 +49,6 @@ class DegenerateComparison(RuntimeError):
 
 class ExactPathUnavailable(RuntimeError):
     """The exact normal form exceeded the configured size budget."""
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """A total assignment of field elements to symbols.
-
-    `prime` is None for exact rationals, otherwise the field is F_prime.
-    """
-
-    values: Mapping[str, object]
-    prime: int | None = None
-
-    def __call__(self, e: Expr):
-        return evaluate(e, self.values, self.prime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +100,22 @@ def sample_point(rng: random.Random, names, prime: int) -> dict[str, int]:
             r = draw(bits)
         point[n] = 1 + r
     return point
+
+
+def sample_columns(rng: random.Random, names: list[str], prime: int,
+                   m: int) -> dict[str, list[int]]:
+    """The next m points sample_point would draw, one column per name."""
+    # sample_point's rejection loop over the points' values in draw order.
+    draw, width = rng.getrandbits, prime - 1
+    bits = width.bit_length()
+    flat = []
+    for _ in range(m * len(names)):
+        r = draw(bits)
+        while r >= width:
+            r = draw(bits)
+        flat.append(1 + r)
+    k = len(names)
+    return {n: flat[j::k] for j, n in enumerate(names)}
 
 
 # Bases 2..41 make Miller-Rabin deterministic below 3.3e24 (Sorenson and
@@ -180,29 +189,41 @@ def identities_equal(
 
     result = IdentityResult(verdict="equal")
     budget = 100 * trials
-    done = 0
-    while done < trials:
-        if result.resamples + done >= budget:
+    # The probe: one point through evaluate, which refutes most false
+    # identities at once.
+    point = sample_point(rng, names, prime)
+    try:
+        refuted = evaluate(r, point, prime) != 0
+        done = 1
+    except DivisionByZero:
+        refuted, done = False, 0
+        result.resamples = 1
+    # The rest in batches: each lane is scanned in order as one trial of the
+    # point-by-point loop, so every count and witness is the loop's.
+    while not refuted and done < trials:
+        attempts = result.resamples + done
+        if attempts >= budget:
             raise DegenerateComparison(
                 f"exhausted {budget} sampling attempts for '{label or to_label(a, b)}'"
             )
-        point = sample_point(rng, names, prime)
-        try:
-            v = evaluate(r, point, prime)
-        except DivisionByZero:
-            result.resamples += 1
-            continue
-        done += 1
-        if v != 0:
-            # Only a refutation needs the constrained sides: for its witness values.
-            if constraint is not None:
-                a, b = constraint.apply(a), constraint.apply(b)
-            va = evaluate(a, point, prime)
-            vb = evaluate(b, point, prime)
-            result.verdict = "unequal"
-            result.witness = point
-            result.witness_values = (va, vb)
-            break
+        m = min(trials - done, budget - attempts)
+        columns = sample_columns(rng, names, prime, m)
+        for i, v in enumerate(_run_lanes(_compile(r)[0], columns, m, prime)):
+            if v is None:
+                result.resamples += 1
+            else:
+                done += 1
+                if v:
+                    point = {n: columns[n][i] for n in names}
+                    refuted = True
+                    break
+    if refuted:
+        # Only a refutation needs the constrained sides: for its witness values.
+        if constraint is not None:
+            a, b = constraint.apply(a), constraint.apply(b)
+        result.verdict = "unequal"
+        result.witness = point
+        result.witness_values = (evaluate(a, point, prime), evaluate(b, point, prime))
     result.trials = done
 
     if exact and result.verdict == "equal":
@@ -315,8 +336,29 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
 
     Runs the compiled program of e (see expr.evaluate) over polynomial
     fractions.  Raises ExactPathUnavailable when e has more than size_bound
-    nodes or an intermediate expansion exceeds the term cap.
+    nodes or an intermediate expansion exceeds the term cap.  The outcome is
+    remembered per residual, bound and cap: a suite asks again about the
+    residuals it has decided.
     """
+    outcome = _exact_outcome(e, size_bound, _TERM_CAP)
+    if isinstance(outcome, str):
+        raise ExactPathUnavailable(outcome)
+    return outcome
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact_outcome(e: Expr, size_bound: int, cap: int) -> bool | str:
+    """_normalize_is_zero's verdict, or the message of its
+    ExactPathUnavailable.  cap is the _TERM_CAP the run sees, passed only to
+    key the cache.  Entries are small: the residual lives on in the intern
+    table anyway."""
+    try:
+        return _normalize_is_zero(e, size_bound)
+    except ExactPathUnavailable as err:
+        return str(err)
+
+
+def _normalize_is_zero(e: Expr, size_bound: int) -> bool:
     code, _nodes = _compile(e)
     if len(code) > size_bound:
         raise ExactPathUnavailable(f"expression exceeds {size_bound} nodes")

@@ -264,6 +264,33 @@ def test_evaluation_matches_reference_walk(e, p, point):
     assert over_fp == over_q.numerator * pow(over_q.denominator, -1, p) % p
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]), st.data())
+def test_lanes_match_one_point_runs(e, p, data):
+    # Values from {1, 2, 3, p - 1} make poles frequent; a lane is None exactly
+    # where the one-point run raises, and zero exactly where its numerator is.
+    values = st.sampled_from([1 % p, 2 % p, 3 % p, p - 1])
+    m = data.draw(st.integers(1, 12))
+    columns = {n: data.draw(st.lists(values, min_size=m, max_size=m)) for n in "fgq"}
+    code, nodes = expr_module._compile(e)
+    lanes = expr_module._run_lanes(code, columns, m, p)
+    assert len(lanes) == m
+    for i, lane in enumerate(lanes):
+        point = {n: column[i] for n, column in columns.items()}
+        try:
+            numer, _ = expr_module._run_projective(code, nodes, point, p)
+        except DivisionByZero:
+            assert lane is None
+        else:
+            assert lane is not None and (lane == 0) == (numer == 0)
+
+
+def test_lanes_name_a_missing_symbol():
+    code, _ = expr_module._compile(parse("f + g"))
+    with pytest.raises(ExprError, match="no value for symbol 'g'"):
+        expr_module._run_lanes(code, {"f": [1, 2]}, 2, 7)
+
+
 def test_interning_is_thread_safe():
     # Racing builders of the same fresh keys must get one node per key, and
     # distinct keys distinct uids (add keys are built from child uids).

@@ -4,15 +4,16 @@ from unittest import mock
 
 import pytest
 from dags import small_dags
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from qpweyl import identity
-from qpweyl.expr import evaluate, mul, parse, pow_, sub
+from qpweyl.expr import DivisionByZero, div, evaluate, mul, num, parse, pow_, sub, sym
 from qpweyl.identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
     DegenerateComparison,
     ExactPathUnavailable,
+    IdentityResult,
     exact_zero,
     identities_equal,
     rng_for,
@@ -37,15 +38,6 @@ def test_involution_image_equal():
     twice = substitute(substitute(sym("nu7"), s0), s0)
     r = identities_equal(twice, sym("nu7"), label="t2")
     assert bool(r)
-
-
-def test_valuation_surface():
-    from fractions import Fraction
-    from qpweyl.identity import Valuation
-    v_exact = Valuation({"f": Fraction(3), "g": Fraction(1, 2)})
-    assert v_exact(parse("f*g")) == Fraction(3, 2)
-    v_mod = Valuation({"f": 3, "g": 2}, prime=DEFAULT_PRIME)
-    assert v_mod(parse("f*g")) == 6
 
 
 def test_unequal_with_sound_witness():
@@ -392,3 +384,165 @@ def test_exact_zero_fields_never_carry():
             assert not exact_zero(sub(fk, g))
             assert not exact_zero(sub(fk, mul(g, g)))
             assert exact_zero(sub(mul(fk, g), mul(g, fk)))
+
+
+def test_exact_zero_runs_once_per_residual(families):
+    # verify-relations --exact asks 416 / 636 / 654 times about 81 / 96 / 57
+    # distinct residuals (seed 0); each must be normalized once.
+    from qpweyl.weyl import CheckConfig, verify_relations
+
+    for name, runs in (("D5", 81), ("E6", 96), ("E7", 57)):
+        identity._exact_outcome.cache_clear()
+        with mock.patch.object(identity, "_normalize_is_zero",
+                               wraps=identity._normalize_is_zero) as spy:
+            verify_relations(families[name], CheckConfig(exact=True))
+        assert spy.call_count == runs, name
+
+
+def test_exact_zero_remembers_unavailable_and_keys_by_cap():
+    identity._exact_outcome.cache_clear()
+    e = parse("(f + g)^3 - (g + f)^3")
+    with mock.patch.object(identity, "_normalize_is_zero",
+                           wraps=identity._normalize_is_zero) as spy:
+        for _ in range(2):
+            with pytest.raises(ExactPathUnavailable, match="exceeds 2 nodes"):
+                exact_zero(e, size_bound=2)
+            with mock.patch.object(identity, "_TERM_CAP", 4):
+                with pytest.raises(ExactPathUnavailable, match="term blow-up"):
+                    exact_zero(e)
+            assert exact_zero(e)
+    assert spy.call_count == 3
+
+
+# ---------------------------------------------------------------------------
+# batched trials: the probe plus one lane run equal the point-by-point loop
+
+#: The smallest prime above 2^60: almost half of its 61-bit words are
+#: rejected, so redrawing runs all the time.
+_REJECTING_PRIME = (1 << 60) + 33
+
+
+def _sequential_identities_equal(a, b, constraint=None, *, trials, prime=DEFAULT_PRIME,
+                                 seed=0, label=""):
+    """identities_equal as it ran before batching: every trial draws one
+    point and evaluates it alone.  The batched function must match it."""
+    identity.check_sampling(trials, prime)
+    r = sub(a, b)
+    if constraint is not None:
+        r = constraint.apply(r)
+    names = sorted(r.free)
+    rng = identity.rng_for(seed, label)
+
+    result = IdentityResult(verdict="equal")
+    budget = 100 * trials
+    done = 0
+    while done < trials:
+        if result.resamples + done >= budget:
+            raise DegenerateComparison(
+                f"exhausted {budget} sampling attempts for '{label or identity.to_label(a, b)}'"
+            )
+        point = sample_point(rng, names, prime)
+        try:
+            v = evaluate(r, point, prime)
+        except DivisionByZero:
+            result.resamples += 1
+            continue
+        done += 1
+        if v != 0:
+            if constraint is not None:
+                a, b = constraint.apply(a), constraint.apply(b)
+            result.verdict = "unequal"
+            result.witness = point
+            result.witness_values = (evaluate(a, point, prime), evaluate(b, point, prime))
+            break
+    result.trials = done
+    return result
+
+
+def _both(a, b, constraint=None, **kwargs):
+    """Run both versions; each result is an IdentityResult or the
+    DegenerateComparison message together with the state of the generator
+    it drew from, which tells how many points were drawn before it gave up."""
+    def run(decide):
+        drawn = []
+
+        def spy(seed, label):
+            drawn.append(rng_for(seed, label))
+            return drawn[-1]
+
+        with mock.patch.object(identity, "rng_for", spy):
+            try:
+                return decide(a, b, constraint, **kwargs)
+            except DegenerateComparison as err:
+                return str(err), drawn[0].getstate()
+
+    return run(identities_equal), run(_sequential_identities_equal)
+
+
+def _residue_poles(names, prime):
+    """1 / prod (x^((p-1)/2) - 1): a pole wherever some x is a square mod p,
+    so a point is off the poles with probability 2^-len(names)."""
+    half = (prime - 1) // 2
+    return pow_(mul(*[sub(pow_(sym(n), half), num(1)) for n in names]), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=small_dags(), b=small_dags(),
+       trials=st.integers(1, 16), seed=st.integers(0, 3),
+       label=st.sampled_from(["", "x", "pair:rel"]),
+       prime=st.sampled_from([DEFAULT_PRIME, _REJECTING_PRIME]),
+       constrained=st.booleans(), poles=st.booleans())
+def test_batched_trials_match_point_by_point_loop(a, b, trials, seed, label, prime,
+                                                  constrained, poles):
+    k = ConstraintRelation("q", parse("f/(g - 1)")) if constrained else None
+    if poles:
+        # a * P / P with a pole of P at half the points: a probe on a pole
+        # leaves the refutation, if any, to the first lane off the poles.
+        pole = _residue_poles(["f"], prime)
+        a = div(mul(a, pole), pole)
+    batched, sequential = _both(a, b, k, trials=trials, prime=prime, seed=seed,
+                                label=label)
+    assert batched == sequential
+
+
+@pytest.mark.parametrize("trials", range(1, 17))
+def test_batched_trials_match_on_pole_heavy_residuals(trials):
+    # Off the poles with probability 1/2 and 1/8: resampling runs in every
+    # batch.  Against 0 the first point off the poles refutes.
+    for names in (["f"], ["f", "g", "q"]):
+        poles = _residue_poles(names, DEFAULT_PRIME)
+        for b in (num(0), poles):
+            for seed in range(2):
+                batched, sequential = _both(poles, b, trials=trials, seed=seed,
+                                            label=f"poles:{len(names)}")
+                assert batched == sequential
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_batched_trials_match_where_the_budget_runs_out(trials):
+    # Off the poles with probability 1/64: some comparisons find their
+    # points in the last batches, others exhaust the budget.
+    poles = _residue_poles(["f", "g", "q", "nu1", "nu2", "nu3"], DEFAULT_PRIME)
+    outcomes = [_both(poles, poles, trials=trials, seed=seed, label="budget")
+                for seed in range(6)]
+    for batched, sequential in outcomes:
+        assert batched == sequential
+    assert {type(batched) for batched, _ in outcomes} == {IdentityResult, tuple}
+
+
+@pytest.mark.parametrize("trials", range(1, 17))
+def test_all_pole_residual_gives_up_at_the_same_attempt(trials):
+    bad = div(num(1), sub(sym("f"), sym("f")))
+    for label in ("", "degen"):
+        batched, sequential = _both(bad, parse("f"), trials=trials, label=label)
+        assert batched == sequential
+        assert batched[0].startswith(f"exhausted {100 * trials} sampling attempts")
+
+
+def test_sample_columns_are_sample_points_split_by_name():
+    names = ["f", "g", "nu1"]
+    for prime in (DEFAULT_PRIME, _REJECTING_PRIME):
+        columns = identity.sample_columns(rng_for(3, "cols"), names, prime, 9)
+        ref = rng_for(3, "cols")
+        points = [sample_point(ref, names, prime) for _ in range(9)]
+        assert columns == {n: [pt[n] for pt in points] for n in names}
