@@ -6,12 +6,18 @@ eliminating the constrained symbol.  Any nonzero value disproves the
 identity and the sampled point is returned as a witness; agreement at every
 trial accepts it with error probability at most (deg/p) per trial.
 
+A comparison of an expression with itself is decided without sampling when
+its residual cannot divide by zero at any point with nonzero coordinates,
+which are the only points drawn: the residual is then 0 at every such point,
+so the decision is exact and the result is the one sampling would return.
+The (deg/p) bound concerns the other comparisons only.
+
 The first point is a probe, evaluated alone: most false identities fail
-there.  The remaining trials run the residual's compiled program once over
-all their points, one lane per point, which needs no modular inverse since
-only whether a value is zero matters.  The points are drawn and the lanes
-scanned in the order of a point-by-point loop, so verdicts, witnesses and
-counts are that loop's.
+there.  The remaining trials run the residual's compiled program over their
+points in batches of at most _LANE_CAP, one lane per point, which needs no
+modular inverse since only whether a value is zero matters.  The points are
+drawn and the lanes scanned in the order of a point-by-point loop, so
+verdicts, witnesses and counts are that loop's.
 
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an
@@ -179,11 +185,46 @@ def identities_equal(
     label: str = "",
     exact: bool = False,
 ) -> IdentityResult:
-    """Decide whether a and b agree as rational functions (mod constraint)."""
+    """Decide whether a and b agree as rational functions (mod constraint).
+
+    A self-comparison (a is b) whose residual has no possible pole at a point
+    with nonzero coordinates is decided exactly, without sampling: the result
+    is the one the sampling loop would return, every trial equal and none
+    resampled.  Every other comparison is sampled.
+    """
     check_sampling(trials, prime)
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
+    if a is b and _pole_free(r, prime):
+        # r computes a - a without dividing by zero at any point sample_point
+        # can draw, so it is 0 at each of the loop's points.
+        result = IdentityResult(verdict="equal", trials=trials)
+    else:
+        result = _sample(r, a, b, constraint, trials, prime, seed, label)
+
+    if exact and result.verdict == "equal":
+        try:
+            if exact_zero(r):
+                result.verdict = "exact-proved"
+            else:
+                # The probabilistic pass accepted but the exact normal form is
+                # nonzero: impossible for a correct engine, so fail loudly.
+                raise AssertionError(
+                    "probabilistic and exact verdicts disagree; engine defect"
+                )
+        except ExactPathUnavailable:
+            pass
+    return result
+
+
+#: The most points one batch runs: _run_lanes keeps a list of lanes per
+#: instruction, so a batch's memory grows with program size times lanes.
+_LANE_CAP = 256
+
+
+def _sample(r, a, b, constraint, trials, prime, seed, label) -> IdentityResult:
+    """Test the residual r = a - b (constrained) at sampled points."""
     names = sorted(r.free)
     rng = rng_for(seed, label)
 
@@ -206,7 +247,7 @@ def identities_equal(
             raise DegenerateComparison(
                 f"exhausted {budget} sampling attempts for '{label or to_label(a, b)}'"
             )
-        m = min(trials - done, budget - attempts)
+        m = min(trials - done, budget - attempts, _LANE_CAP)
         columns = sample_columns(rng, names, prime, m)
         for i, v in enumerate(_run_lanes(_compile(r)[0], columns, m, prime)):
             if v is None:
@@ -225,20 +266,40 @@ def identities_equal(
         result.witness = point
         result.witness_values = (evaluate(a, point, prime), evaluate(b, point, prime))
     result.trials = done
-
-    if exact and result.verdict == "equal":
-        try:
-            if exact_zero(r):
-                result.verdict = "exact-proved"
-            else:
-                # The probabilistic pass accepted but the exact normal form is
-                # nonzero: impossible for a correct engine, so fail loudly.
-                raise AssertionError(
-                    "probabilistic and exact verdicts disagree; engine defect"
-                )
-        except ExactPathUnavailable:
-            pass
     return result
+
+
+@functools.lru_cache(maxsize=1024)
+def _pole_free(e: Expr, p: int) -> bool:
+    """Whether e's program divides by zero at no point of F_p whose
+    coordinates are all nonzero.
+
+    A slot is a unit, nonzero at every such point, when it is a symbol, a
+    constant whose numerator and denominator are nonzero mod p, or a
+    product, power or quotient of units; a sum never is.  The program is
+    pole-free when every divisor and every base of a negative power is a
+    unit and no constant's denominator is divisible by p.  Remembered per
+    residual and prime: a suite compares the same images again.
+    """
+    unit: list[bool] = []
+    for kind, arg in _compile(e)[0]:
+        if kind == "num":
+            if arg.denominator % p == 0:
+                return False
+            unit.append(arg.numerator % p != 0)
+        elif kind == "sym":
+            unit.append(True)
+        elif kind == "add":
+            unit.append(False)
+        elif kind == "pow":
+            if arg[1] < 0 and not unit[arg[0]]:
+                return False
+            unit.append(unit[arg[0]])
+        else:  # mul, div
+            if kind == "div" and not unit[arg[1]]:
+                return False
+            unit.append(all(unit[k] for k in arg))
+    return True
 
 
 def to_label(a: Expr, b: Expr) -> str:

@@ -69,9 +69,6 @@ class Inversion:
     delta: Expr
 
 
-GaugeSpec = Pochhammer | PowerGauge | Dilation | Inversion
-
-
 _L1_TABLES = {
     "D5": {
         "up": "-(z - kappa1/nu7)*(z - kappa1/nu8)/(q*(f - z))",
@@ -120,7 +117,8 @@ def _other_var(name: str) -> str:
     return "u" if name == "z" else "z"
 
 
-def apply_gauge(eq: LinearQDE, gauge: GaugeSpec) -> LinearQDE:
+def apply_gauge(eq: LinearQDE,
+                gauge: Pochhammer | PowerGauge | Dilation | Inversion) -> LinearQDE:
     v = sym(eq.shift_var)
     q = sym("q")
     if isinstance(gauge, Pochhammer):

@@ -486,22 +486,26 @@ def _residue_poles(names, prime):
     return pow_(mul(*[sub(pow_(sym(n), half), num(1)) for n in names]), -1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(a=small_dags(), b=small_dags(),
        trials=st.integers(1, 16), seed=st.integers(0, 3),
        label=st.sampled_from(["", "x", "pair:rel"]),
        prime=st.sampled_from([DEFAULT_PRIME, _REJECTING_PRIME]),
-       constrained=st.booleans(), poles=st.booleans())
+       constrained=st.booleans(), poles=st.booleans(),
+       cap=st.sampled_from([1, 2, 3, 5, identity._LANE_CAP]))
 def test_batched_trials_match_point_by_point_loop(a, b, trials, seed, label, prime,
-                                                  constrained, poles):
+                                                  constrained, poles, cap):
     k = ConstraintRelation("q", parse("f/(g - 1)")) if constrained else None
     if poles:
         # a * P / P with a pole of P at half the points: a probe on a pole
         # leaves the refutation, if any, to the first lane off the poles.
         pole = _residue_poles(["f"], prime)
         a = div(mul(a, pole), pole)
-    batched, sequential = _both(a, b, k, trials=trials, prime=prime, seed=seed,
-                                label=label)
+    # A cap below trials leaves the rest to further batches drawn from the
+    # same generator.
+    with mock.patch.object(identity, "_LANE_CAP", cap):
+        batched, sequential = _both(a, b, k, trials=trials, prime=prime, seed=seed,
+                                    label=label)
     assert batched == sequential
 
 
@@ -546,3 +550,148 @@ def test_sample_columns_are_sample_points_split_by_name():
         ref = rng_for(3, "cols")
         points = [sample_point(ref, names, prime) for _ in range(9)]
         assert columns == {n: [pt[n] for pt in points] for n in names}
+
+
+@pytest.mark.parametrize("trials", [identity._LANE_CAP + 1, 3 * identity._LANE_CAP - 7])
+def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
+    f, g = sym("f"), sym("g")
+    poles = _residue_poles(["f", "g"], DEFAULT_PRIME)
+    sizes = []
+    run_lanes = identity._run_lanes
+
+    def spy(code, columns, m, p):
+        sizes.append(m)
+        return run_lanes(code, columns, m, p)
+
+    with mock.patch.object(identity, "_run_lanes", spy):
+        for a, b in ((poles, poles), (poles, num(0)), (div(f, g), mul(f, pow_(g, -1))),
+                     (div(num(1), sub(f, f)), f)):
+            batched, sequential = _both(a, b, trials=trials, label="above-cap")
+            assert batched == sequential
+    assert max(sizes) == identity._LANE_CAP
+
+
+# ---------------------------------------------------------------------------
+# self-comparisons without a possible pole are decided without sampling
+
+
+def _both_on_self(a, constraint=None, **kwargs):
+    """identities_equal(a, a) and the loop copy, and whether the former
+    ended through the loop."""
+    sample, sampled = identity._sample, []
+    with mock.patch.object(identity, "_sample",
+                           lambda *args: sampled.append(1) or sample(*args)):
+        batched, sequential = _both(a, a, constraint, **kwargs)
+    return batched, sequential, bool(sampled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=small_dags(), trials=st.integers(1, 16), seed=st.integers(0, 3),
+       prime=st.sampled_from([DEFAULT_PRIME, _REJECTING_PRIME]),
+       constrained=st.booleans(), poles=st.booleans())
+def test_self_comparison_matches_point_by_point_loop(a, trials, seed, prime, constrained,
+                                                     poles):
+    k = ConstraintRelation("q", parse("f/(g - 1)")) if constrained else None
+    if poles:
+        pole = _residue_poles(["f"], prime)
+        a = div(mul(a, pole), pole)
+    batched, sequential, sampled = _both_on_self(a, k, trials=trials, prime=prime,
+                                                 seed=seed, label="self")
+    assert batched == sequential
+    r = sub(a, a) if k is None else k.apply(sub(a, a))
+    assert sampled != identity._pole_free(r, prime)
+    if not sampled:
+        assert batched == IdentityResult("equal", trials=trials)
+
+
+@pytest.mark.parametrize("text", [
+    "f", "0", "2/3", "(f - g)^2", "f*g/q^2", "(f + g)/(f*g)", "nu1^-3",
+    "(f - nu3)*g/(2*kappa1)", "(f/g)^-2*(g - 1)",
+])
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, _REJECTING_PRIME])
+def test_self_comparisons_without_possible_poles_skip_sampling(text, prime):
+    a = parse(text)
+    with mock.patch.object(identity, "rng_for", side_effect=AssertionError("sampled")):
+        got = identities_equal(a, a, trials=9, prime=prime, label="skip")
+    assert got == IdentityResult("equal", trials=9)
+    assert got == _sequential_identities_equal(a, a, trials=9, prime=prime, label="skip")
+
+
+@pytest.mark.parametrize("case", ["nu1 - nu1", "(f - g)^-1", "1/p", "1/(p*f)",
+                                  "nu8 constrained"])
+def test_self_comparisons_with_possible_poles_end_through_the_loop(case):
+    from fractions import Fraction
+
+    k = None
+    if case == "nu1 - nu1":
+        a = div(num(1), sub(sym("nu1"), sym("nu1")))
+    elif case == "(f - g)^-1":
+        a = pow_(sub(sym("f"), sym("g")), -1)
+    elif case == "1/p":
+        a = mul(num(Fraction(1, DEFAULT_PRIME)), sym("f"))
+    elif case == "1/(p*f)":
+        a = div(sym("g"), mul(num(DEFAULT_PRIME), sym("f")))
+    else:
+        # nu8 less its own image: a sum that vanishes once constrained.
+        k = constraint()
+        a = div(num(1), sub(sym("nu8"), k.replacement))
+    batched, sequential, sampled = _both_on_self(a, k, trials=4, label=case)
+    assert sampled
+    assert batched == sequential
+    if case == "(f - g)^-1":
+        assert batched == IdentityResult("equal", trials=4)
+    else:
+        assert batched[0] == "exhausted 400 sampling attempts for '%s'" % case
+
+
+def test_constant_denominator_is_tested_against_the_prime():
+    from fractions import Fraction
+
+    a = mul(num(Fraction(1, _REJECTING_PRIME)), sym("f"))
+    assert identity._pole_free(sub(a, a), DEFAULT_PRIME)
+    assert not identity._pole_free(sub(a, a), _REJECTING_PRIME)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=small_dags(), b=small_dags(), constrained=st.booleans(),
+       prime=st.sampled_from([DEFAULT_PRIME, _REJECTING_PRIME]), seed=st.integers(0, 3))
+def test_pole_free_residuals_have_no_pole_at_nonzero_points(a, b, constrained, prime, seed):
+    import itertools
+    import random
+
+    r = sub(a, b)
+    if constrained:
+        r = ConstraintRelation("q", parse("f/(g - 1)")).apply(r)
+    if not identity._pole_free(r, prime):
+        return
+    names = sorted(r.free)
+    corners = list(itertools.product((1, prime - 1), repeat=len(names)))
+    rng = random.Random(seed)
+    points = corners + [[rng.randrange(1, prime) for _ in names] for _ in range(8)]
+    columns = {n: [pt[j] for pt in points] for j, n in enumerate(names)}
+    code = identity._compile(r)[0]
+    assert None not in identity._run_lanes(code, columns, len(points), prime)
+
+
+def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
+    # The probe is the only evaluate call of a self-comparison that the loop
+    # would accept; a shortcut makes none, and every report stays the same.
+    from qpweyl.weyl import CheckConfig, verify_relations
+
+    def run(pole_free):
+        sampled = []
+        with mock.patch.object(identity, "evaluate", wraps=identity.evaluate) as spy, \
+                mock.patch.object(identity, "_pole_free", pole_free), \
+                mock.patch.object(identity, "_sample",
+                                  lambda *args: sampled.append(1) or sample(*args)):
+            report = verify_relations(d5, CheckConfig())
+        checks = [(c.id, c.status, c.witness, c.detail) for c in report.checks]
+        return checks, spy.call_count, len(sampled)
+
+    sample = identity._sample
+    looped, loop_calls, loop_sampled = run(lambda r, p: False)
+    checks, calls, sampled = run(identity._pole_free)
+    assert checks == looped
+    shortcuts = loop_sampled - sampled
+    assert shortcuts > 0
+    assert loop_calls - calls == shortcuts
