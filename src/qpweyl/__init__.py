@@ -51,7 +51,6 @@ from .evolution import (
     PoleError,
     make_evolution_spec,
     make_state,
-    make_xi,
     orbit,
     orbit_step,
     orbit_to_json,

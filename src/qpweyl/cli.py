@@ -1,21 +1,31 @@
 """Command-line front end.
 
-Commands
---------
+Commands and their options
+--------------------------
   verify-relations   involution, braid/commutation and diagram-automorphism
                      suites for one family
   verify-theorem     time-evolution checks: parameter images, nonlinear
                      residuals, and the rescaling decomposition of xi
   verify-gauge       the registered gauge claims of one family
+      --family (required), --trials, --prime, --seed, --exact,
+      --no-constraint, --format {text,json}
   apply              apply a Weyl word to an expression and print the image
+      --family (required), --word, --expr (required),
+      --format {text,json,latex}
   evolve             iterate the nonlinear system from a JSON parameter file
-  list               families, generators and claim ids; latex prints the
-                     generator tables
+                     and print the orbit as JSON
+      --family (required), --params (required), --steps, --out
+  list               families and claim ids, or one family's generators,
+                     edges and evolution word; latex prints its generator
+                     tables
+      --family (optional), --format {text,latex}
 
 Exit status: 0 all checks passed, 1 verification failure or pole, 2 usage or
-input error.  Words are printed leftmost first and applied rightmost first.
-With --format json the report is byte-identical for identical seed and
-flags, so elapsed times are reported only in text mode.
+input error.  Every usage or input error, argparse's included, is one
+UsageError that main prints as a single "error: ..." line on stderr.  Words
+are printed leftmost first and applied rightmost first.  With --format json
+the report is byte-identical for identical seed and flags, so elapsed times
+are reported only in text mode.
 """
 
 from __future__ import annotations
@@ -50,23 +60,25 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+class UsageError(Exception):
+    """Bad command line or input; main prints it as one line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _check_config(args) -> CheckConfig:
+    try:
+        check_sampling(args.trials, args.prime)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     return CheckConfig(trials=args.trials, prime=args.prime, seed=args.seed,
                        exact=args.exact, use_constraint=not args.no_constraint)
-
-
-def _family(args):
-    if args.family is None:
-        raise SystemExit(_usage_error("--family is required"))
-    try:
-        return make_family(args.family)
-    except ValueError as err:
-        raise SystemExit(_usage_error(str(err)))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _emit_report(report: Report, args, family: str, command: str) -> int:
@@ -103,7 +115,7 @@ def _emit_report(report: Report, args, family: str, command: str) -> int:
 
 
 def cmd_verify_relations(args) -> int:
-    fam = _family(args)
+    fam = make_family(args.family)
     cfg = _check_config(args)
     t0 = time.monotonic()
     report = verify_relations(fam, cfg)
@@ -113,7 +125,7 @@ def cmd_verify_relations(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    fam = _family(args)
+    fam = make_family(args.family)
     cfg = _check_config(args)
     report = Report()
     report.extend(verify_theorem_i(fam, cfg))
@@ -122,23 +134,20 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_verify_gauge(args) -> int:
-    fam = _family(args)
+    fam = make_family(args.family)
     cfg = _check_config(args)
     report = verify_gauge_claims(fam, cfg)
     return _emit_report(report, args, fam.name, "verify-gauge")
 
 
 def cmd_apply(args) -> int:
-    fam = _family(args)
+    fam = make_family(args.family)
     try:
-        word = parse_word(args.word or "")
+        word = parse_word(args.word)
         expr = parse(args.expr)
-    except (ExprError, ValueError) as err:
-        return _usage_error(str(err))
-    try:
         t = word_to_transform(fam, word)
-    except KeyError as err:
-        return _usage_error(str(err))
+    except (ExprError, ValueError, KeyError) as err:
+        raise UsageError(str(err)) from None
     image = t(expr)
     if args.format == "latex":
         print(to_latex(image))
@@ -152,25 +161,26 @@ def cmd_apply(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    fam = _family(args)
-    if args.params is None:
-        return _usage_error("--params is required for evolve")
+    fam = make_family(args.family)
     try:
         with open(args.params, encoding="utf-8") as handle:
             record = json.load(handle)
         st0 = state_from_record(record)
     except (OSError, ValueError, KeyError, TypeError) as err:
-        return _usage_error(f"bad params file: {err}")
+        raise UsageError(f"bad params file: {err}") from None
     if args.steps < 0:
-        return _usage_error(f"--steps must be >= 0, got {args.steps}")
+        raise UsageError(f"--steps must be >= 0, got {args.steps}")
     result: OrbitResult = orbit(fam, st0, args.steps)
     try:
         doc = orbit_to_json(result)
     except ValueError as err:
-        return _usage_error(str(err))
+        raise UsageError(str(err)) from None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(doc + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(doc + "\n")
+        except OSError as err:
+            raise UsageError(f"cannot write --out: {err}") from None
     else:
         print(doc)
     final = result.states[-1]
@@ -183,7 +193,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_list(args) -> int:
     if args.family:
-        fam = _family(args)
+        fam = make_family(args.family)
         if args.format == "latex":
             for name in fam.s_names + fam.pi_names:
                 gen = fam.generators[name]
@@ -205,7 +215,7 @@ def cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpweyl",
         description="Verify Weyl group relations, gauge claims and time "
                     "evolution of the q-Painleve families D5, E6, E7.",
@@ -213,9 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family_required=True):
+    def command(name, func, summary, formats=(), family_required=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--family", choices=FAMILY_NAMES,
                        required=family_required)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=func)
+        return p
+
+    for name, func, summary in (
+            ("verify-relations", cmd_verify_relations,
+             "involutions, braid, diagram relations"),
+            ("verify-theorem", cmd_verify_theorem, "time-evolution checks"),
+            ("verify-gauge", cmd_verify_gauge, "registered gauge claims")):
+        p = command(name, func, summary, ("text", "json"))
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--seed", type=int, default=0)
@@ -223,53 +245,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="additionally prove identities by exact normalization")
         p.add_argument("--no-constraint", action="store_true",
                        help="drop the parameter constraint from every check")
-        p.add_argument("--format", choices=("text", "json", "latex"),
-                       default="text")
 
-    p = sub.add_parser("verify-relations", help="involutions, braid, diagram relations")
-    common(p)
-    p.set_defaults(func=cmd_verify_relations)
-
-    p = sub.add_parser("verify-theorem", help="time-evolution checks")
-    common(p)
-    p.set_defaults(func=cmd_verify_theorem)
-
-    p = sub.add_parser("verify-gauge", help="registered gauge claims")
-    common(p)
-    p.set_defaults(func=cmd_verify_gauge)
-
-    p = sub.add_parser("apply", help="apply a word to an expression")
-    common(p)
+    p = command("apply", cmd_apply, "apply a word to an expression",
+                ("text", "json", "latex"))
     p.add_argument("--word", default="", help='e.g. "pi2 pi1 s2 s1 s0 s2" or "(w)^2"')
     p.add_argument("--expr", required=True)
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("evolve", help="iterate the nonlinear system")
-    common(p)
-    p.add_argument("--params", help="JSON file with string rationals")
+    p = command("evolve", cmd_evolve, "iterate the nonlinear system")
+    p.add_argument("--params", required=True, help="JSON file with string rationals")
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--out", help="write the orbit JSON here instead of stdout")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("list", help="families, generators, claim ids")
-    common(p, family_required=False)
-    p.set_defaults(func=cmd_list)
+    command("list", cmd_list, "families, generators, claim ids",
+            ("text", "latex"), family_required=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        check_sampling(args.trials, args.prime)
-    except ValueError as err:
-        return _usage_error(str(err))
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else USAGE_ERROR
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
     except BrokenPipeError:
         return 0
 

@@ -71,24 +71,17 @@ QP_RELATION_TEXTS = {
 
 @dataclass(frozen=True, eq=False)
 class EvolutionSpec:
-    family: str
-    word: tuple[str, ...]
-    xi: Transformation
     qp_relations: tuple[Expr, Expr]
-
-
-def make_xi(fam: FamilyDescriptor) -> Transformation:
-    return fam.xi
 
 
 def make_evolution_spec(fam: FamilyDescriptor) -> EvolutionSpec:
     r1, r2 = (parse(t, extra_symbols=FRESH) for t in QP_RELATION_TEXTS[fam.name])
-    return EvolutionSpec(fam.name, fam.evolution_word, fam.xi, (r1, r2))
+    return EvolutionSpec((r1, r2))
 
 
 def time_evolution(fam: FamilyDescriptor) -> Transformation:
     s = word_to_transform(fam, fam.evolution_word)
-    return compose(fam.xi, compose(s, s), label=f"T[{fam.name}]")
+    return compose(fam.xi, compose(s, s))
 
 
 def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
@@ -127,8 +120,7 @@ def xi_scaling_map(fam: FamilyDescriptor) -> Transformation:
     """
     if fam.name == "D5":
         return compose(d5_power_scaling(parse("kappa2/(nu5*nu6)")),
-                       d5_dilation_scaling(parse("kappa1/(q*nu3*nu4)")),
-                       label="G*D")
+                       d5_dilation_scaling(parse("kappa1/(q*nu3*nu4)")))
     if fam.name == "E6":
         return e_scaling(parse("nu5*nu6/kappa2"))
     return e_scaling(parse("kappa1/(q*kappa2)"))

@@ -235,16 +235,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def dag_size(e: Expr) -> int:
-    """Number of distinct nodes reachable from e."""
-    seen: set[Expr] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.children)
-    return len(seen)
+    """Number of distinct nodes reachable from e: one per program slot."""
+    return len(_compile(e)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def d5_power_scaling(s: Expr) -> Transformation:
         "nu1": div(sym("nu1"), s), "nu2": div(sym("nu2"), s),
         "nu5": mul(s, sym("nu5")), "nu6": mul(s, sym("nu6")),
         "g": mul(s, sym("g")),
-    }, "G")
+    })
 
 
 def d5_dilation_scaling(c: Expr) -> Transformation:
@@ -227,7 +227,7 @@ def d5_dilation_scaling(c: Expr) -> Transformation:
         "nu3": mul(c, sym("nu3")), "nu4": mul(c, sym("nu4")),
         "nu7": div(sym("nu7"), c), "nu8": div(sym("nu8"), c),
         "f": mul(c, sym("f")),
-    }, "D")
+    })
 
 
 def e_scaling(c: Expr) -> Transformation:
@@ -240,7 +240,7 @@ def e_scaling(c: Expr) -> Transformation:
     images.update({f"nu{i}": div(sym(f"nu{i}"), c) for i in (5, 6, 7, 8)})
     images["f"] = mul(c, sym("f"))
     images["g"] = div(sym("g"), c)
-    return Transformation(images, "S")
+    return Transformation(images)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ class Transformation:
     """A total substitution map symbol -> Expr; omitted symbols map to themselves."""
 
     images: dict[str, Expr]
-    label: str = ""
 
     def image(self, name: str) -> Expr:
         img = self.images.get(name)
@@ -50,25 +49,23 @@ class Transformation:
         return substitute(e, self.images, memo)
 
 
-IDENTITY = Transformation(images={}, label="id")
+IDENTITY = Transformation(images={})
 
 
-def transformation(images: dict[str, str], label: str = "") -> Transformation:
-    return Transformation({k: parse(v) for k, v in images.items()}, label)
+def transformation(images: dict[str, str]) -> Transformation:
+    return Transformation({k: parse(v) for k, v in images.items()})
 
 
-def _swap(a: str, b: str, label: str) -> Transformation:
-    return Transformation({a: sym(b), b: sym(a)}, label)
+def _swap(a: str, b: str) -> Transformation:
+    return Transformation({a: sym(b), b: sym(a)})
 
 
-def compose(outer: Transformation, inner: Transformation, label: str = "") -> Transformation:
+def compose(outer: Transformation, inner: Transformation) -> Transformation:
     """(outer o inner)(x) = outer(inner(x)); inner acts first."""
     memo: dict = {}
     names = set(outer.images) | set(inner.images)
-    images = {n: substitute(inner.image(n), outer.images, memo) for n in names}
-    if not label:
-        label = f"{outer.label}*{inner.label}"
-    return Transformation(images, label)
+    return Transformation({n: substitute(inner.image(n), outer.images, memo)
+                           for n in names})
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +96,7 @@ def word_to_transform(fam: "FamilyDescriptor", word) -> Transformation:
         if name not in fam.generators:
             raise KeyError(f"unknown generator {name!r} for family {fam.name}")
         t = compose(t, fam.generators[name])
-    return Transformation(t.images, " ".join(word) if word else "id")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +116,7 @@ class FamilyDescriptor:
     def with_generator(self, name: str, images: dict[str, str]) -> "FamilyDescriptor":
         """Copy of the family with one generator replaced (mutation fixtures)."""
         gens = dict(self.generators)
-        gens[name] = transformation(images, label=name)
+        gens[name] = transformation(images)
         return replace(self, generators=gens)
 
 
@@ -138,29 +135,29 @@ def _build_d5() -> FamilyDescriptor:
     inv_all = {name: f"1/{name}" for name in
                ("q", "nu5", "nu6", "kappa1", "kappa2")}
     gens = {
-        "s0": _swap("nu7", "nu8", "s0"),
-        "s1": _swap("nu3", "nu4", "s1"),
-        "s4": _swap("nu1", "nu2", "s4"),
-        "s5": _swap("nu5", "nu6", "s5"),
+        "s0": _swap("nu7", "nu8"),
+        "s1": _swap("nu3", "nu4"),
+        "s4": _swap("nu1", "nu2"),
+        "s5": _swap("nu5", "nu6"),
         "s2": transformation({
             "nu3": "kappa1/nu7",
             "nu7": "kappa1/nu3",
             "kappa2": "kappa1*kappa2/(nu3*nu7)",
             "g": "g*(f - nu3)/(f - kappa1/nu7)",
-        }, "s2"),
+        }),
         "s3": transformation({
             "nu1": "kappa2/nu5",
             "nu5": "kappa2/nu1",
             "kappa1": "kappa1*kappa2/(nu1*nu5)",
             "f": "f*(g - 1/nu1)/(g - nu5/kappa2)",
-        }, "s3"),
+        }),
         "pi1": transformation({
             **inv_all,
             "nu1": "1/nu1", "nu2": "1/nu2",
             "nu3": "1/nu7", "nu4": "1/nu8",
             "nu7": "1/nu3", "nu8": "1/nu4",
             "f": "f/kappa1", "g": "1/g",
-        }, "pi1"),
+        }),
         "pi2": transformation({
             "q": "1/q",
             "nu1": "1/nu7", "nu2": "1/nu8",
@@ -169,7 +166,7 @@ def _build_d5() -> FamilyDescriptor:
             "nu7": "1/nu1", "nu8": "1/nu2",
             "kappa1": "1/kappa2", "kappa2": "1/kappa1",
             "f": "1/(kappa2*g)", "g": "kappa1/f",
-        }, "pi2"),
+        }),
     }
     xi = transformation({
         "nu1": "nu1*nu5*nu6/kappa2",
@@ -184,7 +181,7 @@ def _build_d5() -> FamilyDescriptor:
         "kappa2": "nu1*nu2*nu5*nu6/kappa2",
         "f": "f*kappa1/(q*nu3*nu4)",
         "g": "g*kappa2/(nu5*nu6)",
-    }, "xi")
+    })
     return FamilyDescriptor(
         name="D5",
         generators=gens,
@@ -199,23 +196,23 @@ def _build_d5() -> FamilyDescriptor:
 
 def _build_e6() -> FamilyDescriptor:
     gens = {
-        "s0": _swap("nu7", "nu8", "s0"),
-        "s1": _swap("nu5", "nu6", "s1"),
-        "s3": _swap("nu1", "nu2", "s3"),
-        "s4": _swap("nu2", "nu3", "s4"),
-        "s5": _swap("nu3", "nu4", "s5"),
+        "s0": _swap("nu7", "nu8"),
+        "s1": _swap("nu5", "nu6"),
+        "s3": _swap("nu1", "nu2"),
+        "s4": _swap("nu2", "nu3"),
+        "s5": _swap("nu3", "nu4"),
         "s2": transformation({
             "nu1": "kappa2/nu6",
             "nu6": "kappa2/nu1",
             "kappa1": "kappa1*kappa2/(nu1*nu6)",
             "f": "f*kappa2*(nu1*g - 1)/(-(kappa2 - nu1*nu6)*f*g + nu1*kappa2*g - nu1*nu6)",
-        }, "s2"),
+        }),
         "s6": transformation({
             "nu1": "kappa1/nu7",
             "nu7": "kappa1/nu1",
             "kappa2": "kappa1*kappa2/(nu1*nu7)",
             "g": "g*nu7*(nu1 - f)/(kappa1 - nu7*f + (nu1*nu7 - kappa1)*f*g)",
-        }, "s6"),
+        }),
         "pi1": transformation({
             "q": "1/q",
             "nu1": "nu2/kappa2", "nu2": "nu1/kappa2",
@@ -225,14 +222,14 @@ def _build_e6() -> FamilyDescriptor:
             "kappa1": "nu1*nu2/(kappa1*kappa2)", "kappa2": "1/kappa2",
             "f": "nu1*nu2*(1 - f*g)/(kappa2*(nu1*nu2*g + f - (nu1 + nu2)*f*g))",
             "g": "kappa2*g",
-        }, "pi1"),
+        }),
         "pi2": transformation({
             "q": "1/q",
             "nu1": "1/nu1", "nu2": "1/nu2", "nu3": "1/nu3", "nu4": "1/nu4",
             "nu5": "1/nu8", "nu6": "1/nu7", "nu7": "1/nu6", "nu8": "1/nu5",
             "kappa1": "1/kappa2", "kappa2": "1/kappa1",
             "f": "g", "g": "f",
-        }, "pi2"),
+        }),
     }
     # Adjustment map derived from the evolution word's square and the required
     # time-evolution images; see the package tests for the fixture chain.
@@ -249,7 +246,7 @@ def _build_e6() -> FamilyDescriptor:
         "kappa2": "nu5*nu6*kappa1/(q*kappa2)",
         "f": "f*nu5*nu6/kappa2",
         "g": "g*kappa2/(nu5*nu6)",
-    }, "xi")
+    })
     return FamilyDescriptor(
         name="E6",
         generators=gens,
@@ -267,13 +264,13 @@ def _build_e7() -> FamilyDescriptor:
         "s0": transformation({
             "kappa1": "kappa2", "kappa2": "kappa1",
             "f": "1/g", "g": "1/f",
-        }, "s0"),
-        "s1": _swap("nu3", "nu4", "s1"),
-        "s2": _swap("nu2", "nu3", "s2"),
-        "s3": _swap("nu1", "nu2", "s3"),
-        "s5": _swap("nu5", "nu6", "s5"),
-        "s6": _swap("nu6", "nu7", "s6"),
-        "s7": _swap("nu7", "nu8", "s7"),
+        }),
+        "s1": _swap("nu3", "nu4"),
+        "s2": _swap("nu2", "nu3"),
+        "s3": _swap("nu1", "nu2"),
+        "s5": _swap("nu5", "nu6"),
+        "s6": _swap("nu6", "nu7"),
+        "s7": _swap("nu7", "nu8"),
         "s4": transformation({
             "nu1": "kappa2/nu5",
             "nu5": "kappa2/nu1",
@@ -282,14 +279,14 @@ def _build_e7() -> FamilyDescriptor:
                  " + kappa1*(nu1*nu5 - kappa2))"
                  "/(nu5*(-(nu1*nu5 - kappa2)*f*g + nu1*(kappa1 - kappa2)*g"
                  " + (nu1*nu5 - kappa1)))",
-        }, "s4"),
+        }),
         "pi": transformation({
             "q": "1/q",
             "nu1": "1/nu5", "nu2": "1/nu6", "nu3": "1/nu7", "nu4": "1/nu8",
             "nu5": "1/nu1", "nu6": "1/nu2", "nu7": "1/nu3", "nu8": "1/nu4",
             "kappa1": "1/kappa1", "kappa2": "1/kappa2",
             "f": "f/kappa1", "g": "kappa2*g",
-        }, "pi"),
+        }),
     }
     xi = transformation({
         **{f"nu{i}": f"nu{i}*kappa1/(q*kappa2)" for i in range(1, 9)},
@@ -297,7 +294,7 @@ def _build_e7() -> FamilyDescriptor:
         "kappa2": "kappa1^2/(q^2*kappa2)",
         "f": "f*kappa1/(q*kappa2)",
         "g": "g*q*kappa2/kappa1",
-    }, "xi")
+    })
     return FamilyDescriptor(
         name="E7",
         generators=gens,

@@ -98,9 +98,10 @@ def test_verify_relations_d5_passes(capsys):
 
 
 def test_verify_relations_unknown_family_exit_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["verify-relations", "--family", "X9"])
-    assert err.value.code == 2
+    code, out, err = run(capsys, "verify-relations", "--family", "X9")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*X9[^\n]*\n", err)
 
 
 def test_verify_theorem_all_families(capsys):
@@ -326,6 +327,93 @@ def test_evolve_past_int_str_limit_names_step(capsys):
     assert code == 2
     assert out == ""
     assert re.fullmatch(r"error: state t=22 [^\n]*\n", err)
+
+
+def test_evolve_unwritable_out_exit_2(capsys, tmp_path):
+    path = write_params(tmp_path)
+    out_path = tmp_path / "missing-dir" / "orbit.json"
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path,
+                         "--steps", "1", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: cannot write --out: [^\n]+\n", err)
+
+
+# ---------------------------------------------------------------------------
+# options and usage errors
+
+_FAMILIES = ["D5", "E6", "E7"]
+_VERIFY_OPTIONS = {"--family": _FAMILIES, "--trials": None, "--prime": None,
+                   "--seed": None, "--exact": None, "--no-constraint": None,
+                   "--format": ["text", "json"]}
+
+#: Every option of every command, with its choices; each one is read.
+OPTION_TABLE = {
+    "verify-relations": _VERIFY_OPTIONS,
+    "verify-theorem": _VERIFY_OPTIONS,
+    "verify-gauge": _VERIFY_OPTIONS,
+    "apply": {"--family": _FAMILIES, "--word": None, "--expr": None,
+              "--format": ["text", "json", "latex"]},
+    "evolve": {"--family": _FAMILIES, "--params": None, "--steps": None,
+               "--out": None},
+    "list": {"--family": _FAMILIES, "--format": ["text", "latex"]},
+}
+
+REQUIRED = {"verify-relations": {"--family"}, "verify-theorem": {"--family"},
+            "verify-gauge": {"--family"}, "apply": {"--family", "--expr"},
+            "evolve": {"--family", "--params"}, "list": set()}
+
+
+def test_parser_options_are_exactly_the_table():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    options = {name: [a for a in p._actions if a.dest != "help"]
+               for name, p in sub.choices.items()}
+    assert {name: {a.option_strings[-1]: a.choices and list(a.choices) for a in acts}
+            for name, acts in options.items()} == OPTION_TABLE
+    assert {name: {a.option_strings[-1] for a in acts if a.required}
+            for name, acts in options.items()} == REQUIRED
+    assert sum(map(len, options.values())) == 31
+
+
+@pytest.mark.parametrize("argv", [
+    ("apply", "--family", "D5", "--expr", "f", "--seed", "3"),
+    ("apply", "--family", "D5", "--expr", "f", "--exact"),
+    ("evolve", "--family", "D5", "--params", "sample-params.json", "--trials", "4"),
+    ("evolve", "--family", "D5", "--params", "sample-params.json", "--format", "json"),
+    ("list", "--no-constraint"),
+    ("list", "--format", "json"),
+    ("list", "--family", "D5", "--trials", "0"),
+    ("verify-gauge", "--family", "D5", "--format", "latex"),
+    (),
+    ("frobnicate",),
+    ("verify-theorem",),
+    ("verify-theorem", "--family", "X9"),
+    ("verify-theorem", "--family", "D5", "--trials", "abc"),
+    ("evolve", "--family", "D5"),
+    ("evolve", "--family", "D5", "--params", "no-such-params.json"),
+    ("evolve", "--family", "D5", "--params", "sample-params.json", "--steps", "-1"),
+    ("apply", "--family", "D5", "--word", "s9", "--expr", "f"),
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_usage_error_is_one_line_and_exit_2(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) escaped main")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("evolve", "--help")])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qpweyl")
+    assert captured.err == ""
 
 
 # ---------------------------------------------------------------------------

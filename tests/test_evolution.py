@@ -10,7 +10,6 @@ from qpweyl.evolution import (
     PoleError,
     make_evolution_spec,
     make_state,
-    make_xi,
     orbit,
     orbit_step,
     orbit_to_json,
@@ -33,14 +32,14 @@ def eq(a, b, k=None, label="t"):
 # the adjustment maps
 
 def test_d5_xi_spot_values(d5):
-    xi = make_xi(d5)
+    xi = d5.xi
     assert xi.image("nu3") is parse("kappa1/(q*nu4)")
     assert xi.image("g") is parse("g*kappa2/(nu5*nu6)")
     assert xi.image("kappa1") is parse("kappa1^3/(q^2*nu3*nu4*nu7*nu8)")
 
 
 def test_e7_xi_spot_values(e7):
-    xi = make_xi(e7)
+    xi = e7.xi
     assert xi.image("kappa1") is parse("kappa1^3/(q^2*kappa2^2)")
     assert eq(xi(parse("kappa2/kappa1")), parse("kappa2/kappa1"),
               label="e7xi:ratio") == "equal"
@@ -51,7 +50,7 @@ def test_e7_xi_spot_values(e7):
 def test_e6_xi_consistency_with_word_square(e6):
     # xi is pinned by xi(s^2(x)) = expected image; spot-check two slots
     s2 = word_to_transform(e6, "(pi1 pi2 s4 s5 s3 s6 s4 s3 s0 s6)^2")
-    xi = make_xi(e6)
+    xi = e6.xi
     for x, expected in (("nu5", "nu5"), ("kappa2", "q*kappa2")):
         img = substitute(s2.image(x), xi.images)
         assert eq(img, parse(expected), e6.constraint, label=f"e6xi:{x}") == "equal"
@@ -67,7 +66,7 @@ def test_e6_xi_variant_with_q_powers_moved_fails(e6):
         "nu7": "kappa1/(q*nu8)", "nu8": "kappa1/(q*nu7)",
         "kappa1": "kappa2/(q*nu5*nu6*nu7*nu8)", "kappa2": "kappa2/(q*nu5*nu6*kappa1)",
         "f": "f*kappa2/(nu5*nu6*kappa1^2)", "g": "g*nu5*nu6*kappa1^2/kappa2",
-    }, "xi-variant")
+    })
     s = word_to_transform(e6, " ".join(e6.evolution_word))
     Talt = compose(variant, compose(s, s))
     res = identities_equal(Talt.image("nu5"), sym("nu5"), e6.constraint,
@@ -138,7 +137,7 @@ def test_theorem_ii_holds_exactly_without_constraint(families):
 
 
 def test_d5_xi_on_nu5_over_kappa2(d5):
-    xi = make_xi(d5)
+    xi = d5.xi
     assert eq(xi(parse("nu5/kappa2")), parse("1/nu6"), label="xi:52") == "equal"
     scaling = xi_scaling_map(d5)
     assert eq(scaling(parse("nu5/kappa2")), parse("1/nu6"), label="GD:52") == "equal"
@@ -150,7 +149,7 @@ def test_d5_dilation_scale_with_nu7_nu8_fails(d5):
     from qpweyl.lax import d5_dilation_scaling, d5_power_scaling
     bad = compose(d5_power_scaling(parse("kappa2/(nu5*nu6)")),
                   d5_dilation_scaling(parse("kappa1/(q*nu7*nu8)")))
-    xi = make_xi(d5)
+    xi = d5.xi
     failing = []
     for zeta_text in ("nu1", "nu3", "nu4", "nu7/kappa1", "nu8/kappa1", "f", "g"):
         zeta = parse(zeta_text)
@@ -160,7 +159,7 @@ def test_d5_dilation_scale_with_nu7_nu8_fails(d5):
 
 
 def test_e7_xi_equals_scaling_exactly(e7):
-    xi = make_xi(e7)
+    xi = e7.xi
     scaling = xi_scaling_map(e7)
     for zeta_text in ("nu1", "nu5/kappa1", "kappa2/kappa1", "f", "g"):
         zeta = parse(zeta_text)

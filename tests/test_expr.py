@@ -377,6 +377,21 @@ def test_dag_size_counts_shared_nodes_once():
     assert dag_size(e) == dag_size(x) + 1
 
 
+def _distinct_nodes(e) -> int:
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.children)
+    return len(seen)
+
+
+@given(small_dags())
+def test_dag_size_counts_distinct_reachable_nodes(e):
+    assert dag_size(e) == _distinct_nodes(e)
+
+
 def test_latex_subscripts():
     assert to_latex(parse("nu1")) == r"\nu_{1}"
     assert to_latex(parse("kappa2^2")) == r"{\kappa_{2}}^{2}"

@@ -145,7 +145,7 @@ def test_substitute_params_identity(d5):
 
 def test_substitute_params_rejects_shift_move(d5):
     eq5 = build_L1(d5)
-    bad = transformation({"z": "u"}, "bad")
+    bad = transformation({"z": "u"})
     with pytest.raises(ValueError):
         substitute_params(eq5, bad)
 
@@ -156,7 +156,7 @@ def test_e6_s6_target_g_image(e6):
     gtilde = parse("g*nu7*(nu1 - f)/(kappa1 - nu7*f + (nu1*nu7 - kappa1)*f*g)")
     probe = substitute_params(
         eq6, transformation({"nu1": "kappa1/nu7", "nu7": "kappa1/nu1",
-                             "kappa2": "kappa1*kappa2/(nu1*nu7)"}, "partial"))
+                             "kappa2": "kappa1*kappa2/(nu1*nu7)"}))
     # target.mid depends on the g image; the partial map without it differs
     assert eq(target.coeff_mid, probe.coeff_mid, label="s6:g-matters") == "unequal"
     assert eq(e6.generators["s6"].image("g"), gtilde, label="s6:g") == "equal"
@@ -273,7 +273,7 @@ def test_verify_gauge_claims_per_family(families):
 
 def test_e7_s0s4s0_word_matches_closed_form(e7):
     word = word_to_transform(e7, "s0 s4 s0")
-    table = transformation(E7_S0S4S0_TABLE, "table")
+    table = transformation(E7_S0S4S0_TABLE)
     for name in ("q", "nu1", "nu2", "nu5", "nu8", "kappa1", "kappa2", "f", "g"):
         assert eq(word.image(name), table.image(name),
                   label=f"s0s4s0:{name}") == "equal"
