@@ -14,6 +14,11 @@ that of the run without `--exact`.
 The `apply` hashes were recorded while the printers still recursed over the
 tree; they pin every byte of the text, JSON and LaTeX images the post-order
 printers now build, up to 3.8 MB for D5 `(s2 s3 s1 s4)^6`.
+
+The `evolve` hashes were recorded before the orbit steppers cancelled the
+factors that always cancel ahead of the one reduction per coordinate; they
+pin every byte of the longest orbits from `sample-params.json` that still
+print under the default int-to-str digit limit.
 """
 
 import contextlib
@@ -144,4 +149,22 @@ def test_apply_bytes_unchanged(family, word, expr, fmt, code, sha256):
         got = cli.main(["apply", "--family", family, "--word", word,
                         "--expr", expr, "--format", fmt])
     assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
+
+
+EVOLVE_GOLDEN = [
+    ("D5", 21, "a899c165a6684cf23c52e65801e23a2a61dde6d56e2a518a7fd4f03c4d811dea"),
+    ("E6", 16, "c36f3769e86c28f2f5104b9c6c44ac854d1f8574243a24cb7d10134caa10b84f"),
+    ("E7", 11, "8e7ca0cef2ffd91aa539cca63078c6e40377d00bd4f4fb598ae35dccf5047ff7"),
+]
+
+
+@pytest.mark.parametrize("family, steps, sha256", EVOLVE_GOLDEN,
+                         ids=[f"{g[0]} {g[1]}" for g in EVOLVE_GOLDEN])
+def test_evolve_bytes_unchanged(family, steps, sha256):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = cli.main(["evolve", "--family", family, "--params",
+                        "sample-params.json", "--steps", str(steps)])
+    assert got == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
