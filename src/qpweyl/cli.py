@@ -170,8 +170,8 @@ def cmd_evolve(args) -> int:
         raise UsageError(f"bad params file: {err}") from None
     if args.steps < 0:
         raise UsageError(f"--steps must be >= 0, got {args.steps}")
-    result: OrbitResult = orbit(fam, st0, args.steps)
     try:
+        result: OrbitResult = orbit(fam, st0, args.steps)
         doc = orbit_to_json(result)
     except ValueError as err:
         raise UsageError(str(err)) from None

@@ -14,16 +14,25 @@ relation for gbar at the advanced parameters.  This ordering is the only one
 consistent with the symbolic T, and the acceptance suite cross-checks the
 two paths pointwise.  Each relation is affine in its unknown, and the step
 solves it on the integer numerators and denominators of f and g: a factor
-(x - p/r) with x = c/d becomes the integer c*r - p*d, the powers of d cancel
-by hand, and each new coordinate is one Fraction(num, den), so one gcd per
-coordinate instead of one per Fraction operation.
+(x - p/r) with x = c/d becomes the integer c*r - p*d, and the powers of d
+cancel by hand.  Most of the unreduced pair for the new coordinate would
+cancel in its reduction, as singularity confinement predicts (Grammaticos,
+Ramani and Papageorgiou 1991): the factors of the relation's rational
+function recur in the numerators and denominators of f and g.  So each
+solver first cancels the pairs known to share them, with gcds of the small
+operands (Henrici's method, as in Fraction.__mul__), and then reduces once
+with Fraction(num, den).  Every cancellation divides the numerator and the
+denominator by the same nonzero integer, and a reduced fraction is unique,
+so the orbit is the one Fraction arithmetic throughout would give.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .expr import Expr, ZERO, parse, substitute, sym
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
@@ -244,6 +253,19 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 # known coordinate y paired with the unknown z, and `up`, true when z belongs
 # to the later state.  It works on the integer numerators and denominators
 # of x and y, so the only reduction is the one Fraction(num, den) of z.
+# Before it, each solver cancels the factor pairs that share most of their
+# bits along an orbit, each with the gcd of the two small operands:
+#   D5: u against y's numerator, v against y's denominator;
+#   E6: (x y - 1) against u, v against y's numerator, then x's denominator
+#       against the solve denominator (modulo xd it is yn (xn^2 v - u), and
+#       xn^2 v = u there, because the top has two factors more than the
+#       bottom; the earlier cancellations can break that, hence a gcd);
+#   E7: (x y - t) against u, (x y - 1) against v, then x's denominator
+#       against a - b and x's numerator against s.num a - s.den b.
+# Each gcd divides numerator and denominator of z alike, so Fraction still
+# returns the one reduced value.  gcd(0, 0) arises only for (x y - 1) or
+# (x y - t) against u, both zero; `or 1` keeps them zero, so the solve
+# denominator is zero and the pole is raised as it was before cancelling.
 # Every denominator is tested before it is used, so a pole raises PoleError.
 
 def _ratio(x: Fraction, top, bottom) -> tuple[int, int]:
@@ -273,7 +295,9 @@ def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         raise PoleError(st.t, f"rel{rel} denominator")
     if y == 0:
         raise PoleError(st.t, "f" if rel == 1 else "g")
-    return Fraction(c.numerator * u * y.denominator, c.denominator * v * y.numerator)
+    yn, yd = y.numerator, y.denominator
+    g1, g2 = gcd(u, yn), gcd(v, yd)
+    return Fraction(c.numerator * (u // g1) * (yd // g2), c.denominator * (v // g2) * (yn // g1))
 
 
 def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -286,12 +310,17 @@ def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     u, v = _ratio(x, top, bottom)            # prod(x - a) / prod(x - b) = u / (v xd^2)
     if v == 0:
         raise PoleError(st.t, f"rel{rel} rhs")
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    m = xn * yn - xd * yd                    # (x y - 1) xd yd
+    xn, xd, yn = x.numerator, x.denominator, y.numerator
+    m = xn * yn - xd * y.denominator         # (x y - 1) xd yd
+    g = gcd(m, u) or 1                       # m == u == 0 leaves den == 0
+    m, u = m // g, u // g
+    g = gcd(v, yn)                           # v != 0
+    v, yn = v // g, yn // g
     den = m * xn * v - u * yn
     if den == 0:
         raise PoleError(st.t, f"rel{rel} solve")
-    return Fraction(m * v * xd, den)
+    g = gcd(xd, den)
+    return Fraction(m * v * (xd // g), den // g)
 
 
 def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -308,12 +337,19 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         raise PoleError(st.t, f"rel{rel} rhs")
     xn, xd = x.numerator, x.denominator
     xy, dd = xn * y.numerator, xd * y.denominator
-    a = (xy * t.denominator - t.numerator * dd) * v      # (x y - t) v, times xd yd t.den
-    b = (xy - dd) * u * t.denominator                    # (x y - 1) u, times xd yd t.den
-    den = xn * (a - b)
-    if den == 0:
+    m1 = xy * t.denominator - t.numerator * dd           # (x y - t), times xd yd t.den
+    m2 = (xy - dd) * t.denominator                       # (x y - 1), times xd yd t.den
+    g = gcd(m1, u) or 1                                  # m1 == u == 0 leaves den == 0
+    m1, u = m1 // g, u // g
+    g = gcd(m2, v)                                       # v != 0
+    m2, v = m2 // g, v // g
+    a, b = m1 * v, m2 * u
+    den = a - b                                          # z = num xd / (s.den xn den)
+    if den == 0 or xn == 0:
         raise PoleError(st.t, f"rel{rel} solve")
-    return Fraction((s.numerator * a - s.denominator * b) * xd, s.denominator * den)
+    num = s.numerator * a - s.denominator * b
+    g1, g2 = gcd(xd, den), gcd(xn, num)
+    return Fraction((num // g2) * (xd // g1), s.denominator * (xn // g2) * (den // g1))
 
 
 _SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}
@@ -330,9 +366,13 @@ class OrbitResult:
 
 
 def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
-    """n forward steps; aborts at the first pole with partial output."""
+    """n forward steps; aborts at the first pole with partial output.  Raises
+    orbit_to_json's ValueError at the first state it could not print, before
+    stepping on: the rationals only grow, and each step costs more."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    bound = _digit_bound()
+    _check_printable(st0, bound)
     states = [st0]
     st = st0
     for _ in range(n):
@@ -340,24 +380,38 @@ def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
             st = orbit_step(fam, st, "forward")
         except PoleError as err:
             return OrbitResult(states, err)
+        _check_printable(st, bound)
         states.append(st)
     return OrbitResult(states)
+
+
+def _digit_bound() -> int | None:
+    """10**limit for Python's limit on int-to-str conversion, None when there
+    is none (limit 0, or an interpreter before 3.10.7 that has no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return 10 ** limit if limit else None
+
+
+def _check_printable(st: OrbitState, bound: int | None) -> None:
+    """Raise ValueError naming st when a numerator or denominator has more
+    decimal digits than the limit, that is, when its str() would raise."""
+    if bound is not None and any(
+            not -bound < v.numerator < bound or v.denominator >= bound
+            for v in (st.q, *st.nu, st.kappa1, st.kappa2, st.f, st.g)):
+        raise ValueError(
+            f"state t={st.t} has a rational past Python's int-to-str digit "
+            f"limit; ask for fewer steps"
+        )
 
 
 def orbit_to_json(result: OrbitResult) -> str:
     """The orbit as JSON.  Raises ValueError naming the first state with a
     numerator or denominator past Python's limit on int-to-str conversion
     (4300 digits by default)."""
-    records = []
+    bound = _digit_bound()
     for st in result.states:
-        try:
-            records.append(st.to_record())
-        except ValueError:
-            raise ValueError(
-                f"state t={st.t} has a rational past Python's int-to-str digit "
-                f"limit; ask for fewer steps"
-            ) from None
-    doc = {"schema": 1, "states": records}
+        _check_printable(st, bound)
+    doc = {"schema": 1, "states": [st.to_record() for st in result.states]}
     if result.pole is not None:
         doc["pole"] = {"step": result.pole.step, "where": result.pole.where}
     return json.dumps(doc, sort_keys=True, indent=2)

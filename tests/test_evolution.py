@@ -1,12 +1,16 @@
 """Time-evolution identities and exact orbit iteration."""
 
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from qpweyl import evolution
 from qpweyl.evolution import (
+    OrbitResult,
     PoleError,
     make_evolution_spec,
     make_state,
@@ -19,6 +23,7 @@ from qpweyl.evolution import (
     verify_theorem_ii,
     xi_scaling_map,
 )
+from qpweyl.evolution import _ratio
 from qpweyl.expr import ZERO, evaluate, parse, substitute, sym
 from qpweyl.identity import identities_equal
 from qpweyl.weyl import CheckConfig, compose, transformation, word_to_transform
@@ -386,3 +391,124 @@ def test_forward_steps_solve_both_relations(families):
                     cur = nxt
             except PoleError:
                 continue
+
+
+# The steppers as they were before they cancelled the factors that always
+# cancel: one Fraction(num, den) reduction of the unreduced pair.  They are
+# the reference the cancelling steppers must agree with, pole for pole.
+
+def _one_gcd_d5(st, rel, x, y, k1, k2, up):
+    n = st.nu
+    if rel == 1:
+        c, top, bottom = n[2] * n[3], (n[4] / k2, n[5] / k2), (1 / n[0], 1 / n[1])
+    else:
+        c, top, bottom = 1 / (n[0] * n[1]), (k1 / n[6], k1 / n[7]), (n[2], n[3])
+    u, v = _ratio(x, top, bottom)
+    if v == 0:
+        raise PoleError(st.t, f"rel{rel} denominator")
+    if y == 0:
+        raise PoleError(st.t, "f" if rel == 1 else "g")
+    return Fraction(c.numerator * u * y.denominator, c.denominator * v * y.numerator)
+
+
+def _one_gcd_e6(st, rel, x, y, k1, k2, up):
+    n = st.nu
+    if rel == 1:
+        top, bottom = tuple(1 / v for v in n[:4]), (n[4] / k2, n[5] / k2)
+    else:
+        top, bottom = n[:4], (k1 / n[6], k1 / n[7])
+    u, v = _ratio(x, top, bottom)
+    if v == 0:
+        raise PoleError(st.t, f"rel{rel} rhs")
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    m = xn * yn - xd * yd
+    den = m * xn * v - u * yn
+    if den == 0:
+        raise PoleError(st.t, f"rel{rel} solve")
+    return Fraction(m * v * xd, den)
+
+
+def _one_gcd_e7(st, rel, x, y, k1, k2, up):
+    n, q = st.nu, st.q
+    if rel == 1:
+        top, bottom, c = tuple(v / k2 for v in n[4:]), tuple(1 / v for v in n[:4]), k1 / (q * k2)
+    else:
+        top, bottom, c = tuple(k1 / v for v in n[4:]), n[:4], k1 / k2
+    s, t = (c, q * c) if up else (q * c, c)
+    u, v = _ratio(x, top, bottom)
+    if v == 0:
+        raise PoleError(st.t, f"rel{rel} rhs")
+    xn, xd = x.numerator, x.denominator
+    xy, dd = xn * y.numerator, xd * y.denominator
+    a = (xy * t.denominator - t.numerator * dd) * v
+    b = (xy - dd) * u * t.denominator
+    den = xn * (a - b)
+    if den == 0:
+        raise PoleError(st.t, f"rel{rel} solve")
+    return Fraction((s.numerator * a - s.denominator * b) * xd, s.denominator * den)
+
+
+_ONE_GCD_SOLVERS = {"D5": _one_gcd_d5, "E6": _one_gcd_e6, "E7": _one_gcd_e7}
+
+
+def _step_outcome(fam, st0, direction):
+    try:
+        return orbit_step(fam, st0, direction)
+    except PoleError as err:
+        return (err.step, err.where)
+
+
+# (q, nu1..nu7, kappa1, kappa2, f, g) on which rel1 meets gcd(0, 0): for E6,
+# x y = 1 and x = 1/nu1 is a root of the top; for E7, x y = t and x = nu5/kappa2.
+_GCD_ZERO_ZERO = {
+    "E6": (2, [2, 3, 5, 7, 11, 13, 17], 3, 5, 2, Fraction(1, 2)),
+    "E7": (2, [2, 3, 5, 7, 11, 13, 17], 3, 5, Fraction(3, 11), Fraction(11, 5)),
+}
+
+
+@pytest.mark.parametrize("family", ["E6", "E7"])
+def test_gcd_of_zero_and_zero_is_the_solve_pole(families, family):
+    with pytest.raises(PoleError) as err:
+        orbit_step(families[family], make_state(*_GCD_ZERO_ZERO[family]), "forward")
+    assert (err.value.step, err.value.where) == (0, "rel1 solve")
+
+
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@settings(max_examples=100, deadline=None)
+@given(start=st.tuples(_NONZERO, st.lists(_NONZERO, min_size=7, max_size=7),
+                       _NONZERO, _NONZERO, _SMALL, _SMALL))
+@example(start=_GCD_ZERO_ZERO["E6"])
+@example(start=_GCD_ZERO_ZERO["E7"])
+def test_steppers_match_the_one_gcd_reference(families, family, direction, start):
+    fam, st0 = families[family], make_state(*start)
+    with mock.patch.dict(evolution._SOLVERS, _ONE_GCD_SOLVERS):
+        want = _step_outcome(fam, st0, direction)
+    assert _step_outcome(fam, st0, direction) == want
+
+
+def _prints(n: int) -> bool:
+    try:
+        str(n)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("limit", [None, 640, 0])
+def test_printable_check_agrees_with_int_to_str(limit):
+    old = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        digits = sys.get_int_max_str_digits() or 5000
+        for n in (10 ** digits - 1, 10 ** digits, -(10 ** digits - 1), -(10 ** digits)):
+            for f, g in ((n, 1), (1, Fraction(1, abs(n)))):
+                result = OrbitResult([make_state(2, [1] * 7, 1, 1, f, g, t=3)])
+                if _prints(n):
+                    orbit_to_json(result)
+                else:
+                    with pytest.raises(ValueError, match="state t=3 "):
+                        orbit_to_json(result)
+    finally:
+        sys.set_int_max_str_digits(old)
