@@ -22,8 +22,8 @@ from qpweyl.evolution import (
     verify_theorem_i,
     verify_theorem_ii,
     xi_scaling_map,
+    _ratio,
 )
-from qpweyl.evolution import _ratio
 from qpweyl.expr import ZERO, evaluate, parse, substitute, sym
 from qpweyl.identity import identities_equal
 from qpweyl.weyl import CheckConfig, compose, transformation, word_to_transform
@@ -397,39 +397,39 @@ def test_forward_steps_solve_both_relations(families):
 # cancel: one Fraction(num, den) reduction of the unreduced pair.  They are
 # the reference the cancelling steppers must agree with, pole for pole.
 
-def _one_gcd_d5(st, rel, x, y, k1, k2, up):
-    n = st.nu
+def _one_gcd_d5(state, rel, x, y, k1, k2, up):
+    n = state.nu
     if rel == 1:
         c, top, bottom = n[2] * n[3], (n[4] / k2, n[5] / k2), (1 / n[0], 1 / n[1])
     else:
         c, top, bottom = 1 / (n[0] * n[1]), (k1 / n[6], k1 / n[7]), (n[2], n[3])
     u, v = _ratio(x, top, bottom)
     if v == 0:
-        raise PoleError(st.t, f"rel{rel} denominator")
+        raise PoleError(state.t, f"rel{rel} denominator")
     if y == 0:
-        raise PoleError(st.t, "f" if rel == 1 else "g")
+        raise PoleError(state.t, "f" if rel == 1 else "g")
     return Fraction(c.numerator * u * y.denominator, c.denominator * v * y.numerator)
 
 
-def _one_gcd_e6(st, rel, x, y, k1, k2, up):
-    n = st.nu
+def _one_gcd_e6(state, rel, x, y, k1, k2, up):
+    n = state.nu
     if rel == 1:
         top, bottom = tuple(1 / v for v in n[:4]), (n[4] / k2, n[5] / k2)
     else:
         top, bottom = n[:4], (k1 / n[6], k1 / n[7])
     u, v = _ratio(x, top, bottom)
     if v == 0:
-        raise PoleError(st.t, f"rel{rel} rhs")
+        raise PoleError(state.t, f"rel{rel} rhs")
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
     m = xn * yn - xd * yd
     den = m * xn * v - u * yn
     if den == 0:
-        raise PoleError(st.t, f"rel{rel} solve")
+        raise PoleError(state.t, f"rel{rel} solve")
     return Fraction(m * v * xd, den)
 
 
-def _one_gcd_e7(st, rel, x, y, k1, k2, up):
-    n, q = st.nu, st.q
+def _one_gcd_e7(state, rel, x, y, k1, k2, up):
+    n, q = state.nu, state.q
     if rel == 1:
         top, bottom, c = tuple(v / k2 for v in n[4:]), tuple(1 / v for v in n[:4]), k1 / (q * k2)
     else:
@@ -437,14 +437,14 @@ def _one_gcd_e7(st, rel, x, y, k1, k2, up):
     s, t = (c, q * c) if up else (q * c, c)
     u, v = _ratio(x, top, bottom)
     if v == 0:
-        raise PoleError(st.t, f"rel{rel} rhs")
+        raise PoleError(state.t, f"rel{rel} rhs")
     xn, xd = x.numerator, x.denominator
     xy, dd = xn * y.numerator, xd * y.denominator
     a = (xy * t.denominator - t.numerator * dd) * v
     b = (xy - dd) * u * t.denominator
     den = xn * (a - b)
     if den == 0:
-        raise PoleError(st.t, f"rel{rel} solve")
+        raise PoleError(state.t, f"rel{rel} solve")
     return Fraction((s.numerator * a - s.denominator * b) * xd, s.denominator * den)
 
 
