@@ -149,14 +149,15 @@ def cmd_apply(args) -> int:
     except (ExprError, ValueError, KeyError) as err:
         raise UsageError(str(err)) from None
     image = t(expr)
-    if args.format == "latex":
-        print(to_latex(image))
-    elif args.format == "json":
-        print(json.dumps({"schema": 1, "family": fam.name,
-                          "word": " ".join(word), "expr": args.expr,
-                          "image": to_string(image)}, sort_keys=True))
-    else:
-        print(to_string(image))
+    try:
+        text = to_latex(image) if args.format == "latex" else to_string(image)
+    except ValueError:
+        raise UsageError("the image has a number past Python's int-to-str "
+                         "digit limit") from None
+    if args.format == "json":
+        text = json.dumps({"schema": 1, "family": fam.name, "word": " ".join(word),
+                           "expr": args.expr, "image": text}, sort_keys=True)
+    print(text)
     return 0
 
 
@@ -184,7 +185,8 @@ def cmd_evolve(args) -> int:
     else:
         print(doc)
     final = result.states[-1]
-    print(f"final state t={final.t} f={final.f} g={final.g}", file=sys.stderr)
+    hf, hg = (v.numerator.bit_length() + v.denominator.bit_length() for v in (final.f, final.g))
+    print(f"final state t={final.t}: heights f {hf} bits, g {hg} bits", file=sys.stderr)
     if result.pole is not None:
         print(f"pole at step {result.pole.step}: {result.pole.where}", file=sys.stderr)
         return CHECK_FAILED

@@ -22,11 +22,13 @@ verdicts, witnesses and counts are that loop's.
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an
 expression-size bound because fully expanded normal forms of long Weyl-word
-composites blow up, and it remembers its outcome per residual.
+composites blow up.  It remembers its outcome per residual, and the nodes at
+which it trips its term cap, so a residual reaching one fails at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -55,6 +57,10 @@ class DegenerateComparison(RuntimeError):
 
 class ExactPathUnavailable(RuntimeError):
     """The exact normal form exceeded the configured size budget."""
+
+
+class _TermBlowUp(ExactPathUnavailable):
+    """A product would exceed the term cap; its node is then remembered."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,6 +331,9 @@ def to_label(a: Expr, b: Expr) -> str:
 
 _TERM_CAP = 400_000
 
+#: Per term cap, the nodes at which the normalizer tripped it (interned, immortal).
+_BLOWN: dict[int, set[Expr]] = {}
+
 
 def _poly_add(p, q):
     out = dict(p)
@@ -342,7 +351,7 @@ def _poly_mul(p, q):
         return {}
     # A product has at most len(p) * len(q) terms: its size needs no test.
     if len(p) * len(q) > _TERM_CAP:
-        raise ExactPathUnavailable("term blow-up")
+        raise _TermBlowUp("term blow-up")
     out: dict = {}
     get = out.get
     for m1, c1 in p.items():
@@ -400,6 +409,15 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
     nodes or an intermediate expansion exceeds the term cap.  The outcome is
     remembered per residual, bound and cap: a suite asks again about the
     residuals it has decided.
+
+    A residual reaching a node that tripped the current cap is "term blow-up"
+    at once if its program runs over F_p at one fixed point (else it is
+    normalized in full), as the full run would end: 1. packing is a bijection
+    of exponent vectors, so the term counts of a node's pair, and its cap
+    tests, do not depend on the program: the node trips wherever it is
+    reached; 2. a program that runs at a point divides by no identically zero
+    expression (evaluation is a ring homomorphism on the functions defined
+    there), so any failure before that node is also a blow-up.
     """
     outcome = _exact_outcome(e, size_bound, _TERM_CAP)
     if isinstance(outcome, str):
@@ -420,49 +438,59 @@ def _exact_outcome(e: Expr, size_bound: int, cap: int) -> bool | str:
 
 
 def _normalize_is_zero(e: Expr, size_bound: int) -> bool:
-    code, _nodes = _compile(e)
+    code, nodes = _compile(e)
     if len(code) > size_bound:
         raise ExactPathUnavailable(f"expression exceeds {size_bound} nodes")
     order = sorted(e.free)
+    blown = _BLOWN.setdefault(_TERM_CAP, set())
+    if not blown.isdisjoint(nodes):  # sound once certified: see exact_zero
+        point = sample_point(rng_for(0, "exact:certificate"), order, DEFAULT_PRIME)
+        with contextlib.suppress(DivisionByZero):
+            evaluate(e, point, DEFAULT_PRIME)
+            raise ExactPathUnavailable("term blow-up")
     width = max(1, _degree_bound(code).bit_length())
     one = {0: 1}
     monomial = {n: 1 << (i * width) for i, n in enumerate(order)}
 
     vals: list[tuple[dict, dict]] = []
-    for kind, arg in code:
-        if kind == "num":
-            pair = ({0: arg.numerator}, {0: arg.denominator}) if arg else ({}, one)
-        elif kind == "sym":
-            pair = ({monomial[arg]: 1}, one)
-        elif kind == "add":
-            n_acc, d_acc = vals[arg[0]]
-            for k in arg[1:]:
-                n2, d2 = vals[k]
-                n_acc = _poly_add(_poly_mul(n_acc, d2), _poly_mul(n2, d_acc))
-                d_acc = _poly_mul(d_acc, d2)
-                n_acc, d_acc = _strip(n_acc, d_acc)
-            pair = (n_acc, d_acc)
-        elif kind == "mul":
-            n_acc, d_acc = vals[arg[0]]
-            for k in arg[1:]:
-                n2, d2 = vals[k]
-                n_acc = _poly_mul(n_acc, n2)
-                d_acc = _poly_mul(d_acc, d2)
-            pair = _strip(n_acc, d_acc)
-        elif kind == "pow":
-            n1, d1 = vals[arg[0]]
-            k = arg[1]
-            if k < 0:
-                n1, d1 = d1, n1
-                k = -k
-            if not d1:
-                raise ExactPathUnavailable("inverse of an identically zero expression")
-            pair = (_poly_pow(n1, k), _poly_pow(d1, k))
-        else:  # div
-            (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
-            if not n2:
-                raise ExactPathUnavailable("division by an identically zero expression")
-            pair = _strip(_poly_mul(n1, d2), _poly_mul(d1, n2))
-        vals.append(pair)
+    try:
+        for i, (kind, arg) in enumerate(code):
+            if kind == "num":
+                pair = ({0: arg.numerator}, {0: arg.denominator}) if arg else ({}, one)
+            elif kind == "sym":
+                pair = ({monomial[arg]: 1}, one)
+            elif kind == "add":
+                n_acc, d_acc = vals[arg[0]]
+                for k in arg[1:]:
+                    n2, d2 = vals[k]
+                    n_acc = _poly_add(_poly_mul(n_acc, d2), _poly_mul(n2, d_acc))
+                    d_acc = _poly_mul(d_acc, d2)
+                    n_acc, d_acc = _strip(n_acc, d_acc)
+                pair = (n_acc, d_acc)
+            elif kind == "mul":
+                n_acc, d_acc = vals[arg[0]]
+                for k in arg[1:]:
+                    n2, d2 = vals[k]
+                    n_acc = _poly_mul(n_acc, n2)
+                    d_acc = _poly_mul(d_acc, d2)
+                pair = _strip(n_acc, d_acc)
+            elif kind == "pow":
+                n1, d1 = vals[arg[0]]
+                k = arg[1]
+                if k < 0:
+                    n1, d1 = d1, n1
+                    k = -k
+                if not d1:
+                    raise ExactPathUnavailable("inverse of an identically zero expression")
+                pair = (_poly_pow(n1, k), _poly_pow(d1, k))
+            else:  # div
+                (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
+                if not n2:
+                    raise ExactPathUnavailable("division by an identically zero expression")
+                pair = _strip(_poly_mul(n1, d2), _poly_mul(d1, n2))
+            vals.append(pair)
+    except _TermBlowUp:
+        blown.add(nodes[i])
+        raise
     numer, _denom = vals[-1]
     return not numer

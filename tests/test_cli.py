@@ -263,6 +263,20 @@ def test_evolve_writes_out_file(capsys, tmp_path):
     assert "final state t=3" in err
 
 
+def test_evolve_summary_is_one_short_line(capsys):
+    # The summary used to print the last f and g in full: 15,355 bytes here.
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params",
+                         "sample-params.json", "--steps", "21")
+    assert code == 0
+    from fractions import Fraction
+    last = json.loads(out)["states"][-1]
+    heights = [v.numerator.bit_length() + v.denominator.bit_length()
+               for v in (Fraction(last["f"]), Fraction(last["g"]))]
+    assert err == (f"final state t=21: heights f {heights[0]} bits, "
+                   f"g {heights[1]} bits\n")
+    assert len(err) < 80
+
+
 def test_evolve_pole_exit_1(capsys, tmp_path):
     path = write_params(tmp_path, g="1/2")  # g = 1/nu1 poles immediately
     code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path,
@@ -329,6 +343,16 @@ def test_evolve_past_int_str_limit_names_step(capsys):
         assert code == 2
         assert out == ""
         assert re.fullmatch(r"error: state t=22 [^\n]*\n", err)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_apply_image_past_int_str_limit_exit_2(capsys, fmt):
+    # 2^20000 has 6,021 digits, past the default limit of 4,300.
+    code, out, err = run(capsys, "apply", "--family", "D5", "--expr", "2^20000*f",
+                         "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: the image has a number past [^\n]*digit limit\n", err)
 
 
 def test_evolve_unwritable_out_exit_2(capsys, tmp_path):

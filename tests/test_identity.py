@@ -7,7 +7,8 @@ from dags import small_dags
 from hypothesis import given, settings, strategies as st
 
 from qpweyl import identity
-from qpweyl.expr import DivisionByZero, div, evaluate, mul, num, parse, pow_, sub, sym
+from qpweyl.expr import (
+    DivisionByZero, ExprError, add, div, evaluate, mul, num, parse, pow_, sub, sym)
 from qpweyl.identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
@@ -339,21 +340,22 @@ def test_exact_zero_matches_tuple_fraction_normalizer(cap, a, b):
     assert got == _outcome(lambda: _reference_exact_zero(r, cap))
 
 
-def test_exact_zero_matches_tuple_fraction_normalizer_on_theorem_residuals(families):
-    # The Theorem I residuals are the paper's largest; under these caps some
-    # of them blow up at different steps (E6 and E7 rel1/rel2 at every cap).
+def _theorem_residuals(fam):
+    """The residuals verify_theorem_i hands to exact_zero, in order."""
     from qpweyl.evolution import verify_theorem_i
     from qpweyl.weyl import CheckConfig
 
     residuals = []
+    with mock.patch.object(identity, "exact_zero",
+                           lambda e, **kwargs: residuals.append(e) or True):
+        verify_theorem_i(fam, CheckConfig(exact=True))
+    return residuals
 
-    def record(e, **kwargs):
-        residuals.append(e)
-        return True
 
-    with mock.patch.object(identity, "exact_zero", record):
-        for fam in families.values():
-            verify_theorem_i(fam, CheckConfig(exact=True))
+def test_exact_zero_matches_tuple_fraction_normalizer_on_theorem_residuals(families):
+    # The Theorem I residuals are the paper's largest; under these caps some
+    # of them blow up at different steps (E6 and E7 rel1/rel2 at every cap).
+    residuals = [r for fam in families.values() for r in _theorem_residuals(fam)]
     assert len(residuals) == 36
     for cap in (40, 4000, 40000):
         with mock.patch.object(identity, "_TERM_CAP", cap):
@@ -412,6 +414,78 @@ def test_exact_zero_remembers_unavailable_and_keys_by_cap():
                     exact_zero(e)
             assert exact_zero(e)
     assert spy.call_count == 3
+
+
+@pytest.fixture
+def fresh_exact():
+    """exact_zero with no outcome remembered and no node recorded as blown."""
+    identity._exact_outcome.cache_clear()
+    with mock.patch.dict(identity._BLOWN, clear=True):
+        yield
+    identity._exact_outcome.cache_clear()
+
+
+def test_e7_rel2_after_rel1_builds_no_polynomial(e7, fresh_exact):
+    # E7 T:rel1 and T:rel2 trip the cap at one shared node, so once rel1 has
+    # recorded it, rel2 is unavailable without a single product.
+    rel1, rel2 = _theorem_residuals(e7)[-2:]
+    with mock.patch.object(identity, "_poly_mul", wraps=identity._poly_mul) as spy:
+        with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
+            exact_zero(rel1)
+        assert spy.call_count > 0
+        spy.reset_mock()
+        got = _outcome(lambda: exact_zero(rel2))
+        assert spy.call_count == 0
+    assert got == _outcome(lambda: _reference_exact_zero(rel2, identity._TERM_CAP))
+    assert got == "unavailable: term blow-up"
+
+
+@pytest.mark.parametrize("cap", [4, 12, 40])
+@settings(max_examples=150, deadline=None)
+@given(a=small_dags(), b=small_dags(), c=small_dags())
+def test_residuals_sharing_a_blown_node_match_the_reference(cap, a, b, c):
+    # The first residual records where it trips the cap; the later ones reach
+    # its nodes.  The cube trips small caps often, and the last residual
+    # divides by c - c before it reaches the cube.
+    d = sub(a, b)
+    residuals = [d, sub(mul(a, c), b), sub(pow_(d, 3), c)]
+    try:
+        residuals.append(mul(pow_(d, 3), div(num(1), sub(c, c))))
+    except ExprError:  # c - c folded to the constant 0
+        pass
+    identity._exact_outcome.cache_clear()
+    with mock.patch.dict(identity._BLOWN, clear=True), \
+            mock.patch.object(identity, "_TERM_CAP", cap):
+        for r in residuals:
+            got = _outcome(lambda: exact_zero(r))
+            assert got == _outcome(lambda: _reference_exact_zero(r, cap))
+    identity._exact_outcome.cache_clear()
+
+
+def test_blown_node_with_a_zero_divisor_keeps_the_reference_message(fresh_exact):
+    # The division by f - f comes first in the program, so the full run ends
+    # there; the certificate's evaluation divides by zero and falls back to it.
+    f, g = sym("f"), sym("g")
+    blown = pow_(add(f, g), 3)
+    r = add(blown, div(num(1), sub(f, f)))
+    with mock.patch.object(identity, "_TERM_CAP", 4):
+        with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
+            exact_zero(blown)
+        assert blown in identity._BLOWN[4]
+        got = _outcome(lambda: exact_zero(r))
+    assert got == _outcome(lambda: _reference_exact_zero(r, 4))
+    assert got == "unavailable: division by an identically zero expression"
+
+
+def test_node_blown_at_one_cap_is_not_blown_at_another(fresh_exact):
+    f, g = sym("f"), sym("g")
+    blown = pow_(add(f, g), 3)
+    with mock.patch.object(identity, "_TERM_CAP", 4):
+        with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
+            exact_zero(blown)
+    assert blown in identity._BLOWN[4]
+    assert exact_zero(sub(mul(blown, num(2)), add(blown, blown)))
+    assert blown not in identity._BLOWN[identity._TERM_CAP]
 
 
 # ---------------------------------------------------------------------------
