@@ -3,7 +3,7 @@
 The workhorse is evaluation-first testing: the difference of two expressions
 is evaluated at independent uniform points of a large prime field, after
 eliminating the constrained symbol.  Any nonzero value disproves the
-identity and the sampled point is returned as a witness; agreement at every
+identity, and that point alone is returned as the witness; agreement at every
 trial accepts it with error probability at most (deg/p) per trial.
 
 A comparison of an expression with itself is decided without sampling when
@@ -48,7 +48,6 @@ from .expr import (
 #: Default modulus 2^61 - 1 (prime), comfortably above the 2^60 floor.
 DEFAULT_PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 16
-DEFAULT_SIZE_BOUND = 20_000
 
 
 class DegenerateComparison(RuntimeError):
@@ -83,7 +82,6 @@ class ConstraintRelation:
 class IdentityResult:
     verdict: str                      # "equal" | "unequal" | "exact-proved"
     witness: dict[str, int] | None = None
-    witness_values: tuple | None = None   # (value of a, value of b) at the witness
     trials: int = 0
     resamples: int = 0
 
@@ -97,27 +95,18 @@ def rng_for(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_point(rng: random.Random, names, prime: int) -> dict[str, int]:
+def sample_point(rng: random.Random, names: list[str], prime: int) -> dict[str, int]:
     """One uniform nonzero value per name, drawn in the order given; pass the
     names sorted for draws that are reproducible across runs."""
-    # Never sample 0: most symbols sit in denominators.  This is CPython's
-    # randrange(1, prime) inlined (rejection sampling on getrandbits), so the
-    # values are the same at a third of the cost.
-    draw, width = rng.getrandbits, prime - 1
-    bits = width.bit_length()
-    point = {}
-    for n in names:
-        r = draw(bits)
-        while r >= width:
-            r = draw(bits)
-        point[n] = 1 + r
-    return point
+    return {n: column[0] for n, column in sample_columns(rng, names, prime, 1).items()}
 
 
 def sample_columns(rng: random.Random, names: list[str], prime: int,
                    m: int) -> dict[str, list[int]]:
     """The next m points sample_point would draw, one column per name."""
-    # sample_point's rejection loop over the points' values in draw order.
+    # Never sample 0: most symbols sit in denominators.  This is CPython's
+    # randrange(1, prime) inlined (rejection sampling on getrandbits), so the
+    # values are the same at a third of the cost.
     draw, width = rng.getrandbits, prime - 1
     bits = width.bit_length()
     flat = []
@@ -207,7 +196,7 @@ def identities_equal(
         # can draw, so it is 0 at each of the loop's points.
         result = IdentityResult(verdict="equal", trials=trials)
     else:
-        result = _sample(r, a, b, constraint, trials, prime, seed, label)
+        result = _sample(r, a, b, trials, prime, seed, label)
 
     if exact and result.verdict == "equal":
         try:
@@ -229,8 +218,10 @@ def identities_equal(
 _LANE_CAP = 256
 
 
-def _sample(r, a, b, constraint, trials, prime, seed, label) -> IdentityResult:
-    """Test the residual r = a - b (constrained) at sampled points."""
+def _sample(r, a, b, trials, prime, seed, label) -> IdentityResult:
+    """Test the residual r = a - b (constrained) at sampled points; a
+    refutation returns its point.  a and b serve only to name an unlabeled
+    comparison that exhausts its budget."""
     names = sorted(r.free)
     rng = rng_for(seed, label)
 
@@ -265,12 +256,8 @@ def _sample(r, a, b, constraint, trials, prime, seed, label) -> IdentityResult:
                     refuted = True
                     break
     if refuted:
-        # Only a refutation needs the constrained sides: for its witness values.
-        if constraint is not None:
-            a, b = constraint.apply(a), constraint.apply(b)
         result.verdict = "unequal"
         result.witness = point
-        result.witness_values = (evaluate(a, point, prime), evaluate(b, point, prime))
     result.trials = done
     return result
 
@@ -330,6 +317,7 @@ def to_label(a: Expr, b: Expr) -> str:
 # monomial is not cancelled: in a packed monomial it costs nothing to carry.
 
 _TERM_CAP = 400_000
+_SIZE_BOUND = 20_000
 
 #: Per term cap, the nodes at which the normalizer tripped it (interned, immortal).
 _BLOWN: dict[int, set[Expr]] = {}
@@ -401,12 +389,12 @@ def _degree_bound(code) -> int:
     return max(bound)
 
 
-def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
+def exact_zero(e: Expr) -> bool:
     """Prove or refute e == 0 exactly.
 
     Runs the compiled program of e (see expr.evaluate) over polynomial
-    fractions.  Raises ExactPathUnavailable when e has more than size_bound
-    nodes or an intermediate expansion exceeds the term cap.  The outcome is
+    fractions.  Raises ExactPathUnavailable when e has more than _SIZE_BOUND
+    nodes or an intermediate expansion exceeds _TERM_CAP terms.  The outcome is
     remembered per residual, bound and cap: a suite asks again about the
     residuals it has decided.
 
@@ -419,7 +407,7 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
     expression (evaluation is a ring homomorphism on the functions defined
     there), so any failure before that node is also a blow-up.
     """
-    outcome = _exact_outcome(e, size_bound, _TERM_CAP)
+    outcome = _exact_outcome(e, _SIZE_BOUND, _TERM_CAP)
     if isinstance(outcome, str):
         raise ExactPathUnavailable(outcome)
     return outcome
@@ -428,19 +416,19 @@ def exact_zero(e: Expr, *, size_bound: int = DEFAULT_SIZE_BOUND) -> bool:
 @functools.lru_cache(maxsize=1024)
 def _exact_outcome(e: Expr, size_bound: int, cap: int) -> bool | str:
     """_normalize_is_zero's verdict, or the message of its
-    ExactPathUnavailable.  cap is the _TERM_CAP the run sees, passed only to
-    key the cache.  Entries are small: the residual lives on in the intern
-    table anyway."""
+    ExactPathUnavailable.  size_bound and cap are the _SIZE_BOUND and
+    _TERM_CAP the run sees, passed only to key the cache.  Entries are small:
+    the residual lives on in the intern table anyway."""
     try:
-        return _normalize_is_zero(e, size_bound)
+        return _normalize_is_zero(e)
     except ExactPathUnavailable as err:
         return str(err)
 
 
-def _normalize_is_zero(e: Expr, size_bound: int) -> bool:
+def _normalize_is_zero(e: Expr) -> bool:
     code, nodes = _compile(e)
-    if len(code) > size_bound:
-        raise ExactPathUnavailable(f"expression exceeds {size_bound} nodes")
+    if len(code) > _SIZE_BOUND:
+        raise ExactPathUnavailable(f"expression exceeds {_SIZE_BOUND} nodes")
     order = sorted(e.free)
     blown = _BLOWN.setdefault(_TERM_CAP, set())
     if not blown.isdisjoint(nodes):  # sound once certified: see exact_zero

@@ -72,15 +72,23 @@ def compose(outer: Transformation, inner: Transformation) -> Transformation:
 # words
 
 _WORD_GROUP_RE = re.compile(r"\(([^()]*)\)\s*\^\s*(\d+)")
+_WORD_MARKUP_RE = re.compile(r"[()]|\^\s*\d*")
+#: Composing is quadratic in a word's length, as images are not normalized.
+MAX_WORD_LETTERS = 10_000
 
 
 def parse_word(text: str) -> tuple[str, ...]:
-    """Whitespace-separated generator names; "(...)^n" groups are expanded."""
+    """Whitespace-separated generator names; "(...)^n" groups are expanded,
+    innermost first.  Raises ValueError before an expansion would make the
+    word longer than MAX_WORD_LETTERS letters."""
     while True:
         m = _WORD_GROUP_RE.search(text)
+        body, n = (m.group(1), int(m.group(2))) if m else ("", 1)
+        letters = len(_WORD_MARKUP_RE.sub(" ", text).split()) + (n - 1) * len(body.split())
+        if letters > MAX_WORD_LETTERS:
+            raise ValueError(f"word expands to more than {MAX_WORD_LETTERS} letters")
         if m is None:
             break
-        body, n = m.group(1), int(m.group(2))
         text = text[: m.start()] + " ".join([body] * n) + text[m.end() :]
     if "(" in text or ")" in text or "^" in text:
         raise ValueError(f"malformed word {text!r}")

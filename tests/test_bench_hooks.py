@@ -37,9 +37,9 @@ def test_tracer_records_each_checks_constrained_residual():
 
     k = ConstraintRelation(
         "nu8", parse("kappa1^2*kappa2^2/(q*nu1*nu2*nu3*nu4*nu5*nu6*nu7)"))
-    pairs = [(parse("nu8*f + g"), parse("g + f*nu8")),   # equal
-             (parse("nu8*f"), parse("g"))]              # refuted
-    for a, b in pairs:
+    pairs = [(parse("nu8*f + g"), parse("g + f*nu8"), "equal"),
+             (parse("nu8*f"), parse("g"), "unequal")]
+    for a, b, verdict in pairs:
         tracer = load_tracer().Tracer()
         tracer.install()
         try:
@@ -48,5 +48,7 @@ def test_tracer_records_each_checks_constrained_residual():
             tracer.uninstall()
         assert tracer.residuals == [k.apply(sub(a, b))]
         assert tracer.residuals[0] is k.apply(sub(a, b))
-        # The probe, plus the two witness sides of a refutation.
-        assert tracer.counts["eval_fp"] == (1 if result else 3)
+        assert result.verdict == verdict
+        # The probe alone: a refutation returns its point and evaluates
+        # nothing more.
+        assert tracer.counts["eval_fp"] == 1

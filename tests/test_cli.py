@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpweyl.cli as cli
+from qpweyl.weyl import MAX_WORD_LETTERS
 
 
 def run(capsys, *argv):
@@ -47,6 +48,30 @@ def test_apply_grouped_word(capsys):
                        "--word", "(pi1 pi2)^4", "--expr", "nu5")
     assert code == 0
     assert out.strip() == "nu5"
+
+
+def test_apply_word_at_the_letter_budget(capsys):
+    code, out, _ = run(capsys, "apply", "--family", "D5",
+                       "--word", f"(s0)^{MAX_WORD_LETTERS}", "--expr", "f")
+    assert code == 0
+    assert out == "f\n"
+
+
+@pytest.mark.parametrize("word", [
+    f"(s0)^{MAX_WORD_LETTERS + 1}",
+    "s1 " + "s0 " * MAX_WORD_LETTERS,
+    f"s1 (s0)^{MAX_WORD_LETTERS}",
+    "((s0 s1)^100)^51",
+    # 10^9 copies would be a list of about 8 GB: the budget is checked
+    # before any expansion is built.
+    "(s0)^1000000000",
+])
+def test_apply_word_past_the_letter_budget_exit_2(capsys, word):
+    code, out, err = run(capsys, "apply", "--family", "D5", "--word", word,
+                         "--expr", "f")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: word expands to more than {MAX_WORD_LETTERS} letters\n"
 
 
 def test_apply_latex_format(capsys):

@@ -48,7 +48,6 @@ def test_unequal_with_sound_witness():
     va = evaluate(a, r.witness, DEFAULT_PRIME)
     vb = evaluate(b, r.witness, DEFAULT_PRIME)
     assert va != vb
-    assert r.witness_values == (va, vb)
 
 
 def test_constraint_makes_sides_equal():
@@ -121,7 +120,7 @@ def test_witness_values_are_constrained_sides():
     assert r.verdict == "unequal"
     va = evaluate(k.apply(a), r.witness, DEFAULT_PRIME)
     vb = evaluate(k.apply(b), r.witness, DEFAULT_PRIME)
-    assert r.witness_values == (va, vb)
+    assert va != vb
     assert "nu8" not in r.witness
 
 
@@ -163,8 +162,20 @@ def test_exact_zero_direct():
 
 def test_exact_zero_size_gate():
     e = parse("(f + g)^2")
-    with pytest.raises(ExactPathUnavailable):
-        exact_zero(e, size_bound=2)
+    with mock.patch.object(identity, "_SIZE_BOUND", 2):
+        with pytest.raises(ExactPathUnavailable):
+            exact_zero(e)
+
+
+def test_exact_zero_keys_its_memo_by_the_size_bound():
+    # Decided at the default bound, then asked again under a patched one: the
+    # remembered verdict must not answer for the smaller bound.
+    e = parse("(f + g)^2 - f^2 - 2*f*g - g^2")
+    assert exact_zero(e)
+    with mock.patch.object(identity, "_SIZE_BOUND", 2):
+        with pytest.raises(ExactPathUnavailable, match="expression exceeds 2 nodes"):
+            exact_zero(e)
+    assert exact_zero(e)
 
 
 def test_exact_zero_on_division_by_zero_expression():
@@ -407,8 +418,9 @@ def test_exact_zero_remembers_unavailable_and_keys_by_cap():
     with mock.patch.object(identity, "_normalize_is_zero",
                            wraps=identity._normalize_is_zero) as spy:
         for _ in range(2):
-            with pytest.raises(ExactPathUnavailable, match="exceeds 2 nodes"):
-                exact_zero(e, size_bound=2)
+            with mock.patch.object(identity, "_SIZE_BOUND", 2):
+                with pytest.raises(ExactPathUnavailable, match="exceeds 2 nodes"):
+                    exact_zero(e)
             with mock.patch.object(identity, "_TERM_CAP", 4):
                 with pytest.raises(ExactPathUnavailable, match="term blow-up"):
                     exact_zero(e)
@@ -523,11 +535,8 @@ def _sequential_identities_equal(a, b, constraint=None, *, trials, prime=DEFAULT
             continue
         done += 1
         if v != 0:
-            if constraint is not None:
-                a, b = constraint.apply(a), constraint.apply(b)
             result.verdict = "unequal"
             result.witness = point
-            result.witness_values = (evaluate(a, point, prime), evaluate(b, point, prime))
             break
     result.trials = done
     return result
