@@ -29,6 +29,7 @@ so the orbit is the one Fraction arithmetic throughout would give.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,9 +193,36 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def parse_rational(text) -> Fraction:
+#: Fraction's text forms: a ratio of integers, or a decimal with an exponent.
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?(?P<num>[\d_]*)(?:\s*/\s*(?P<den>[\d_]+)"
+                            r"|(?:\.(?P<dec>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\s*")
+
+
+def _text_digits(text: str) -> int:
+    """The most decimal digits of the numerator or the denominator that
+    Fraction(text) builds before it reduces; 0 for text it rejects."""
+    m = _RATIONAL_TEXT.fullmatch(text)
+    if m is None:
+        return 0
+    whole, den, dec, exp = (g.replace("_", "") if g else ""
+                            for g in m.group("num", "den", "dec", "exp"))
+    if len(exp.lstrip("+-0")) > 18:  # an exponent past 10^18 digits
+        return sys.maxsize
+    e = int(exp or 0)
+    return max(len(whole) + len(dec) + max(e, 0), len(den) or len(dec) + max(-e, 0) + 1)
+
+
+def parse_rational(text, name: str) -> Fraction:
+    """Fraction(text) for the field `name`.  Raises ValueError naming it
+    before building a numerator or denominator past Python's int-to-str
+    digit limit, which 1e200000000 would take minutes to reach."""
     if not isinstance(text, (str, int)):
         raise ValueError(f"rationals must be strings like '3/4', got {text!r}")
+    limit = _digit_limit()
+    if isinstance(text, str) and limit and _text_digits(text) > limit:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ValueError(f"{name} = {shown!r} has a numerator or denominator "
+                         f"past Python's int-to-str digit limit ({limit} digits)")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -222,13 +250,12 @@ def state_from_record(rec) -> OrbitState:
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     if not isinstance(rec.get("nu"), list):
         raise ValueError(f"'nu' must be a list of rationals, got {rec.get('nu')!r}")
-    nu = [parse_rational(v) for v in rec["nu"]]
+    nu = [parse_rational(v, f"nu{i}") for i, v in enumerate(rec["nu"], 1)]
     if len(nu) == 8:
         nu = nu[:7]
-    return make_state(parse_rational(rec["q"]), nu,
-                      parse_rational(rec["kappa1"]), parse_rational(rec["kappa2"]),
-                      parse_rational(rec["f"]), parse_rational(rec["g"]),
-                      t=int(rec.get("t", 0)))
+    q, kappa1, kappa2, f, g = (parse_rational(rec[k], k)
+                               for k in ("q", "kappa1", "kappa2", "f", "g"))
+    return make_state(q, nu, kappa1, kappa2, f, g, t=int(rec.get("t", 0)))
 
 
 def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward") -> OrbitState:
@@ -372,7 +399,7 @@ def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
     if n < 0:
         raise ValueError("n must be >= 0")
     bound = _digit_bound()
-    _check_printable(st0, bound)
+    _check_printable(st0, bound, "give a smaller start state")
     states = [st0]
     st = st0
     for _ in range(n):
@@ -385,14 +412,20 @@ def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
     return OrbitResult(states)
 
 
+def _digit_limit() -> int:
+    """Python's limit on int-to-str conversion, 0 when there is none (limit
+    0, or an interpreter before 3.10.7 that has no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _digit_bound() -> int | None:
-    """10**limit for Python's limit on int-to-str conversion, None when there
-    is none (limit 0, or an interpreter before 3.10.7 that has no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """10**limit for the int-to-str digit limit, None when there is none."""
+    limit = _digit_limit()
     return 10 ** limit if limit else None
 
 
-def _check_printable(st: OrbitState, bound: int | None) -> None:
+def _check_printable(st: OrbitState, bound: int | None,
+                     advice: str = "ask for fewer steps") -> None:
     """Raise ValueError naming st when a numerator or denominator has more
     decimal digits than the limit, that is, when its str() would raise."""
     if bound is not None and any(
@@ -400,7 +433,7 @@ def _check_printable(st: OrbitState, bound: int | None) -> None:
             for v in (st.q, *st.nu, st.kappa1, st.kappa2, st.f, st.g)):
         raise ValueError(
             f"state t={st.t} has a rational past Python's int-to-str digit "
-            f"limit; ask for fewer steps"
+            f"limit; {advice}"
         )
 
 

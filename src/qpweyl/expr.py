@@ -122,9 +122,25 @@ def _intern(key: tuple, build) -> Expr:
     return node
 
 
+#: Bits a constant's numerator or denominator may have: far above the
+#: largest constant the tables or the tests build (2^20000), and small
+#: enough that folding two such constants takes milliseconds.
+MAX_FOLD_BITS = 1 << 20
+
+
+def _bits(v: Fraction) -> int:
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
+def _num_node(v: Fraction) -> Expr:
+    if _bits(v) > MAX_FOLD_BITS:
+        raise ExprError(f"constant folds to more than {MAX_FOLD_BITS} bits")
+    return Expr("num", value=v)
+
+
 def num(value) -> Expr:
     v = value if isinstance(value, Fraction) else Fraction(value)
-    return _intern(("num", v), lambda: Expr("num", value=v))
+    return _intern(("num", v), lambda: _num_node(v))
 
 
 def sym(name: str) -> Expr:
@@ -196,9 +212,13 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if base.kind == "num":
-        if base.value == 0 and exponent < 0:
+        v = base.value
+        if v == 0 and exponent < 0:
             raise ExprError("zero base with negative exponent")
-        return num(base.value ** exponent)
+        # v^n has at least (_bits(v) - 1) |n| bits: refuse before computing it.
+        if (_bits(v) - 1) * abs(exponent) > MAX_FOLD_BITS:
+            raise ExprError(f"constant folds to more than {MAX_FOLD_BITS} bits")
+        return num(v ** exponent)
     if base.kind == "pow":
         return pow_(base.children[0], base.exp * exponent)
     key = ("pow", base.uid, exponent)

@@ -16,16 +16,18 @@ transformation mechanisms act on such equations:
   inversion(c,delta) z = c/u, y(z) = z^d ytilde(u); up and down swap roles.
 
 Equations are compared projectively: equality up to one common rational
-factor, decided by cross-multiplying against a pivot coefficient.
+factor, decided by cross-multiplying against a pivot coefficient.  The
+verdict is weyl.check's CheckResult, so a failed claim keeps its witness.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .expr import ZERO, Expr, div, mul, parse, sub, substitute, sym
-from .identity import ConstraintRelation, DegenerateComparison, identities_equal
+from .identity import ConstraintRelation
+from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
 from .report import CheckResult, Report
 from .weyl import (
     CheckConfig,
@@ -161,47 +163,37 @@ def rename_shift(eq: LinearQDE, new_var: str) -> LinearQDE:
     return LinearQDE(up, mid, down, new_var)
 
 
-class DegenerateEquation(RuntimeError):
-    """No nonzero pivot coefficient; projective comparison is meaningless."""
-
-
 def equations_equivalent(
     e1: LinearQDE,
     e2: LinearQDE,
     constraint: ConstraintRelation | None = None,
     cfg: CheckConfig | None = None,
     label: str = "",
-) -> bool:
-    """True iff the equations agree up to one common rational factor.
+) -> CheckResult:
+    """The check that the equations agree up to one common rational factor.
 
-    Raises DegenerateEquation when no pivot coefficient is nonzero, and
-    DegenerateComparison when a cross-multiplied pair has no sample point
-    off its poles.
+    The pivot is the first pair, of mid, up and down, whose members a
+    sampled, never exact, zero test finds both nonzero.  A zero test with no
+    sample point off the poles is returned as it is; no pivot is degenerate.
     """
     cfg = cfg or CheckConfig()
     if e1.shift_var != e2.shift_var:
         raise ValueError("equations use different shift variables")
-
-    def is_zero(e: Expr, tag: str) -> bool:
-        return identities_equal(e, ZERO, constraint, trials=cfg.trials,
-                                prime=cfg.prime, seed=cfg.seed,
-                                label=f"{label}:zero:{tag}").verdict == "equal"
-
+    sampled = replace(cfg, exact=False)
     pairs = list(zip(e1.coefficients(), e2.coefficients()))
-    pivot = None
     for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
-        if not is_zero(pairs[idx][0], f"p{idx}a") and not is_zero(pairs[idx][1], f"p{idx}b"):
-            pivot = idx
-            break
-    if pivot is None:
-        raise DegenerateEquation("all candidate pivot coefficients vanish")
-    p1, p2 = pairs[pivot]
-    cross = ((f"cross:{idx}", mul(c1, p2), mul(c2, p1))
-             for idx, (c1, c2) in enumerate(pairs) if idx != pivot)
-    result = check(label, cross, constraint, cfg)
-    if result.status == "degenerate":
-        raise DegenerateComparison(result.detail)
-    return result.ok
+        for c, side in zip(pairs[idx], "ab"):
+            zero = check(f"{label}:zero", [(f"p{idx}{side}", c, ZERO)], constraint, sampled)
+            if zero.status == "degenerate":
+                return zero
+            if zero.ok:  # c vanishes: try the next pair
+                break
+        else:  # both nonzero: the pivot
+            p1, p2 = pairs[idx]
+            cross = ((f"cross:{i}", mul(c1, p2), mul(c2, p1))
+                     for i, (c1, c2) in enumerate(pairs) if i != idx)
+            return check(label, cross, constraint, cfg)
+    return CheckResult(label, "degenerate", detail="all candidate pivot coefficients vanish")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +331,8 @@ def verify_gauge_claim(
     claim_id: str,
     cfg: CheckConfig | None = None,
 ) -> CheckResult:
+    """equations_equivalent's result for the gauged equation and the target,
+    under the claim id, with the claim's note as its detail."""
     cfg = cfg or CheckConfig()
     claim = CLAIMS.get(claim_id)
     if claim is None:
@@ -352,14 +346,10 @@ def verify_gauge_claim(
         gauged = apply_gauge(gauged, gauge)
     target = substitute_params(eq, claim.target(fam))
     target = rename_shift(target, gauged.shift_var)
-    try:
-        ok = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim_id)
-    except (DegenerateEquation, DegenerateComparison) as err:
-        return CheckResult(claim_id, "degenerate", detail=f"{claim.note}: {err}",
-                           elapsed=time.monotonic() - start)
-    return CheckResult(claim_id, "pass" if ok else "fail",
-                       detail=claim.note if ok else f"{claim.note}: mismatch",
-                       elapsed=time.monotonic() - start)
+    res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim_id)
+    detail = (claim.note if res.ok else f"{claim.note}: mismatch"
+              if res.status == "fail" else f"{claim.note}: {res.detail}")
+    return replace(res, id=claim_id, detail=detail, elapsed=time.monotonic() - start)
 
 
 def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:

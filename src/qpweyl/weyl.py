@@ -452,29 +452,23 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
         pi = fam.generators[pi_name]
         for s_name in fam.s_names:
             lhs = compose(pi, fam.generators[s_name])
-            found = None
             missed = None   # a degenerate probe, else the first failed one
             for cand in fam.s_names:
                 rhs = compose(fam.generators[cand], pi)
                 probe = check(f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
                               _image_pairs(lhs, rhs), constraint, cfg)
                 if probe.ok:
-                    found = cand
+                    probe = replace(probe, detail=f"{pi_name} {s_name} = {cand} {pi_name}")
                     break
                 if missed is None or probe.status == "degenerate":
                     missed = probe
-            check_id = f"{fam.name}:pi:{pi_name} {s_name}"
-            if found is not None:
-                report.add(CheckResult(check_id, "pass",
-                                       detail=f"{pi_name} {s_name} = {found} {pi_name}"))
-            elif missed.status == "degenerate":
-                # The candidate that could not be compared may be the match.
-                report.add(CheckResult(check_id, "degenerate", detail=missed.detail))
             else:
-                # No generator matches; the witness separates the conjugate
-                # from the natural candidate.
-                report.add(CheckResult(check_id, "fail", witness=missed.witness,
-                                       detail="no matching conjugate generator"))
+                # A degenerate candidate may be the match; else no generator
+                # matches, and the witness separates the conjugate from the
+                # natural candidate.
+                probe = missed if missed.status == "degenerate" else replace(
+                    missed, detail="no matching conjugate generator")
+            report.add(replace(probe, id=f"{fam.name}:pi:{pi_name} {s_name}"))
     return report
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,30 @@ def test_evolve_past_int_str_limit_names_step(capsys):
         assert code == 2
         assert out == ""
         assert re.fullmatch(r"error: state t=22 [^\n]*\n", err)
+
+
+@pytest.mark.parametrize("expr", ["2^3000000000", "*".join(["3^660000"] * 64)])
+def test_apply_huge_constant_exit_2_at_once(capsys, expr):
+    start = time.monotonic()
+    code, out, err = run(capsys, "apply", "--family", "D5", "--expr", expr)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: constant folds to more than \d+ bits\n", err)
+
+
+@pytest.mark.parametrize("value", ["1e200000000", "1e2000000"])
+def test_evolve_params_past_int_str_limit_names_field(capsys, tmp_path, value):
+    # Fraction("1e200000000") would build 10^200000000: refused before.
+    path = write_params(tmp_path, nu=["2", "3", "5", "7", "11", "13", value])
+    start = time.monotonic()
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: bad params file: nu7 = '{value}' has a numerator or "
+                   f"denominator past Python's int-to-str digit limit "
+                   f"({sys.get_int_max_str_digits()} digits)\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])

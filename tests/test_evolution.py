@@ -17,6 +17,7 @@ from qpweyl.evolution import (
     orbit,
     orbit_step,
     orbit_to_json,
+    parse_rational,
     state_from_record,
     time_evolution,
     verify_theorem_i,
@@ -493,6 +494,32 @@ def _prints(n: int) -> bool:
     except ValueError:
         return False
     return True
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("1e4299", True), ("1e4300", False), ("1e-4299", True), ("1e-4300", False),
+    ("12.5e4297", True), ("12.5e4298", False), ("1." + "0" * 4299, True),
+    ("1/" + "7" * 4300, True), ("7" * 4301 + "/2", False), ("1e" + "9" * 30, False),
+    (" -3_000/4 ", True),
+])
+def test_parse_rational_digit_limit(text, ok):
+    # the numerator and denominator Fraction builds, before it reduces
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        if ok:
+            assert parse_rational(text, "f") == Fraction(text)
+        else:
+            with pytest.raises(ValueError, match=r"^f = '.*' has a numerator or denominator past"):
+                parse_rational(text, "f")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_orbit_start_past_int_str_limit_blames_the_start(d5):
+    st0 = make_state(2, [1] * 7, 10 ** 2200, 1, 1, 1)   # nu8 has 4401 digits
+    with pytest.raises(ValueError, match="state t=0 .*give a smaller start state"):
+        orbit(d5, st0, 3)
 
 
 @pytest.mark.parametrize("limit", [None, 640, 0])

@@ -158,6 +158,19 @@ def test_zero_denominator_rejected():
         parse("f/0")
 
 
+def test_constant_folds_have_a_bit_budget():
+    # a power is refused before it is computed: 2^3000000000 takes 20 s
+    for text in ("2^3000000000", "2^30000000000", "(1/3)^-1048577", "3^1048577",
+                 "2^1048576", "2^1048575*2", "(1/2^600000)*(1/3^400000)"):
+        with pytest.raises(ExprError, match="folds to more than"):
+            parse(text)
+    assert expr_module.MAX_FOLD_BITS > 20001  # 2^20000, the largest constant in use
+    assert parse("2^1048575").value == 2 ** 1048575
+    assert parse("2^1048575/2").value == 2 ** 1048574
+    assert parse("(-1)^300000000000000000000") is ONE
+    assert parse("1^-300000000000000000000") is ONE
+
+
 def test_eval_exact_cancellation():
     e = parse("q*nu1/nu1")
     assert evaluate(e, {"q": Fraction(3), "nu1": Fraction(5)}) == 3

@@ -11,7 +11,10 @@ with integer coefficients: the same term counts reach the term cap, so the
 same checks are marked `exact`.  The gauge suite marks none, so its hashes
 are those of the runs without `--exact`; the E6 and E7 gauge `--exact` hashes
 were recorded before the exact normalizer remembered the nodes that trip its
-term cap, a skip that E7's gauge residuals take.
+term cap, a skip that E7's gauge residuals take.  The gauge
+`--no-constraint` hashes were recorded when the gauge suite began passing
+its comparison's result through: they pin the witness of each failed claim,
+and apart from the witnesses the reports are those of the runs before.
 
 The `apply` hashes were recorded while the printers still recursed over the
 tree; they pin every byte of the text, JSON and LaTeX images the post-order
@@ -98,6 +101,12 @@ GOLDEN = [
      "4c018035c408603e4700085432de32b0547f651b5cd8a79929df2d4572178701"),
     ("verify-gauge --family E7 --seed 0 --exact --format json", 0,
      "f4945be5eb45ce89e6cf93bed1c8eedc8e3d6a208b2b7285bee96d1feaeba096"),
+    ("verify-gauge --no-constraint --family D5 --seed 0 --format json", 1,
+     "42d9219d990181f2cc8c0db0662cf097a804080d35070796168103f09e49242b"),
+    ("verify-gauge --no-constraint --family E6 --seed 0 --format json", 1,
+     "5316cca85e4a48263edbddf3df0b22af4fbd9d423ee3d22a6cb4b74dea84c6f3"),
+    ("verify-gauge --no-constraint --family E7 --seed 0 --format json", 1,
+     "1d6e7848f9eb4d5d05819d93aad836d545af378337f09fdd8b69eb31ee417f7e"),
 ]
 
 

@@ -1,11 +1,12 @@
 """Linear q-difference equations, gauge mechanics and the claim registry."""
 
 import itertools
+import re
 
 import pytest
 
-from qpweyl.expr import ZERO, mul, parse, sym
-from qpweyl.identity import identities_equal
+from qpweyl.expr import ZERO, evaluate, mul, parse, sub, sym
+from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.lax import (
     CLAIMS,
     Dilation,
@@ -116,14 +117,14 @@ def test_pochhammer_round_trip(d5):
     eq5 = build_L1(d5)
     there = apply_gauge(eq5, Pochhammer(parse("nu3"), parse("kappa1/nu7")))
     back = apply_gauge(there, Pochhammer(parse("kappa1/nu7"), parse("nu3")))
-    assert equations_equivalent(back, eq5, d5.constraint, label="rt:poch")
+    assert equations_equivalent(back, eq5, d5.constraint, label="rt:poch").ok
 
 
 def test_dilation_round_trip(d5):
     eq5 = build_L1(d5)
     out = apply_gauge(apply_gauge(eq5, Dilation(sym("c"))), Dilation(parse("1/c")))
     assert out.shift_var == "z"
-    assert equations_equivalent(out, eq5, d5.constraint, label="rt:dil")
+    assert equations_equivalent(out, eq5, d5.constraint, label="rt:dil").ok
 
 
 def test_double_inversion_is_identity_up_to_factor(d5):
@@ -131,7 +132,7 @@ def test_double_inversion_is_identity_up_to_factor(d5):
     inv = Inversion(sym("c"), sym("delta"))
     out = apply_gauge(apply_gauge(eq5, inv), inv)
     assert out.shift_var == "z"
-    assert equations_equivalent(out, eq5, d5.constraint, label="rt:inv")
+    assert equations_equivalent(out, eq5, d5.constraint, label="rt:inv").ok
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +168,30 @@ def test_scalar_multiple_is_equivalent(d5):
     seven = LinearQDE(mul(parse("7"), eq5.coeff_up),
                       mul(parse("7"), eq5.coeff_mid),
                       mul(parse("7"), eq5.coeff_down), "z")
-    assert equations_equivalent(eq5, seven, label="x7")
+    assert equations_equivalent(eq5, seven, label="x7").ok
     zfac = LinearQDE(mul(parse("z^2 - q"), eq5.coeff_up),
                      mul(parse("z^2 - q"), eq5.coeff_mid),
                      mul(parse("z^2 - q"), eq5.coeff_down), "z")
-    assert equations_equivalent(eq5, zfac, label="xz")
+    assert equations_equivalent(eq5, zfac, label="xz").ok
+
+
+def cross_difference(e1, e2, idx, pivot=1):
+    """The residual the comparison samples for pair idx against the pivot."""
+    c1, c2 = e1.coefficients()[idx], e2.coefficients()[idx]
+    p1, p2 = e1.coefficients()[pivot], e2.coefficients()[pivot]
+    return sub(mul(c1, p2), mul(c2, p1))
 
 
 def test_wrong_substitution_is_not_equivalent(d5):
     eq5 = build_L1(d5)
     gauged = apply_gauge(eq5, Pochhammer(parse("nu3"), parse("kappa1/nu7")))
     wrong = substitute_params(eq5, d5.generators["s0"])
-    assert not equations_equivalent(gauged, wrong, d5.constraint, label="wrong")
+    res = equations_equivalent(gauged, wrong, d5.constraint, label="wrong")
+    assert res.status == "fail"
+    # the witness makes the failing cross difference nonzero
+    idx = int(re.fullmatch(r"images of cross:(\d) differ", res.detail).group(1))
+    residual = d5.constraint.apply(cross_difference(gauged, wrong, idx))
+    assert evaluate(residual, res.witness, DEFAULT_PRIME) != 0
 
 
 def test_equivalence_is_an_equivalence_relation(d5):
@@ -191,9 +204,9 @@ def test_equivalence_is_an_equivalence_relation(d5):
                   mul(parse("z - q"), eq5.coeff_down), "z"),
     ]
     for a in variants:
-        assert equations_equivalent(a, a, label="refl")
+        assert equations_equivalent(a, a, label="refl").ok
     for a, b in itertools.permutations(variants, 2):
-        assert equations_equivalent(a, b, label="sym")
+        assert equations_equivalent(a, b, label="sym").ok
 
 
 def test_shift_var_mismatch_rejected(d5):
@@ -207,17 +220,17 @@ def test_zero_mid_falls_back_to_up_pivot():
     from qpweyl.expr import ZERO
     a = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu2"), "z")
     b = LinearQDE(parse("7*(z - nu1)"), ZERO, parse("7*(z - nu2)"), "z")
-    assert equations_equivalent(a, b, label="fallback")
+    assert equations_equivalent(a, b, label="fallback").ok
     c = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu3"), "z")
-    assert not equations_equivalent(a, c, label="fallback2")
+    assert not equations_equivalent(a, c, label="fallback2").ok
 
 
 def test_all_zero_equation_is_degenerate():
     from qpweyl.expr import ZERO
-    from qpweyl.lax import DegenerateEquation
     zero_eq = LinearQDE(ZERO, ZERO, ZERO, "z")
-    with pytest.raises(DegenerateEquation):
-        equations_equivalent(zero_eq, zero_eq, label="degen")
+    res = equations_equivalent(zero_eq, zero_eq, label="degen")
+    assert res.status == "degenerate"
+    assert res.detail == "all candidate pivot coefficients vanish"
 
 
 def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
@@ -256,6 +269,27 @@ def test_gauge_claim_passes(families, claim_id):
     assert result.ok, result
 
 
+@pytest.mark.parametrize("fam_name", ["D5", "E6", "E7"])
+def test_gauge_claims_without_constraint_fail_with_sound_witness(families, fam_name):
+    # Every claim that fails without the constraint fails at a point where
+    # a cross difference against the mid pivot is nonzero.
+    fam = families[fam_name]
+    cfg = CheckConfig(use_constraint=False)
+    failed = [c for c in verify_gauge_claims(fam, cfg).checks if c.status == "fail"]
+    assert failed
+    for res in failed:
+        claim = CLAIMS[res.id]
+        assert res.detail == f"{claim.note}: mismatch"
+        gauged = build_L1(fam)
+        for gauge in claim.gauges:
+            gauged = apply_gauge(gauged, gauge)
+        target = rename_shift(substitute_params(build_L1(fam), claim.target(fam)),
+                              gauged.shift_var)
+        values = [evaluate(cross_difference(gauged, target, idx), res.witness, DEFAULT_PRIME)
+                  for idx in (0, 2)]
+        assert any(values), res.id
+
+
 def test_unknown_claim_id(d5):
     with pytest.raises(KeyError):
         verify_gauge_claim(d5, "d5.nonsense")
@@ -285,9 +319,9 @@ def test_e7_pochhammer_without_power_completion_fails(e7):
     eq7 = build_L1(e7)
     gauged = apply_gauge(eq7, Pochhammer(parse("nu1"), parse("kappa1/nu5")))
     target = substitute_params(eq7, word_to_transform(e7, "s0 s4 s0"))
-    assert not equations_equivalent(gauged, target, e7.constraint, label="e7:bare")
+    assert not equations_equivalent(gauged, target, e7.constraint, label="e7:bare").ok
     completed = apply_gauge(gauged, PowerGauge(parse("kappa1/(nu1*nu5)")))
-    assert equations_equivalent(completed, target, e7.constraint, label="e7:full")
+    assert equations_equivalent(completed, target, e7.constraint, label="e7:full").ok
 
 
 def test_d5_double_gauge_is_composition_of_singles(d5):
@@ -297,9 +331,9 @@ def test_d5_double_gauge_is_composition_of_singles(d5):
     other_order = apply_gauge(
         apply_gauge(eq5, Pochhammer(parse("nu4"), parse("kappa1/nu8"))),
         Pochhammer(parse("nu3"), parse("kappa1/nu7")))
-    assert equations_equivalent(two, other_order, d5.constraint, label="order")
+    assert equations_equivalent(two, other_order, d5.constraint, label="order").ok
     target = substitute_params(eq5, word_to_transform(d5, "s2 s1 s0 s2"))
-    assert equations_equivalent(two, target, d5.constraint, label="double")
+    assert equations_equivalent(two, target, d5.constraint, label="double").ok
 
 
 def test_d5_power_scaling_induces_stated_composite_action(d5):

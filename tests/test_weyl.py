@@ -12,6 +12,7 @@ from qpweyl.identity import identities_equal
 from qpweyl.weyl import (
     IDENTITY,
     CheckConfig,
+    _image_pairs,
     check,
     compose,
     make_family,
@@ -357,6 +358,26 @@ def test_e6_pi_conjugation_discovered(e6):
     assert found["E6:pi:pi2 s0"].endswith("= s1 pi2")
     assert found["E6:pi:pi2 s2"].endswith("= s6 pi2")
     assert found["E6:pi:pi2 s3"].endswith("= s3 pi2")
+
+
+def test_e6_pi_conjugation_without_match_fails_with_witness(e6):
+    # s4 corrupted to swap nu2 and nu4: pi1 s2 and pi1 s4 have no conjugate
+    mutant = e6.with_generator("s4", {"nu2": "nu4", "nu4": "nu2"})
+    report = verify_pi_relations(mutant)
+    bad = report.failures()
+    assert [c.id for c in bad] == ["E6:pi:pi1 s2", "E6:pi:pi1 s4"]
+    pi1 = mutant.generators["pi1"]
+    for c in bad:
+        assert c.status == "fail"
+        assert c.detail == "no matching conjugate generator"
+        # the witness of the first candidate's comparison, s0
+        s_name = c.id.rsplit(" ", 1)[1]
+        probe = check(f"E6:pi:pi1 {s_name} = s0 pi1",
+                      _image_pairs(compose(pi1, mutant.generators[s_name]),
+                                   compose(mutant.generators["s0"], pi1)),
+                      mutant.constraint, CheckConfig())
+        assert probe.status == "fail"
+        assert c.witness == probe.witness
 
 
 def test_e7_pi_conjugation_discovered(e7):
