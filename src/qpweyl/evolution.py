@@ -216,8 +216,8 @@ def parse_rational(text, name: str) -> Fraction:
     """Fraction(text) for the field `name`.  Raises ValueError naming it
     before building a numerator or denominator past Python's int-to-str
     digit limit, which 1e200000000 would take minutes to reach."""
-    if not isinstance(text, (str, int)):
-        raise ValueError(f"rationals must be strings like '3/4', got {text!r}")
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(f"{name} must be a string like '3/4', got {text!r}")
     limit = _digit_limit()
     if isinstance(text, str) and limit and _text_digits(text) > limit:
         shown = text if len(text) <= 24 else text[:20] + "..."
@@ -226,7 +226,7 @@ def parse_rational(text, name: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"{name} = {text!r} has a zero denominator") from None
 
 
 def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
@@ -246,16 +246,26 @@ def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
 
 
 def state_from_record(rec) -> OrbitState:
+    """The state of a params record, as evolve reads it and orbit_to_json
+    writes it.  An eighth nu must be the one the constraint gives."""
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     if not isinstance(rec.get("nu"), list):
         raise ValueError(f"'nu' must be a list of rationals, got {rec.get('nu')!r}")
     nu = [parse_rational(v, f"nu{i}") for i, v in enumerate(rec["nu"], 1)]
-    if len(nu) == 8:
-        nu = nu[:7]
-    q, kappa1, kappa2, f, g = (parse_rational(rec[k], k)
-                               for k in ("q", "kappa1", "kappa2", "f", "g"))
-    return make_state(q, nu, kappa1, kappa2, f, g, t=int(rec.get("t", 0)))
+    fields = ("q", "kappa1", "kappa2", "f", "g")
+    for k in fields:
+        if k not in rec:
+            raise ValueError(f"missing field '{k}'")
+    t = rec.get("t", 0)
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValueError(f"t must be a JSON integer, got {t!r}")
+    q, kappa1, kappa2, f, g = (parse_rational(rec[k], k) for k in fields)
+    st = make_state(q, nu[:7] if len(nu) == 8 else nu, kappa1, kappa2, f, g, t=t)
+    if len(nu) == 8 and nu[7] != st.nu[7]:
+        raise ValueError(f"nu8 = {rec['nu'][7]!r} contradicts the constraint, "
+                         f"which gives {_frac_str(st.nu[7])}")
+    return st
 
 
 def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward") -> OrbitState:

@@ -48,6 +48,9 @@ from .expr import (
 #: Default modulus 2^61 - 1 (prime), comfortably above the 2^60 floor.
 DEFAULT_PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 16
+#: The most trials a comparison may ask for, so that a mistyped --trials is
+#: refused at once instead of running for hours.
+MAX_TRIALS = 10_000
 
 
 class DegenerateComparison(RuntimeError):
@@ -155,7 +158,8 @@ def is_prime(n: int) -> bool:
 
 
 def check_sampling(trials: int, prime: int) -> None:
-    """Raise ValueError unless trials >= 1 and prime is a prime above 2^60.
+    """Raise ValueError unless 1 <= trials <= MAX_TRIALS and prime is a
+    prime above 2^60.
 
     The sampled field must be a field: projective evaluation relies on every
     nonzero denominator being invertible, and the error bound on p - 1
@@ -163,6 +167,8 @@ def check_sampling(trials: int, prime: int) -> None:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if prime <= 1 << 60:
         raise ValueError(f"prime must exceed 2^60, got {prime}")
     if not is_prime(prime):

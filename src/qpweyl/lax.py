@@ -22,7 +22,6 @@ verdict is weyl.check's CheckResult, so a failed claim keeps its witness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 from .expr import ZERO, Expr, div, mul, parse, sub, substitute, sym
@@ -339,7 +338,6 @@ def verify_gauge_claim(
         raise KeyError(f"unknown claim id {claim_id!r}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
-    start = time.monotonic()
     eq = build_L1(fam)
     gauged = eq
     for gauge in claim.gauges:
@@ -349,7 +347,7 @@ def verify_gauge_claim(
     res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim_id)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
-    return replace(res, id=claim_id, detail=detail, elapsed=time.monotonic() - start)
+    return replace(res, id=claim_id, detail=detail)
 
 
 def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:

@@ -11,7 +11,6 @@ class CheckResult:
     status: str                       # "pass" | "fail" | "degenerate"
     witness: dict[str, int] | None = None
     detail: str = ""
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qpweyl.cli as cli
+from qpweyl.identity import MAX_TRIALS
 from qpweyl.weyl import MAX_WORD_LETTERS
 
 
@@ -49,6 +50,13 @@ def test_apply_grouped_word(capsys):
                        "--word", "(pi1 pi2)^4", "--expr", "nu5")
     assert code == 0
     assert out.strip() == "nu5"
+
+
+def test_apply_unknown_generator_prints_the_message(capsys):
+    code, out, err = run(capsys, "apply", "--family", "D5", "--word", "s9",
+                         "--expr", "f")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown generator 's9' for family D5\n"
 
 
 def test_apply_word_at_the_letter_budget(capsys):
@@ -344,6 +352,50 @@ def test_evolve_bad_params_values_exit_2(capsys, tmp_path, content, message):
     assert message in err
 
 
+@pytest.mark.parametrize("key, raw, message", [
+    ("t", "1e400", "t must be a JSON integer, got inf"),
+    ("t", "1.5", "t must be a JSON integer, got 1.5"),
+    ("t", "true", "t must be a JSON integer, got True"),
+    ("q", "true", "q must be a string like '3/4', got True"),
+    ("nu", '["2", "3", "5", "7", "11", "13", "17", "999"]',
+     "nu8 = '999' contradicts the constraint, which gives 15/68068"),
+    ("q", None, "missing field 'q'"),
+])
+def test_evolve_bad_params_field_is_named(capsys, tmp_path, key, raw, message):
+    # The JSON text is written by hand: 1e400 reads as a float infinity.
+    rec = json.loads(Path(write_params(tmp_path)).read_text())
+    rec.pop(key, None)
+    text = json.dumps(rec)
+    if raw is not None:
+        text = f'{{"{key}": {raw}, {text[1:]}'
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    start = time.monotonic()
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", str(path))
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (2, "", f"error: bad params file: {message}\n")
+
+
+def test_evolve_deeply_nested_params_exit_2(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", str(path))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: bad params file: maximum recursion depth [^\n]+\n", err)
+
+
+def test_evolve_reads_the_records_it_writes(capsys, tmp_path):
+    code, out, _ = run(capsys, "evolve", "--family", "D5", "--params",
+                       "sample-params.json", "--steps", "3")
+    assert code == 0
+    last = json.loads(out)["states"][-1]
+    path = tmp_path / "last.json"
+    path.write_text(json.dumps(last))
+    code, out, _ = run(capsys, "evolve", "--family", "D5", "--params", str(path))
+    assert code == 0
+    assert json.loads(out)["states"] == [last]
+
+
 def test_evolve_rejects_float_rationals(capsys, tmp_path):
     path = write_params(tmp_path, f=1.5)
     code, _, err = run(capsys, "evolve", "--family", "D5", "--params", path,
@@ -510,6 +562,16 @@ def test_bad_sampling_options_exit_2(capsys, command, argv):
     assert code == 2
     assert out == ""
     assert re.fullmatch(r"error: [^\n]+\n", err)
+
+
+def test_trials_past_the_budget_exit_2_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify-theorem", "--family", "D5",
+                         "--trials", "99999999999999999999")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: trials must be at most {MAX_TRIALS}, "
+                   f"got 99999999999999999999\n")
 
 
 def test_larger_prime_is_accepted(capsys):

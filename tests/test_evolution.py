@@ -241,6 +241,13 @@ def test_orbit_zero_steps(d5):
     assert res.complete and len(res.states) == 1
 
 
+def test_orbit_rejects_a_bad_direction_and_negative_length(d5):
+    with pytest.raises(ValueError, match="direction must be forward or backward"):
+        orbit_step(d5, sample_state(), "sideways")
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        orbit(d5, sample_state(), -1)
+
+
 def test_symbolic_T_matches_orbit_pointwise(families):
     for fam in families.values():
         T = time_evolution(fam)

@@ -206,6 +206,19 @@ def test_eval_division_by_zero_carries_node():
     assert err.value.node is e
 
 
+def test_eval_zero_to_a_negative_power_over_q_carries_node():
+    e = parse("(f - nu3)^-2")
+    with pytest.raises(DivisionByZero) as err:
+        evaluate(e, {"f": Fraction(7), "nu3": Fraction(7)})
+    assert err.value.node is e
+
+
+def test_parse_unary_plus():
+    assert parse("+f") is parse("f")
+    assert parse("+f - g") is parse("f - g")
+    assert parse("(+g)*f") is parse("g*f")
+
+
 def _reference_evaluate(e, values, p=None):
     """The plain post-order walk with one dict memo and one inverse per
     quotient: the reference the compiled projective evaluation must match,

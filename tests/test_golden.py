@@ -1,4 +1,4 @@
-"""Golden JSON reports: SHA-256 and exit code of `--format json` runs.
+"""Golden reports: SHA-256 and exit code of `--format json` and text runs.
 
 The hashes were recorded before identity testing moved to compiled
 projective evaluation.  The sampled points are the same, so every verdict,
@@ -15,6 +15,11 @@ term cap, a skip that E7's gauge residuals take.  The gauge
 `--no-constraint` hashes were recorded when the gauge suite began passing
 its comparison's result through: they pin the witness of each failed claim,
 and apart from the witnesses the reports are those of the runs before.
+
+The text hashes were recorded when text reports stopped printing elapsed
+times: they pin every byte of three text reports, the witnesses of the
+failed D5 theorem checks and the E7 gauge checks run with `--exact`
+included.
 
 The `apply` hashes were recorded while the printers still recursed over the
 tree; they pin every byte of the text, JSON and LaTeX images the post-order
@@ -112,6 +117,25 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, code, sha256", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_json_report_bytes_unchanged(argv, code, sha256):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main(argv.split())
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
+
+
+TEXT_GOLDEN = [
+    ("verify-relations --family E6 --seed 0", 0,
+     "e5a794c565f16e978d281d47d3885ea87954d64dbfb19f8c1128efaafb2d2d6c"),
+    ("verify-theorem --no-constraint --family D5 --seed 0", 1,
+     "46348ddf0caedff9f4a0ee04e36f90953b051ba7e7b93bf68300741520af6c37"),
+    ("verify-gauge --family E7 --seed 0 --exact", 0,
+     "f4a473ef4f280d69c059b380b8dfb94294aa9b6b2f5ea710c268f3ce4a5f938a"),
+]
+
+
+@pytest.mark.parametrize("argv, code, sha256", TEXT_GOLDEN, ids=[g[0] for g in TEXT_GOLDEN])
+def test_text_report_bytes_unchanged(argv, code, sha256):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         got = cli.main(argv.split())

@@ -98,6 +98,9 @@ def test_trials_validation():
         identities_equal(parse("f"), parse("f"), prime=97)
     with pytest.raises(ValueError, match="composite"):
         identities_equal(parse("f"), parse("f"), prime=10**21)
+    with pytest.raises(ValueError, match=f"at most {identity.MAX_TRIALS}"):
+        identities_equal(parse("f"), parse("g"), trials=identity.MAX_TRIALS + 1)
+    identity.check_sampling(identity.MAX_TRIALS, DEFAULT_PRIME)
 
 
 def test_is_prime_matches_sympy():
@@ -182,6 +185,13 @@ def test_exact_zero_on_division_by_zero_expression():
     from qpweyl.expr import substitute, sym
     bad = substitute(parse("1/(f - g)"), {"g": sym("f")})
     with pytest.raises(ExactPathUnavailable):
+        exact_zero(bad)
+
+
+def test_exact_zero_on_inverse_of_identically_zero_expression():
+    bad = parse("((f + g)^2 - f^2 - 2*f*g - g^2)^-1")
+    with pytest.raises(ExactPathUnavailable,
+                       match="inverse of an identically zero expression"):
         exact_zero(bad)
 
 

@@ -233,6 +233,15 @@ def test_all_zero_equation_is_degenerate():
     assert res.detail == "all candidate pivot coefficients vanish"
 
 
+def test_degenerate_pivot_zero_test_is_returned_as_it_is():
+    # The mid pair is tried first; every sample is a pole of its zero test.
+    a = LinearQDE(parse("z - nu1"), parse("z/(f - f)"), parse("z - nu2"), "z")
+    res = equations_equivalent(a, a, cfg=CheckConfig(trials=2), label="pivot")
+    assert res.status == "degenerate"
+    assert res.id == "pivot:zero"
+    assert "exhausted" in res.detail
+
+
 def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
     import qpweyl.lax as lax
     monkeypatch.setattr(lax, "build_L1", lambda fam: LinearQDE(ZERO, ZERO, ZERO, "z"))
