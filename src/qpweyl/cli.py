@@ -156,8 +156,6 @@ def cmd_evolve(args) -> int:
         st0 = state_from_record(record)
     except (OSError, ValueError, RecursionError) as err:  # deep JSON nesting
         raise UsageError(f"bad params file: {err}") from None
-    if args.steps < 0:
-        raise UsageError(f"--steps must be >= 0, got {args.steps}")
     try:
         result: OrbitResult = orbit(fam, st0, args.steps)
         doc = orbit_to_json(result)

@@ -50,6 +50,10 @@ from .weyl import (
 
 FRESH = ("fbar", "gbar")
 
+#: The most steps an orbit may take: on a periodic orbit heights never grow,
+#: so only this bounds the time and the output.
+MAX_STEPS = 100_000
+
 #: Coupled relations of each family, written as cross-multiplied residuals in
 #: fbar = f after one step and gbar = g after one step.  The second relation
 #: is taken at the advanced parameters, so kappa1 appears as kappa1/q.
@@ -403,11 +407,12 @@ class OrbitResult:
 
 
 def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
-    """n forward steps; aborts at the first pole with partial output.  Raises
-    orbit_to_json's ValueError at the first state it could not print, before
-    stepping on: the rationals only grow, and each step costs more."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """n forward steps, 0 <= n <= MAX_STEPS; aborts at the first pole with
+    partial output.  Raises orbit_to_json's ValueError at the first state it
+    could not print, before stepping on: the rationals only grow, and each
+    step costs more."""
+    if not 0 <= n <= MAX_STEPS:
+        raise ValueError(f"the number of steps n must be >= 0 and at most {MAX_STEPS}, got {n}")
     bound = _digit_bound()
     _check_printable(st0, bound, "give a smaller start state")
     states = [st0]

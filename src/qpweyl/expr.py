@@ -419,9 +419,18 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
             dens[i] = y
         elif kind == "sym":
             try:
-                nums[i] = values[arg] % p
+                v = values[arg]
             except KeyError:
                 raise ExprError(f"no value for symbol '{arg}'") from None
+            if isinstance(v, int):
+                nums[i] = v % p
+            else:  # a rational n/d is the pair (n, d), as over Q
+                v = Fraction(v)
+                d = v.denominator % p
+                if d == 0:
+                    raise DivisionByZero(nodes[i])
+                nums[i] = v.numerator % p
+                dens[i] = d
         elif kind == "pow":
             k, n = arg
             x, y = nums[k], dens[k]
@@ -542,11 +551,13 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
 def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
     """Evaluate over the exact rationals (p=None) or the prime field F_p.
 
-    `values` must cover every free symbol of e.  Raises DivisionByZero with
-    the offending subexpression when a denominator vanishes: the first node
-    in post-order that divides by zero or raises zero to a negative power,
-    or, over F_p, a constant whose denominator p divides.  The caller is
-    expected to resample.
+    `values` must cover every free symbol of e.  Over F_p a value that is
+    not an int is read as Fraction(value) n/d and taken as n d^-1 mod p.
+    Raises DivisionByZero with the offending subexpression when a
+    denominator vanishes: the first node in post-order that divides by zero
+    or raises zero to a negative power, or, over F_p, a constant or a
+    symbol's value whose denominator p divides.  The caller is expected to
+    resample.
     """
     code, nodes = _compile(e)
     if p is None:

@@ -4,8 +4,8 @@ Each family's spectral equation is stored as
 
     coeff_up * y(q z) + coeff_mid * y(z) + coeff_down * y(z/q) = 0
 
-with rational coefficients in the shift variable and the parameters.  Four
-transformation mechanisms act on such equations:
+with rational coefficients in the spectral variable z and the parameters.
+Four transformation mechanisms act on such equations:
 
   pochhammer(a, b)   y(z) = p(z) ytilde(z) with p the ratio of infinite
                      q-Pochhammer symbols (q a/z; q)/(q b/z; q).  Only the
@@ -15,9 +15,11 @@ transformation mechanisms act on such equations:
   dilation(c)        z = u/c, y(z) = ytilde(u).
   inversion(c,delta) z = c/u, y(z) = z^d ytilde(u); up and down swap roles.
 
-Equations are compared projectively: equality up to one common rational
-factor, decided by cross-multiplying against a pivot coefficient.  The
-verdict is weyl.check's CheckResult, so a failed claim keeps its witness.
+A dilated or inverted equation is written back in z, substituting z -> z/c
+or z -> c/z at once.  Equations are compared projectively: equality up to
+one common rational factor, decided by cross-multiplying against a pivot
+coefficient.  The verdict is weyl.check's CheckResult, so a failed claim
+keeps its witness.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class LinearQDE:
     coeff_up: Expr
     coeff_mid: Expr
     coeff_down: Expr
-    shift_var: str = "z"
 
     def coefficients(self):
         return (self.coeff_up, self.coeff_mid, self.coeff_down)
@@ -110,56 +111,38 @@ def build_L1(fam: FamilyDescriptor) -> LinearQDE:
         coeff_up=parse(table["up"]),
         coeff_mid=parse(table["mid"]),
         coeff_down=parse(table["down"]),
-        shift_var="z",
     )
-
-
-def _other_var(name: str) -> str:
-    return "u" if name == "z" else "z"
 
 
 def apply_gauge(eq: LinearQDE,
                 gauge: Pochhammer | PowerGauge | Dilation | Inversion) -> LinearQDE:
-    v = sym(eq.shift_var)
+    z = sym("z")
     q = sym("q")
     if isinstance(gauge, Pochhammer):
         a, b = gauge.a, gauge.b
-        up = mul(eq.coeff_up, div(sub(v, a), sub(v, b)))
-        down = mul(eq.coeff_down, div(sub(v, mul(q, b)), sub(v, mul(q, a))))
-        return LinearQDE(up, eq.coeff_mid, down, eq.shift_var)
+        up = mul(eq.coeff_up, div(sub(z, a), sub(z, b)))
+        down = mul(eq.coeff_down, div(sub(z, mul(q, b)), sub(z, mul(q, a))))
+        return LinearQDE(up, eq.coeff_mid, down)
     if isinstance(gauge, PowerGauge):
         d = gauge.delta
-        return LinearQDE(mul(eq.coeff_up, d), eq.coeff_mid,
-                         div(eq.coeff_down, d), eq.shift_var)
+        return LinearQDE(mul(eq.coeff_up, d), eq.coeff_mid, div(eq.coeff_down, d))
     if isinstance(gauge, Dilation):
-        new = _other_var(eq.shift_var)
-        image = {eq.shift_var: div(sym(new), gauge.c)}
-        up, mid, down = (substitute(cf, image) for cf in eq.coefficients())
-        return LinearQDE(up, mid, down, new)
+        image = {"z": div(z, gauge.c)}
+        return LinearQDE(*(substitute(cf, image) for cf in eq.coefficients()))
     if isinstance(gauge, Inversion):
-        new = _other_var(eq.shift_var)
-        image = {eq.shift_var: div(gauge.c, sym(new))}
+        image = {"z": div(gauge.c, z)}
         up, mid, down = (substitute(cf, image) for cf in eq.coefficients())
-        # y(qz) lands on ytilde(u/q): the up and down coefficients swap,
+        # y(qz) lands on ytilde(z/q): the up and down coefficients swap,
         # weighted by delta = q^d.
-        return LinearQDE(div(down, gauge.delta), mid, mul(up, gauge.delta), new)
+        return LinearQDE(div(down, gauge.delta), mid, mul(up, gauge.delta))
     raise TypeError(f"unknown gauge {gauge!r}")
 
 
 def substitute_params(eq: LinearQDE, t: Transformation) -> LinearQDE:
-    if t.image(eq.shift_var) is not sym(eq.shift_var):
-        raise ValueError(f"transformation moves the shift variable {eq.shift_var}")
+    if t.image("z") is not sym("z"):
+        raise ValueError("transformation moves the spectral variable z")
     memo: dict = {}
-    up, mid, down = (t(cf, memo) for cf in eq.coefficients())
-    return LinearQDE(up, mid, down, eq.shift_var)
-
-
-def rename_shift(eq: LinearQDE, new_var: str) -> LinearQDE:
-    if eq.shift_var == new_var:
-        return eq
-    image = {eq.shift_var: sym(new_var)}
-    up, mid, down = (substitute(cf, image) for cf in eq.coefficients())
-    return LinearQDE(up, mid, down, new_var)
+    return LinearQDE(*(t(cf, memo) for cf in eq.coefficients()))
 
 
 def equations_equivalent(
@@ -176,8 +159,6 @@ def equations_equivalent(
     sample point off the poles is returned as it is; no pivot is degenerate.
     """
     cfg = cfg or CheckConfig()
-    if e1.shift_var != e2.shift_var:
-        raise ValueError("equations use different shift variables")
     sampled = replace(cfg, exact=False)
     pairs = list(zip(e1.coefficients(), e2.coefficients()))
     for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
@@ -343,7 +324,6 @@ def verify_gauge_claim(
     for gauge in claim.gauges:
         gauged = apply_gauge(gauged, gauge)
     target = substitute_params(eq, claim.target(fam))
-    target = rename_shift(target, gauged.shift_var)
     res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim_id)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")

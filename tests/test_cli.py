@@ -412,6 +412,19 @@ def test_evolve_negative_steps_exit_2(capsys, tmp_path):
     assert re.fullmatch(r"error: [^\n]*steps[^\n]*\n", err)
 
 
+def test_evolve_past_the_step_budget_exit_2_at_once(capsys, tmp_path):
+    # A period-2 orbit never grows, so only the budget stops it.
+    path = write_params(tmp_path, q="1", nu=["1"] * 7, kappa1="1", kappa2="1",
+                        f="2", g="3")
+    start = time.monotonic()
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path,
+                         "--steps", "1000000000")
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*steps[^\n]*100000[^\n]*\n", err)
+
+
 def test_evolve_past_int_str_limit_names_step(capsys):
     # D5 from sample-params.json: state 22 has a numerator past 4300 digits.
     # Stepping stops there, so 200 steps end as fast as 22.

@@ -248,6 +248,22 @@ def test_orbit_rejects_a_bad_direction_and_negative_length(d5):
         orbit(d5, sample_state(), -1)
 
 
+def test_orbit_length_is_bounded(monkeypatch, families):
+    # With q = 1 and every parameter 1 the D5 orbit has period 2 and the E6
+    # orbit period 3, so heights never grow and only MAX_STEPS bounds a run.
+    ones = make_state("1", ["1"] * 7, "1", "1", "2", "3")
+    for name, period in (("D5", 2), ("E6", 3)):
+        states = orbit(families[name], ones, 2 * period).states
+        assert [(s.f, s.g) for s in states[period:]] == [(s.f, s.g) for s in states[:-period]]
+        assert (states[1].f, states[1].g) != (ones.f, ones.g)
+    with pytest.raises(ValueError, match=f"at most {evolution.MAX_STEPS}, got 1000000000$"):
+        orbit(families["D5"], ones, 10**9)
+    monkeypatch.setattr(evolution, "MAX_STEPS", 4)
+    assert len(orbit(families["D5"], ones, 4).states) == 5
+    with pytest.raises(ValueError, match="n must be >= 0 and at most 4, got 5$"):
+        orbit(families["D5"], ones, 5)
+
+
 def test_symbolic_T_matches_orbit_pointwise(families):
     for fam in families.values():
         T = time_evolution(fam)

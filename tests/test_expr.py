@@ -291,6 +291,35 @@ def test_evaluation_matches_reference_walk(e, p, point):
 
 
 @settings(max_examples=300, deadline=None)
+@given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]),
+       st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 3))
+def test_rational_values_over_fp_reduce_the_value_over_q(e, p, point):
+    # A value n/d is n d^-1 mod p.  Denominators up to 7 make values that p
+    # divides frequent: the run stops at the node of such a symbol, unless
+    # an earlier node in post-order is a pole.
+    values = dict(zip(("f", "g", "q"), point))
+    try:
+        over_fp = evaluate(e, values, p)
+    except DivisionByZero as err:
+        if err.node.kind == "sym":
+            assert values[err.node.name].denominator % p == 0
+        return
+    assert all(values[name].denominator % p for name in e.free)
+    over_q = evaluate(e, values)
+    assert over_fp == over_q.numerator * pow(over_q.denominator, -1, p) % p
+    assert 0 <= over_fp < p
+
+
+def test_rational_and_float_values_over_fp():
+    assert evaluate(parse("f"), {"f": Fraction(1, 2)}, (1 << 61) - 1) == 1 << 60
+    assert evaluate(parse("f + 1"), {"f": 0.5}, 7) == 5
+    assert evaluate(parse("1/f"), {"f": Fraction(1, 2)}, 7) == 2
+    with pytest.raises(DivisionByZero) as err:
+        evaluate(parse("g + f"), {"f": Fraction(3, 14), "g": 1}, 7)
+    assert err.value.node is sym("f")
+
+
+@settings(max_examples=300, deadline=None)
 @given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]), st.data())
 def test_lanes_match_one_point_runs(e, p, data):
     # Values from {1, 2, 3, p - 1} make poles frequent; a lane is None exactly

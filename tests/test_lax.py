@@ -1,5 +1,6 @@
 """Linear q-difference equations, gauge mechanics and the claim registry."""
 
+import dataclasses
 import itertools
 import re
 
@@ -20,7 +21,6 @@ from qpweyl.lax import (
     d5_dilation_scaling,
     d5_power_scaling,
     equations_equivalent,
-    rename_shift,
     substitute_params,
     verify_gauge_claim,
     verify_gauge_claims,
@@ -43,7 +43,8 @@ def test_d5_coefficients(d5):
     assert eq(eq5.coeff_up,
               parse("-(z - kappa1/nu7)*(z - kappa1/nu8)/(q*(f - z))"),
               label="d5:up") == "equal"
-    assert eq5.shift_var == "z"
+    assert [f.name for f in dataclasses.fields(LinearQDE)] == [
+        "coeff_up", "coeff_mid", "coeff_down"]
 
 
 def test_e6_coefficients(e6):
@@ -62,10 +63,18 @@ def test_e7_coefficients(e7):
 
 
 def test_coefficients_never_contain_the_other_shift_var(families):
+    # L1, and the gauged equation and the target of every claim, are in z.
     for fam in families.values():
-        eqn = build_L1(fam)
-        for coeff in eqn.coefficients():
-            assert "u" not in coeff.free
+        assert all("u" not in c.free for c in build_L1(fam).coefficients())
+    for claim in CLAIMS.values():
+        fam = families[claim.family]
+        gauged = build_L1(fam)
+        for gauge in claim.gauges:
+            gauged = apply_gauge(gauged, gauge)
+        target = substitute_params(build_L1(fam), claim.target(fam))
+        for coeff in gauged.coefficients() + target.coefficients():
+            assert "u" not in coeff.free, claim.id
+        assert any("z" in c.free for c in gauged.coefficients()), claim.id
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +97,32 @@ def test_power_gauge_with_unit_delta_is_identity(d5):
     assert gauged.coeff_down is eq5.coeff_down
 
 
-def test_dilation_moves_to_u(d5):
+def test_dilation_substitutes_z_over_c(d5):
     eq5 = build_L1(d5)
     gauged = apply_gauge(eq5, Dilation(sym("c")))
-    assert gauged.shift_var == "u"
-    assert "z" not in gauged.coeff_mid.free
-    # the up coefficient acquires zeros at u = c kappa1/nu7, c kappa1/nu8
-    expected = parse("-(u/c - kappa1/nu7)*(u/c - kappa1/nu8)/(q*(f - u/c))")
+    # the up coefficient acquires zeros at z = c kappa1/nu7, c kappa1/nu8
+    expected = parse("-(z/c - kappa1/nu7)*(z/c - kappa1/nu8)/(q*(f - z/c))")
     assert eq(gauged.coeff_up, expected, label="dil:up") == "equal"
+    expected_down = parse("-nu1*nu2*(z/c - q*nu3)*(z/c - q*nu4)/(q*(q*f - z/c))")
+    assert eq(gauged.coeff_down, expected_down, label="dil:down") == "equal"
 
 
 def test_inversion_swaps_up_and_down(d5):
     eq5 = build_L1(d5)
     gauged = apply_gauge(eq5, Inversion(parse("q*kappa1"), parse("kappa2")))
-    assert gauged.shift_var == "u"
-    # the new down coefficient carries the zeros at u = q nu7, q nu8
+    # the new down coefficient carries the zeros at z = q nu7, q nu8
     target_down = parse(
-        "-nu5*nu6*(u - q*nu7)*(u - q*nu8)/(q*(q*kappa1/f - u)*kappa2)")
+        "-nu5*nu6*(z - q*nu7)*(z - q*nu8)/(q*(q*kappa1/f - z)*kappa2)")
     ratio_check = eq(mul(gauged.coeff_down, target_down), ZERO, label="inv:nonzero")
     assert ratio_check == "unequal"  # both nonzero
-    # and it is the old up coefficient at z = c/u, scaled by delta
-    old_up_at = parse("-(q*kappa1/u - kappa1/nu7)*(q*kappa1/u - kappa1/nu8)"
-                      "/(q*(f - q*kappa1/u))*kappa2")
+    # and it is the old up coefficient at z -> c/z, scaled by delta
+    old_up_at = parse("-(q*kappa1/z - kappa1/nu7)*(q*kappa1/z - kappa1/nu8)"
+                      "/(q*(f - q*kappa1/z))*kappa2")
     assert eq(gauged.coeff_down, old_up_at, label="inv:down") == "equal"
+    # and the old down coefficient at z -> c/z, divided by delta, is the new up
+    old_down_at = parse("-nu1*nu2*(q*kappa1/z - q*nu3)*(q*kappa1/z - q*nu4)"
+                        "/(q*(q*f - q*kappa1/z)*kappa2)")
+    assert eq(gauged.coeff_up, old_down_at, label="inv:up") == "equal"
 
 
 def test_pochhammer_round_trip(d5):
@@ -123,7 +135,6 @@ def test_pochhammer_round_trip(d5):
 def test_dilation_round_trip(d5):
     eq5 = build_L1(d5)
     out = apply_gauge(apply_gauge(eq5, Dilation(sym("c"))), Dilation(parse("1/c")))
-    assert out.shift_var == "z"
     assert equations_equivalent(out, eq5, d5.constraint, label="rt:dil").ok
 
 
@@ -131,7 +142,6 @@ def test_double_inversion_is_identity_up_to_factor(d5):
     eq5 = build_L1(d5)
     inv = Inversion(sym("c"), sym("delta"))
     out = apply_gauge(apply_gauge(eq5, inv), inv)
-    assert out.shift_var == "z"
     assert equations_equivalent(out, eq5, d5.constraint, label="rt:inv").ok
 
 
@@ -147,7 +157,7 @@ def test_substitute_params_identity(d5):
 def test_substitute_params_rejects_shift_move(d5):
     eq5 = build_L1(d5)
     bad = transformation({"z": "u"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="moves the spectral variable z"):
         substitute_params(eq5, bad)
 
 
@@ -167,11 +177,11 @@ def test_scalar_multiple_is_equivalent(d5):
     eq5 = build_L1(d5)
     seven = LinearQDE(mul(parse("7"), eq5.coeff_up),
                       mul(parse("7"), eq5.coeff_mid),
-                      mul(parse("7"), eq5.coeff_down), "z")
+                      mul(parse("7"), eq5.coeff_down))
     assert equations_equivalent(eq5, seven, label="x7").ok
     zfac = LinearQDE(mul(parse("z^2 - q"), eq5.coeff_up),
                      mul(parse("z^2 - q"), eq5.coeff_mid),
-                     mul(parse("z^2 - q"), eq5.coeff_down), "z")
+                     mul(parse("z^2 - q"), eq5.coeff_down))
     assert equations_equivalent(eq5, zfac, label="xz").ok
 
 
@@ -199,9 +209,9 @@ def test_equivalence_is_an_equivalence_relation(d5):
     variants = [
         eq5,
         LinearQDE(mul(parse("3"), eq5.coeff_up), mul(parse("3"), eq5.coeff_mid),
-                  mul(parse("3"), eq5.coeff_down), "z"),
+                  mul(parse("3"), eq5.coeff_down)),
         LinearQDE(mul(parse("z - q"), eq5.coeff_up), mul(parse("z - q"), eq5.coeff_mid),
-                  mul(parse("z - q"), eq5.coeff_down), "z"),
+                  mul(parse("z - q"), eq5.coeff_down)),
     ]
     for a in variants:
         assert equations_equivalent(a, a, label="refl").ok
@@ -209,25 +219,18 @@ def test_equivalence_is_an_equivalence_relation(d5):
         assert equations_equivalent(a, b, label="sym").ok
 
 
-def test_shift_var_mismatch_rejected(d5):
-    eq5 = build_L1(d5)
-    other = rename_shift(eq5, "u")
-    with pytest.raises(ValueError):
-        equations_equivalent(eq5, other)
-
-
 def test_zero_mid_falls_back_to_up_pivot():
     from qpweyl.expr import ZERO
-    a = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu2"), "z")
-    b = LinearQDE(parse("7*(z - nu1)"), ZERO, parse("7*(z - nu2)"), "z")
+    a = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu2"))
+    b = LinearQDE(parse("7*(z - nu1)"), ZERO, parse("7*(z - nu2)"))
     assert equations_equivalent(a, b, label="fallback").ok
-    c = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu3"), "z")
+    c = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu3"))
     assert not equations_equivalent(a, c, label="fallback2").ok
 
 
 def test_all_zero_equation_is_degenerate():
     from qpweyl.expr import ZERO
-    zero_eq = LinearQDE(ZERO, ZERO, ZERO, "z")
+    zero_eq = LinearQDE(ZERO, ZERO, ZERO)
     res = equations_equivalent(zero_eq, zero_eq, label="degen")
     assert res.status == "degenerate"
     assert res.detail == "all candidate pivot coefficients vanish"
@@ -235,7 +238,7 @@ def test_all_zero_equation_is_degenerate():
 
 def test_degenerate_pivot_zero_test_is_returned_as_it_is():
     # The mid pair is tried first; every sample is a pole of its zero test.
-    a = LinearQDE(parse("z - nu1"), parse("z/(f - f)"), parse("z - nu2"), "z")
+    a = LinearQDE(parse("z - nu1"), parse("z/(f - f)"), parse("z - nu2"))
     res = equations_equivalent(a, a, cfg=CheckConfig(trials=2), label="pivot")
     assert res.status == "degenerate"
     assert res.id == "pivot:zero"
@@ -244,7 +247,7 @@ def test_degenerate_pivot_zero_test_is_returned_as_it_is():
 
 def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
     import qpweyl.lax as lax
-    monkeypatch.setattr(lax, "build_L1", lambda fam: LinearQDE(ZERO, ZERO, ZERO, "z"))
+    monkeypatch.setattr(lax, "build_L1", lambda fam: LinearQDE(ZERO, ZERO, ZERO))
     result = verify_gauge_claim(d5, "d5.s2")
     assert result.status == "degenerate"
     assert "pivot" in result.detail
@@ -254,7 +257,7 @@ def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
 def test_gauge_claim_with_pole_everywhere_is_degenerate(monkeypatch, d5):
     import qpweyl.lax as lax
     eq5 = build_L1(d5)
-    broken = LinearQDE(parse("z/(f - f)"), eq5.coeff_mid, eq5.coeff_down, "z")
+    broken = LinearQDE(parse("z/(f - f)"), eq5.coeff_mid, eq5.coeff_down)
     monkeypatch.setattr(lax, "build_L1", lambda fam: broken)
     result = verify_gauge_claim(d5, "d5.s2", CheckConfig(trials=2))
     assert result.status == "degenerate"
@@ -292,8 +295,7 @@ def test_gauge_claims_without_constraint_fail_with_sound_witness(families, fam_n
         gauged = build_L1(fam)
         for gauge in claim.gauges:
             gauged = apply_gauge(gauged, gauge)
-        target = rename_shift(substitute_params(build_L1(fam), claim.target(fam)),
-                              gauged.shift_var)
+        target = substitute_params(build_L1(fam), claim.target(fam))
         values = [evaluate(cross_difference(gauged, target, idx), res.witness, DEFAULT_PRIME)
                   for idx in (0, 2)]
         assert any(values), res.id
