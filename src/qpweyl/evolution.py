@@ -256,6 +256,8 @@ def state_from_record(rec) -> OrbitState:
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     if not isinstance(rec.get("nu"), list):
         raise ValueError(f"'nu' must be a list of rationals, got {rec.get('nu')!r}")
+    if len(rec["nu"]) not in (7, 8):
+        raise ValueError(f"'nu' must list nu1..nu7, or nu1..nu8, got {len(rec['nu'])} values")
     nu = [parse_rational(v, f"nu{i}") for i, v in enumerate(rec["nu"], 1)]
     fields = ("q", "kappa1", "kappa2", "f", "g")
     for k in fields:

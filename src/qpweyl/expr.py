@@ -299,10 +299,8 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
             memo[node] = mul(*kids)
         elif node.kind == "pow":
             memo[node] = pow_(kids[0], node.exp)
-        elif node.kind == "div":
-            memo[node] = div(kids[0], kids[1])
         else:
-            memo[node] = node
+            memo[node] = div(kids[0], kids[1])
     return memo[e]
 
 
@@ -312,11 +310,12 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
 # A residual is evaluated at many sampled points, so it is compiled once into
 # a straight-line program (Kaltofen 1988): one instruction per DAG node in
 # post-order, each referring to its children by slot.  Over F_p the program
-# runs projectively on (numerator, denominator) pairs.  Every denominator
-# stays nonzero because a quotient or negative power first checks that its
-# divisor's numerator is nonzero, so a run needs no modular inverse until the
-# final pair becomes a value.  Where only the zero test matters, one run
-# carries many points at once, one lane per point, and needs no inverse.
+# runs projectively on (numerator, denominator) pairs reduced into [0, p),
+# with one rule per instruction kind.  Every denominator stays nonzero
+# because a quotient or negative power first checks that its divisor's
+# numerator is nonzero, so a run needs no modular inverse until the final
+# pair becomes a value.  Where only the zero test matters, one run carries
+# many points at once, one lane per point, and needs no inverse.
 
 @functools.lru_cache(maxsize=8)
 def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
@@ -389,8 +388,9 @@ def _run_rational(code, nodes, values: Mapping[str, object]) -> Fraction:
 def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[int, int]:
     """Run the program over F_p; returns the pair (n, d) with d != 0 mod p.
 
-    Pairs are stored reduced mod p.  A sum adds numerators while the
-    denominators agree, and a product skips denominators of 1.
+    Pairs are stored reduced mod p, and each instruction kind has one rule:
+    a sum of n/d and n'/d' is (n d' + n' d, d d'), a product multiplies
+    numerators and denominators, and a power raises both.
     """
     size = len(code)
     nums = [0] * size
@@ -400,9 +400,7 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
             x = y = 1
             for k in arg:
                 x = x * nums[k] % p
-                d = dens[k]
-                if d != 1:
-                    y = y * d % p
+                y = y * dens[k] % p
             nums[i] = x
             dens[i] = y
         elif kind == "add":
@@ -410,12 +408,9 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
             y = 1
             for k in arg:
                 d = dens[k]
-                if d == y:
-                    x += nums[k]
-                else:
-                    x = (x * d + nums[k] * y) % p
-                    y = y * d % p
-            nums[i] = x % p
+                x = (x * d + nums[k] * y) % p
+                y = y * d % p
+            nums[i] = x
             dens[i] = y
         elif kind == "sym":
             try:
@@ -439,8 +434,7 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
                     raise DivisionByZero(nodes[i])
                 x, y, n = y, x, -n
             nums[i] = pow(x, n, p)
-            if y != 1:
-                dens[i] = pow(y, n, p)
+            dens[i] = pow(y, n, p)
         elif kind == "div":
             a, b = arg
             x = nums[b]
@@ -462,35 +456,22 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
     column being point i; returns each lane's final numerator, or None where
     _run_projective would raise DivisionByZero.
 
-    Column values must lie in [0, p).  Only whether a lane's value is zero
-    matters, so no lane is ever inverted, and a value may be kept as its
-    negative: every stored value lies strictly between -p and p.  A lane
-    whose divisor numerator is 0 is marked and left to run on; its other
-    lanes keep nonzero denominators.  A denominator column of ones is kept
-    as None, and a product takes its constant factor as one scalar.
+    Column values must lie in [0, p), and so does every stored value.  Only
+    whether a lane's value is zero matters, so no lane is ever inverted.  A
+    lane whose divisor numerator is 0 is marked and left to run on; its
+    other lanes keep nonzero denominators.  A constant is a column, as a
+    symbol is, and a product multiplies its children's columns in order.  A
+    denominator column of ones is kept as None.
     """
     nums: list[list] = []
     dens: list = []
-    consts: dict[int, int] = {}     # slot -> numerator of a constant
     dead: set[int] = set()
-    for i, (kind, arg) in enumerate(code):
+    for kind, arg in code:
         y = None
         if kind == "mul":
-            x = None
-            c = 1
-            for k in arg:
-                if k in consts:
-                    c = c * consts[k] % p
-                elif x is None:
-                    x = nums[k]
-                else:
-                    x = [a * b % p for a, b in zip(x, nums[k])]
-            if x is None:
-                x = [c] * m
-            elif c == p - 1:
-                x = [-a for a in x]
-            elif c != 1:
-                x = [c * a % p for a in x]
+            x = nums[arg[0]]
+            for k in arg[1:]:
+                x = [a * b % p for a, b in zip(x, nums[k])]
             for k in arg:
                 d = dens[k]
                 if d is not None:
@@ -537,8 +518,7 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
         else:
             if arg.denominator % p == 0:
                 return [None] * m
-            consts[i] = arg.numerator % p
-            x = [consts[i]] * m
+            x = [arg.numerator % p] * m
             if arg.denominator != 1:
                 y = [arg.denominator % p] * m
         nums.append(x)
@@ -636,13 +616,11 @@ def _string_rule(kind, arg, code, texts) -> tuple[bool, list]:
         neg = _first(out, texts[base], None if code[base][0] == "sym" else _PAREN)
         out += ("^", str(exp))
         return neg, out
-    if kind == "div":
-        n, d = arg
-        neg = _first(out, texts[n], _PAREN if code[n][0] in ("add", "mul", "div") else None)
-        out.append("/")
-        _put(out, texts[d], _PAREN if code[d][0] in ("add", "mul", "div") else None)
-        return neg, out
-    raise ExprError(f"unprintable node kind {kind}")
+    n, d = arg      # a quotient: _print hands over no other kind
+    neg = _first(out, texts[n], _PAREN if code[n][0] in ("add", "mul", "div") else None)
+    out.append("/")
+    _put(out, texts[d], _PAREN if code[d][0] in ("add", "mul", "div") else None)
+    return neg, out
 
 
 def _latex_rule(kind, arg, code, texts) -> tuple[bool, list]:
@@ -663,15 +641,13 @@ def _latex_rule(kind, arg, code, texts) -> tuple[bool, list]:
         _put(out, texts[base], None if code[base][0] == "sym" else _LATEX_PAREN)
         out += ("}^{", str(exp), "}")
         return False, out
-    if kind == "div":
-        n, d = arg
-        out.append(r"\frac{")
-        _put(out, texts[n])
-        out.append("}{")
-        _put(out, texts[d])
-        out.append("}")
-        return False, out
-    raise ExprError(f"unprintable node kind {kind}")
+    n, d = arg
+    out.append(r"\frac{")
+    _put(out, texts[n])
+    out.append("}{")
+    _put(out, texts[d])
+    out.append("}")
+    return False, out
 
 
 def _print(e: Expr, leaf, rule) -> str:

@@ -360,6 +360,11 @@ def test_evolve_bad_params_values_exit_2(capsys, tmp_path, content, message):
     ("nu", '["2", "3", "5", "7", "11", "13", "17", "999"]',
      "nu8 = '999' contradicts the constraint, which gives 15/68068"),
     ("q", None, "missing field 'q'"),
+    ("nu", "[]", "'nu' must list nu1..nu7, or nu1..nu8, got 0 values"),
+    ("nu", '["2", "3", "5", "7", "11", "13"]',
+     "'nu' must list nu1..nu7, or nu1..nu8, got 6 values"),
+    ("nu", '["2", "3", "5", "7", "11", "13", "17", "19", "23"]',
+     "'nu' must list nu1..nu7, or nu1..nu8, got 9 values"),
 ])
 def test_evolve_bad_params_field_is_named(capsys, tmp_path, key, raw, message):
     # The JSON text is written by hand: 1e400 reads as a float infinity.

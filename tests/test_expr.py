@@ -133,10 +133,20 @@ def test_print_parse_round_trip_on_dags(e):
     assert parse(to_string(e)) is e
 
 
-def test_syntax_error_carries_offset():
+@pytest.mark.parametrize("text, message, offset", [
+    ("nu1 + * nu2", "unexpected token '*'", 6),
+    ("f $ g", "unexpected character '$'", 2),
+    ("(f + g", "expected ')'", 6),
+    ("f^g", "expected integer exponent", 2),
+    ("2^-x", "expected integer exponent", 3),
+    ("f g", "trailing input 'g'", 2),
+    ("f)", "trailing input ')'", 1),
+])
+def test_syntax_error_carries_offset(text, message, offset):
     with pytest.raises(ExprSyntaxError) as err:
-        parse("nu1 + * nu2")
-    assert err.value.offset == 6
+        parse(text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} at offset {offset}"
 
 
 def test_unknown_symbol_lists_name():
@@ -338,12 +348,16 @@ def test_lanes_match_one_point_runs(e, p, data):
             assert lane is None
         else:
             assert lane is not None and (lane == 0) == (numer == 0)
+        assert lane is None or 0 <= lane < p
 
 
 def test_lanes_name_a_missing_symbol():
     code, _ = expr_module._compile(parse("f + g"))
     with pytest.raises(ExprError, match="no value for symbol 'g'"):
         expr_module._run_lanes(code, {"f": [1, 2]}, 2, 7)
+    for p in (None, 7):
+        with pytest.raises(ExprError, match="no value for symbol 'g'"):
+            evaluate(parse("f + g"), {"f": 1}, p)
 
 
 def test_interning_is_thread_safe():
