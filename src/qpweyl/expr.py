@@ -73,7 +73,7 @@ class DivisionByZero(ArithmeticError):
 class Expr:
     """One interned expression node.  Construct only via the factory functions."""
 
-    __slots__ = ("kind", "value", "name", "children", "exp", "free", "uid")
+    __slots__ = ("kind", "value", "name", "children", "exp", "free", "monomial", "uid")
 
     def __init__(self, kind, value=None, name=None, children=(), exp=0):
         self.kind = kind
@@ -81,15 +81,25 @@ class Expr:
         self.name = name            # str, for 'sym'
         self.children = children    # tuple[Expr, ...]
         self.exp = exp              # int, for 'pow'
+        # monomial: the sorted (symbol, exponent) pairs of a Laurent monomial
+        # with coefficient 1, else None (any sum, any other constant).
         if kind == "num":
             self.free = frozenset()
+            self.monomial = () if value == 1 else None
         elif kind == "sym":
             self.free = frozenset((name,))
+            self.monomial = ((name, 1),)
         else:
             fs: frozenset[str] = frozenset()
             for ch in children:
                 fs = fs | ch.free
             self.free = fs
+            mono = None if kind == "add" else children[0].monomial
+            if mono is not None:
+                powers = ((exp,) if kind == "pow" else (1, -1) if kind == "div"
+                          else (1,) * len(children))
+                mono = monomial_product(zip([ch.monomial for ch in children], powers))
+            self.monomial = mono
         self.uid = 0                # assigned by the intern table
 
     def __repr__(self):
@@ -97,6 +107,18 @@ class Expr:
 
     def __str__(self):
         return to_string(self)
+
+
+def monomial_product(factors) -> tuple | None:
+    """The product of m^k over the (m, k) in factors, m a monomial tuple of
+    Expr.monomial; None when some m is None."""
+    exps: dict[str, int] = {}
+    for m, k in factors:
+        if m is None:
+            return None
+        for name, j in m:
+            exps[name] = exps.get(name, 0) + k * j
+    return tuple(sorted([item for item in exps.items() if item[1]]))
 
 
 # The intern table never evicts: a node lives as long as the process.

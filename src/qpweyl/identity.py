@@ -1,16 +1,17 @@
 """Identity testing for rational expressions, modulo a constraint relation.
 
-The workhorse is evaluation-first testing: the difference of two expressions
-is evaluated at independent uniform points of a large prime field, after
-eliminating the constrained symbol.  Any nonzero value disproves the
-identity, and that point alone is returned as the witness; agreement at every
-trial accepts it with error probability at most (deg/p) per trial.
-
-A comparison of an expression with itself is decided without sampling when
-its residual cannot divide by zero at any point with nonzero coordinates,
-which are the only points drawn: the residual is then 0 at every such point,
-so the decision is exact and the result is the one sampling would return.
-The (deg/p) bound concerns the other comparisons only.
+A comparison is decided by the first of three rules that applies:
+1. lattice: two Laurent monomials with coefficient 1, such as the images of
+   q, nu1..nu8, kappa1, kappa2, are equal when their exponents agree after
+   the constrained symbol's exponent is carried over to its replacement;
+2. self-comparison: an expression is equal to itself when the residual
+   cannot divide by zero at any point with nonzero coordinates;
+3. sampling: the constrained difference is evaluated at independent uniform
+   points of a large prime field.  A nonzero value disproves the identity,
+   and that point alone is returned as the witness; agreement at every trial
+   accepts it with error probability at most (deg/p) per trial.
+Only points with nonzero coordinates are drawn, so the first two rules are
+exact and return what sampling would; the (deg/p) bound concerns rule 3.
 
 The first point is a probe, evaluated alone: most false identities fail
 there.  The remaining trials run the residual's compiled program over their
@@ -41,6 +42,7 @@ from .expr import (
     _compile,
     _run_lanes,
     evaluate,
+    monomial_product,
     sub,
     substitute,
 )
@@ -188,12 +190,17 @@ def identities_equal(
 ) -> IdentityResult:
     """Decide whether a and b agree as rational functions (mod constraint).
 
-    A self-comparison (a is b) whose residual has no possible pole at a point
-    with nonzero coordinates is decided exactly, without sampling: the result
-    is the one the sampling loop would return, every trial equal and none
-    resampled.  Every other comparison is sampled.
+    The rules of the module docstring, in order: lattice ("exact-proved"
+    with exact, and no residual is built), self-comparison, sampling.  The
+    first two return the sampling loop's result: every trial equal and none
+    resampled.  With exact, an "equal" from the other two goes on to the
+    exact path.
     """
     check_sampling(trials, prime)
+    lattice = _reduced_monomial(a, constraint)
+    if lattice is not None and lattice == _reduced_monomial(b, constraint):
+        # Monomials have no pole at a point with nonzero coordinates.
+        return IdentityResult("exact-proved" if exact else "equal", trials=trials)
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
@@ -217,6 +224,18 @@ def identities_equal(
         except ExactPathUnavailable:
             pass
     return result
+
+
+def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple | None:
+    """e.monomial with the constraint applied: the eliminated symbol's
+    exponent k becomes k times the replacement's exponents.  None when e is
+    not a monomial, or when it has that symbol and the replacement is not."""
+    m = e.monomial
+    k = 0 if m is None or constraint is None else dict(m).get(constraint.eliminated, 0)
+    if not k:
+        return m
+    x = constraint.eliminated
+    return monomial_product([(m, 1), (((x, 1),), -k), (constraint.replacement.monomial, k)])
 
 
 #: The most points one batch runs: _run_lanes keeps a list of lanes per

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qpweyl import identity
 from qpweyl.expr import (
-    DivisionByZero, ExprError, add, div, evaluate, mul, num, parse, pow_, sub, sym)
+    ACTION_SYMBOLS, DivisionByZero, ExprError, add, div, evaluate, mul, num, parse, pow_, sub,
+    sym)
 from qpweyl.identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
@@ -362,15 +363,31 @@ def test_exact_zero_matches_tuple_fraction_normalizer(cap, a, b):
 
 
 def _theorem_residuals(fam):
-    """The residuals verify_theorem_i hands to exact_zero, in order."""
+    """The constrained residuals of verify_theorem_i's 12 claims, in order:
+    nu1..nu8, kappa1, kappa2, rel1, rel2."""
+    from qpweyl.evolution import make_evolution_spec, time_evolution
+    from qpweyl.expr import ZERO, substitute
+
+    T = time_evolution(fam)
+    claims = [(T.image(f"nu{i}"), sym(f"nu{i}")) for i in range(1, 9)]
+    claims += [(T.image("kappa1"), parse("kappa1/q")), (T.image("kappa2"), parse("q*kappa2"))]
+    images = {"fbar": T.image("f"), "gbar": T.image("g")}
+    claims += [(substitute(rel, images), ZERO) for rel in make_evolution_spec(fam).qp_relations]
+    return [fam.constraint.apply(sub(a, b)) for a, b in claims]
+
+
+def test_theorem_residuals_are_those_verify_theorem_i_normalizes(families):
+    # The ten parameter claims are decided on the lattice, so exact_zero
+    # sees rel1 and rel2 only.
     from qpweyl.evolution import verify_theorem_i
     from qpweyl.weyl import CheckConfig
 
-    residuals = []
-    with mock.patch.object(identity, "exact_zero",
-                           lambda e, **kwargs: residuals.append(e) or True):
-        verify_theorem_i(fam, CheckConfig(exact=True))
-    return residuals
+    for fam in families.values():
+        seen = []
+        with mock.patch.object(identity, "exact_zero",
+                               lambda e, **kwargs: seen.append(e) or True):
+            verify_theorem_i(fam, CheckConfig(exact=True))
+        assert seen == _theorem_residuals(fam)[-2:], fam.name
 
 
 def test_exact_zero_matches_tuple_fraction_normalizer_on_theorem_residuals(families):
@@ -410,16 +427,22 @@ def test_exact_zero_fields_never_carry():
 
 
 def test_exact_zero_runs_once_per_residual(families):
-    # verify-relations --exact asks 416 / 636 / 654 times about 81 / 96 / 57
-    # distinct residuals (seed 0); each must be normalized once.
+    # Past the lattice, verify-relations --exact asks 15 / 25 / 10 times
+    # about 13 / 19 / 7 distinct residuals (seed 0); each must be normalized
+    # once.
     from qpweyl.weyl import CheckConfig, verify_relations
 
-    for name, runs in (("D5", 81), ("E6", 96), ("E7", 57)):
+    exact_zero = identity.exact_zero
+    for name, runs in (("D5", 13), ("E6", 19), ("E7", 7)):
         identity._exact_outcome.cache_clear()
-        with mock.patch.object(identity, "_normalize_is_zero",
-                               wraps=identity._normalize_is_zero) as spy:
+        asked = []
+        with mock.patch.object(identity, "exact_zero",
+                               lambda e: asked.append(e) or exact_zero(e)), \
+                mock.patch.object(identity, "_normalize_is_zero",
+                                  wraps=identity._normalize_is_zero) as spy:
             verify_relations(families[name], CheckConfig(exact=True))
-        assert spy.call_count == runs, name
+        assert len(asked) > runs, name
+        assert spy.call_count == len(set(asked)) == runs, name
 
 
 def test_exact_zero_remembers_unavailable_and_keys_by_cap():
@@ -767,14 +790,16 @@ def test_pole_free_residuals_have_no_pole_at_nonzero_points(a, b, constrained, p
 
 
 def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
-    # The probe is the only evaluate call of a self-comparison that the loop
-    # would accept; a shortcut makes none, and every report stays the same.
+    # The probe is the only evaluate call of a comparison that the loop would
+    # accept; a shortcut, lattice or self-comparison, makes none, and every
+    # report stays the same.
     from qpweyl.weyl import CheckConfig, verify_relations
 
-    def run(pole_free):
+    def run(pole_free, reduced_monomial):
         sampled = []
         with mock.patch.object(identity, "evaluate", wraps=identity.evaluate) as spy, \
                 mock.patch.object(identity, "_pole_free", pole_free), \
+                mock.patch.object(identity, "_reduced_monomial", reduced_monomial), \
                 mock.patch.object(identity, "_sample",
                                   lambda *args: sampled.append(1) or sample(*args)):
             report = verify_relations(d5, CheckConfig())
@@ -782,9 +807,129 @@ def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
         return checks, spy.call_count, len(sampled)
 
     sample = identity._sample
-    looped, loop_calls, loop_sampled = run(lambda r, p: False)
-    checks, calls, sampled = run(identity._pole_free)
+    looped, loop_calls, loop_sampled = run(lambda r, p: False, lambda e, k: None)
+    checks, calls, sampled = run(identity._pole_free, identity._reduced_monomial)
     assert checks == looped
     shortcuts = loop_sampled - sampled
     assert shortcuts > 0
     assert loop_calls - calls == shortcuts
+
+
+# ---------------------------------------------------------------------------
+# coefficient-1 monomials are compared on the exponent lattice
+
+@st.composite
+def lattice_monomials(draw):
+    """A coefficient-1 Laurent monomial in the action symbols, built through
+    the factories as a straight-line program, with its exponents counted
+    alongside: (expr, {symbol: exponent})."""
+    nodes = [(sym(n), {n: 1}) for n in draw(st.lists(st.sampled_from(ACTION_SYMBOLS),
+                                                     min_size=1, max_size=4))]
+    for _ in range(draw(st.integers(0, 6))):
+        (a, ea), (b, eb) = (nodes[-draw(st.integers(1, len(nodes)))] for _ in range(2))
+        op = draw(st.sampled_from("*/^"))
+        if op == "^":
+            k = draw(st.integers(-3, 3))
+            node = (pow_(a, k), {n: k * j for n, j in ea.items()})
+        else:
+            sign = 1 if op == "*" else -1
+            counts = dict(ea)
+            for n, j in eb.items():
+                counts[n] = counts.get(n, 0) + sign * j
+            node = ((mul if op == "*" else div)(a, b), counts)
+        nodes.append(node)
+    return nodes[-1]
+
+
+def _lattice_and_sample(a, b, k, **kwargs):
+    """identities_equal's result, whether the lattice decided it, and the
+    sampling loop's result on the same comparison."""
+    sample, sampled = identity._sample, []
+    with mock.patch.object(identity, "_sample",
+                           lambda *args: sampled.append(1) or sample(*args)):
+        got = identities_equal(a, b, k, **kwargs)
+    r = sub(a, b) if k is None else k.apply(sub(a, b))
+    loop = identity._sample(r, a, b, kwargs["trials"], kwargs["prime"], kwargs["seed"],
+                            kwargs["label"])
+    return got, not sampled, loop
+
+
+@settings(max_examples=300, deadline=None)
+@given(ma=lattice_monomials(), mb=lattice_monomials(), constrained=st.booleans(),
+       how=st.sampled_from(["drawn", "same exponents", "constrained image"]),
+       trials=st.integers(1, 16), seed=st.integers(0, 3),
+       prime=st.sampled_from([DEFAULT_PRIME, _REJECTING_PRIME]))
+def test_lattice_verdict_is_the_sampling_loops(ma, mb, constrained, how, trials, seed,
+                                               prime):
+    (a, ea), (b, eb) = ma, mb
+    for e, counts in (ma, mb):
+        assert e.monomial == tuple(sorted((n, j) for n, j in counts.items() if j))
+    k = constraint() if constrained else None
+    if how == "same exponents":
+        # The same monomial through another construction: one quotient.
+        top = mul(*[pow_(sym(n), j) for n, j in sorted(ea.items()) if j > 0])
+        bottom = mul(*[pow_(sym(n), -j) for n, j in sorted(ea.items()) if j < 0])
+        b = div(top, bottom) if bottom.kind != "num" else top
+    elif how == "constrained image":
+        b = constraint().apply(a)
+    kwargs = dict(trials=trials, prime=prime, seed=seed, label="lattice")
+    got, decided, loop = _lattice_and_sample(a, b, k, **kwargs)
+    assert got == loop
+    assert decided == (loop.verdict == "equal")
+    if how == "same exponents":
+        assert decided
+    assert decided == (identity._reduced_monomial(a, k) == identity._reduced_monomial(b, k))
+    if decided:
+        exact = identities_equal(a, b, k, exact=True, **kwargs)
+        assert exact == IdentityResult("exact-proved", trials=trials)
+        assert exact_zero(sub(a, b) if k is None else k.apply(sub(a, b)))
+
+
+@pytest.mark.parametrize("a, b, k", [
+    ("2*nu1", "nu1 + nu1", None),
+    ("-nu1", "nu1 - 2*nu1", None),
+    ("nu1 + nu2", "nu2 + nu1", None),
+    ("q*f", "f*q", ConstraintRelation("q", parse("f/(g - 1)"))),
+])
+def test_lattice_near_misses_are_sampled(a, b, k):
+    a, b = parse(a), parse(b)
+    assert a is not b
+    if k is None:
+        assert a.monomial is None and b.monomial is None
+    else:
+        assert a.monomial == b.monomial == (("f", 1), ("q", 1))
+        assert identity._reduced_monomial(a, k) is None
+    kwargs = dict(trials=8, prime=DEFAULT_PRIME, seed=0, label="near miss")
+    got, decided, loop = _lattice_and_sample(a, b, k, **kwargs)
+    assert not decided
+    assert got == loop == IdentityResult("equal", trials=8)
+
+
+def test_equal_parameter_images_are_decided_on_the_lattice(families):
+    # Every equal comparison of parameter images in the relation suites,
+    # Theorem I (T = xi W^2 on q, nu1..nu8, kappa1, kappa2), Theorem II and
+    # the gauge suite is a lattice proof; only refuted ones are sampled.
+    from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
+    from qpweyl.expr import PARAM_SYMBOLS
+    from qpweyl.lax import verify_gauge_claims
+    from qpweyl.weyl import CheckConfig, verify_relations
+
+    params, sample = set(PARAM_SYMBOLS), identity._sample
+    for fam in families.values():
+        seen = []
+
+        def spy(r, a, b, *args):
+            result = sample(r, a, b, *args)
+            seen.append((args[-1], a.free | b.free <= params, result.verdict))
+            return result
+
+        with mock.patch.object(identity, "_sample", spy):
+            for suite in (verify_relations, verify_theorem_i, verify_theorem_ii,
+                          verify_gauge_claims):
+                assert suite(fam, CheckConfig()).ok, (fam.name, suite.__name__)
+        assert seen
+        on_params = [(label, verdict) for label, is_param, verdict in seen if is_param]
+        assert all(verdict == "unequal" for _, verdict in on_params), on_params
+        # E6 and E7 discover their pi conjugations: the wrong candidates are
+        # refuted on a parameter image.
+        assert bool(on_params) == (fam.name != "D5"), fam.name
