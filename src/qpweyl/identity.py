@@ -3,7 +3,8 @@
 A comparison is decided by the first of three rules that applies:
 1. lattice: two Laurent monomials with coefficient 1, such as the images of
    q, nu1..nu8, kappa1, kappa2, are equal when their exponents agree after
-   the constrained symbol's exponent is carried over to its replacement;
+   the constrained symbol's exponent is carried over to its replacement,
+   which must itself be such a monomial if either side mentions the symbol;
 2. self-comparison: an expression is equal to itself when the residual
    cannot divide by zero at any point with nonzero coordinates;
 3. sampling: the constrained difference is evaluated at independent uniform
@@ -229,12 +230,14 @@ def identities_equal(
 def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple | None:
     """e.monomial with the constraint applied: the eliminated symbol's
     exponent k becomes k times the replacement's exponents.  None when e is
-    not a monomial, or when it has that symbol and the replacement is not."""
+    not a monomial, or when e mentions that symbol, even with exponent 0,
+    and the replacement is not a monomial: the substituted program could
+    then divide by zero where sampling would resample."""
     m = e.monomial
-    k = 0 if m is None or constraint is None else dict(m).get(constraint.eliminated, 0)
-    if not k:
+    if m is None or constraint is None or constraint.eliminated not in e.free:
         return m
     x = constraint.eliminated
+    k = dict(m).get(x, 0)
     return monomial_product([(m, 1), (((x, 1),), -k), (constraint.replacement.monomial, k)])
 
 

@@ -905,6 +905,23 @@ def test_lattice_near_misses_are_sampled(a, b, k):
     assert got == loop == IdentityResult("equal", trials=8)
 
 
+def test_cancelled_eliminated_symbol_needs_a_monomial_replacement():
+    # q^2/q^2 is the monomial 1, but substituting f/(g - 1) for its q's
+    # divides by zero at g = 1, so the comparison is left to sampling.  A
+    # monomial replacement (nu8's) adds no pole, so the lattice decides.
+    a = div(mul(sym("q"), sym("q")), mul(sym("q"), sym("q")))
+    e = div(sym("nu8"), sym("nu8"))
+    assert a.monomial == e.monomial == ()
+    k = ConstraintRelation("q", parse("f/(g - 1)"))
+    assert identity._reduced_monomial(a, k) is None
+    assert identity._reduced_monomial(e, constraint()) == ()
+    kwargs = dict(trials=4, prime=DEFAULT_PRIME, seed=0, label="cancelled")
+    for x, b, c in ((a, num(1), k), (e, num(1), constraint())):
+        got, decided, loop = _lattice_and_sample(x, b, c, **kwargs)
+        assert decided == (c is not k)
+        assert got == loop == IdentityResult("equal", trials=4)
+
+
 def test_equal_parameter_images_are_decided_on_the_lattice(families):
     # Every equal comparison of parameter images in the relation suites,
     # Theorem I (T = xi W^2 on q, nu1..nu8, kappa1, kappa2), Theorem II and
