@@ -18,7 +18,7 @@ Commands and their options
   list               families and claim ids, or one family's generators,
                      edges and evolution word; latex prints its generator
                      tables
-      --family (optional), --format {text,latex}
+      --family (optional), --format {text,latex}; latex needs --family
 
 Exit status: 0 all checks passed, 1 verification failure or pole, 2 usage or
 input error.  Every usage or input error, argparse's included, is one
@@ -179,6 +179,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_list(args) -> int:
+    if args.format == "latex" and not args.family:
+        raise UsageError("list --format latex needs --family")
     if args.family:
         fam = make_family(args.family)
         if args.format == "latex":

@@ -1,18 +1,16 @@
 """Identity testing for rational expressions, modulo a constraint relation.
 
-A comparison is decided by the first of three rules that applies:
+A comparison is decided by the first of two rules that applies:
 1. lattice: two Laurent monomials with coefficient 1, such as the images of
    q, nu1..nu8, kappa1, kappa2, are equal when their exponents agree after
    the constrained symbol's exponent is carried over to its replacement,
    which must itself be such a monomial if either side mentions the symbol;
-2. self-comparison: an expression is equal to itself when the residual
-   cannot divide by zero at any point with nonzero coordinates;
-3. sampling: the constrained difference is evaluated at independent uniform
+2. sampling: the constrained difference is evaluated at independent uniform
    points of a large prime field.  A nonzero value disproves the identity,
    and that point alone is returned as the witness; agreement at every trial
    accepts it with error probability at most (deg/p) per trial.
-Only points with nonzero coordinates are drawn, so the first two rules are
-exact and return what sampling would; the (deg/p) bound concerns rule 3.
+Only points with nonzero coordinates are drawn, so rule 1 is exact and
+returns what sampling would; the (deg/p) bound concerns rule 2.
 
 The first point is a probe, evaluated alone: most false identities fail
 there.  The remaining trials run the residual's compiled program over their
@@ -54,6 +52,10 @@ DEFAULT_TRIALS = 16
 #: The most trials a comparison may ask for, so that a mistyped --trials is
 #: refused at once instead of running for hours.
 MAX_TRIALS = 10_000
+#: The widest prime a comparison may sample over.  Miller-Rabin's cost grows
+#: about as the cube of the width, so a prime of thousands of digits is
+#: refused at once instead of being tested for minutes.
+MAX_PRIME_BITS = 1024
 
 
 class DegenerateComparison(RuntimeError):
@@ -162,7 +164,7 @@ def is_prime(n: int) -> bool:
 
 def check_sampling(trials: int, prime: int) -> None:
     """Raise ValueError unless 1 <= trials <= MAX_TRIALS and prime is a
-    prime above 2^60.
+    prime above 2^60 and at most MAX_PRIME_BITS bits wide.
 
     The sampled field must be a field: projective evaluation relies on every
     nonzero denominator being invertible, and the error bound on p - 1
@@ -174,6 +176,9 @@ def check_sampling(trials: int, prime: int) -> None:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if prime <= 1 << 60:
         raise ValueError(f"prime must exceed 2^60, got {prime}")
+    if prime.bit_length() > MAX_PRIME_BITS:
+        raise ValueError(f"prime must be at most {MAX_PRIME_BITS} bits wide, "
+                         f"got {prime.bit_length()} bits")
     if not is_prime(prime):
         raise ValueError(f"prime {prime} is composite")
 
@@ -192,10 +197,9 @@ def identities_equal(
     """Decide whether a and b agree as rational functions (mod constraint).
 
     The rules of the module docstring, in order: lattice ("exact-proved"
-    with exact, and no residual is built), self-comparison, sampling.  The
-    first two return the sampling loop's result: every trial equal and none
-    resampled.  With exact, an "equal" from the other two goes on to the
-    exact path.
+    with exact, and no residual is built), sampling.  The lattice returns
+    the sampling loop's result: every trial equal and none resampled.  With
+    exact, an "equal" from sampling goes on to the exact path.
     """
     check_sampling(trials, prime)
     lattice = _reduced_monomial(a, constraint)
@@ -205,12 +209,7 @@ def identities_equal(
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
-    if a is b and _pole_free(r, prime):
-        # r computes a - a without dividing by zero at any point sample_point
-        # can draw, so it is 0 at each of the loop's points.
-        result = IdentityResult(verdict="equal", trials=trials)
-    else:
-        result = _sample(r, a, b, trials, prime, seed, label)
+    result = _sample(r, a, b, trials, prime, seed, label)
 
     if exact and result.verdict == "equal":
         try:
@@ -288,39 +287,6 @@ def _sample(r, a, b, trials, prime, seed, label) -> IdentityResult:
         result.witness = point
     result.trials = done
     return result
-
-
-@functools.lru_cache(maxsize=1024)
-def _pole_free(e: Expr, p: int) -> bool:
-    """Whether e's program divides by zero at no point of F_p whose
-    coordinates are all nonzero.
-
-    A slot is a unit, nonzero at every such point, when it is a symbol, a
-    constant whose numerator and denominator are nonzero mod p, or a
-    product, power or quotient of units; a sum never is.  The program is
-    pole-free when every divisor and every base of a negative power is a
-    unit and no constant's denominator is divisible by p.  Remembered per
-    residual and prime: a suite compares the same images again.
-    """
-    unit: list[bool] = []
-    for kind, arg in _compile(e)[0]:
-        if kind == "num":
-            if arg.denominator % p == 0:
-                return False
-            unit.append(arg.numerator % p != 0)
-        elif kind == "sym":
-            unit.append(True)
-        elif kind == "add":
-            unit.append(False)
-        elif kind == "pow":
-            if arg[1] < 0 and not unit[arg[0]]:
-                return False
-            unit.append(unit[arg[0]])
-        else:  # mul, div
-            if kind == "div" and not unit[arg[1]]:
-                return False
-            unit.append(all(unit[k] for k in arg))
-    return True
 
 
 def to_label(a: Expr, b: Expr) -> str:

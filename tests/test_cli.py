@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qpweyl.cli as cli
-from qpweyl.identity import MAX_TRIALS
+from qpweyl.identity import MAX_PRIME_BITS, MAX_TRIALS
 from qpweyl.weyl import MAX_WORD_LETTERS
 
 
@@ -530,6 +530,7 @@ def test_parser_options_are_exactly_the_table():
     ("list", "--no-constraint"),
     ("list", "--format", "json"),
     ("list", "--family", "D5", "--trials", "0"),
+    ("list", "--format", "latex"),
     ("verify-gauge", "--family", "D5", "--format", "latex"),
     (),
     ("frobnicate",),
@@ -590,6 +591,18 @@ def test_trials_past_the_budget_exit_2_at_once(capsys):
     assert (code, out) == (2, "")
     assert err == (f"error: trials must be at most {MAX_TRIALS}, "
                    f"got 99999999999999999999\n")
+
+
+def test_prime_past_the_budget_exit_2_at_once(capsys):
+    # A Mersenne prime of 3,376 digits: within argparse's digit limit, but
+    # Miller-Rabin on it would run for minutes.
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify-theorem", "--family", "D5",
+                         "--prime", str((1 << 11213) - 1))
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: prime must be at most {MAX_PRIME_BITS} bits wide, "
+                   f"got 11213 bits\n")
 
 
 def test_larger_prime_is_accepted(capsys):

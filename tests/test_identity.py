@@ -688,7 +688,7 @@ def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
 
 
 # ---------------------------------------------------------------------------
-# self-comparisons without a possible pole are decided without sampling
+# self-comparisons are sampled unless the lattice decides them
 
 
 def _both_on_self(a, constraint=None, **kwargs):
@@ -714,8 +714,7 @@ def test_self_comparison_matches_point_by_point_loop(a, trials, seed, prime, con
     batched, sequential, sampled = _both_on_self(a, k, trials=trials, prime=prime,
                                                  seed=seed, label="self")
     assert batched == sequential
-    r = sub(a, a) if k is None else k.apply(sub(a, a))
-    assert sampled != identity._pole_free(r, prime)
+    assert sampled == (identity._reduced_monomial(a, k) is None)
     if not sampled:
         assert batched == IdentityResult("equal", trials=trials)
 
@@ -725,12 +724,11 @@ def test_self_comparison_matches_point_by_point_loop(a, trials, seed, prime, con
     "(f - nu3)*g/(2*kappa1)", "(f/g)^-2*(g - 1)",
 ])
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, _REJECTING_PRIME])
-def test_self_comparisons_without_possible_poles_skip_sampling(text, prime):
-    a = parse(text)
-    with mock.patch.object(identity, "rng_for", side_effect=AssertionError("sampled")):
-        got = identities_equal(a, a, trials=9, prime=prime, label="skip")
-    assert got == IdentityResult("equal", trials=9)
-    assert got == _sequential_identities_equal(a, a, trials=9, prime=prime, label="skip")
+def test_self_comparisons_skip_sampling_only_on_the_lattice(text, prime):
+    batched, sequential, sampled = _both_on_self(parse(text), trials=9, prime=prime,
+                                                 label="skip")
+    assert batched == sequential == IdentityResult("equal", trials=9)
+    assert sampled == (text not in ("f", "f*g/q^2", "nu1^-3"))
 
 
 @pytest.mark.parametrize("case", ["nu1 - nu1", "(f - g)^-1", "1/p", "1/(p*f)",
@@ -760,45 +758,14 @@ def test_self_comparisons_with_possible_poles_end_through_the_loop(case):
         assert batched[0] == "exhausted 400 sampling attempts for '%s'" % case
 
 
-def test_constant_denominator_is_tested_against_the_prime():
-    from fractions import Fraction
-
-    a = mul(num(Fraction(1, _REJECTING_PRIME)), sym("f"))
-    assert identity._pole_free(sub(a, a), DEFAULT_PRIME)
-    assert not identity._pole_free(sub(a, a), _REJECTING_PRIME)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=small_dags(), b=small_dags(), constrained=st.booleans(),
-       prime=st.sampled_from([DEFAULT_PRIME, _REJECTING_PRIME]), seed=st.integers(0, 3))
-def test_pole_free_residuals_have_no_pole_at_nonzero_points(a, b, constrained, prime, seed):
-    import itertools
-    import random
-
-    r = sub(a, b)
-    if constrained:
-        r = ConstraintRelation("q", parse("f/(g - 1)")).apply(r)
-    if not identity._pole_free(r, prime):
-        return
-    names = sorted(r.free)
-    corners = list(itertools.product((1, prime - 1), repeat=len(names)))
-    rng = random.Random(seed)
-    points = corners + [[rng.randrange(1, prime) for _ in names] for _ in range(8)]
-    columns = {n: [pt[j] for pt in points] for j, n in enumerate(names)}
-    code = identity._compile(r)[0]
-    assert None not in identity._run_lanes(code, columns, len(points), prime)
-
-
 def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
     # The probe is the only evaluate call of a comparison that the loop would
-    # accept; a shortcut, lattice or self-comparison, makes none, and every
-    # report stays the same.
+    # accept; the lattice shortcut makes none, and every report stays the same.
     from qpweyl.weyl import CheckConfig, verify_relations
 
-    def run(pole_free, reduced_monomial):
+    def run(reduced_monomial):
         sampled = []
         with mock.patch.object(identity, "evaluate", wraps=identity.evaluate) as spy, \
-                mock.patch.object(identity, "_pole_free", pole_free), \
                 mock.patch.object(identity, "_reduced_monomial", reduced_monomial), \
                 mock.patch.object(identity, "_sample",
                                   lambda *args: sampled.append(1) or sample(*args)):
@@ -807,8 +774,8 @@ def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
         return checks, spy.call_count, len(sampled)
 
     sample = identity._sample
-    looped, loop_calls, loop_sampled = run(lambda r, p: False, lambda e, k: None)
-    checks, calls, sampled = run(identity._pole_free, identity._reduced_monomial)
+    looped, loop_calls, loop_sampled = run(lambda e, k: None)
+    checks, calls, sampled = run(identity._reduced_monomial)
     assert checks == looped
     shortcuts = loop_sampled - sampled
     assert shortcuts > 0
