@@ -22,8 +22,8 @@ verdicts, witnesses and counts are that loop's.
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an
 expression-size bound because fully expanded normal forms of long Weyl-word
-composites blow up.  It remembers its outcome per residual, and the nodes at
-which it trips its term cap, so a residual reaching one fails at once.
+composites blow up.  One memo holds each node's outcome, "term blow-up" at
+the nodes where the term cap trips, so a residual reaching one fails at once.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class ExactPathUnavailable(RuntimeError):
     """The exact normal form exceeded the configured size budget."""
 
 
-class _TermBlowUp(ExactPathUnavailable):
-    """A product would exceed the term cap; its node is then remembered."""
+class _TermBlowUp(Exception):
+    """A product would exceed the term cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +209,7 @@ def identities_equal(
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
-    result = _sample(r, a, b, trials, prime, seed, label)
+    result = _sample(r, trials, prime, seed, label)
 
     if exact and result.verdict == "equal":
         try:
@@ -245,10 +245,9 @@ def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple |
 _LANE_CAP = 256
 
 
-def _sample(r, a, b, trials, prime, seed, label) -> IdentityResult:
+def _sample(r, trials, prime, seed, label) -> IdentityResult:
     """Test the residual r = a - b (constrained) at sampled points; a
-    refutation returns its point.  a and b serve only to name an unlabeled
-    comparison that exhausts its budget."""
+    refutation returns its point."""
     names = sorted(r.free)
     rng = rng_for(seed, label)
 
@@ -268,9 +267,8 @@ def _sample(r, a, b, trials, prime, seed, label) -> IdentityResult:
     while not refuted and done < trials:
         attempts = result.resamples + done
         if attempts >= budget:
-            raise DegenerateComparison(
-                f"exhausted {budget} sampling attempts for '{label or to_label(a, b)}'"
-            )
+            raise DegenerateComparison(f"exhausted {budget} sampling attempts"
+                                       + (f" for '{label}'" if label else ""))
         m = min(trials - done, budget - attempts, _LANE_CAP)
         columns = sample_columns(rng, names, prime, m)
         for i, v in enumerate(_run_lanes(_compile(r)[0], columns, m, prime)):
@@ -287,11 +285,6 @@ def _sample(r, a, b, trials, prime, seed, label) -> IdentityResult:
         result.witness = point
     result.trials = done
     return result
-
-
-def to_label(a: Expr, b: Expr) -> str:
-    sa, sb = str(a), str(b)
-    return f"{sa[:30]} == {sb[:30]}"
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +306,9 @@ def to_label(a: Expr, b: Expr) -> str:
 _TERM_CAP = 400_000
 _SIZE_BOUND = 20_000
 
-#: Per term cap, the nodes at which the normalizer tripped it (interned, immortal).
-_BLOWN: dict[int, set[Expr]] = {}
+#: Per (_SIZE_BOUND, _TERM_CAP), each node's outcome as a residual: True, False
+#: or why the exact path is unavailable.  Unbounded, like the intern table.
+_OUTCOMES: dict[tuple[int, int], dict[Expr, bool | str]] = {}
 
 
 def _poly_add(p, q):
@@ -333,7 +327,7 @@ def _poly_mul(p, q):
         return {}
     # A product has at most len(p) * len(q) terms: its size needs no test.
     if len(p) * len(q) > _TERM_CAP:
-        raise _TermBlowUp("term blow-up")
+        raise _TermBlowUp
     out: dict = {}
     get = out.get
     for m1, c1 in p.items():
@@ -388,48 +382,42 @@ def exact_zero(e: Expr) -> bool:
 
     Runs the compiled program of e (see expr.evaluate) over polynomial
     fractions.  Raises ExactPathUnavailable when e has more than _SIZE_BOUND
-    nodes or an intermediate expansion exceeds _TERM_CAP terms.  The outcome is
-    remembered per residual, bound and cap: a suite asks again about the
-    residuals it has decided.
+    nodes or an intermediate expansion exceeds _TERM_CAP terms.  Outcomes are
+    remembered per node in _OUTCOMES, under the bound and cap the run sees.
 
-    A residual reaching a node that tripped the current cap is "term blow-up"
-    at once if its program runs over F_p at one fixed point (else it is
-    normalized in full), as the full run would end: 1. packing is a bijection
-    of exponent vectors, so the term counts of a node's pair, and its cap
-    tests, do not depend on the program: the node trips wherever it is
-    reached; 2. a program that runs at a point divides by no identically zero
-    expression (evaluation is a ring homomorphism on the functions defined
-    there), so any failure before that node is also a blow-up.
+    A run that trips the cap stores "term blow-up" as the outcome of the node
+    it was building: 1. packing maps exponent vectors one to one, so a node's
+    term counts, and its cap tests, do not depend on the program; its
+    descendants passed them in that run, and its program is no larger than
+    the residual's, so the node alone trips at itself.  A node decided True
+    or False never trips later, so no outcome is overwritten with another.
+    A residual reaching a node stored as "term blow-up" is that at once if
+    its program runs over F_p at one fixed point (else it is normalized in
+    full), as the full run would end: by 1 the node trips wherever it is
+    reached, and 2. a program that runs at a point divides by no identically
+    zero expression (evaluation is a ring homomorphism on the functions
+    defined there), so any failure before that node is also a blow-up.
     """
-    outcome = _exact_outcome(e, _SIZE_BOUND, _TERM_CAP)
+    memo = _OUTCOMES.setdefault((_SIZE_BOUND, _TERM_CAP), {})
+    outcome = memo.get(e)
+    if outcome is None:
+        outcome = memo[e] = _normalize(e, memo)
     if isinstance(outcome, str):
         raise ExactPathUnavailable(outcome)
     return outcome
 
 
-@functools.lru_cache(maxsize=1024)
-def _exact_outcome(e: Expr, size_bound: int, cap: int) -> bool | str:
-    """_normalize_is_zero's verdict, or the message of its
-    ExactPathUnavailable.  size_bound and cap are the _SIZE_BOUND and
-    _TERM_CAP the run sees, passed only to key the cache.  Entries are small:
-    the residual lives on in the intern table anyway."""
-    try:
-        return _normalize_is_zero(e)
-    except ExactPathUnavailable as err:
-        return str(err)
-
-
-def _normalize_is_zero(e: Expr) -> bool:
+def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
+    """Whether e is identically zero, or why the exact path is unavailable."""
     code, nodes = _compile(e)
     if len(code) > _SIZE_BOUND:
-        raise ExactPathUnavailable(f"expression exceeds {_SIZE_BOUND} nodes")
+        return f"expression exceeds {_SIZE_BOUND} nodes"
     order = sorted(e.free)
-    blown = _BLOWN.setdefault(_TERM_CAP, set())
-    if not blown.isdisjoint(nodes):  # sound once certified: see exact_zero
+    if "term blow-up" in map(memo.get, nodes):  # sound once certified: see exact_zero
         point = sample_point(rng_for(0, "exact:certificate"), order, DEFAULT_PRIME)
         with contextlib.suppress(DivisionByZero):
             evaluate(e, point, DEFAULT_PRIME)
-            raise ExactPathUnavailable("term blow-up")
+            return "term blow-up"
     width = max(1, _degree_bound(code).bit_length())
     one = {0: 1}
     monomial = {n: 1 << (i * width) for i, n in enumerate(order)}
@@ -463,16 +451,15 @@ def _normalize_is_zero(e: Expr) -> bool:
                     n1, d1 = d1, n1
                     k = -k
                 if not d1:
-                    raise ExactPathUnavailable("inverse of an identically zero expression")
+                    return "inverse of an identically zero expression"
                 pair = (_poly_pow(n1, k), _poly_pow(d1, k))
             else:  # div
                 (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
                 if not n2:
-                    raise ExactPathUnavailable("division by an identically zero expression")
+                    return "division by an identically zero expression"
                 pair = _strip(_poly_mul(n1, d2), _poly_mul(d1, n2))
             vals.append(pair)
     except _TermBlowUp:
-        blown.add(nodes[i])
-        raise
-    numer, _denom = vals[-1]
-    return not numer
+        memo[nodes[i]] = "term blow-up"
+        return "term blow-up"
+    return not vals[-1][0]

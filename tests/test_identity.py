@@ -138,6 +138,20 @@ def test_degenerate_comparison_raises():
         identities_equal(bad, parse("f"), trials=2, label="degen")
 
 
+def test_unlabeled_degenerate_comparison_prints_nothing(monkeypatch):
+    # The message names the label when there is one, and neither side: a
+    # side can print to gigabytes.
+    from qpweyl import expr as expr_module
+
+    calls = []
+    real = expr_module.to_string
+    monkeypatch.setattr(expr_module, "to_string", lambda e: calls.append(e) or real(e))
+    bad = div(num(1), sub(sym("f"), sym("f")))
+    with pytest.raises(DegenerateComparison, match="^exhausted 400 sampling attempts$"):
+        identities_equal(bad, parse("f"), trials=4)
+    assert not calls
+
+
 def test_resampling_survives_occasional_poles():
     # (f - nu1) vanishes on a sparse set only; sampling should sail through
     e = parse("(f^2 - nu1^2)/(f - nu1)")
@@ -434,22 +448,21 @@ def test_exact_zero_runs_once_per_residual(families):
 
     exact_zero = identity.exact_zero
     for name, runs in (("D5", 13), ("E6", 19), ("E7", 7)):
-        identity._exact_outcome.cache_clear()
+        identity._OUTCOMES.clear()
         asked = []
         with mock.patch.object(identity, "exact_zero",
                                lambda e: asked.append(e) or exact_zero(e)), \
-                mock.patch.object(identity, "_normalize_is_zero",
-                                  wraps=identity._normalize_is_zero) as spy:
+                mock.patch.object(identity, "_normalize",
+                                  wraps=identity._normalize) as spy:
             verify_relations(families[name], CheckConfig(exact=True))
         assert len(asked) > runs, name
         assert spy.call_count == len(set(asked)) == runs, name
 
 
 def test_exact_zero_remembers_unavailable_and_keys_by_cap():
-    identity._exact_outcome.cache_clear()
+    identity._OUTCOMES.clear()
     e = parse("(f + g)^3 - (g + f)^3")
-    with mock.patch.object(identity, "_normalize_is_zero",
-                           wraps=identity._normalize_is_zero) as spy:
+    with mock.patch.object(identity, "_normalize", wraps=identity._normalize) as spy:
         for _ in range(2):
             with mock.patch.object(identity, "_SIZE_BOUND", 2):
                 with pytest.raises(ExactPathUnavailable, match="exceeds 2 nodes"):
@@ -463,11 +476,9 @@ def test_exact_zero_remembers_unavailable_and_keys_by_cap():
 
 @pytest.fixture
 def fresh_exact():
-    """exact_zero with no outcome remembered and no node recorded as blown."""
-    identity._exact_outcome.cache_clear()
-    with mock.patch.dict(identity._BLOWN, clear=True):
+    """exact_zero with no outcome remembered, so no node recorded as blown."""
+    with mock.patch.dict(identity._OUTCOMES, clear=True):
         yield
-    identity._exact_outcome.cache_clear()
 
 
 def test_e7_rel2_after_rel1_builds_no_polynomial(e7, fresh_exact):
@@ -498,13 +509,37 @@ def test_residuals_sharing_a_blown_node_match_the_reference(cap, a, b, c):
         residuals.append(mul(pow_(d, 3), div(num(1), sub(c, c))))
     except ExprError:  # c - c folded to the constant 0
         pass
-    identity._exact_outcome.cache_clear()
-    with mock.patch.dict(identity._BLOWN, clear=True), \
+    with mock.patch.dict(identity._OUTCOMES, clear=True), \
             mock.patch.object(identity, "_TERM_CAP", cap):
         for r in residuals:
             got = _outcome(lambda: exact_zero(r))
             assert got == _outcome(lambda: _reference_exact_zero(r, cap))
-    identity._exact_outcome.cache_clear()
+
+
+@pytest.mark.parametrize("cap", [4, 12, 40])
+@settings(max_examples=150, deadline=None)
+@given(a=small_dags(), b=small_dags(), c=small_dags())
+def test_memo_outcomes_are_each_nodes_own_and_never_change(cap, a, b, c):
+    # The invariant of exact_zero's memo: a node stored as "term blow-up"
+    # blows up as a residual of its own, and no node is ever stored with two
+    # outcomes.  Later residuals reach earlier ones, and ask again about
+    # nodes that may already be stored.
+    d = sub(a, b)
+    residuals = [d, sub(mul(a, c), b), sub(pow_(d, 3), c), pow_(d, 3), d]
+    try:
+        residuals.append(mul(pow_(d, 3), div(num(1), sub(c, c))))
+    except ExprError:  # c - c folded to the constant 0
+        pass
+    stored = {}
+    with mock.patch.dict(identity._OUTCOMES, clear=True), \
+            mock.patch.object(identity, "_TERM_CAP", cap):
+        for r in residuals:
+            _outcome(lambda: exact_zero(r))
+            for node, outcome in identity._OUTCOMES[(identity._SIZE_BOUND, cap)].items():
+                assert stored.setdefault(node, outcome) == outcome
+                if outcome == "term blow-up":
+                    assert _outcome(lambda: _reference_exact_zero(node, cap)) == \
+                        "unavailable: term blow-up"
 
 
 def test_blown_node_with_a_zero_divisor_keeps_the_reference_message(fresh_exact):
@@ -516,7 +551,7 @@ def test_blown_node_with_a_zero_divisor_keeps_the_reference_message(fresh_exact)
     with mock.patch.object(identity, "_TERM_CAP", 4):
         with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
             exact_zero(blown)
-        assert blown in identity._BLOWN[4]
+        assert identity._OUTCOMES[(identity._SIZE_BOUND, 4)][blown] == "term blow-up"
         got = _outcome(lambda: exact_zero(r))
     assert got == _outcome(lambda: _reference_exact_zero(r, 4))
     assert got == "unavailable: division by an identically zero expression"
@@ -528,9 +563,9 @@ def test_node_blown_at_one_cap_is_not_blown_at_another(fresh_exact):
     with mock.patch.object(identity, "_TERM_CAP", 4):
         with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
             exact_zero(blown)
-    assert blown in identity._BLOWN[4]
+    assert identity._OUTCOMES[(identity._SIZE_BOUND, 4)][blown] == "term blow-up"
     assert exact_zero(sub(mul(blown, num(2)), add(blown, blown)))
-    assert blown not in identity._BLOWN[identity._TERM_CAP]
+    assert blown not in identity._OUTCOMES[(identity._SIZE_BOUND, identity._TERM_CAP)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +592,8 @@ def _sequential_identities_equal(a, b, constraint=None, *, trials, prime=DEFAULT
     done = 0
     while done < trials:
         if result.resamples + done >= budget:
-            raise DegenerateComparison(
-                f"exhausted {budget} sampling attempts for '{label or identity.to_label(a, b)}'"
-            )
+            raise DegenerateComparison(f"exhausted {budget} sampling attempts"
+                                       + (f" for '{label}'" if label else ""))
         point = sample_point(rng, names, prime)
         try:
             v = evaluate(r, point, prime)
@@ -816,7 +850,7 @@ def _lattice_and_sample(a, b, k, **kwargs):
                            lambda *args: sampled.append(1) or sample(*args)):
         got = identities_equal(a, b, k, **kwargs)
     r = sub(a, b) if k is None else k.apply(sub(a, b))
-    loop = identity._sample(r, a, b, kwargs["trials"], kwargs["prime"], kwargs["seed"],
+    loop = identity._sample(r, kwargs["trials"], kwargs["prime"], kwargs["seed"],
                             kwargs["label"])
     return got, not sampled, loop
 
@@ -902,9 +936,9 @@ def test_equal_parameter_images_are_decided_on_the_lattice(families):
     for fam in families.values():
         seen = []
 
-        def spy(r, a, b, *args):
-            result = sample(r, a, b, *args)
-            seen.append((args[-1], a.free | b.free <= params, result.verdict))
+        def spy(r, *args):
+            result = sample(r, *args)
+            seen.append((args[-1], r.free <= params, result.verdict))
             return result
 
         with mock.patch.object(identity, "_sample", spy):
