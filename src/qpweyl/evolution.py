@@ -19,11 +19,16 @@ cancel by hand.  Most of the unreduced pair for the new coordinate would
 cancel in its reduction, as singularity confinement predicts (Grammaticos,
 Ramani and Papageorgiou 1991): the factors of the relation's rational
 function recur in the numerators and denominators of f and g.  So each
-solver first cancels the pairs known to share them, with gcds of the small
-operands (Henrici's method, as in Fraction.__mul__), and then reduces once
-with Fraction(num, den).  Every cancellation divides the numerator and the
-denominator by the same nonzero integer, and a reduced fraction is unique,
-so the orbit is the one Fraction arithmetic throughout would give.
+solver first cancels the pairs known to share them, and then reduces once
+with Fraction(num, den).  The operands of such a pair are not small: the
+smaller nearly divides the larger (on the benchmark's orbits, D5 cancels
+5,278 against 2,630 bits on average, with a 2,628-bit gcd).  A gcd of such
+a pair is one long division and a short tail, and dividing the larger
+operand by it is a second long division, so each pair is cancelled with
+one long division instead (_cancel).  Every cancellation divides the
+numerator and the denominator by the same nonzero integer, and a reduced
+fraction is unique, so the orbit is the one Fraction arithmetic throughout
+would give.
 """
 
 from __future__ import annotations
@@ -297,19 +302,34 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 # to the later state.  It works on the integer numerators and denominators
 # of x and y, so the only reduction is the one Fraction(num, den) of z.
 # Before it, each solver cancels the factor pairs that share most of their
-# bits along an orbit, each with the gcd of the two small operands:
+# bits along an orbit, each with _cancel and the larger operand first:
 #   D5: u against y's numerator, v against y's denominator;
-#   E6: (x y - 1) against u, v against y's numerator, then x's denominator
-#       against the solve denominator (modulo xd it is yn (xn^2 v - u), and
-#       xn^2 v = u there, because the top has two factors more than the
-#       bottom; the earlier cancellations can break that, hence a gcd);
-#   E7: (x y - t) against u, (x y - 1) against v, then x's denominator
-#       against a - b and x's numerator against s.num a - s.den b.
-# Each gcd divides numerator and denominator of z alike, so Fraction still
-# returns the one reduced value.  gcd(0, 0) arises only for (x y - 1) or
-# (x y - t) against u, both zero; `or 1` keeps them zero, so the solve
-# denominator is zero and the pole is raised as it was before cancelling.
-# Every denominator is tested before it is used, so a pole raises PoleError.
+#   E6: u against (x y - 1), v against y's numerator, then the solve
+#       denominator against x's denominator (modulo xd it is
+#       yn (xn^2 v - u), and xn^2 v = u there, because the top has two
+#       factors more than the bottom; the earlier cancellations can break
+#       that, hence a cancellation and not a division);
+#   E7: u against (x y - t), v against (x y - 1), then a - b against x's
+#       denominator and s.num a - s.den b against x's numerator.
+# Each cancellation divides numerator and denominator of z alike, so
+# Fraction still returns the one reduced value.  A pair of zeros arises
+# only for u against (x y - 1) or (x y - t); _cancel keeps both zero, so
+# the solve denominator is zero and the pole is raised as it was before
+# cancelling.  Every denominator is tested before it is used, so a pole
+# raises PoleError.
+
+def _cancel(a: int, b: int) -> tuple[int, int]:
+    """(a // g, b // g) for g = gcd(a, b) or 1, with one long division.
+    a = q b + r, so g = gcd(b, r) and a // g = q (b // g) + r // g.  Pass
+    the larger operand as a: the division is then the one gcd(a, b) would
+    begin with, and what is left has operands of the smaller's size."""
+    if b == 0:
+        return a // (abs(a) or 1), 0
+    q, r = divmod(a, b)
+    g = gcd(b, r)
+    b //= g
+    return q * b + r // g, b
+
 
 def _ratio(x: Fraction, top, bottom) -> tuple[int, int]:
     """Integers (u, v) with prod(x - a for a in top) / prod(x - b for b in
@@ -338,9 +358,9 @@ def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         raise PoleError(st.t, f"rel{rel} denominator")
     if y == 0:
         raise PoleError(st.t, "f" if rel == 1 else "g")
-    yn, yd = y.numerator, y.denominator
-    g1, g2 = gcd(u, yn), gcd(v, yd)
-    return Fraction(c.numerator * (u // g1) * (yd // g2), c.denominator * (v // g2) * (yn // g1))
+    u, yn = _cancel(u, y.numerator)
+    v, yd = _cancel(v, y.denominator)
+    return Fraction(c.numerator * u * yd, c.denominator * v * yn)
 
 
 def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -355,15 +375,13 @@ def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         raise PoleError(st.t, f"rel{rel} rhs")
     xn, xd, yn = x.numerator, x.denominator, y.numerator
     m = xn * yn - xd * y.denominator         # (x y - 1) xd yd
-    g = gcd(m, u) or 1                       # m == u == 0 leaves den == 0
-    m, u = m // g, u // g
-    g = gcd(v, yn)                           # v != 0
-    v, yn = v // g, yn // g
+    u, m = _cancel(u, m)                     # m == u == 0 leaves den == 0
+    v, yn = _cancel(v, yn)
     den = m * xn * v - u * yn
     if den == 0:
         raise PoleError(st.t, f"rel{rel} solve")
-    g = gcd(xd, den)
-    return Fraction(m * v * (xd // g), den // g)
+    den, xd = _cancel(den, xd)
+    return Fraction(m * v * xd, den)
 
 
 def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -382,17 +400,16 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     xy, dd = xn * y.numerator, xd * y.denominator
     m1 = xy * t.denominator - t.numerator * dd           # (x y - t), times xd yd t.den
     m2 = (xy - dd) * t.denominator                       # (x y - 1), times xd yd t.den
-    g = gcd(m1, u) or 1                                  # m1 == u == 0 leaves den == 0
-    m1, u = m1 // g, u // g
-    g = gcd(m2, v)                                       # v != 0
-    m2, v = m2 // g, v // g
+    u, m1 = _cancel(u, m1)                               # m1 == u == 0 leaves den == 0
+    v, m2 = _cancel(v, m2)
     a, b = m1 * v, m2 * u
     den = a - b                                          # z = num xd / (s.den xn den)
     if den == 0 or xn == 0:
         raise PoleError(st.t, f"rel{rel} solve")
     num = s.numerator * a - s.denominator * b
-    g1, g2 = gcd(xd, den), gcd(xn, num)
-    return Fraction((num // g2) * (xd // g1), s.denominator * (xn // g2) * (den // g1))
+    den, xd = _cancel(den, xd)
+    num, xn = _cancel(num, xn)
+    return Fraction(num * xd, s.denominator * xn * den)
 
 
 _SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}

@@ -1,8 +1,11 @@
 """Time-evolution identities and exact orbit iteration."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +26,7 @@ from qpweyl.evolution import (
     verify_theorem_i,
     verify_theorem_ii,
     xi_scaling_map,
+    _cancel,
     _ratio,
 )
 from qpweyl.expr import ZERO, evaluate, parse, substitute, sym
@@ -509,6 +513,73 @@ def test_steppers_match_the_one_gcd_reference(families, family, direction, start
     with mock.patch.dict(evolution._SOLVERS, _ONE_GCD_SOLVERS):
         want = _step_outcome(fam, st0, direction)
     assert _step_outcome(fam, st0, direction) == want
+
+
+# The longest printable orbits from sample-params.json and the short orbits
+# from criterion 7's random starts, as the benchmark runs them.  Their
+# operands reach thousands of bits, where the smaller nearly divides the
+# larger: the regime the one-step test above never reaches.
+_LONG_STEPS = {"D5": 21, "E6": 16, "E7": 11}
+_SHORT_STEPS = {"D5": 13, "E6": 7, "E7": 5}
+
+
+def _criterion_7_start(rng):
+    def fr():
+        return Fraction(rng.randint(1, 40), rng.randint(1, 40))
+    return make_state(Fraction(rng.randint(2, 5)), [fr() for _ in range(7)], fr(), fr(), fr(), fr())
+
+
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+def test_orbits_match_the_one_gcd_reference(families, family):
+    """Every step forward and then back, from the sample start, its f/g swap
+    and five random starts, equals the reference step or meets its pole."""
+    fam = families[family]
+    with open(Path(__file__).resolve().parents[1] / "sample-params.json", encoding="utf-8") as fh:
+        sample = state_from_record(json.load(fh))
+    swapped = make_state(sample.q, sample.nu[:7], sample.kappa1, sample.kappa2, sample.g, sample.f)
+    rng = random.Random(7)
+    walks = [(sample, _LONG_STEPS[family]), (swapped, _LONG_STEPS[family])]
+    walks += [(_criterion_7_start(rng), _SHORT_STEPS[family]) for _ in range(5)]
+    for st0, n in walks:
+        cur = st0
+        for direction in ["forward"] * n + ["backward"] * n:
+            got = _step_outcome(fam, cur, direction)
+            with mock.patch.dict(evolution._SOLVERS, _ONE_GCD_SOLVERS):
+                assert got == _step_outcome(fam, cur, direction), (cur.t, direction)
+            if isinstance(got, tuple):  # the same pole
+                break
+            cur = got
+        else:
+            assert cur == st0
+
+
+_BIG = st.integers(min_value=-(2**4000), max_value=2**4000)
+
+
+def _cancel_reference(a, b):
+    g = gcd(a, b) or 1
+    return a // g, b // g
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.integers(), _BIG), b=st.one_of(st.integers(), _BIG))
+@example(a=0, b=0)
+@example(a=-7, b=0)
+@example(a=0, b=-7)
+@example(a=-6, b=4)
+@example(a=3, b=-2**100)
+def test_cancel_divides_both_by_the_gcd(a, b):
+    assert _cancel(a, b) == _cancel_reference(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(min_value=1, max_value=2**4000),
+       s=st.integers(min_value=-64, max_value=64), t=st.integers(min_value=-64, max_value=64))
+def test_cancel_on_pairs_with_a_big_common_factor(g, s, t):
+    """The orbit regime: the gcd has nearly all the bits of both operands."""
+    a, b = g * t, g * s
+    assert _cancel(a, b) == _cancel_reference(a, b)
+    assert _cancel(b, a) == _cancel_reference(b, a)
 
 
 def _prints(n: int) -> bool:

@@ -31,7 +31,9 @@ printers now build, up to 3.8 MB for D5 `(s2 s3 s1 s4)^6`.
 The `evolve` hashes were recorded before the orbit steppers cancelled the
 factors that always cancel ahead of the one reduction per coordinate; they
 pin every byte of the longest orbits from `sample-params.json` that still
-print under the default int-to-str digit limit.
+print under the default int-to-str digit limit.  They also held, unchanged,
+when each cancelled pair went from a gcd and two divisions to one long
+division.
 """
 
 import contextlib
