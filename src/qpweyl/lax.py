@@ -295,16 +295,6 @@ def _claim_registry() -> dict[str, GaugeClaim]:
 
 CLAIMS = _claim_registry()
 
-#: Closed-form table for the composite s0 s4 s0 of the E7 family; the claim
-#: target uses the word, and the tests cross-check the two.
-E7_S0S4S0_TABLE = {
-    "nu1": "kappa1/nu5",
-    "nu5": "kappa1/nu1",
-    "kappa2": "kappa1*kappa2/(nu1*nu5)",
-    "g": "nu5*(-(nu1*nu5 - kappa1) + nu1*(kappa2 - kappa1)*g + (nu1*nu5 - kappa2)*f*g)"
-         "/(-kappa1*(nu1*nu5 - kappa2) - nu5*(kappa2 - kappa1)*f + kappa2*(nu1*nu5 - kappa1)*f*g)",
-}
-
 
 def verify_gauge_claim(
     fam: FamilyDescriptor,

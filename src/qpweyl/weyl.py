@@ -23,12 +23,13 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 
-from .expr import ACTION_SYMBOLS, Expr, parse, substitute, sym
+from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, substitute, sym
 from .identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
     DegenerateComparison,
+    _reduced_monomial,
     identities_equal,
 )
 from .report import CheckResult, Report
@@ -427,9 +428,11 @@ _D5_PI_RELATIONS = (
 def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
     """Diagram-automorphism relations.
 
-    For D5 the explicit list plus (pi1 pi2)^4 = id is checked.  For E6/E7 the
-    conjugation permutation is discovered: for every pi and s_i the suite
-    finds the j with pi s_i = s_j pi, failing if none matches.
+    For D5 the explicit list plus (pi1 pi2)^4 = id is checked.  For E6/E7
+    the conjugate of each s_i is read off the exponent lattice: pi s_i can
+    equal s_j pi only if no parameter image of the two is a pair of
+    monomials with different exponents.  The first such s_j, else s0, is
+    checked once; the check fails if it does not match.
     """
     cfg = cfg or CheckConfig()
     constraint = cfg.constraint(fam)
@@ -444,27 +447,23 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
         report.add(check("D5:pi:(pi1 pi2)^4", _image_pairs(t, IDENTITY), constraint, cfg))
         return report
 
+    def lattice(t: Transformation) -> list:
+        return [_reduced_monomial(t.image(name), constraint) for name in PARAM_SYMBOLS]
+
     for pi_name in fam.pi_names:
         pi = fam.generators[pi_name]
+        s_pi = {s: compose(fam.generators[s], pi) for s in fam.s_names}
         for s_name in fam.s_names:
             lhs = compose(pi, fam.generators[s_name])
-            missed = None   # a degenerate probe, else the first failed one
-            for cand in fam.s_names:
-                rhs = compose(fam.generators[cand], pi)
-                probe = check(f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
-                              _image_pairs(lhs, rhs), constraint, cfg)
-                if probe.ok:
-                    probe = replace(probe, detail=f"{pi_name} {s_name} = {cand} {pi_name}")
-                    break
-                if missed is None or probe.status == "degenerate":
-                    missed = probe
-            else:
-                # A degenerate candidate may be the match; else no generator
-                # matches, and the witness separates the conjugate from the
-                # natural candidate.
-                probe = missed if missed.status == "degenerate" else replace(
-                    missed, detail="no matching conjugate generator")
-            report.add(replace(probe, id=f"{fam.name}:pi:{pi_name} {s_name}"))
+            exps = lattice(lhs)
+            cand = next((c for c in fam.s_names if all(
+                None in (a, b) or a == b for a, b in zip(exps, lattice(s_pi[c])))),
+                fam.s_names[0])
+            res = check(f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
+                        _image_pairs(lhs, s_pi[cand]), constraint, cfg)
+            detail = {"pass": f"{pi_name} {s_name} = {cand} {pi_name}",
+                      "fail": "no matching conjugate generator"}.get(res.status, res.detail)
+            report.add(replace(res, id=f"{fam.name}:pi:{pi_name} {s_name}", detail=detail))
     return report
 
 

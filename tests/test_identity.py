@@ -924,9 +924,9 @@ def test_cancelled_eliminated_symbol_needs_a_monomial_replacement():
 
 
 def test_equal_parameter_images_are_decided_on_the_lattice(families):
-    # Every equal comparison of parameter images in the relation suites,
-    # Theorem I (T = xi W^2 on q, nu1..nu8, kappa1, kappa2), Theorem II and
-    # the gauge suite is a lattice proof; only refuted ones are sampled.
+    # Every comparison of parameter images in the relation suites, Theorem I
+    # (T = xi W^2 on q, nu1..nu8, kappa1, kappa2), Theorem II and the gauge
+    # suite is a lattice proof.
     from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
     from qpweyl.expr import PARAM_SYMBOLS
     from qpweyl.lax import verify_gauge_claims
@@ -947,7 +947,6 @@ def test_equal_parameter_images_are_decided_on_the_lattice(families):
                 assert suite(fam, CheckConfig()).ok, (fam.name, suite.__name__)
         assert seen
         on_params = [(label, verdict) for label, is_param, verdict in seen if is_param]
-        assert all(verdict == "unequal" for _, verdict in on_params), on_params
-        # E6 and E7 discover their pi conjugations: the wrong candidates are
-        # refuted on a parameter image.
-        assert bool(on_params) == (fam.name != "D5"), fam.name
+        # E6 and E7 read their pi conjugates off the lattice, so no suite
+        # samples a parameter image, not even to refute it.
+        assert not on_params, (fam.name, on_params)

@@ -11,7 +11,6 @@ from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.lax import (
     CLAIMS,
     Dilation,
-    E7_S0S4S0_TABLE,
     Inversion,
     LinearQDE,
     Pochhammer,
@@ -314,6 +313,17 @@ def test_verify_gauge_claims_per_family(families):
         report = verify_gauge_claims(fam)
         assert len(report.checks) == counts[name]
         assert report.ok
+
+
+#: Closed-form table for the composite s0 s4 s0 of the E7 family; the claim
+#: target uses the word, and the test below cross-checks the two.
+E7_S0S4S0_TABLE = {
+    "nu1": "kappa1/nu5",
+    "nu5": "kappa1/nu1",
+    "kappa2": "kappa1*kappa2/(nu1*nu5)",
+    "g": "nu5*(-(nu1*nu5 - kappa1) + nu1*(kappa2 - kappa1)*g + (nu1*nu5 - kappa2)*f*g)"
+         "/(-kappa1*(nu1*nu5 - kappa2) - nu5*(kappa2 - kappa1)*f + kappa2*(nu1*nu5 - kappa1)*f*g)",
+}
 
 
 def test_e7_s0s4s0_word_matches_closed_form(e7):

@@ -5,10 +5,13 @@ transformation to an expression substitutes every symbol by its image, and
 the rightmost letter of a word acts first.
 """
 
+from unittest import mock
+
 import pytest
 
-from qpweyl.expr import parse, substitute, sym
-from qpweyl.identity import identities_equal
+from qpweyl import weyl
+from qpweyl.expr import evaluate, parse, sub, substitute, sym
+from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.weyl import (
     IDENTITY,
     CheckConfig,
@@ -370,7 +373,7 @@ def test_e6_pi_conjugation_without_match_fails_with_witness(e6):
     for c in bad:
         assert c.status == "fail"
         assert c.detail == "no matching conjugate generator"
-        # the witness of the first candidate's comparison, s0
+        # the lattice leaves no candidate, so s0 is checked
         s_name = c.id.rsplit(" ", 1)[1]
         probe = check(f"E6:pi:pi1 {s_name} = s0 pi1",
                       _image_pairs(compose(pi1, mutant.generators[s_name]),
@@ -378,6 +381,35 @@ def test_e6_pi_conjugation_without_match_fails_with_witness(e6):
                       mutant.constraint, CheckConfig())
         assert probe.status == "fail"
         assert c.witness == probe.witness
+
+
+def test_pi_conjugation_checks_once_per_generator_pair(families):
+    # E6/E7 read each conjugate off the lattice; D5 checks its list
+    for fam in families.values():
+        with mock.patch.object(weyl, "check", wraps=weyl.check) as spy:
+            assert verify_pi_relations(fam).ok
+        assert spy.call_count == {"D5": 9, "E6": 14, "E7": 8}[fam.name]
+
+
+def test_e6_pi_conjugate_matching_on_the_lattice_fails_on_f_and_g(e6):
+    # pi2 corrupted to f -> 1/g: its parameter images still pick s6 for s2
+    # and s2 for s6, and the witness separates the two on f or g
+    images = {"q": "1/q", "nu1": "1/nu1", "nu2": "1/nu2", "nu3": "1/nu3", "nu4": "1/nu4",
+              "nu5": "1/nu8", "nu6": "1/nu7", "nu7": "1/nu6", "nu8": "1/nu5",
+              "kappa1": "1/kappa2", "kappa2": "1/kappa1", "f": "1/g", "g": "f"}
+    mutant = e6.with_generator("pi2", images)
+    bad = verify_pi_relations(mutant).failures()
+    assert [c.id for c in bad] == ["E6:pi:pi2 s2", "E6:pi:pi2 s6"]
+    pi2 = mutant.generators["pi2"]
+    for c, conjugate in zip(bad, ("s6", "s2")):
+        assert c.status == "fail"
+        assert c.detail == "no matching conjugate generator"
+        lhs = compose(pi2, mutant.generators[c.id.rsplit(" ", 1)[1]])
+        rhs = compose(mutant.generators[conjugate], pi2)
+        residuals = [mutant.constraint.apply(sub(lhs.image(n), rhs.image(n)))
+                     for n in ("f", "g")]
+        assert any(r.free <= set(c.witness) and evaluate(r, c.witness, DEFAULT_PRIME)
+                   for r in residuals), c
 
 
 def test_e7_pi_conjugation_discovered(e7):
