@@ -19,16 +19,38 @@ cancel by hand.  Most of the unreduced pair for the new coordinate would
 cancel in its reduction, as singularity confinement predicts (Grammaticos,
 Ramani and Papageorgiou 1991): the factors of the relation's rational
 function recur in the numerators and denominators of f and g.  So each
-solver first cancels the pairs known to share them, and then reduces once
-with Fraction(num, den).  The operands of such a pair are not small: the
-smaller nearly divides the larger (on the benchmark's orbits, D5 cancels
-5,278 against 2,630 bits on average, with a 2,628-bit gcd).  A gcd of such
-a pair is one long division and a short tail, and dividing the larger
-operand by it is a second long division, so each pair is cancelled with
-one long division instead (_cancel).  Every cancellation divides the
-numerator and the denominator by the same nonzero integer, and a reduced
-fraction is unique, so the orbit is the one Fraction arithmetic throughout
-would give.
+solver first cancels the pairs known to share them.  The operands of such a
+pair are not small: the smaller nearly divides the larger (on the
+benchmark's orbits, D5 cancels 5,278 against 2,630 bits on average, with a
+2,628-bit gcd).  A gcd of such a pair is one long division and a short
+tail, and dividing the larger operand by it is a second long division, so
+each pair is cancelled with one long division instead (_cancel).
+
+What is left, num/den, shares only a small factor, and the solver reduces
+it against a bound instead of by gcd(num, den) (_fraction).  The bound K is
+a multiple of gcd(num, den) that the solver builds from the parameter
+roots, read as integer pairs a_n/a_d, and from the small cofactors the
+cancellations leave.  With x = c/d the shared coordinate, A_a = c a_d -
+a_n d for each root a of the relation's numerator and B_b = c b_d - b_n d
+for each root b of its denominator, three lemmas give it:
+gcd(X Y, Z) | gcd(X, Z) gcd(Y, Z); gcd(A_a, B_b) | D_ab = a_d b_n - a_n b_d,
+as b_n A_a - a_n B_b = c D_ab, b_d A_a - a_d B_b = d D_ab and c, d are
+coprime; and gcd(X Y, Z W) | lcm(Z, gcd(X, Z W)) when Y and W are coprime.
+Together,
+
+    K_uv = prod a_d * prod b_d * prod D_ab,
+    D5: K = c_n c_d K_uv,   E6: K = gcd(m', y_n') K_uv,
+    E7: K = s_d (s_n - s_d) gcd(m1', m2') K_uv,
+
+with the names and the full proof in the comment above _cancel.  Then
+g = gcd(gcd(num, K), den) equals gcd(num, den) and costs divisions by
+numbers of K's size, where gcd(num, den) runs Lehmer's algorithm on
+operands of num's size (on the benchmark's orbits, K has a median of 193
+bits and num and den of 1,184).  K = 0 bounds nothing, as gcd(num, 0) =
+|num|; a root of the numerator equal to one of the denominator and E7's
+s = 1 give it.  Every cancellation divides the numerator and the
+denominator by the same nonzero integer, and a reduced fraction is unique,
+so the orbit is the one Fraction arithmetic throughout would give.
 """
 
 from __future__ import annotations
@@ -299,10 +321,11 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 # written at (those of the earlier state for rel1, of the later state for
 # rel2), the coordinate x shared by both states (g for rel1, f for rel2), the
 # known coordinate y paired with the unknown z, and `up`, true when z belongs
-# to the later state.  It works on the integer numerators and denominators
-# of x and y, so the only reduction is the one Fraction(num, den) of z.
-# Before it, each solver cancels the factor pairs that share most of their
-# bits along an orbit, each with _cancel and the larger operand first:
+# to the later state.  It reads the parameter roots as integer pairs, not
+# necessarily reduced, and works on the integer numerators and denominators
+# of x and y.  Before building z, each solver cancels the factor pairs that
+# share most of their bits along an orbit, each with _cancel and the larger
+# operand first:
 #   D5: u against y's numerator, v against y's denominator;
 #   E6: u against (x y - 1), v against y's numerator, then the solve
 #       denominator against x's denominator (modulo xd it is
@@ -311,12 +334,50 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 #       that, hence a cancellation and not a division);
 #   E7: u against (x y - t), v against (x y - 1), then a - b against x's
 #       denominator and s.num a - s.den b against x's numerator.
-# Each cancellation divides numerator and denominator of z alike, so
-# Fraction still returns the one reduced value.  A pair of zeros arises
-# only for u against (x y - 1) or (x y - t); _cancel keeps both zero, so
-# the solve denominator is zero and the pole is raised as it was before
-# cancelling.  Every denominator is tested before it is used, so a pole
-# raises PoleError.
+# Each cancellation divides numerator and denominator of z alike.  A pair
+# of zeros arises only for u against (x y - 1) or (x y - t); _cancel keeps
+# both zero, so the solve denominator is zero and the pole is raised as it
+# was before cancelling.  Every denominator is tested before it is used, so
+# a pole raises PoleError.
+#
+# z = N / D is then built by _fraction, reduced against K, a multiple of
+# gcd(N, D) made of the roots and of the small cofactors _cancel leaves.
+# Write x = c/d in lowest terms, each root r = r_n/r_d with r_d != 0 (not
+# necessarily reduced), A_a = c a_d - a_n d for a top root a and B_b =
+# c b_d - b_n d for a bottom root b, so that _ratio returns u = prod A_a *
+# prod b_d and v = prod a_d * prod B_b.  Three lemmas, which hold with
+# zeros too (gcd(0, Z) = |Z|):
+#   (1) gcd(X Y, Z) | gcd(X, Z) gcd(Y, Z).
+#   (2) gcd(A_a, B_b) | D_ab = a_d b_n - a_n b_d, because b_n A_a - a_n B_b
+#       = c D_ab and b_d A_a - a_d B_b = d D_ab, and c, d are coprime.
+#   (3) gcd(X Y, Z W) | lcm(Z, gcd(X, Z W)) when Y and W are coprime: a
+#       prime of Y meets Z W only in Z, and a prime not in Y meets X Y only
+#       in X.
+# By (1) over the factors of u and of v, and (2) for each pair,
+#   gcd(u, v) | K_uv = prod a_d * prod b_d * prod_ab D_ab,
+# which _ratio returns as k.  The two cofactors _cancel returns are coprime
+# unless both are zero, which only happens at a pole (above), and each
+# divides its operand, so gcd(u', v') | K_uv.  Then:
+#   D5: N = c_n u' y_d', D = c_d v' y_n'.  y_d' is coprime to v' y_n', and
+#       u' to y_n', so by (3) and (1) gcd(N, D) | lcm(c_d, c_n c_d
+#       gcd(u', v')): K = c_n c_d K_uv.
+#   E6: N = m' v' x_d', D = den', den = m' x_n v' - u' y_n', and x_d' is
+#       coprime to den'.  gcd(m', den) = gcd(m', u' y_n') | gcd(m', y_n')
+#       and gcd(v', den) = gcd(v', u' y_n') | gcd(v', u'), so by (1)
+#       K = gcd(m', y_n') K_uv.
+#   E7: N = num' x_d', D = s_d x_n' den'.  num - s_d den = (s_n - s_d) a
+#       and num - s_n den = (s_n - s_d) b, so gcd(num, den) | (s_n - s_d)
+#       gcd(a, b), and by (1) gcd(a, b) = gcd(m1' v', m2' u') | gcd(m1', m2')
+#       gcd(u', v').  x_d' is coprime to x_n' den', and num' to x_n', so by
+#       (3) and (1) K = s_d (s_n - s_d) gcd(m1', m2') K_uv.
+# A top root equal to a bottom root (D_ab = 0) and E7's s = 1 make K = 0,
+# which bounds nothing.  The other zero corners need no case of their own,
+# as the lemmas hold with zeros: for u = 0, x equals a top root and each B_b
+# divides D_ab, so gcd(0, v) = |v| divides K_uv; for N = 0, gcd(0, D) = |D|
+# divides K.  On the benchmark's orbits (seed 1, 3,884 solves) K has a
+# median of 193 bits (90th percentile 399, at most 694) against operands of
+# 1,184 (5,768, 13,110), and gcd(N, D) has a median of 30 bits and at most
+# 100.
 
 def _cancel(a: int, b: int) -> tuple[int, int]:
     """(a // g, b // g) for g = gcd(a, b) or 1, with one long division.
@@ -331,85 +392,126 @@ def _cancel(a: int, b: int) -> tuple[int, int]:
     return q * b + r // g, b
 
 
-def _ratio(x: Fraction, top, bottom) -> tuple[int, int]:
-    """Integers (u, v) with prod(x - a for a in top) / prod(x - b for b in
+try:
+    _coprime_fraction = Fraction._from_coprime_ints     # Python 3.12 and later
+except AttributeError:                                   # Python 3.10 and 3.11
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
+
+
+def _fraction(num: int, den: int, k: int) -> Fraction:
+    """Fraction(num, den) for den != 0 and k a multiple of gcd(num, den).
+    gcd(num, k) is a multiple of gcd(num, den) that divides num, so its gcd
+    with den is gcd(num, den), found by gcds of k's size instead of num's;
+    k = 0 bounds nothing, as gcd(num, 0) = |num|."""
+    g = gcd(gcd(num, k), den)
+    if den < 0:
+        g = -g
+    return _coprime_fraction(num // g, den // g)
+
+
+def _div(a: Fraction | int, b: Fraction | int) -> tuple[int, int]:
+    """a / b as an integer pair (numerator, denominator), not reduced."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd, ad * bn
+
+
+def _mul(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """a b as an integer pair (numerator, denominator), not reduced."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bn, ad * bd
+
+
+def _ratio(x: Fraction, top, bottom) -> tuple[int, int, int]:
+    """Integers (u, v, k) with prod(x - a for a in top) / prod(x - b for b in
     bottom) == u / (v * d**(len(top) - len(bottom))), d the denominator of
-    x; v is 0 exactly when a bottom factor is."""
-    c, d = x.numerator, x.denominator
-    u = v = 1
-    for a in top:
-        v *= a.denominator
-        u *= c * a.denominator - a.numerator * d
-    for b in bottom:
-        u *= b.denominator
-        v *= c * b.denominator - b.numerator * d
-    return u, v
+    x, and k = K_uv, a multiple of gcd(u, v).  Roots are integer pairs with
+    nonzero denominators; v is 0 exactly when a bottom factor is."""
+    c, d = x.as_integer_ratio()
+    ua = vb = pa = pb = k = 1
+    for an, ad in top:
+        pa *= ad
+        ua *= c * ad - an * d
+        for bn, bd in bottom:
+            k *= ad * bn - an * bd
+    for bn, bd in bottom:
+        pb *= bd
+        vb *= c * bd - bn * d
+    return ua * pb, pa * vb, k * pa * pb
 
 
 def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
     """z y prod(x - b) = c prod(x - a), solved for z."""
     n = st.nu
     if rel == 1:
-        c, top, bottom = n[2] * n[3], (n[4] / k2, n[5] / k2), (1 / n[0], 1 / n[1])
+        (cn, cd), top, bottom = (_mul(n[2], n[3]), (_div(n[4], k2), _div(n[5], k2)),
+                                 (_div(1, n[0]), _div(1, n[1])))
     else:
-        c, top, bottom = 1 / (n[0] * n[1]), (k1 / n[6], k1 / n[7]), (n[2], n[3])
-    u, v = _ratio(x, top, bottom)
+        (cd, cn), top, bottom = (_mul(n[0], n[1]), (_div(k1, n[6]), _div(k1, n[7])),
+                                 (n[2].as_integer_ratio(), n[3].as_integer_ratio()))
+    u, v, k = _ratio(x, top, bottom)
     if v == 0:
         raise PoleError(st.t, f"rel{rel} denominator")
     if y == 0:
         raise PoleError(st.t, "f" if rel == 1 else "g")
-    u, yn = _cancel(u, y.numerator)
-    v, yd = _cancel(v, y.denominator)
-    return Fraction(c.numerator * u * yd, c.denominator * v * yn)
+    yn, yd = y.as_integer_ratio()
+    u, yn = _cancel(u, yn)
+    v, yd = _cancel(v, yd)
+    return _fraction(cn * u * yd, cd * v * yn, cn * cd * k)
 
 
 def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
     """(x z - 1)(x y - 1) prod(x - b) = z y prod(x - a), solved for z."""
     n = st.nu
     if rel == 1:
-        top, bottom = tuple(1 / v for v in n[:4]), (n[4] / k2, n[5] / k2)
+        top, bottom = tuple(_div(1, v) for v in n[:4]), (_div(n[4], k2), _div(n[5], k2))
     else:
-        top, bottom = n[:4], (k1 / n[6], k1 / n[7])
-    u, v = _ratio(x, top, bottom)            # prod(x - a) / prod(x - b) = u / (v xd^2)
+        top, bottom = tuple(v.as_integer_ratio() for v in n[:4]), (_div(k1, n[6]), _div(k1, n[7]))
+    u, v, k = _ratio(x, top, bottom)         # prod(x - a) / prod(x - b) = u / (v xd^2)
     if v == 0:
         raise PoleError(st.t, f"rel{rel} rhs")
-    xn, xd, yn = x.numerator, x.denominator, y.numerator
-    m = xn * yn - xd * y.denominator         # (x y - 1) xd yd
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    m = xn * yn - xd * yd                    # (x y - 1) xd yd
     u, m = _cancel(u, m)                     # m == u == 0 leaves den == 0
     v, yn = _cancel(v, yn)
     den = m * xn * v - u * yn
     if den == 0:
         raise PoleError(st.t, f"rel{rel} solve")
     den, xd = _cancel(den, xd)
-    return Fraction(m * v * xd, den)
+    return _fraction(m * v * xd, den, gcd(m, yn) * k)
 
 
 def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
     """(x z - s)(x y - t) prod(x - b) = (x z - 1)(x y - 1) prod(x - a),
     solved for z; s and t are c and q c, swapped going backward."""
-    n, q = st.nu, st.q
-    if rel == 1:
-        top, bottom, c = tuple(v / k2 for v in n[4:]), tuple(1 / v for v in n[:4]), k1 / (q * k2)
-    else:
-        top, bottom, c = tuple(k1 / v for v in n[4:]), n[:4], k1 / k2
-    s, t = (c, q * c) if up else (q * c, c)
-    u, v = _ratio(x, top, bottom)            # prod(x - a) / prod(x - b) = u / v
+    n = st.nu
+    (qn, qd), (rn, rd) = st.q.as_integer_ratio(), _div(k1, k2)
+    if rel == 1:                                         # c = k1 / (q k2)
+        top, bottom = tuple(_div(v, k2) for v in n[4:]), tuple(_div(1, v) for v in n[:4])
+        c, qc = (rn * qd, rd * qn), (rn, rd)
+    else:                                                # c = k1 / k2
+        top, bottom = tuple(_div(k1, v) for v in n[4:]), tuple(v.as_integer_ratio() for v in n[:4])
+        c, qc = (rn, rd), (rn * qn, rd * qd)
+    (sn, sd), (tn, td) = (c, qc) if up else (qc, c)
+    u, v, k = _ratio(x, top, bottom)                     # prod(x - a) / prod(x - b) = u / v
     if v == 0:
         raise PoleError(st.t, f"rel{rel} rhs")
-    xn, xd = x.numerator, x.denominator
-    xy, dd = xn * y.numerator, xd * y.denominator
-    m1 = xy * t.denominator - t.numerator * dd           # (x y - t), times xd yd t.den
-    m2 = (xy - dd) * t.denominator                       # (x y - 1), times xd yd t.den
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    xy, dd = xn * yn, xd * yd
+    m1 = xy * td - tn * dd                               # (x y - t), times xd yd t.den
+    m2 = (xy - dd) * td                                  # (x y - 1), times xd yd t.den
     u, m1 = _cancel(u, m1)                               # m1 == u == 0 leaves den == 0
     v, m2 = _cancel(v, m2)
     a, b = m1 * v, m2 * u
     den = a - b                                          # z = num xd / (s.den xn den)
     if den == 0 or xn == 0:
         raise PoleError(st.t, f"rel{rel} solve")
-    num = s.numerator * a - s.denominator * b
+    num = sn * a - sd * b
     den, xd = _cancel(den, xd)
     num, xn = _cancel(num, xn)
-    return Fraction(num * xd, s.denominator * xn * den)
+    return _fraction(num * xd, sd * xn * den, sd * (sn - sd) * gcd(m1, m2) * k)
 
 
 _SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}

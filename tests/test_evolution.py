@@ -27,7 +27,7 @@ from qpweyl.evolution import (
     verify_theorem_ii,
     xi_scaling_map,
     _cancel,
-    _ratio,
+    _fraction,
 )
 from qpweyl.expr import ZERO, evaluate, parse, substitute, sym
 from qpweyl.identity import identities_equal
@@ -425,13 +425,28 @@ def test_forward_steps_solve_both_relations(families):
 # cancel: one Fraction(num, den) reduction of the unreduced pair.  They are
 # the reference the cancelling steppers must agree with, pole for pole.
 
+def _one_gcd_ratio(x, top, bottom):
+    """Integers (u, v) with prod(x - a for a in top) / prod(x - b for b in
+    bottom) == u / (v * d**(len(top) - len(bottom))), d the denominator of
+    x, for Fraction roots."""
+    c, d = x.numerator, x.denominator
+    u = v = 1
+    for a in top:
+        v *= a.denominator
+        u *= c * a.denominator - a.numerator * d
+    for b in bottom:
+        u *= b.denominator
+        v *= c * b.denominator - b.numerator * d
+    return u, v
+
+
 def _one_gcd_d5(state, rel, x, y, k1, k2, up):
     n = state.nu
     if rel == 1:
         c, top, bottom = n[2] * n[3], (n[4] / k2, n[5] / k2), (1 / n[0], 1 / n[1])
     else:
         c, top, bottom = 1 / (n[0] * n[1]), (k1 / n[6], k1 / n[7]), (n[2], n[3])
-    u, v = _ratio(x, top, bottom)
+    u, v = _one_gcd_ratio(x, top, bottom)
     if v == 0:
         raise PoleError(state.t, f"rel{rel} denominator")
     if y == 0:
@@ -445,7 +460,7 @@ def _one_gcd_e6(state, rel, x, y, k1, k2, up):
         top, bottom = tuple(1 / v for v in n[:4]), (n[4] / k2, n[5] / k2)
     else:
         top, bottom = n[:4], (k1 / n[6], k1 / n[7])
-    u, v = _ratio(x, top, bottom)
+    u, v = _one_gcd_ratio(x, top, bottom)
     if v == 0:
         raise PoleError(state.t, f"rel{rel} rhs")
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -463,7 +478,7 @@ def _one_gcd_e7(state, rel, x, y, k1, k2, up):
     else:
         top, bottom, c = tuple(k1 / v for v in n[4:]), n[:4], k1 / k2
     s, t = (c, q * c) if up else (q * c, c)
-    u, v = _ratio(x, top, bottom)
+    u, v = _one_gcd_ratio(x, top, bottom)
     if v == 0:
         raise PoleError(state.t, f"rel{rel} rhs")
     xn, xd = x.numerator, x.denominator
@@ -494,6 +509,50 @@ _GCD_ZERO_ZERO = {
 }
 
 
+# Forward starts at the corners of the bound K that each solver reduces z
+# against (see the comment above evolution._cancel): a top root equal to a
+# bottom root ("D=0", K = 0), x a top root ("u=0"), E7's s = 1 (K = 0) and
+# a zero solution ("z=0").  Each step passes through its corner and ends in
+# a state, so a bound that is wrong there fails the reference comparison
+# below.  x a top root of rel1 in E6 or E7, or s = 1 in E7 rel1 (kappa1 =
+# q kappa2), makes rel2 meet its pole, so those corners are taken in rel2.
+_TOP_IS_BOTTOM = (2, [2, 3, 5, 7, Fraction(3, 2), 11, 13], 5, 3, 4, 3)   # nu5/kappa2 = 1/nu1
+_BOUND_CORNERS = {
+    ("D5", "D=0"): _TOP_IS_BOTTOM,
+    ("E6", "D=0"): _TOP_IS_BOTTOM,
+    ("E7", "D=0"): _TOP_IS_BOTTOM,
+    ("E6", "u=0"): (2, [2, 3, 5, 7, 11, 13, 17], 3, 5, 5, Fraction(7, 5)),   # fbar = 7 = nu4
+    ("E7", "u=0"): (2, [1, 2, 3, 4, 5, 6, 7], 3, 1, Fraction(3, 4), 4),      # fbar = k1/(q nu6)
+    ("E7", "s=1"): (2, [2, 3, 5, 7, 11, 13, 17], 12, 3, -1, -1),             # kappa1 = q^2 kappa2
+    ("D5", "z=0"): (2, [2, 3, 5, 7, 11, 13, 17], 3, 5, 4, Fraction(11, 5)),  # g = nu5/kappa2
+    ("E6", "z=0"): (2, [2, 3, 5, 7, 11, 13, 17], 3, 5, 4, Fraction(1, 4)),   # f g = 1
+}
+# A backward start at which E7's gcd(N, D) takes a prime from s_d, the one
+# factor of K that no corner above needs.
+_E7_S_DEN_IN_GCD = (4, [Fraction(3, 2), Fraction(-1, 5), Fraction(2, 3), Fraction(-6, 5), 4, 2,
+                        Fraction(-3, 4)], Fraction(3, 5), 1, Fraction(-5, 3), Fraction(2, 3))
+
+
+def _outcome_and_corners(fam, st0, direction):
+    """The step's outcome, and the corners its solvers met: _ratio's bound
+    or u is 0 ("D=0", "u=0"), or _fraction is given K = 0 or a zero
+    numerator ("K=0", "z=0")."""
+    met = set()
+    ratio, fraction = evolution._ratio, evolution._fraction
+
+    def ratio_spy(x, top, bottom):
+        u, v, k = ratio(x, top, bottom)
+        met.update(tag for tag, hit in (("D=0", k == 0), ("u=0", u == 0)) if hit)
+        return u, v, k
+
+    def fraction_spy(num, den, k):
+        met.update(tag for tag, hit in (("K=0", k == 0), ("z=0", num == 0)) if hit)
+        return fraction(num, den, k)
+
+    with mock.patch.multiple(evolution, _ratio=ratio_spy, _fraction=fraction_spy):
+        return _step_outcome(fam, st0, direction), met
+
+
 @pytest.mark.parametrize("family", ["E6", "E7"])
 def test_gcd_of_zero_and_zero_is_the_solve_pole(families, family):
     with pytest.raises(PoleError) as err:
@@ -508,11 +567,26 @@ def test_gcd_of_zero_and_zero_is_the_solve_pole(families, family):
                        _NONZERO, _NONZERO, _SMALL, _SMALL))
 @example(start=_GCD_ZERO_ZERO["E6"])
 @example(start=_GCD_ZERO_ZERO["E7"])
+@example(start=_TOP_IS_BOTTOM)
+@example(start=_BOUND_CORNERS["E6", "u=0"])
+@example(start=_BOUND_CORNERS["E7", "u=0"])
+@example(start=_BOUND_CORNERS["E7", "s=1"])
+@example(start=_BOUND_CORNERS["D5", "z=0"])
+@example(start=_BOUND_CORNERS["E6", "z=0"])
+@example(start=_E7_S_DEN_IN_GCD)
 def test_steppers_match_the_one_gcd_reference(families, family, direction, start):
     fam, st0 = families[family], make_state(*start)
     with mock.patch.dict(evolution._SOLVERS, _ONE_GCD_SOLVERS):
         want = _step_outcome(fam, st0, direction)
-    assert _step_outcome(fam, st0, direction) == want
+    got, met = _outcome_and_corners(fam, st0, direction)
+    assert got == want
+    for (corner_family, corner), corner_start in _BOUND_CORNERS.items():
+        if (family, direction, start) == (corner_family, "forward", corner_start):
+            assert not isinstance(got, tuple), got
+            if corner == "s=1":
+                assert "K=0" in met and "D=0" not in met, met
+            else:
+                assert corner in met, met
 
 
 # The longest printable orbits from sample-params.json and the short orbits
@@ -580,6 +654,23 @@ def test_cancel_on_pairs_with_a_big_common_factor(g, s, t):
     a, b = g * t, g * s
     assert _cancel(a, b) == _cancel_reference(a, b)
     assert _cancel(b, a) == _cancel_reference(b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(min_value=1, max_value=2**4000), a=_BIG, b=_BIG.filter(bool),
+       j=st.one_of(st.just(0), st.integers(min_value=-(2**64), max_value=2**64)))
+@example(g=2**3000 + 1, a=3, b=-5, j=0)
+@example(g=7, a=0, b=-2**4000, j=1)
+@example(g=7, a=0, b=12, j=0)
+@example(g=1, a=-(2**4000), b=-(2**3999), j=3)
+def test_fraction_reduces_against_a_multiple_of_the_gcd(g, a, b, j):
+    """_fraction(num, den, k), k a multiple of gcd(num, den) or 0, is
+    Fraction(num, den): reduced, with a positive denominator."""
+    num, den = g * a, g * b
+    got, want = _fraction(num, den, gcd(num, den) * j), Fraction(num, den)
+    assert type(got) is type(want) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
 
 
 def _prints(n: int) -> bool:
