@@ -14,6 +14,7 @@ expressions.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import threading
 from fractions import Fraction
@@ -128,8 +129,10 @@ _NEXT_UID = 1
 
 
 def _intern(key: tuple, build) -> Expr:
-    """The node for key, built on a miss.  A hit takes no lock; a miss checks
-    again under the lock, so racing builders share one node and one uid."""
+    """The node for key, built on a miss.  A hit is one lock-free dict
+    lookup; a miss checks again under the lock, so racing builders share
+    one node and one uid.  This is the only code that takes the lock or
+    assigns a uid."""
     global _NEXT_UID
     node = _INTERN.get(key)
     if node is not None:
@@ -160,13 +163,28 @@ def _num_node(v: Fraction) -> Expr:
     return Expr("num", value=v)
 
 
+# Each factory below probes the table before it calls _intern, with the
+# same lock-free _INTERN.get that starts _intern: a hit costs the key tuple
+# and that one probe, and only a miss makes the builder closure.
+
 def num(value) -> Expr:
+    """The constant value.  An int equals, and hashes as, the Fraction it
+    names, so its probe finds that Fraction's node with no conversion."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    node = _INTERN.get(("num", value))
+    if node is not None:
+        return node
     v = value if isinstance(value, Fraction) else Fraction(value)
     return _intern(("num", v), lambda: _num_node(v))
 
 
 def sym(name: str) -> Expr:
-    return _intern(("sym", name), lambda: Expr("sym", name=name))
+    key = ("sym", name)
+    node = _INTERN.get(key)
+    if node is not None:
+        return node
+    return _intern(key, lambda: Expr("sym", name=name))
 
 
 ZERO = num(0)
@@ -175,53 +193,66 @@ MINUS_ONE = num(-1)
 
 
 def add(*terms: Expr) -> Expr:
+    """The flattened sum; constants fold into one last child.  A lone
+    constant is kept as the node it is, so a sum with at most one constant
+    term does no Fraction arithmetic."""
     flat: list[Expr] = []
-    const = Fraction(0)
+    consts: list[Expr] = []
     for t in terms:
-        if t.kind == "add":
+        kind = t.kind
+        if kind == "add":
             for ch in t.children:
-                if ch.kind == "num":
-                    const += ch.value
-                else:
-                    flat.append(ch)
-        elif t.kind == "num":
-            const += t.value
+                (consts if ch.kind == "num" else flat).append(ch)
+        elif kind == "num":
+            consts.append(t)
         else:
             flat.append(t)
-    if const != 0:
-        flat.append(num(const))
+    if consts:
+        # Interned, a constant node is ZERO (or ONE) exactly when its value is.
+        c = consts[0] if len(consts) == 1 else num(sum([ch.value for ch in consts]))
+        if c is not ZERO:
+            flat.append(c)
     if not flat:
         return ZERO
     if len(flat) == 1:
         return flat[0]
-    key = ("add",) + tuple(ch.uid for ch in flat)
+    key = ("add",) + tuple([ch.uid for ch in flat])
+    node = _INTERN.get(key)
+    if node is not None:
+        return node
     children = tuple(flat)
     return _intern(key, lambda: Expr("add", children=children))
 
 
 def mul(*factors: Expr) -> Expr:
+    """The flattened product; constants fold into one first child.  A lone
+    constant is kept as the node it is, so a product with at most one
+    constant factor does no Fraction arithmetic."""
     flat: list[Expr] = []
-    const = Fraction(1)
+    consts: list[Expr] = []
     for fct in factors:
-        if fct.kind == "mul":
+        kind = fct.kind
+        if kind == "mul":
             for ch in fct.children:
-                if ch.kind == "num":
-                    const *= ch.value
-                else:
-                    flat.append(ch)
-        elif fct.kind == "num":
-            const *= fct.value
+                (consts if ch.kind == "num" else flat).append(ch)
+        elif kind == "num":
+            consts.append(fct)
         else:
             flat.append(fct)
-    if const == 0:
-        return ZERO
-    if const != 1:
-        flat.insert(0, num(const))
+    if consts:
+        c = consts[0] if len(consts) == 1 else num(math.prod([ch.value for ch in consts]))
+        if c is ZERO:
+            return ZERO
+        if c is not ONE:
+            flat.insert(0, c)
     if not flat:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    key = ("mul",) + tuple(ch.uid for ch in flat)
+    key = ("mul",) + tuple([ch.uid for ch in flat])
+    node = _INTERN.get(key)
+    if node is not None:
+        return node
     children = tuple(flat)
     return _intern(key, lambda: Expr("mul", children=children))
 
@@ -244,6 +275,9 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if base.kind == "pow":
         return pow_(base.children[0], base.exp * exponent)
     key = ("pow", base.uid, exponent)
+    node = _INTERN.get(key)
+    if node is not None:
+        return node
     return _intern(key, lambda: Expr("pow", children=(base,), exp=exponent))
 
 
@@ -264,6 +298,9 @@ def div(numer: Expr, denom: Expr) -> Expr:
     if numer.kind == "num" and numer.value < 0:
         return mul(MINUS_ONE, div(num(-numer.value), denom))
     key = ("div", numer.uid, denom.uid)
+    node = _INTERN.get(key)
+    if node is not None:
+        return node
     children = (numer, denom)
     return _intern(key, lambda: Expr("div", children=children))
 
@@ -301,7 +338,7 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
         if node in memo:
             stack.pop()
             continue
-        if not (node.free & keys):
+        if keys.isdisjoint(node.free):
             memo[node] = node
             stack.pop()
             continue
@@ -309,12 +346,13 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
             memo[node] = images.get(node.name, node)
             stack.pop()
             continue
-        pending = [ch for ch in node.children if ch not in memo]
-        if pending:
-            stack.extend(pending)
+        # One list per visit: the children's images, None for each child
+        # not yet visited, which is then pushed in order.
+        kids = [memo.get(ch) for ch in node.children]
+        if None in kids:
+            stack.extend([ch for ch, k in zip(node.children, kids) if k is None])
             continue
         stack.pop()
-        kids = [memo[ch] for ch in node.children]
         if node.kind == "add":
             memo[node] = add(*kids)
         elif node.kind == "mul":
@@ -357,20 +395,20 @@ def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
         if node in slot:
             stack.pop()
             continue
-        pending = [ch for ch in node.children if ch not in slot]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
         kind = node.kind
         if kind == "num":
             arg = node.value
         elif kind == "sym":
             arg = node.name
-        elif kind == "pow":
-            arg = (slot[node.children[0]], node.exp)
         else:
-            arg = tuple(slot[ch] for ch in node.children)
+            # The children's slots, None for each child not yet placed,
+            # which is then pushed in order.
+            slots = [slot.get(ch) for ch in node.children]
+            if None in slots:
+                stack.extend([ch for ch, k in zip(node.children, slots) if k is None])
+                continue
+            arg = (slots[0], node.exp) if kind == "pow" else tuple(slots)
+        stack.pop()
         slot[node] = len(code)
         code.append((kind, arg))
         nodes.append(node)

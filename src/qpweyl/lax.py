@@ -303,26 +303,33 @@ def verify_gauge_claim(
 ) -> CheckResult:
     """equations_equivalent's result for the gauged equation and the target,
     under the claim id, with the claim's note as its detail."""
-    cfg = cfg or CheckConfig()
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id {claim_id!r}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
-    eq = build_L1(fam)
+    return _verify_claim(fam, claim, build_L1(fam), cfg or CheckConfig())
+
+
+def _verify_claim(fam: FamilyDescriptor, claim: GaugeClaim, eq: LinearQDE,
+                  cfg: CheckConfig) -> CheckResult:
+    """verify_gauge_claim for a claim of fam, given fam's equation eq."""
     gauged = eq
     for gauge in claim.gauges:
         gauged = apply_gauge(gauged, gauge)
     target = substitute_params(eq, claim.target(fam))
-    res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim_id)
+    res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim.id)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
-    return replace(res, id=claim_id, detail=detail)
+    return replace(res, id=claim.id, detail=detail)
 
 
 def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
+    """Every claim of fam, in registry order, against one build of its equation."""
+    cfg = cfg or CheckConfig()
+    claims = [claim for claim in CLAIMS.values() if claim.family == fam.name]
+    eq = build_L1(fam) if claims else None
     report = Report()
-    for claim_id, claim in CLAIMS.items():
-        if claim.family == fam.name:
-            report.add(verify_gauge_claim(fam, claim_id, cfg))
+    for claim in claims:
+        report.add(_verify_claim(fam, claim, eq, cfg))
     return report

@@ -61,11 +61,15 @@ def _swap(a: str, b: str) -> Transformation:
 
 
 def compose(outer: Transformation, inner: Transformation) -> Transformation:
-    """(outer o inner)(x) = outer(inner(x)); inner acts first."""
+    """(outer o inner)(x) = outer(inner(x)); inner acts first.
+
+    A name that inner leaves fixed goes to outer's image of it, with no
+    substitution."""
     memo: dict = {}
-    names = set(outer.images) | set(inner.images)
-    return Transformation({n: substitute(inner.image(n), outer.images, memo)
-                           for n in names})
+    moved = inner.images
+    names = set(outer.images) | set(moved)
+    return Transformation({n: substitute(moved[n], outer.images, memo)
+                           if n in moved else outer.image(n) for n in names})
 
 
 # ---------------------------------------------------------------------------

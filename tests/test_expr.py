@@ -8,16 +8,28 @@ from fractions import Fraction
 
 import pytest
 from dags import small_dags
+from expr_reference import (
+    ref_add,
+    ref_compile,
+    ref_div,
+    ref_mul,
+    ref_num,
+    ref_pow,
+    ref_substitute,
+    ref_sym,
+)
 from hypothesis import given, settings, strategies as st
 
 import qpweyl.expr as expr_module
 from qpweyl.evolution import time_evolution
 from qpweyl.expr import (
     _LATEX_SYMBOLS,
+    _compile,
     MAX_NESTING,
     MINUS_ONE,
     ONE,
     DivisionByZero,
+    Expr,
     ExprError,
     ExprSyntaxError,
     UnknownSymbolError,
@@ -362,14 +374,25 @@ def test_lanes_name_a_missing_symbol():
 
 def test_interning_is_thread_safe():
     # Racing builders of the same fresh keys must get one node per key, and
-    # distinct keys distinct uids (add keys are built from child uids).
-    workers, keys = 8, 3000
+    # distinct keys distinct uids (sum, product, quotient and power keys are
+    # built from child uids).  Every factory probes the table before it
+    # reaches _intern's lock, and a constant is probed by the value it is
+    # given: half the builders name each fresh integer constant first by its
+    # int and half first by the equal Fraction, and all must get one node
+    # holding the Fraction.
+    workers, keys, big = 8, 3000, 10**15
     built = [None] * workers
     barrier = threading.Barrier(workers, timeout=30)
 
     def build(slot):
         barrier.wait()
-        built[slot] = [add(sym("f"), num(Fraction(k, 1_000_003))) for k in range(1, keys + 1)]
+        rows = []
+        for k in range(1, keys + 1):
+            a = add(sym("f"), num(Fraction(k, 1_000_003)))
+            ints = (big + k, Fraction(big + k))
+            i, j = (num(v) for v in (ints if slot % 2 else ints[::-1]))
+            rows.append((a, mul(a, sym("g")), div(sym("q"), a), pow_(a, 2), i, j))
+        built[slot] = rows
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -382,10 +405,12 @@ def test_interning_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for nodes in built[1:]:
-        assert all(x is y for x, y in zip(nodes, built[0]))
-    assert len({n.uid for n in built[0]}) == keys
-    assert len({n.children[1].uid for n in built[0]}) == keys
+    rows = built[0]
+    for other in built[1:]:
+        assert all(x is y for row, ref in zip(other, rows) for x, y in zip(row, ref))
+    assert all(i is j and type(i.value) is Fraction for *_, i, j in rows)
+    assert len({n.uid for row in rows for n in row[:5]}) == 5 * keys
+    assert len({a.children[1].uid for a, *_ in rows}) == keys
 
 
 def test_substitute_simultaneous():
@@ -438,6 +463,59 @@ def test_substitute_is_a_ring_homomorphism_over_fp(a, b, op, point):
     if op == "/" and vb == 0:
         return
     assert lhs == combine(va, vb)
+
+
+def _outcomes(calls, new_first):
+    """Each call's node, or its ExprError as (type, message); the calls run
+    in the order given or reversed, so either side may build a fresh node
+    and the other must find it."""
+    out = []
+    for fn, args in calls if new_first else calls[::-1]:
+        try:
+            out.append(fn(*args))
+        except ExprError as err:
+            out.append((type(err), str(err)))
+    return out if new_first else out[::-1]
+
+
+def _assert_same(new, ref, args, new_first):
+    got, want = _outcomes([(new, args), (ref, args)], new_first)
+    assert got is want or (type(want) is tuple and got == want), (new.__name__, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dags(), small_dags(),
+       st.one_of(st.integers(-10**30, 10**30), st.fractions()),
+       st.from_regex(r"[a-z]{1,3}[0-9]?", fullmatch=True),
+       st.integers(-4, 4), st.booleans())
+def test_factories_match_the_reference(a, b, value, name, k, new_first):
+    # A constant by its int, by its Fraction, and as a child that the
+    # factories fold; a fresh value or name reaches the miss path.
+    _assert_same(num, ref_num, (value,), new_first)
+    _assert_same(num, ref_num, (Fraction(value),), not new_first)
+    _assert_same(sym, ref_sym, (name,), new_first)
+    c = num(value)
+    for new, ref, args in [
+        (add, ref_add, (a, b)), (add, ref_add, (a, c, b)), (add, ref_add, (c, c)),
+        (mul, ref_mul, (a, b)), (mul, ref_mul, (c, a, b)), (mul, ref_mul, (a, c, c)),
+        (div, ref_div, (a, b)), (div, ref_div, (c, a)), (div, ref_div, (a, c)),
+        (pow_, ref_pow, (a, k)), (pow_, ref_pow, (c, k)),
+    ]:
+        _assert_same(new, ref, args, new_first)
+
+
+_IMAGE_NAMES = ("f", "g", "q", "z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dags(), st.dictionaries(st.sampled_from(_IMAGE_NAMES), small_dags(), max_size=4),
+       st.booleans())
+def test_walks_match_the_reference(e, images, new_first):
+    got, want = _outcomes([(substitute, (e, images)), (ref_substitute, (e, images))],
+                          new_first)
+    assert got is want or (type(want) is tuple and got == want)
+    for node in (e, got) if isinstance(got, Expr) else (e,):
+        assert _compile.__wrapped__(node) == ref_compile(node)
 
 
 def test_dag_size_counts_shared_nodes_once():

@@ -307,12 +307,17 @@ def test_unknown_claim_id(d5):
         verify_gauge_claim(d5, "e6.s6")
 
 
-def test_verify_gauge_claims_per_family(families):
+def test_verify_gauge_claims_per_family(monkeypatch, families):
+    # All of a family's claims share one build of its equation.
+    import qpweyl.lax as lax
+    builds = []
+    monkeypatch.setattr(lax, "build_L1", lambda fam: builds.append(fam.name) or build_L1(fam))
     counts = {"D5": 5, "E6": 2, "E7": 2}
     for name, fam in families.items():
         report = verify_gauge_claims(fam)
         assert len(report.checks) == counts[name]
         assert report.ok
+    assert builds == list(families)
 
 
 #: Closed-form table for the composite s0 s4 s0 of the E7 family; the claim

@@ -5,16 +5,21 @@ transformation to an expression substitutes every symbol by its image, and
 the rightmost letter of a word acts first.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
+from dags import small_dags
+from expr_reference import ref_compose
+from hypothesis import given, settings, strategies as st
 
 from qpweyl import weyl
-from qpweyl.expr import evaluate, parse, sub, substitute, sym
+from qpweyl.expr import ExprError, evaluate, parse, sub, substitute, sym
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.weyl import (
     IDENTITY,
     CheckConfig,
+    Transformation,
     _image_pairs,
     check,
     compose,
@@ -148,6 +153,40 @@ def test_word_concatenation_matches_composition(d5):
     for name in ("q", "nu1", "nu3", "nu7", "kappa1", "kappa2", "f", "g"):
         assert eq(combined.image(name), split.image(name),
                   label=f"concat:{name}") == "equal"
+
+
+def _assert_compose_matches_reference(outer, inner, new_first):
+    # Either side may build a fresh image first; the other must find it.
+    if new_first:
+        got, want = compose(outer, inner), ref_compose(outer, inner)
+    else:
+        want, got = ref_compose(outer, inner), compose(outer, inner)
+    assert got.images.keys() == want.images.keys()
+    assert all(got.images[n] is img for n, img in want.images.items())
+
+
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+def test_compose_matches_the_reference_on_generator_pairs(families, family):
+    fam = families[family]
+    names = fam.s_names + fam.pi_names
+    for i, (a, b) in enumerate(itertools.product(names, repeat=2)):
+        _assert_compose_matches_reference(fam.generators[a], fam.generators[b], i % 2)
+
+
+_MAPS = st.dictionaries(st.sampled_from(("f", "g", "q", "z")), small_dags(), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MAPS, _MAPS, st.booleans())
+def test_compose_matches_the_reference_on_random_maps(outer, inner, new_first):
+    try:
+        _assert_compose_matches_reference(Transformation(outer), Transformation(inner),
+                                          new_first)
+    except ExprError:
+        # A zero denominator after substitution: both sides must refuse.
+        for fn in (compose, ref_compose):
+            with pytest.raises(ExprError):
+                fn(Transformation(outer), Transformation(inner))
 
 
 # ---------------------------------------------------------------------------
