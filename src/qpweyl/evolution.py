@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .expr import Expr, ZERO, parse, substitute, sym
+from .expr import Expr, ZERO, parse, shown, substitute, sym
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
 from .lax import d5_dilation_scaling, d5_power_scaling, e_scaling
 from .report import Report
@@ -248,16 +248,17 @@ def parse_rational(text, name: str) -> Fraction:
     before building a numerator or denominator past Python's int-to-str
     digit limit, which 1e200000000 would take minutes to reach."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise ValueError(f"{name} must be a string like '3/4', got {text!r}")
+        raise ValueError(f"{name} must be a string like '3/4', got {shown(text)}")
     limit = _digit_limit()
     if isinstance(text, str) and limit and _text_digits(text) > limit:
-        shown = text if len(text) <= 24 else text[:20] + "..."
-        raise ValueError(f"{name} = {shown!r} has a numerator or denominator "
+        raise ValueError(f"{name} = {shown(text)} has a numerator or denominator "
                          f"past Python's int-to-str digit limit ({limit} digits)")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{name} = {text!r} has a zero denominator") from None
+        raise ValueError(f"{name} = {shown(text)} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {shown(text)}") from None
 
 
 def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
@@ -282,7 +283,7 @@ def state_from_record(rec) -> OrbitState:
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     if not isinstance(rec.get("nu"), list):
-        raise ValueError(f"'nu' must be a list of rationals, got {rec.get('nu')!r}")
+        raise ValueError(f"'nu' must be a list of rationals, got {shown(rec.get('nu'))}")
     if len(rec["nu"]) not in (7, 8):
         raise ValueError(f"'nu' must list nu1..nu7, or nu1..nu8, got {len(rec['nu'])} values")
     nu = [parse_rational(v, f"nu{i}") for i, v in enumerate(rec["nu"], 1)]
@@ -292,11 +293,11 @@ def state_from_record(rec) -> OrbitState:
             raise ValueError(f"missing field '{k}'")
     t = rec.get("t", 0)
     if isinstance(t, bool) or not isinstance(t, int):
-        raise ValueError(f"t must be a JSON integer, got {t!r}")
+        raise ValueError(f"t must be a JSON integer, got {shown(t)}")
     q, kappa1, kappa2, f, g = (parse_rational(rec[k], k) for k in fields)
     st = make_state(q, nu[:7] if len(nu) == 8 else nu, kappa1, kappa2, f, g, t=t)
     if len(nu) == 8 and nu[7] != st.nu[7]:
-        raise ValueError(f"nu8 = {rec['nu'][7]!r} contradicts the constraint, "
+        raise ValueError(f"nu8 = {shown(rec['nu'][7])} contradicts the constraint, "
                          f"which gives {_frac_str(st.nu[7])}")
     return st
 

@@ -39,6 +39,15 @@ PARAM_SYMBOLS: tuple[str, ...] = (
 ACTION_SYMBOLS: tuple[str, ...] = PARAM_SYMBOLS + ("f", "g")
 
 
+def shown(value) -> str:
+    """repr(value) as an error message quotes user input: past 24 characters
+    it keeps the first 20 and "...", so a long input gives a short line."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 24 else value[:20] + "...")
+    text = repr(value)
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
 class ExprError(ValueError):
     """Malformed expression construction (e.g. a syntactically zero denominator)."""
 
@@ -51,7 +60,7 @@ class ExprSyntaxError(ExprError):
 
 class UnknownSymbolError(ExprError):
     def __init__(self, name: str, offset: int):
-        super().__init__(f"unknown symbol '{name}' at offset {offset}")
+        super().__init__(f"unknown symbol {shown(name)} at offset {offset}")
         self.name = name
         self.offset = offset
 
@@ -74,23 +83,28 @@ class DivisionByZero(ArithmeticError):
 class Expr:
     """One interned expression node.  Construct only via the factory functions."""
 
-    __slots__ = ("kind", "value", "name", "children", "exp", "free", "monomial", "uid")
+    __slots__ = ("kind", "value", "name", "children", "exp", "free", "monomial")
 
-    def __init__(self, kind, value=None, name=None, children=(), exp=0):
-        self.kind = kind
-        self.value = value          # Fraction, for 'num'
-        self.name = name            # str, for 'sym'
-        self.children = children    # tuple[Expr, ...]
-        self.exp = exp              # int, for 'pow'
+    def __init__(self, key: tuple):
+        kind = self.kind = key[0]
+        self.value = self.name = None   # Fraction for 'num'; str for 'sym'
+        self.children = ()              # tuple[Expr, ...]
+        self.exp = 0                    # int, for 'pow'
         # monomial: the sorted (symbol, exponent) pairs of a Laurent monomial
         # with coefficient 1, else None (any sum, any other constant).
         if kind == "num":
+            value = self.value = key[1]
+            if _bits(value) > MAX_FOLD_BITS:
+                raise ExprError(f"constant folds to more than {MAX_FOLD_BITS} bits")
             self.free = frozenset()
             self.monomial = () if value == 1 else None
         elif kind == "sym":
+            name = self.name = key[1]
             self.free = frozenset((name,))
             self.monomial = ((name, 1),)
         else:
+            children = self.children = key[1:2] if kind == "pow" else key[1:]
+            exp = self.exp = key[2] if kind == "pow" else 0
             fs: frozenset[str] = frozenset()
             for ch in children:
                 fs = fs | ch.free
@@ -101,7 +115,6 @@ class Expr:
                           else (1,) * len(children))
                 mono = monomial_product(zip([ch.monomial for ch in children], powers))
             self.monomial = mono
-        self.uid = 0                # assigned by the intern table
 
     def __repr__(self):
         return f"Expr({to_string(self)})"
@@ -122,28 +135,22 @@ def monomial_product(factors) -> tuple | None:
     return tuple(sorted([item for item in exps.items() if item[1]]))
 
 
-# The intern table never evicts: a node lives as long as the process.
+# The intern table never evicts: a node lives as long as the process, so its
+# identity is a stable key.  Keys are ("num", Fraction), ("sym", name),
+# ("add", *children), ("mul", *children), ("pow", base, exp) and
+# ("div", numer, denom), and Expr(key) builds the node a key names.
 _INTERN: dict[tuple, Expr] = {}
 _INTERN_LOCK = threading.Lock()
-_NEXT_UID = 1
 
 
-def _intern(key: tuple, build) -> Expr:
-    """The node for key, built on a miss.  A hit is one lock-free dict
-    lookup; a miss checks again under the lock, so racing builders share
-    one node and one uid.  This is the only code that takes the lock or
-    assigns a uid."""
-    global _NEXT_UID
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
+def _intern(key: tuple) -> Expr:
+    """The node for key, built on a miss after a factory's lock-free probe;
+    a second look under the lock, which no other code takes, makes racing
+    builders share one node."""
     with _INTERN_LOCK:
         node = _INTERN.get(key)
         if node is None:
-            node = build()
-            node.uid = _NEXT_UID
-            _NEXT_UID += 1
-            _INTERN[key] = node
+            node = _INTERN[key] = Expr(key)
     return node
 
 
@@ -157,34 +164,17 @@ def _bits(v: Fraction) -> int:
     return max(v.numerator.bit_length(), v.denominator.bit_length())
 
 
-def _num_node(v: Fraction) -> Expr:
-    if _bits(v) > MAX_FOLD_BITS:
-        raise ExprError(f"constant folds to more than {MAX_FOLD_BITS} bits")
-    return Expr("num", value=v)
-
-
-# Each factory below probes the table before it calls _intern, with the
-# same lock-free _INTERN.get that starts _intern: a hit costs the key tuple
-# and that one probe, and only a miss makes the builder closure.
+# Each factory below ends in `_INTERN.get(key) or _intern(key)` (an Expr is
+# never false): a hit costs the key tuple and one lock-free probe.
 
 def num(value) -> Expr:
-    """The constant value.  An int equals, and hashes as, the Fraction it
+    """The constant value.  A number equals, and hashes as, the Fraction it
     names, so its probe finds that Fraction's node with no conversion."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    node = _INTERN.get(("num", value))
-    if node is not None:
-        return node
-    v = value if isinstance(value, Fraction) else Fraction(value)
-    return _intern(("num", v), lambda: _num_node(v))
+    return _INTERN.get(("num", value)) or _intern(("num", Fraction(value)))
 
 
 def sym(name: str) -> Expr:
-    key = ("sym", name)
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
-    return _intern(key, lambda: Expr("sym", name=name))
+    return _INTERN.get(("sym", name)) or _intern(("sym", name))
 
 
 ZERO = num(0)
@@ -216,12 +206,8 @@ def add(*terms: Expr) -> Expr:
         return ZERO
     if len(flat) == 1:
         return flat[0]
-    key = ("add",) + tuple([ch.uid for ch in flat])
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
-    children = tuple(flat)
-    return _intern(key, lambda: Expr("add", children=children))
+    key = ("add", *flat)
+    return _INTERN.get(key) or _intern(key)
 
 
 def mul(*factors: Expr) -> Expr:
@@ -249,12 +235,8 @@ def mul(*factors: Expr) -> Expr:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    key = ("mul",) + tuple([ch.uid for ch in flat])
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
-    children = tuple(flat)
-    return _intern(key, lambda: Expr("mul", children=children))
+    key = ("mul", *flat)
+    return _INTERN.get(key) or _intern(key)
 
 
 def pow_(base: Expr, exponent: int) -> Expr:
@@ -274,11 +256,8 @@ def pow_(base: Expr, exponent: int) -> Expr:
         return num(v ** exponent)
     if base.kind == "pow":
         return pow_(base.children[0], base.exp * exponent)
-    key = ("pow", base.uid, exponent)
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
-    return _intern(key, lambda: Expr("pow", children=(base,), exp=exponent))
+    key = ("pow", base, exponent)
+    return _INTERN.get(key) or _intern(key)
 
 
 def div(numer: Expr, denom: Expr) -> Expr:
@@ -297,12 +276,8 @@ def div(numer: Expr, denom: Expr) -> Expr:
         return ZERO
     if numer.kind == "num" and numer.value < 0:
         return mul(MINUS_ONE, div(num(-numer.value), denom))
-    key = ("div", numer.uid, denom.uid)
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
-    children = (numer, denom)
-    return _intern(key, lambda: Expr("div", children=children))
+    key = ("div", numer, denom)
+    return _INTERN.get(key) or _intern(key)
 
 
 def neg(e: Expr) -> Expr:
@@ -889,7 +864,7 @@ class _Parser:
                 e = neg(self.parse_atom())
             self.depth -= 1
             return e
-        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+        raise ExprSyntaxError(f"unexpected token {shown(text)}", pos)
 
 
 def parse(text: str, extra_symbols: Iterable[str] = ()) -> Expr:
@@ -903,5 +878,5 @@ def parse(text: str, extra_symbols: Iterable[str] = ()) -> Expr:
     e = parser.parse_expr()
     kind, text_, pos = parser.peek()
     if kind != "END":
-        raise ExprSyntaxError(f"trailing input {text_!r}", pos)
+        raise ExprSyntaxError(f"trailing input {shown(text_)}", pos)
     return e

@@ -228,7 +228,6 @@ class GaugeClaim:
 
 
 def _claim_registry() -> dict[str, GaugeClaim]:
-    z = sym  # brevity in the tables below
     claims = [
         GaugeClaim(
             "d5.s2", "D5",
@@ -245,14 +244,14 @@ def _claim_registry() -> dict[str, GaugeClaim]:
         ),
         GaugeClaim(
             "d5.G", "D5",
-            (PowerGauge(z("s")),),
-            lambda fam: d5_power_scaling(z("s")),
+            (PowerGauge(sym("s")),),
+            lambda fam: d5_power_scaling(sym("s")),
             "power gauge z^d with delta = q^d = s",
         ),
         GaugeClaim(
             "d5.D", "D5",
-            (Dilation(z("c")),),
-            lambda fam: d5_dilation_scaling(z("c")),
+            (Dilation(sym("c")),),
+            lambda fam: d5_dilation_scaling(sym("c")),
             "dilation z = u/c",
         ),
         GaugeClaim(
@@ -269,8 +268,8 @@ def _claim_registry() -> dict[str, GaugeClaim]:
         ),
         GaugeClaim(
             "e6.S", "E6",
-            (PowerGauge(parse("1/c")), Dilation(z("c"))),
-            lambda fam: e_scaling(z("c")),
+            (PowerGauge(parse("1/c")), Dilation(sym("c"))),
+            lambda fam: e_scaling(sym("c")),
             "dilation plus power gauge with c q^d = 1",
         ),
         GaugeClaim(
@@ -285,8 +284,8 @@ def _claim_registry() -> dict[str, GaugeClaim]:
         ),
         GaugeClaim(
             "e7.S", "E7",
-            (Dilation(z("c")),),
-            lambda fam: e_scaling(z("c")),
+            (Dilation(sym("c")),),
+            lambda fam: e_scaling(sym("c")),
             "pure dilation",
         ),
     ]

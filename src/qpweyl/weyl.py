@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 
-from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, substitute, sym
+from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, shown, substitute, sym
 from .identity import (
     ConstraintRelation,
     DEFAULT_PRIME,
@@ -95,7 +95,7 @@ def parse_word(text: str) -> tuple[str, ...]:
             break
         text = text[: m.start()] + " ".join([body] * n) + text[m.end() :]
     if "(" in text or ")" in text or "^" in text:
-        raise ValueError(f"malformed word {text!r}")
+        raise ValueError(f"malformed word {shown(text)}")
     return tuple(text.split())
 
 
@@ -106,7 +106,7 @@ def word_to_transform(fam: "FamilyDescriptor", word) -> Transformation:
     t = IDENTITY
     for name in word:
         if name not in fam.generators:
-            raise KeyError(f"unknown generator {name!r} for family {fam.name}")
+            raise KeyError(f"unknown generator {shown(name)} for family {fam.name}")
         t = compose(t, fam.generators[name])
     return t
 

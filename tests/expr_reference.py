@@ -18,18 +18,17 @@ from qpweyl.expr import (
     ExprError,
     _bits,
     _intern,
-    _num_node,
 )
 from qpweyl.weyl import Transformation
 
 
 def ref_num(value) -> Expr:
     v = value if isinstance(value, Fraction) else Fraction(value)
-    return _intern(("num", v), lambda: _num_node(v))
+    return _intern(("num", v))
 
 
 def ref_sym(name: str) -> Expr:
-    return _intern(("sym", name), lambda: Expr("sym", name=name))
+    return _intern(("sym", name))
 
 
 def ref_add(*terms: Expr) -> Expr:
@@ -52,9 +51,7 @@ def ref_add(*terms: Expr) -> Expr:
         return ZERO
     if len(flat) == 1:
         return flat[0]
-    key = ("add",) + tuple(ch.uid for ch in flat)
-    children = tuple(flat)
-    return _intern(key, lambda: Expr("add", children=children))
+    return _intern(("add", *flat))
 
 
 def ref_mul(*factors: Expr) -> Expr:
@@ -79,9 +76,7 @@ def ref_mul(*factors: Expr) -> Expr:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    key = ("mul",) + tuple(ch.uid for ch in flat)
-    children = tuple(flat)
-    return _intern(key, lambda: Expr("mul", children=children))
+    return _intern(("mul", *flat))
 
 
 def ref_pow(base: Expr, exponent: int) -> Expr:
@@ -100,8 +95,7 @@ def ref_pow(base: Expr, exponent: int) -> Expr:
         return ref_num(v ** exponent)
     if base.kind == "pow":
         return ref_pow(base.children[0], base.exp * exponent)
-    key = ("pow", base.uid, exponent)
-    return _intern(key, lambda: Expr("pow", children=(base,), exp=exponent))
+    return _intern(("pow", base, exponent))
 
 
 def ref_div(numer: Expr, denom: Expr) -> Expr:
@@ -117,9 +111,7 @@ def ref_div(numer: Expr, denom: Expr) -> Expr:
         return ZERO
     if numer.kind == "num" and numer.value < 0:
         return ref_mul(MINUS_ONE, ref_div(ref_num(-numer.value), denom))
-    key = ("div", numer.uid, denom.uid)
-    children = (numer, denom)
-    return _intern(key, lambda: Expr("div", children=children))
+    return _intern(("div", numer, denom))
 
 
 def ref_substitute(e: Expr, images, memo: dict | None = None) -> Expr:

@@ -59,6 +59,41 @@ def test_apply_unknown_generator_prints_the_message(capsys):
     assert err == "error: unknown generator 's9' for family D5\n"
 
 
+LONG = "x" * 50_000
+
+
+@pytest.mark.parametrize("word, expr, message", [
+    ("(s0)^5000 (", "f", "malformed word 's0 s0 s0 s0 s0 s0 s0...'"),
+    (f"s{LONG}", "f", "unknown generator 'sxxxxxxxxxxxxxxxxxxx...' for family D5"),
+    ("s0", f"f + {LONG}", "unknown symbol 'xxxxxxxxxxxxxxxxxxxx...' at offset 4"),
+    ("s0", f"f {LONG}", "trailing input 'xxxxxxxxxxxxxxxxxxxx...' at offset 2"),
+    ("s0", "f " + "1" * 4000, "trailing input '11111111111111111111...' at offset 2"),
+    ("(s0)^2 (", "f", "malformed word 's0 s0 ('"),
+    ("s0", "f + pi1", "unknown symbol 'pi1' at offset 4"),
+], ids=["long-malformed-word", "long-generator", "long-symbol", "long-trailing-name",
+        "long-trailing-integer", "short-malformed-word", "short-symbol"])
+def test_apply_error_quotes_at_most_24_characters_of_input(capsys, word, expr, message):
+    # A long input is cut to its first 20 characters and "..."; a short
+    # one is quoted whole, as before.
+    code, out, err = run(capsys, "apply", "--family", "D5", "--word", word, "--expr", expr)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("f", "1/" + "0" * 30, "f = '1/000000000000000000...' has a zero denominator"),
+    ("f", "a" * 50_000, "Invalid literal for Fraction: 'aaaaaaaaaaaaaaaaaaaa...'"),
+    ("f", "abc", "Invalid literal for Fraction: 'abc'"),
+    ("t", LONG, "t must be a JSON integer, got 'xxxxxxxxxxxxxxxxxxxx...'"),
+    ("nu", {"a": LONG}, "'nu' must be a list of rationals, got {'a': 'xxxxxxxxxxxxx..."),
+    ("q", [1] * 10_000, "q must be a string like '3/4', got [1, 1, 1, 1, 1, 1, 1..."),
+], ids=["long-zero-denominator", "long-literal", "short-literal", "long-t", "long-nu",
+        "long-q"])
+def test_evolve_error_quotes_at_most_24_characters_of_input(capsys, tmp_path, key, value, message):
+    path = write_params(tmp_path, **{key: value})
+    code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path)
+    assert (code, out, err) == (2, "", f"error: bad params file: {message}\n")
+
+
 def test_apply_word_at_the_letter_budget(capsys):
     code, out, _ = run(capsys, "apply", "--family", "D5",
                        "--word", f"(s0)^{MAX_WORD_LETTERS}", "--expr", "f")

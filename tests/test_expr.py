@@ -48,7 +48,8 @@ from qpweyl.expr import (
     to_latex,
     to_string,
 )
-from qpweyl.weyl import make_family, word_to_transform
+from qpweyl.lax import build_L1
+from qpweyl.weyl import FAMILY_NAMES, make_family, word_to_transform
 
 
 def test_parse_product_of_symbols():
@@ -75,6 +76,28 @@ def test_interning_gives_identical_nodes():
     a = parse("f*(g - 1/nu1)")
     b = mul(sym("f"), sub(sym("g"), div(num(1), sym("nu1"))))
     assert a is b
+
+
+def test_intern_keys_hold_the_nodes_children():
+    # A node is built from its intern key, which names its children by the
+    # nodes themselves.  After the families, T and L1 are built, every key
+    # holds its node's own fields, and no node sits under two keys.
+    for name in FAMILY_NAMES:
+        fam = make_family(name)
+        time_evolution(fam)
+        build_L1(fam)
+    table = list(expr_module._INTERN.items())
+    for key, node in table:
+        assert key[0] == node.kind
+        if node.kind == "num":
+            assert key == ("num", node.value) and type(node.value) is Fraction
+        elif node.kind == "sym":
+            assert key == ("sym", node.name)
+        elif node.kind == "pow":
+            assert key[1:] == (node.children[0], node.exp) and len(node.children) == 1
+        else:
+            assert key[1:] == node.children
+    assert len({id(node) for _, node in table}) == len(table)
 
 
 def test_rational_literal_folds():
@@ -374,12 +397,12 @@ def test_lanes_name_a_missing_symbol():
 
 def test_interning_is_thread_safe():
     # Racing builders of the same fresh keys must get one node per key, and
-    # distinct keys distinct uids (sum, product, quotient and power keys are
-    # built from child uids).  Every factory probes the table before it
-    # reaches _intern's lock, and a constant is probed by the value it is
-    # given: half the builders name each fresh integer constant first by its
-    # int and half first by the equal Fraction, and all must get one node
-    # holding the Fraction.
+    # distinct keys distinct nodes (sum, product, quotient and power keys
+    # hold the child nodes themselves).  Every factory probes the table
+    # before it reaches _intern's lock, and a constant is probed by the value
+    # it is given: half the builders name each fresh integer constant first
+    # by its int and half first by the equal Fraction, and all must get one
+    # node holding the Fraction.
     workers, keys, big = 8, 3000, 10**15
     built = [None] * workers
     barrier = threading.Barrier(workers, timeout=30)
@@ -409,8 +432,8 @@ def test_interning_is_thread_safe():
     for other in built[1:]:
         assert all(x is y for row, ref in zip(other, rows) for x, y in zip(row, ref))
     assert all(i is j and type(i.value) is Fraction for *_, i, j in rows)
-    assert len({n.uid for row in rows for n in row[:5]}) == 5 * keys
-    assert len({a.children[1].uid for a, *_ in rows}) == keys
+    assert len({id(n) for row in rows for n in row[:5]}) == 5 * keys
+    assert len({id(a.children[1]) for a, *_ in rows}) == keys
 
 
 def test_substitute_simultaneous():
