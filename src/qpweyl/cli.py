@@ -42,7 +42,7 @@ from .evolution import (
     verify_theorem_i,
     verify_theorem_ii,
 )
-from .expr import ExprError, parse, to_latex, to_string
+from .expr import ExprError, parse, shown, to_latex, to_string
 from .identity import DEFAULT_PRIME, DEFAULT_TRIALS, check_sampling
 from .lax import CLAIMS, verify_gauge_claims
 from .report import Report
@@ -251,11 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
+        # argparse and OSError quote an argument whole: cut each long one,
+        # or the value after its "=", as expr.shown cuts quoted input.
+        message = str(err)
+        for value in (v for token in argv for v in (token, token.partition("=")[2])):
+            if len(value) > 24:
+                cut = shown(value)
+                message = message.replace(repr(value), cut).replace(value, cut)
+        print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:
         return 0

@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 
@@ -295,13 +294,12 @@ def _sample(r, trials, prime, seed, label) -> IdentityResult:
 # vectors, Monagan and Pearce 2007), so multiplying monomials is one int
 # addition.  The width holds the program's degree bound, so no exponent ever
 # carries into its neighbour's field.
-# No polynomial GCD is attempted: the numerator of the combined fraction is
-# the zero polynomial iff the rational function is identically zero, which is
-# all the zero-proof needs.  _strip divides a pair by the gcd of all its
-# coefficients to keep them small.  Scaling a pair by a nonzero constant or
-# by a monomial changes no polynomial's number of terms, so the term cap
-# trips at the same step whichever such normalization is made.  A common
-# monomial is not cancelled: in a packed monomial it costs nothing to carry.
+# _normalize runs the pair rules of expr._run_projective over Z[x], one rule
+# per instruction kind, and never reduces a pair: the last numerator is the
+# zero polynomial iff the rational function is identically zero.  Scaling a
+# pair by a nonzero constant or a monomial changes no term count, so the cap
+# trips at the same node as in tests/test_identity.py's Fraction reference,
+# which divides each pair through by a coefficient and a monomial.
 
 _TERM_CAP = 400_000
 _SIZE_BOUND = 20_000
@@ -347,17 +345,6 @@ def _poly_pow(p, n):
         if n:
             base = _poly_mul(base, base)
     return result
-
-
-def _strip(numer, denom):
-    """Divide a fraction pair by the integer content it has in common."""
-    if not numer:
-        return numer, denom
-    content = math.gcd(*numer.values(), *denom.values())
-    if content != 1:
-        numer = {m: c // content for m, c in numer.items()}
-        denom = {m: c // content for m, c in denom.items()}
-    return numer, denom
 
 
 def _degree_bound(code) -> int:
@@ -435,7 +422,6 @@ def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
                     n2, d2 = vals[k]
                     n_acc = _poly_add(_poly_mul(n_acc, d2), _poly_mul(n2, d_acc))
                     d_acc = _poly_mul(d_acc, d2)
-                    n_acc, d_acc = _strip(n_acc, d_acc)
                 pair = (n_acc, d_acc)
             elif kind == "mul":
                 n_acc, d_acc = vals[arg[0]]
@@ -443,7 +429,7 @@ def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
                     n2, d2 = vals[k]
                     n_acc = _poly_mul(n_acc, n2)
                     d_acc = _poly_mul(d_acc, d2)
-                pair = _strip(n_acc, d_acc)
+                pair = (n_acc, d_acc)
             elif kind == "pow":
                 n1, d1 = vals[arg[0]]
                 k = arg[1]
@@ -457,7 +443,7 @@ def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
                 (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
                 if not n2:
                     return "division by an identically zero expression"
-                pair = _strip(_poly_mul(n1, d2), _poly_mul(d1, n2))
+                pair = (_poly_mul(n1, d2), _poly_mul(d1, n2))
             vals.append(pair)
     except _TermBlowUp:
         memo[nodes[i]] = "term blow-up"

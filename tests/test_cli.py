@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qpweyl.cli as cli
+from qpweyl.expr import shown
 from qpweyl.identity import MAX_PRIME_BITS, MAX_TRIALS
 from qpweyl.weyl import MAX_WORD_LETTERS
 
@@ -586,6 +587,32 @@ def test_usage_error_is_one_line_and_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+
+
+_PARAMS = ("--family", "D5", "--params", "sample-params.json")
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (("apply", "--family", LONG, "--expr", "f"), LONG),
+    (("apply", f"--family={LONG}", "--expr", "f"), LONG),
+    (("verify-theorem", "--family", "D5", "--trials", LONG), LONG),
+    (("evolve", *_PARAMS, "--steps", LONG), LONG),
+    (("list", "--format", LONG), LONG),
+    ((LONG,), LONG),
+    (("list", LONG), LONG),
+    (("verify-gauge", "--family", "D5", f"--{LONG}"), f"--{LONG}"),
+    (("evolve", "--family", "D5", "--params", LONG), LONG),
+    (("evolve", *_PARAMS, "--out", f"/nonexistent/{LONG}"), f"/nonexistent/{LONG}"),
+], ids=["family", "family=", "trials", "steps", "format", "command", "positional",
+        "option", "params", "out"])
+def test_usage_error_cuts_a_long_argument(capsys, argv, quoted):
+    # argparse and OSError quote an argument whole; main cuts it as
+    # expr.shown cuts the input an error message quotes.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: [^\n]+\n", err)
+    assert len(err.encode()) <= 200
+    assert shown(quoted) in err
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("evolve", "--help")])

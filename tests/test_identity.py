@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 from dags import small_dags
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpweyl import identity
 from qpweyl.expr import (
@@ -363,13 +363,21 @@ def _outcome(decide):
         return f"unavailable: {err}"
 
 
+_CONTENT_HEAVY = "(6*f + 6)^5*(10*g - 10)^4/((4*f + 4)^3*(15*g - 15)^2)"
+_EXPANDED = ("5400*f^2*g^2 - 10800*f^2*g + 5400*f^2 + 10800*f*g^2 - {}*f*g + 10800*f"
+             " + 5400*g^2 - 10800*g + 5400")
+
+
 @pytest.mark.parametrize("cap", [4, 12, 40, identity._TERM_CAP])
 @settings(max_examples=150, deadline=None)
+@example(a=parse(_CONTENT_HEAVY), b=parse(_EXPANDED.format(21600)))
+@example(a=parse(_CONTENT_HEAVY), b=parse(_EXPANDED.format(21601)))
 @given(a=small_dags(), b=small_dags())
 def test_exact_zero_matches_tuple_fraction_normalizer(cap, a, b):
     # Both forms keep every pair a constant multiple of the other, so every
     # polynomial has the same support: the same verdicts, and the cap trips
-    # at the same step for the same reason.
+    # at the same step for the same reason.  The examples carry a large
+    # common integer content in every pair, which exact_zero never divides out.
     r = sub(a, b)
     with mock.patch.object(identity, "_TERM_CAP", cap):
         got = _outcome(lambda: exact_zero(r))
