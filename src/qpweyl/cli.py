@@ -257,12 +257,21 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as err:
         # argparse and OSError quote an argument whole: cut each long one,
-        # or the value after its "=", as expr.shown cuts quoted input.
+        # or the value after its "=", as expr.shown cuts quoted input.  A
+        # path given to evolve's --params or --out, or to a prefix argparse
+        # accepts, is cut only past 120 characters: its last part is the one
+        # usually wrong.
         message = str(err)
-        for value in (v for token in argv for v in (token, token.partition("=")[2])):
-            if len(value) > 24:
-                cut = shown(value)
-                message = message.replace(repr(value), cut).replace(value, cut)
+        path_next = False
+        for token in argv:
+            option, eq, tail = token.partition("=")
+            path_option = (argv[0] == "evolve" and len(option) > 2
+                           and ("--params".startswith(option) or "--out".startswith(option)))
+            for value, path in ((token, path_next), (tail, path_next or path_option)):
+                if len(value) > (120 if path else 24):
+                    cut = shown(value)
+                    message = message.replace(repr(value), cut).replace(value, cut)
+            path_next = path_option and not eq
         print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -242,16 +242,17 @@ def mul(*factors: Expr) -> Expr:
 def pow_(base: Expr, exponent: int) -> Expr:
     if not isinstance(exponent, int):
         raise ExprError("exponent must be an integer")
+    # A negative power is a quotient, so a pow node's exponent is at least 2.
+    if exponent < 0:
+        return div(ONE, pow_(base, -exponent))
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
     if base.kind == "num":
         v = base.value
-        if v == 0 and exponent < 0:
-            raise ExprError("zero base with negative exponent")
-        # v^n has at least (_bits(v) - 1) |n| bits: refuse before computing it.
-        if (_bits(v) - 1) * abs(exponent) > MAX_FOLD_BITS:
+        # v^n has at least (_bits(v) - 1) n bits: refuse before computing it.
+        if (_bits(v) - 1) * exponent > MAX_FOLD_BITS:
             raise ExprError(f"constant folds to more than {MAX_FOLD_BITS} bits")
         return num(v ** exponent)
     if base.kind == "pow":
@@ -346,11 +347,12 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
 # a straight-line program (Kaltofen 1988): one instruction per DAG node in
 # post-order, each referring to its children by slot.  Over F_p the program
 # runs projectively on (numerator, denominator) pairs reduced into [0, p),
-# with one rule per instruction kind.  Every denominator stays nonzero
-# because a quotient or negative power first checks that its divisor's
-# numerator is nonzero, so a run needs no modular inverse until the final
-# pair becomes a value.  Where only the zero test matters, one run carries
-# many points at once, one lane per point, and needs no inverse.
+# with one rule per instruction kind.  Only a quotient divides (a power's
+# exponent is at least 2), and it first checks that its divisor's numerator
+# is nonzero, so no denominator is zero and a run needs no modular inverse
+# until the final pair becomes a value.  Where only the zero test matters,
+# one run carries many points at once, one lane per point, and needs no
+# inverse.
 
 @functools.lru_cache(maxsize=8)
 def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
@@ -405,10 +407,7 @@ def _run_rational(code, nodes, values: Mapping[str, object]) -> Fraction:
             except KeyError:
                 raise ExprError(f"no value for symbol '{arg}'") from None
         elif kind == "pow":
-            v = vals[arg[0]]
-            if v == 0 and arg[1] < 0:
-                raise DivisionByZero(nodes[i])
-            v = v ** arg[1]
+            v = vals[arg[0]] ** arg[1]
         elif kind == "div":
             v = vals[arg[1]]
             if v == 0:
@@ -463,13 +462,8 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
                 dens[i] = d
         elif kind == "pow":
             k, n = arg
-            x, y = nums[k], dens[k]
-            if n < 0:
-                if x == 0:
-                    raise DivisionByZero(nodes[i])
-                x, y, n = y, x, -n
-            nums[i] = pow(x, n, p)
-            dens[i] = pow(y, n, p)
+            nums[i] = pow(nums[k], n, p)
+            dens[i] = pow(dens[k], n, p)
         elif kind == "div":
             a, b = arg
             x = nums[b]
@@ -493,10 +487,10 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
 
     Column values must lie in [0, p), and so does every stored value.  Only
     whether a lane's value is zero matters, so no lane is ever inverted.  A
-    lane whose divisor numerator is 0 is marked and left to run on; its
-    other lanes keep nonzero denominators.  A constant is a column, as a
-    symbol is, and a product multiplies its children's columns in order.  A
-    denominator column of ones is kept as None.
+    lane whose quotient divisor has numerator 0 is marked and left to run
+    on; its other lanes keep nonzero denominators.  A constant is a column,
+    as a symbol is, and a product multiplies its children's columns in
+    order.  A denominator column of ones is kept as None.
     """
     nums: list[list] = []
     dens: list = []
@@ -532,15 +526,9 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
                 raise ExprError(f"no value for symbol '{arg}'") from None
         elif kind == "pow":
             k, n = arg
-            x, y = nums[k], dens[k]
-            if n < 0:
-                if 0 in x:
-                    dead.update(j for j, a in enumerate(x) if a == 0)
-                x, y, n = [1] * m if y is None else y, x, -n
-            if n != 1:
-                x = [pow(a, n, p) for a in x]
-                if y is not None:
-                    y = [pow(a, n, p) for a in y]
+            x = [pow(a, n, p) for a in nums[k]]
+            if dens[k] is not None:
+                y = [pow(a, n, p) for a in dens[k]]
         elif kind == "div":
             a, b = arg
             x, y = nums[a], dens[a]
@@ -569,10 +557,10 @@ def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
     `values` must cover every free symbol of e.  Over F_p a value that is
     not an int is read as Fraction(value) n/d and taken as n d^-1 mod p.
     Raises DivisionByZero with the offending subexpression when a
-    denominator vanishes: the first node in post-order that divides by zero
-    or raises zero to a negative power, or, over F_p, a constant or a
-    symbol's value whose denominator p divides.  The caller is expected to
-    resample.
+    denominator vanishes: the first quotient in post-order whose divisor is
+    zero (a negative power is built as a quotient), or, over F_p, a
+    constant or a symbol's value whose denominator p divides.  The caller
+    is expected to resample.
     """
     code, nodes = _compile(e)
     if p is None:

@@ -350,7 +350,7 @@ def _poly_pow(p, n):
 def _degree_bound(code) -> int:
     """A bound on every exponent the program can produce: 0 for a constant,
     1 for a symbol, the sum over the operands of a sum, product or quotient,
-    and |k| times the base of a k-th power."""
+    and k times the base of a k-th power."""
     bound: list[int] = []
     for kind, arg in code:
         if kind == "num":
@@ -358,7 +358,7 @@ def _degree_bound(code) -> int:
         elif kind == "sym":
             bound.append(1)
         elif kind == "pow":
-            bound.append(abs(arg[1]) * bound[arg[0]])
+            bound.append(arg[1] * bound[arg[0]])
         else:
             bound.append(sum(bound[k] for k in arg))
     return max(bound)
@@ -369,8 +369,9 @@ def exact_zero(e: Expr) -> bool:
 
     Runs the compiled program of e (see expr.evaluate) over polynomial
     fractions.  Raises ExactPathUnavailable when e has more than _SIZE_BOUND
-    nodes or an intermediate expansion exceeds _TERM_CAP terms.  Outcomes are
-    remembered per node in _OUTCOMES, under the bound and cap the run sees.
+    nodes, an intermediate expansion exceeds _TERM_CAP terms or a quotient
+    divides by an identically zero expression.  Outcomes are remembered per
+    node in _OUTCOMES, under the bound and cap the run sees.
 
     A run that trips the cap stores "term blow-up" as the outcome of the node
     it was building: 1. packing maps exponent vectors one to one, so a node's
@@ -431,14 +432,7 @@ def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
                     d_acc = _poly_mul(d_acc, d2)
                 pair = (n_acc, d_acc)
             elif kind == "pow":
-                n1, d1 = vals[arg[0]]
-                k = arg[1]
-                if k < 0:
-                    n1, d1 = d1, n1
-                    k = -k
-                if not d1:
-                    return "inverse of an identically zero expression"
-                pair = (_poly_pow(n1, k), _poly_pow(d1, k))
+                pair = tuple(_poly_pow(f, arg[1]) for f in vals[arg[0]])
             else:  # div
                 (n1, d1), (n2, d2) = vals[arg[0]], vals[arg[1]]
                 if not n2:

@@ -126,7 +126,13 @@ class FamilyDescriptor:
     xi: Transformation
 
     def with_generator(self, name: str, images: dict[str, str]) -> "FamilyDescriptor":
-        """Copy of the family with one generator replaced (mutation fixtures)."""
+        """Copy of the family with one generator replaced (mutation fixtures).
+
+        Raises KeyError for a name that is not a generator of the family, so
+        that a misspelled name is not added as a generator no suite checks.
+        """
+        if name not in self.generators:
+            raise KeyError(f"unknown generator {shown(name)} for family {self.name}")
         gens = dict(self.generators)
         gens[name] = transformation(images)
         return replace(self, generators=gens)

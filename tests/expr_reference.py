@@ -82,6 +82,8 @@ def ref_mul(*factors: Expr) -> Expr:
 def ref_pow(base: Expr, exponent: int) -> Expr:
     if not isinstance(exponent, int):
         raise ExprError("exponent must be an integer")
+    if exponent < 0:
+        return ref_div(ONE, ref_pow(base, -exponent))
     if exponent == 0:
         return ONE
     if exponent == 1:

@@ -53,6 +53,13 @@ def test_apply_grouped_word(capsys):
     assert out.strip() == "nu5"
 
 
+def test_apply_prints_a_negative_power_as_a_quotient(capsys):
+    images = [run(capsys, "apply", "--family", "D5", "--word", "s2", "--expr", text)
+              for text in ("g^-2", "1/g^2")]
+    assert images[0] == images[1]
+    assert run(capsys, "apply", "--family", "D5", "--expr", "f^-1")[1] == "1/f\n"
+
+
 def test_apply_unknown_generator_prints_the_message(capsys):
     code, out, err = run(capsys, "apply", "--family", "D5", "--word", "s9",
                          "--expr", "f")
@@ -613,6 +620,34 @@ def test_usage_error_cuts_a_long_argument(capsys, argv, quoted):
     assert re.fullmatch(r"error: [^\n]+\n", err)
     assert len(err.encode()) <= 200
     assert shown(quoted) in err
+
+
+@pytest.mark.parametrize("args", [
+    ("--params", "{}"), ("--params={}",), ("--par", "{}"), ("--p={}",),
+    (*_PARAMS[2:], "--out", "{}"), (*_PARAMS[2:], "--ou={}"),
+], ids=["params", "params=", "par", "p=", "out", "ou="])
+def test_usage_error_quotes_a_path_whole_up_to_120_characters(capsys, args):
+    # The last part of a path is the one usually wrong, so it is not cut,
+    # nor is the part after an "=" in it.
+    for length in (40, 120, 121):
+        path = "/no-such=directory/" + "p" * (length - 31) + "/params.json"
+        assert len(path) == length
+        code, out, err = run(capsys, "evolve", "--family", "D5",
+                             *[arg.format(path) for arg in args])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+        assert (repr(path) if length <= 120 else shown(path)) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", *_PARAMS, "--steps", "x" * 40),
+    ("verify-theorem", "--family", "D5", "--p", "x" * 40),
+    ("apply", "--family", "D5", "--expr", "x" * 40),
+], ids=["evolve-steps", "verify-p", "apply-expr"])
+def test_usage_error_cuts_a_non_path_argument_past_24_characters(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert shown("x" * 40) in err and "x" * 21 not in err
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("evolve", "--help")])

@@ -203,6 +203,26 @@ def test_zero_denominator_rejected():
         parse("f/0")
 
 
+@pytest.mark.parametrize("text", ["0^-1", "0^-2", "(1 - 1)^-3"])
+def test_zero_to_a_negative_power_is_a_zero_denominator(text):
+    with pytest.raises(ExprError, match="^syntactically zero denominator$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("base", ["f", "(f + g)", "(f*g)", "(f/g)", "(f^2)"],
+                         ids=["symbol", "sum", "product", "quotient", "power"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_negative_power_is_the_quotient(base, k):
+    assert parse(f"{base}^-{k}") is parse(f"1/{base}^{k}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dags())
+def test_every_power_has_an_exponent_of_at_least_2(e):
+    # A negative power is built as a quotient, so only a quotient divides.
+    assert all(arg[1] >= 2 for kind, arg in _compile(e)[0] if kind == "pow")
+
+
 def test_constant_folds_have_a_bit_budget():
     # a power is refused before it is computed: 2^3000000000 takes 20 s
     for text in ("2^3000000000", "2^30000000000", "(1/3)^-1048577", "3^1048577",

@@ -119,6 +119,14 @@ def test_unknown_generator_name(d5):
         word_to_transform(d5, "s9")
 
 
+def test_with_generator_rejects_an_unknown_name(d5):
+    # A misspelled name would add a generator no suite checks, and leave
+    # the "mutant" equal to the base family.
+    with pytest.raises(KeyError, match="unknown generator 's9' for family D5"):
+        d5.with_generator("s9", {"nu1": "nu2", "nu2": "nu1"})
+    assert "s9" not in d5.generators
+
+
 def test_compose_identity(d5):
     t = d5.generators["s2"]
     for name in ("nu3", "kappa2", "g"):
