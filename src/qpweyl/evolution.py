@@ -141,12 +141,13 @@ def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> R
     return report
 
 
-#: Generator lists for the rescaling decomposition of xi, per family.
+#: Generator lists for the rescaling decomposition of xi, per family; D5
+#: and E6 share one.
+_XI_D5_E6 = ("nu1", "nu2", "nu3", "nu4", "nu5/kappa2", "nu6/kappa2",
+             "nu7/kappa1", "nu8/kappa1", "f", "g")
 _XI_GENERATORS = {
-    "D5": ("nu1", "nu2", "nu3", "nu4", "nu5/kappa2", "nu6/kappa2",
-           "nu7/kappa1", "nu8/kappa1", "f", "g"),
-    "E6": ("nu1", "nu2", "nu3", "nu4", "nu5/kappa2", "nu6/kappa2",
-           "nu7/kappa1", "nu8/kappa1", "f", "g"),
+    "D5": _XI_D5_E6,
+    "E6": _XI_D5_E6,
     "E7": ("nu1", "nu2", "nu3", "nu4", "nu5/kappa1", "nu6/kappa1",
            "nu7/kappa1", "nu8/kappa1", "kappa2/kappa1", "f", "g"),
 }
@@ -307,7 +308,7 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
     rel2 for gbar at the advanced kappas; backward solves rel2 for the
     previous g, then rel1 at the previous kappas for the previous f."""
     if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
+        raise ValueError(f"direction must be forward or backward, got {shown(direction)}")
     solve, q = _SOLVERS[fam.name], st.q
     if direction == "forward":
         k1, k2 = st.kappa1 / q, st.kappa2 * q

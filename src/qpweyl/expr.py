@@ -575,14 +575,21 @@ def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
 #
 # Both printers expand the DAG into a tree, yet build each distinct node's
 # text once, from its children's texts, in the post-order of the compiled
-# program.  A text is kept as (negative, body), its printed form being
-# "-" + body when negative, so a parent joins a child's body as it is and
-# never slices or wraps a copy of it.  A child's text leaves the memo once
-# its last parent is built, so memory stays near twice the output and time
-# grows with the bytes printed, not with the tree.
+# program.  They share one rule per instruction kind, `_rule`; a format is
+# only its tokens, a style tuple.  A text is kept as (negative, body), its
+# printed form being "-" + body when negative, so a parent joins a child's
+# body as it is and never slices or wraps a copy of it.  A child's text
+# leaves the memo once its last parent is built, so memory stays near twice
+# the output and time grows with the bytes printed, not with the tree.
 
-_PAREN = ("(", ")")
-_LATEX_PAREN = (r"\left(", r"\right)")
+#: A style is the parenthesis pair, the product sign, the pieces around a
+#: power's base and exponent, those around a quotient's operands, and
+#: whether a sum, product or quotient is wrapped as a quotient operand, as
+#: is a quotient after a product's first factor.  An empty piece is never
+#: appended.
+_TEXT_STYLE = (("(", ")"), "*", ("", "^", ""), ("", "/", ""), True)
+_LATEX_STYLE = ((r"\left(", r"\right)"), r" \cdot ", ("{", "}^{", "}"),
+                (r"\frac{", "}{", "}"), False)
 
 
 def _put(out: list, text: tuple[bool, str], wrap=None) -> None:
@@ -607,77 +614,60 @@ def _first(out: list, text: tuple[bool, str], wrap=None) -> bool:
     return text[0]
 
 
-def _sum_rule(arg, texts) -> tuple[bool, list]:
+def _rule(style, kind, arg, code, texts) -> tuple[bool, list]:
+    """The sign and the pieces of the body of a sum, product, power or
+    quotient, spelled in style's tokens."""
     out: list = []
-    neg = _first(out, texts[arg[0]])
-    for k in arg[1:]:
-        n, body = texts[k]
-        out += (" - " if n else " + ", body)
-    return neg, out
-
-
-def _string_rule(kind, arg, code, texts) -> tuple[bool, list]:
-    out: list = []
+    if kind == "add":
+        neg = _first(out, texts[arg[0]])
+        for k in arg[1:]:
+            n, body = texts[k]
+            out += (" - " if n else " + ", body)
+        return neg, out
+    paren, times, power, quotient, wrap_ops = style
     if kind == "mul":
         # A leading -1 factor prints as a bare minus sign.
         minus = len(arg) > 1 and code[arg[0]] == ("num", -1)
         neg = minus
         for j, k in enumerate(arg[1:] if minus else arg):
-            # A quotient after the first slot must be wrapped: * and / are
-            # left-associative, so a*b/c reparses as (a*b)/c.
+            # A text quotient after the first slot must be wrapped: * and /
+            # are left-associative, so a*b/c reparses as (a*b)/c.
             child = code[k][0]
-            wrap = _PAREN if child == "add" or (child == "div" and j) else None
+            wrap = paren if child == "add" or (wrap_ops and j and child == "div") else None
             if j:
-                out.append("*")
+                out.append(times)
             if j or minus:
                 _put(out, texts[k], wrap)
             else:
                 neg = _first(out, texts[k], wrap)
         return neg, out
+    # A power's base and a quotient's operands are a symbol, a power, a
+    # positive constant or wrapped (div keeps a negative constant out of a
+    # numerator), so neither hands a sign up.
     if kind == "pow":
         base, exp = arg
-        neg = _first(out, texts[base], None if code[base][0] == "sym" else _PAREN)
-        out += ("^", str(exp))
-        return neg, out
-    n, d = arg      # a quotient: _print hands over no other kind
-    neg = _first(out, texts[n], _PAREN if code[n][0] in ("add", "mul", "div") else None)
-    out.append("/")
-    _put(out, texts[d], _PAREN if code[d][0] in ("add", "mul", "div") else None)
-    return neg, out
-
-
-def _latex_rule(kind, arg, code, texts) -> tuple[bool, list]:
-    out: list = []
-    if kind == "mul":
-        neg = False
-        for j, k in enumerate(arg):
-            wrap = _LATEX_PAREN if code[k][0] == "add" else None
-            if j:
-                out.append(r" \cdot ")
-                _put(out, texts[k], wrap)
-            else:
-                neg = _first(out, texts[k], wrap)
-        return neg, out
-    if kind == "pow":
-        base, exp = arg
-        out.append("{")
-        _put(out, texts[base], None if code[base][0] == "sym" else _LATEX_PAREN)
-        out += ("}^{", str(exp), "}")
+        pre, mid, post = power
+        if pre:
+            out.append(pre)
+        _put(out, texts[base], None if code[base][0] == "sym" else paren)
+        out.append(f"{mid}{exp}{post}")
         return False, out
-    n, d = arg
-    out.append(r"\frac{")
-    _put(out, texts[n])
-    out.append("}{")
-    _put(out, texts[d])
-    out.append("}")
+    n, d = arg      # a quotient: _print hands over no other kind
+    pre, mid, post = quotient
+    if pre:
+        out.append(pre)
+    _put(out, texts[n], paren if wrap_ops and code[n][0] in ("add", "mul", "div") else None)
+    out.append(mid)
+    _put(out, texts[d], paren if wrap_ops and code[d][0] in ("add", "mul", "div") else None)
+    if post:
+        out.append(post)
     return False, out
 
 
-def _print(e: Expr, leaf, rule) -> str:
+def _print(e: Expr, leaf, style) -> str:
     """The printed form of e: leaf(arg) gives the text of a constant's
-    Fraction or a symbol's name, and rule(kind, arg, code, texts) the sign and the pieces
-    of the body of a product, power or quotient; both printers write sums
-    alike."""
+    Fraction or a symbol's name, and _rule in style's tokens the sign and
+    the pieces of the body of every other node."""
     code, _ = _compile(e)
     uses = [0] * len(code)
     for kind, arg in code:
@@ -694,10 +684,7 @@ def _print(e: Expr, leaf, rule) -> str:
             neg = s.startswith("-")
             texts[i] = (neg, s[1:] if neg else s)
             continue
-        if kind == "add":
-            neg, out = _sum_rule(arg, texts)
-        else:
-            neg, out = rule(kind, arg, code, texts)
+        neg, out = _rule(style, kind, arg, code, texts)
         for k in arg[:1] if kind == "pow" else arg:
             uses[k] -= 1
             if not uses[k]:
@@ -710,7 +697,7 @@ def _print(e: Expr, leaf, rule) -> str:
 
 
 def to_string(e: Expr) -> str:
-    return _print(e, str, _string_rule)
+    return _print(e, str, _TEXT_STYLE)
 
 
 _LATEX_SYMBOLS = {
@@ -731,7 +718,7 @@ def _latex_leaf(arg) -> str:
 
 
 def to_latex(e: Expr) -> str:
-    return _print(e, _latex_leaf, _latex_rule)
+    return _print(e, _latex_leaf, _LATEX_STYLE)
 
 
 # ---------------------------------------------------------------------------

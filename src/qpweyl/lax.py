@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .expr import ZERO, Expr, div, mul, parse, sub, substitute, sym
+from .expr import ZERO, Expr, div, mul, parse, shown, sub, substitute, sym
 from .identity import ConstraintRelation
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
 from .report import CheckResult, Report
@@ -184,22 +184,22 @@ def equations_equivalent(
 # primitive symbols so that the stated action on the composite quantities
 # (nu5/kappa2, nu7/kappa1, ...) comes out.
 
+def _scaling(s: Expr, up, down) -> Transformation:
+    """x -> s x for each symbol x in up; x -> x/s for each in down;
+    everything else fixed."""
+    images = {x: mul(s, sym(x)) for x in up}
+    images.update({x: div(sym(x), s) for x in down})
+    return Transformation(images)
+
+
 def d5_power_scaling(s: Expr) -> Transformation:
     """nu1,nu2 -> nu_i/s; nu5,nu6 -> s nu_i; g -> s g; everything else fixed."""
-    return Transformation({
-        "nu1": div(sym("nu1"), s), "nu2": div(sym("nu2"), s),
-        "nu5": mul(s, sym("nu5")), "nu6": mul(s, sym("nu6")),
-        "g": mul(s, sym("g")),
-    })
+    return _scaling(s, ("nu5", "nu6", "g"), ("nu1", "nu2"))
 
 
 def d5_dilation_scaling(c: Expr) -> Transformation:
     """nu3,nu4 -> c nu_i; nu7,nu8 -> nu_i/c; f -> c f; everything else fixed."""
-    return Transformation({
-        "nu3": mul(c, sym("nu3")), "nu4": mul(c, sym("nu4")),
-        "nu7": div(sym("nu7"), c), "nu8": div(sym("nu8"), c),
-        "f": mul(c, sym("f")),
-    })
+    return _scaling(c, ("nu3", "nu4", "f"), ("nu7", "nu8"))
 
 
 def e_scaling(c: Expr) -> Transformation:
@@ -208,11 +208,7 @@ def e_scaling(c: Expr) -> Transformation:
     E6 realizes it as dilation plus power gauge with c q^d = 1, E7 as a pure
     dilation.
     """
-    images = {f"nu{i}": mul(c, sym(f"nu{i}")) for i in (1, 2, 3, 4)}
-    images.update({f"nu{i}": div(sym(f"nu{i}"), c) for i in (5, 6, 7, 8)})
-    images["f"] = mul(c, sym("f"))
-    images["g"] = div(sym("g"), c)
-    return Transformation(images)
+    return _scaling(c, ("nu1", "nu2", "nu3", "nu4", "f"), ("nu5", "nu6", "nu7", "nu8", "g"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +300,7 @@ def verify_gauge_claim(
     under the claim id, with the claim's note as its detail."""
     claim = CLAIMS.get(claim_id)
     if claim is None:
-        raise KeyError(f"unknown claim id {claim_id!r}")
+        raise KeyError(f"unknown claim id {shown(claim_id)}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
     return _verify_claim(fam, claim, build_L1(fam), cfg or CheckConfig())

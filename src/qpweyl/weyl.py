@@ -338,7 +338,7 @@ def make_family(name: str) -> FamilyDescriptor:
     try:
         builder = _BUILDERS[name]
     except KeyError:
-        raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}") from None
+        raise ValueError(f"unknown family {shown(name)}; expected one of {FAMILY_NAMES}") from None
     return builder()
 
 

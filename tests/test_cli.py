@@ -292,6 +292,13 @@ def test_list_latex_tables_are_well_formed(capsys):
                             "mapsto", "left", "right", "overline"}, commands
 
 
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+def test_list_latex_tables_write_no_unit_factor(capsys, family):
+    code, out, _ = run(capsys, "list", "--family", family, "--format", "latex")
+    assert code == 0
+    assert not re.search(r"(^|[^0-9])1 \\cdot", out, re.MULTILINE), out
+
+
 # ---------------------------------------------------------------------------
 # evolve
 

@@ -252,6 +252,16 @@ def test_orbit_rejects_a_bad_direction_and_negative_length(d5):
         orbit(d5, sample_state(), -1)
 
 
+def test_orbit_step_quotes_at_most_24_characters_of_a_bad_direction(d5):
+    with pytest.raises(ValueError) as err:
+        orbit_step(d5, sample_state(), "sideways")
+    assert str(err.value) == "direction must be forward or backward, got 'sideways'"
+    with pytest.raises(ValueError) as err:
+        orbit_step(d5, sample_state(), "x" * 50_000)
+    assert str(err.value) == ("direction must be forward or backward, "
+                              "got 'xxxxxxxxxxxxxxxxxxxx...'")
+
+
 def test_orbit_length_is_bounded(monkeypatch, families):
     # With q = 1 and every parameter 1 the D5 orbit has period 2 and the E6
     # orbit period 3, so heights never grow and only MAX_STEPS bounds a run.

@@ -590,6 +590,12 @@ def test_latex_subscripts():
     assert r"\frac" in s
 
 
+def test_latex_leading_minus_one_is_a_bare_minus_sign():
+    assert to_latex(parse("f - nu3")) == r"f - \nu_{3}"
+    assert to_latex(parse("-f*g")) == r"-f \cdot g"
+    assert to_latex(parse("-3*f")) == r"-3 \cdot f"
+
+
 # ---------------------------------------------------------------------------
 # printers against the tree-recursive reference
 
@@ -661,13 +667,18 @@ def _reference_to_latex(e):
                 parts.append(" + " + s)
         return "".join(parts)
     if e.kind == "mul":
+        children = e.children
+        lead = ""
+        if children[0].kind == "num" and children[0].value == -1 and len(children) > 1:
+            lead = "-"
+            children = children[1:]
         parts = []
-        for ch in e.children:
+        for ch in children:
             s = _reference_to_latex(ch)
             if ch.kind == "add":
                 s = r"\left(" + s + r"\right)"
             parts.append(s)
-        return r" \cdot ".join(parts)
+        return lead + r" \cdot ".join(parts)
     if e.kind == "pow":
         base = e.children[0]
         s = _reference_to_latex(base)

@@ -273,6 +273,15 @@ def test_registry_ids():
     }
 
 
+def test_unknown_claim_id_is_quoted_at_most_24_characters(d5):
+    with pytest.raises(KeyError) as err:
+        verify_gauge_claim(d5, "d5.s9")
+    assert err.value.args == ("unknown claim id 'd5.s9'",)
+    with pytest.raises(KeyError) as err:
+        verify_gauge_claim(d5, "x" * 50_000)
+    assert err.value.args == ("unknown claim id 'xxxxxxxxxxxxxxxxxxxx...'",)
+
+
 @pytest.mark.parametrize("claim_id", sorted(CLAIMS))
 def test_gauge_claim_passes(families, claim_id):
     fam = families[CLAIMS[claim_id].family]

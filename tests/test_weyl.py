@@ -44,6 +44,16 @@ def test_make_family_rejects_unknown():
         make_family("X9")
 
 
+def test_make_family_quotes_at_most_24_characters_of_the_name():
+    with pytest.raises(ValueError) as err:
+        make_family("X9")
+    assert str(err.value) == "unknown family 'X9'; expected one of ('D5', 'E6', 'E7')"
+    with pytest.raises(ValueError) as err:
+        make_family("x" * 50_000)
+    assert str(err.value) == ("unknown family 'xxxxxxxxxxxxxxxxxxxx...'; "
+                              "expected one of ('D5', 'E6', 'E7')")
+
+
 def test_d5_table_spot_values(d5):
     s3 = d5.generators["s3"]
     assert s3.image("f") is parse("f*(g - 1/nu1)/(g - nu5/kappa2)")
