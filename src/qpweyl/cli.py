@@ -31,6 +31,7 @@ seed: it carries no timings, and two runs print the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -203,6 +204,7 @@ def cmd_list(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; each parse_args makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qpweyl",

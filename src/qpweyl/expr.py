@@ -354,7 +354,7 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
 # one run carries many points at once, one lane per point, and needs no
 # inverse.
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=256)
 def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
     """The post-order program of e and the node behind each slot.
 
@@ -362,6 +362,9 @@ def _compile(e: Expr) -> tuple[tuple, tuple[Expr, ...]]:
     name of a symbol, the child slots of a sum, product or quotient, and
     (base slot, exponent) of a power.  The cache is bounded because the
     intern table keeps every node alive and programs are as large as DAGs.
+    256 programs hold a benchmark pass, so a process serving requests
+    compiles each residual once: one pass needs 79 (`sampled`), 45
+    (`exact`) or 117 (`refute`) programs, 7,022 instructions at most.
     """
     slot: dict[Expr, int] = {}
     code: list[tuple] = []

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, shown, substitute, sym
 from .identity import (
@@ -117,7 +119,7 @@ def word_to_transform(fam: "FamilyDescriptor", word) -> Transformation:
 @dataclass(frozen=True, eq=False)
 class FamilyDescriptor:
     name: str
-    generators: dict[str, Transformation]
+    generators: Mapping[str, Transformation]
     s_names: tuple[str, ...]
     pi_names: tuple[str, ...]
     dynkin_edges: frozenset[tuple[int, int]]
@@ -332,14 +334,22 @@ def _build_e7() -> FamilyDescriptor:
 
 _BUILDERS = {"D5": _build_d5, "E6": _build_e6, "E7": _build_e7}
 FAMILY_NAMES = tuple(_BUILDERS)
+_SHARED: dict[str, FamilyDescriptor] = {}
 
 
 def make_family(name: str) -> FamilyDescriptor:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown family {shown(name)}; expected one of {FAMILY_NAMES}") from None
-    return builder()
+    """The family's descriptor, built once per process and shared: its
+    generators are read-only, and with_generator makes a changed copy."""
+    fam = _SHARED.get(name)
+    if fam is None:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            raise ValueError(f"unknown family {shown(name)}; expected one of {FAMILY_NAMES}") from None
+        fam = builder()
+        # Two threads may both build; setdefault hands each the first one.
+        fam = _SHARED.setdefault(name, replace(fam, generators=MappingProxyType(fam.generators)))
+    return fam
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN
 
 import qpweyl.cli as cli
 from qpweyl.expr import shown
@@ -665,6 +667,30 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: qpweyl")
     assert captured.err == ""
+
+
+def test_one_parser_serves_every_call_without_leaking_options(capsys):
+    # The parser is built once per process.  A usage error part-way through
+    # the options, then a report with --exact, leave nothing behind: the
+    # report without --exact is the pinned one, and each namespace equals
+    # the one a parser built afresh returns.
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run(capsys, "verify-theorem", "--family", "E7", "--exact", "--seed", "7",
+                         "--no-constraint", "--format", "json", "--trials", "abc")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, _ = run(capsys, "verify-theorem", "--family", "D5", "--exact", "--format", "json")
+    assert code == 0 and all(c["detail"] == "exact" for c in json.loads(out)["checks"])
+    code, out, _ = run(capsys, "verify-theorem", "--family", "D5", "--format", "json")
+    assert code == 0
+    assert not any(c.get("detail") == "exact" for c in json.loads(out)["checks"])
+    pin = next(sha for argv, _, sha in GOLDEN
+               if argv == "verify-theorem --family D5 --seed 0 --format json")
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+    for argv in (["verify-theorem", "--family", "D5"], ["verify-gauge", "--family", "E6"],
+                 ["apply", "--family", "D5", "--expr", "f"], ["list"],
+                 ["evolve", "--family", "D5", "--params", "p.json"]):
+        assert (vars(cli.build_parser().parse_args(argv))
+                == vars(cli.build_parser.__wrapped__().parse_args(argv)))
 
 
 # ---------------------------------------------------------------------------

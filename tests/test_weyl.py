@@ -6,6 +6,8 @@ the rightmost letter of a word acts first.
 """
 
 import itertools
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -13,9 +15,11 @@ from dags import small_dags
 from expr_reference import ref_compose
 from hypothesis import given, settings, strategies as st
 
-from qpweyl import weyl
+from qpweyl import expr as expr_module, weyl
+from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
 from qpweyl.expr import ExprError, evaluate, parse, sub, substitute, sym
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
+from qpweyl.lax import verify_gauge_claims
 from qpweyl.weyl import (
     IDENTITY,
     CheckConfig,
@@ -28,6 +32,7 @@ from qpweyl.weyl import (
     verify_braid,
     verify_involutions,
     verify_pi_relations,
+    verify_relations,
     word_to_transform,
 )
 
@@ -52,6 +57,73 @@ def test_make_family_quotes_at_most_24_characters_of_the_name():
         make_family("x" * 50_000)
     assert str(err.value) == ("unknown family 'xxxxxxxxxxxxxxxxxxxx...'; "
                               "expected one of ('D5', 'E6', 'E7')")
+
+
+@pytest.mark.parametrize("name", weyl.FAMILY_NAMES)
+def test_make_family_shares_one_read_only_descriptor(name):
+    # One descriptor per family and process: no caller can change it, and a
+    # mutant is a copy.  After every suite has run on it, and a mutant suite
+    # besides, each image is still the very node a fresh build interns.
+    fam = make_family(name)
+    assert make_family(name) is fam
+    with pytest.raises(TypeError):
+        fam.generators["s2"] = IDENTITY
+    before = dict(fam.generators)
+    mutant = fam.with_generator("s2", {"nu1": "nu2", "nu2": "nu3"})
+    assert mutant.generators["s2"] is not fam.generators["s2"]
+    assert dict(fam.generators) == before
+    for suite in (verify_relations, verify_theorem_i, verify_theorem_ii, verify_gauge_claims):
+        suite(fam, CheckConfig(trials=4))
+    assert not verify_involutions(mutant, CheckConfig(trials=4)).ok
+    fresh = weyl._BUILDERS[name]()
+    assert fam.generators.keys() == fresh.generators.keys()
+    pairs = [(fam.generators[n], t) for n, t in fresh.generators.items()] + [(fam.xi, fresh.xi)]
+    for got, want in pairs:
+        assert got.images.keys() == want.images.keys()
+        assert all(got.images[k] is v for k, v in want.images.items())
+
+
+def test_make_family_never_caches_an_unknown_name():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown family 'X9'"):
+            make_family("X9")
+    assert "X9" not in weyl._SHARED
+
+
+def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
+    # 4 threads run two suites on the shared E6 and E7 descriptors at once,
+    # each with its own seed, racing to compile the same residuals from an
+    # empty cache.  Theorem I without the constraint fails with witnesses
+    # that depend on the seed.  Each report equals the same call run alone.
+    jobs = [(fam, CheckConfig(seed=seed, use_constraint=use))
+            for seed, fam in enumerate((e6, e7, e6, e7), start=31) for use in (True, False)]
+
+    def reports(fam, cfg):
+        return verify_relations(fam, cfg), verify_theorem_i(fam, cfg)
+
+    serial = [reports(fam, cfg) for fam, cfg in jobs]
+    assert not all(theorem.ok for _, theorem in serial)
+    got = [None] * len(jobs)
+    barrier = threading.Barrier(4, timeout=60)
+
+    def worker(slot):
+        barrier.wait()
+        for i in range(slot, len(jobs), 4):
+            got[i] = reports(*jobs[i])
+
+    expr_module._compile.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
 
 
 def test_d5_table_spot_values(d5):
