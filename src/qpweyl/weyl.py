@@ -19,8 +19,11 @@ every time-evolution identity, so the tests pin this one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+import threading
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -37,11 +40,39 @@ from .identity import (
 from .report import CheckResult, Report
 
 
-@dataclass(frozen=True, eq=False)
 class Transformation:
-    """A total substitution map symbol -> Expr; omitted symbols map to themselves."""
+    """A total substitution map symbol -> Expr; omitted symbols map to themselves.
 
-    images: dict[str, Expr]
+    A value, as an Expr node is: images is read-only, and equal maps are one
+    object.  Transformation(images) returns the one transformation whose
+    images equal the given ones, so compose can be memoized by identity.  The
+    table holds each transformation weakly: one that no caller or cache
+    holds is freed.
+    """
+
+    __slots__ = ("images", "__weakref__")
+    images: Mapping[str, Expr]
+
+    def __new__(cls, images: Mapping[str, Expr]):
+        key = tuple(sorted(images.items()))   # names are unique: nodes are never compared
+        t = _TRANSFORMATIONS.get(key)
+        if t is None:
+            with _TRANSFORMATIONS_LOCK:
+                t = _TRANSFORMATIONS.get(key)
+                if t is None:
+                    t = object.__new__(cls)
+                    object.__setattr__(t, "images", MappingProxyType(dict(key)))
+                    _TRANSFORMATIONS[key] = t
+        return t
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Transformation(images={dict(self.images)!r})"
 
     def image(self, name: str) -> Expr:
         img = self.images.get(name)
@@ -50,6 +81,10 @@ class Transformation:
     def __call__(self, e: Expr, memo: dict | None = None) -> Expr:
         return substitute(e, self.images, memo)
 
+
+# Keys are the (name, image) items sorted by name.
+_TRANSFORMATIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TRANSFORMATIONS_LOCK = threading.Lock()
 
 IDENTITY = Transformation(images={})
 
@@ -62,11 +97,20 @@ def _swap(a: str, b: str) -> Transformation:
     return Transformation({a: sym(b), b: sym(a)})
 
 
+#: Compositions kept: a benchmark pass makes at most 263 distinct ones.
+COMPOSE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
 def compose(outer: Transformation, inner: Transformation) -> Transformation:
     """(outer o inner)(x) = outer(inner(x)); inner acts first.
 
     A name that inner leaves fixed goes to outer's image of it, with no
-    substitution."""
+    substitution.  The result depends only on the two maps, which are
+    hash-consed values, so the last COMPOSE_CACHE_SIZE results are kept by
+    the identity of the pair: a word composed again, or a prefix it shares
+    with an earlier word, costs one lookup per letter.  An ExprError (a zero
+    denominator) is raised again on every call, never cached."""
     memo: dict = {}
     moved = inner.images
     names = set(outer.images) | set(moved)

@@ -193,6 +193,35 @@ def test_unknown_symbol_lists_name():
         parse("pi1")
 
 
+def test_parse_memo_returns_the_same_node_and_never_keeps_an_error():
+    # parse keeps results by (text, frozenset(extra_symbols)); a text that
+    # raises raises the same message on every call and is not kept.
+    expr_module._parse.cache_clear()
+    for text in ("f*(g - 1/nu1)/(g - nu5/kappa2)", "kappa1^2*kappa2^2/(q*nu1)"):
+        assert parse(text) is parse(text)
+    assert parse("fbar*g", ("fbar",)) is parse("fbar*g", ["fbar", "fbar"])
+    kept = expr_module._parse.cache_info().currsize
+    for text, extra, error in (("f +", (), ExprSyntaxError), ("f*(g", (), ExprSyntaxError),
+                               ("nu1 + bogus", (), UnknownSymbolError),
+                               ("fbar*g", ("gbar",), UnknownSymbolError)):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as err:
+                parse(text, extra)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert expr_module._parse.cache_info().currsize == kept
+
+
+def test_parse_memo_is_bounded():
+    expr_module._parse.cache_clear()
+    bound = expr_module.PARSE_CACHE_SIZE
+    for k in range(bound + 8):
+        parse(f"z + {k}")
+    info = expr_module._parse.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+
+
 def test_declared_fresh_symbols_are_accepted():
     e = parse("fbar*g - 1", extra_symbols=("fbar",))
     assert "fbar" in e.free

@@ -5,6 +5,7 @@ transformation to an expression substitutes every symbol by its image, and
 the rightmost letter of a word acts first.
 """
 
+import gc
 import itertools
 import sys
 import threading
@@ -14,10 +15,11 @@ import pytest
 from dags import small_dags
 from expr_reference import ref_compose
 from hypothesis import given, settings, strategies as st
+from test_acceptance import MUTATIONS
 
-from qpweyl import expr as expr_module, weyl
+from qpweyl import expr as expr_module, identity, weyl
 from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
-from qpweyl.expr import ExprError, evaluate, parse, sub, substitute, sym
+from qpweyl.expr import ExprError, add, evaluate, num, parse, sub, substitute, sym
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.lax import verify_gauge_claims
 from qpweyl.weyl import (
@@ -90,28 +92,52 @@ def test_make_family_never_caches_an_unknown_name():
     assert "X9" not in weyl._SHARED
 
 
+def _clear_memos():
+    """Empty the compose, parse, elimination and compile caches."""
+    for memo in (weyl.compose, expr_module._parse, identity._eliminate, expr_module._compile):
+        memo.cache_clear()
+
+
 def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     # 4 threads run two suites on the shared E6 and E7 descriptors at once,
-    # each with its own seed, racing to compile the same residuals from an
-    # empty cache.  Theorem I without the constraint fails with witnesses
-    # that depend on the seed.  Each report equals the same call run alone.
+    # each with its own seed, and one mutant suite each, racing to parse,
+    # compose, eliminate and compile the same things from empty memos and an
+    # empty transformation table.  Theorem I without the constraint fails
+    # with witnesses that depend on the seed.  Each report equals the same
+    # call run alone.
     jobs = [(fam, CheckConfig(seed=seed, use_constraint=use))
             for seed, fam in enumerate((e6, e7, e6, e7), start=31) for use in (True, False)]
+    # Thread slot s runs jobs s and s + 4, of one family, and this mutant.
+    mutations = [m for m in MUTATIONS if m[:2] in {("E6", "s6"), ("E6", "s4"),
+                                                     ("E7", "s0"), ("E7", "s4")}]
 
     def reports(fam, cfg):
         return verify_relations(fam, cfg), verify_theorem_i(fam, cfg)
 
+    def mutant_suite(slot):
+        fam_name, gen_name, images = mutations[slot]
+        fam = make_family(fam_name).with_generator(gen_name, images)
+        return verify_relations(fam, CheckConfig(trials=4, seed=slot))
+
     serial = [reports(fam, cfg) for fam, cfg in jobs]
+    serial_mutants = [mutant_suite(slot) for slot in range(4)]
     assert not all(theorem.ok for _, theorem in serial)
+    assert not any(report.ok for report in serial_mutants)
     got = [None] * len(jobs)
+    got_mutants = [None] * 4
     barrier = threading.Barrier(4, timeout=60)
 
     def worker(slot):
         barrier.wait()
         for i in range(slot, len(jobs), 4):
             got[i] = reports(*jobs[i])
+        got_mutants[slot] = mutant_suite(slot)
 
-    expr_module._compile.cache_clear()
+    # The table is emptied for the run and then given back its entries, so
+    # the shared generators are again the one object for their images.
+    table = dict(weyl._TRANSFORMATIONS)
+    weyl._TRANSFORMATIONS.clear()
+    _clear_memos()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -122,8 +148,86 @@ def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
+        _clear_memos()
+        weyl._TRANSFORMATIONS.update(table)
     assert not any(t.is_alive() for t in threads)
     assert got == serial
+    assert got_mutants == serial_mutants
+
+
+def test_images_are_read_only(d5):
+    # A write into a shared generator's images would change every later
+    # caller's table, and every composition the memo keeps.
+    s2 = d5.generators["s2"]
+    for t in (s2, compose(s2, d5.generators["s3"]), d5.xi):
+        with pytest.raises(TypeError):
+            t.images["g"] = sym("f")
+        with pytest.raises(TypeError):
+            del t.images["g"]
+        with pytest.raises(AttributeError):
+            t.images = {"g": sym("f")}
+    assert s2.image("g") is parse("g*(f - nu3)/(f - kappa1/nu7)")
+    assert verify_involutions(make_family("D5")).ok
+
+
+def test_equal_maps_are_one_transformation(d5):
+    s2 = d5.generators["s2"]
+    assert Transformation(dict(s2.images)) is s2
+    assert Transformation(dict(reversed(s2.images.items()))) is s2
+    assert weyl._swap("nu1", "nu2") is weyl._swap("nu2", "nu1") is d5.generators["s4"]
+    assert compose(IDENTITY, s2) is s2
+    assert Transformation({}) is IDENTITY
+    assert Transformation({"f": sym("f")}) is not IDENTITY
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(MUTATIONS), st.data())
+def test_compose_memo_matches_the_reference_on_random_words(mutation, data):
+    # One word over a family's shared generators and over a mutant's,
+    # composed from cleared memos and then again from warm ones, in turn, so
+    # that a memo mixing the two maps shows: every prefix is the reference
+    # composition, image for image.
+    fam_name, gen_name, images = mutation
+    base = make_family(fam_name)
+    mutant = base.with_generator(gen_name, images)
+    word = data.draw(st.lists(st.sampled_from(sorted(base.generators)), max_size=8))
+    want = {}
+    for fam in (base, mutant):
+        want[fam] = [IDENTITY]
+        for letter in word:
+            want[fam].append(ref_compose(want[fam][-1], fam.generators[letter]))
+    _clear_memos()
+    for fam in (base, mutant, base, mutant):
+        t = IDENTITY
+        for letter, ref in zip(word, want[fam][1:]):
+            t = compose(t, fam.generators[letter])
+            assert t.images.keys() == ref.images.keys()
+            assert all(t.images[n] is img for n, img in ref.images.items())
+            assert t is ref
+        assert word_to_transform(fam, word) is t
+
+
+def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
+    _clear_memos()
+    bound = weyl.COMPOSE_CACHE_SIZE
+    for k in range(bound + 8):
+        compose(Transformation({"z": add(sym("z"), num(k))}), IDENTITY)
+    assert compose.cache_info().currsize <= bound == compose.cache_info().maxsize
+    constraint = d5.constraint
+    for k in range(identity.ELIMINATION_CACHE_SIZE + 8):
+        constraint.apply(add(sym("nu8"), num(k)))
+    info = identity._eliminate.cache_info()
+    assert info.currsize <= identity.ELIMINATION_CACHE_SIZE == info.maxsize
+
+    mutant = d5.with_generator("s2", {"nu3": "nu7*z", "nu7": "nu3*z"})
+    key = tuple(sorted(mutant.generators["s2"].images.items()))
+    assert not verify_involutions(mutant, CheckConfig(trials=4)).ok
+    assert key in weyl._TRANSFORMATIONS
+    del mutant
+    _clear_memos()
+    gc.collect()
+    assert key not in weyl._TRANSFORMATIONS
+    assert tuple(sorted(d5.generators["s2"].images.items())) in weyl._TRANSFORMATIONS
 
 
 def test_d5_table_spot_values(d5):
