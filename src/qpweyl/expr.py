@@ -14,7 +14,7 @@ expressions.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 import re
 import threading
 from fractions import Fraction
@@ -164,6 +164,17 @@ def _bits(v: Fraction) -> int:
     return max(v.numerator.bit_length(), v.denominator.bit_length())
 
 
+def _fold(op, consts: list[Expr]) -> Fraction:
+    """op folded over the constants' values from the left, each partial
+    result refused past MAX_FOLD_BITS before the next is computed."""
+    acc = consts[0].value
+    for ch in consts[1:]:
+        acc = op(acc, ch.value)
+        if _bits(acc) > MAX_FOLD_BITS:
+            raise ExprError(f"constant folds to more than {MAX_FOLD_BITS} bits")
+    return acc
+
+
 # Each factory below ends in `_INTERN.get(key) or _intern(key)` (an Expr is
 # never false): a hit costs the key tuple and one lock-free probe.
 
@@ -199,7 +210,7 @@ def add(*terms: Expr) -> Expr:
             flat.append(t)
     if consts:
         # Interned, a constant node is ZERO (or ONE) exactly when its value is.
-        c = consts[0] if len(consts) == 1 else num(sum([ch.value for ch in consts]))
+        c = consts[0] if len(consts) == 1 else num(_fold(operator.add, consts))
         if c is not ZERO:
             flat.append(c)
     if not flat:
@@ -226,7 +237,7 @@ def mul(*factors: Expr) -> Expr:
         else:
             flat.append(fct)
     if consts:
-        c = consts[0] if len(consts) == 1 else num(math.prod([ch.value for ch in consts]))
+        c = consts[0] if len(consts) == 1 else num(_fold(operator.mul, consts))
         if c is ZERO:
             return ZERO
         if c is not ONE:
@@ -735,21 +746,19 @@ def to_latex(e: Expr) -> str:
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
-    r"(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*/^()])|(?P<WS>\s+)"
+    r"(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*/^()])|(?P<WS>\s+)|(?P<BAD>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens: list[tuple[str, str, int]] = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "BAD":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
         if kind != "WS":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("END", "", len(text)))
     return tokens
 
@@ -769,56 +778,50 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, text, pos = self.next()
-        if kind != "OP" or text != op:
-            raise ExprSyntaxError(f"expected '{op}'", pos)
+    def accept(self, ops: str) -> str | None:
+        """The next token's text, consumed, if it is one of the operators ops."""
+        kind, text, _ = self.tokens[self.i]
+        if kind == "OP" and text in ops:
+            self.i += 1
+            return text
+        return None
+
+    # A sum, and a run of factors, is built once from all its operands, as
+    # the node the left fold builds.  A constant factor folds as it comes, so
+    # an oversized product is refused before the factors after it are parsed.
+    # A quotient folds left, as batching changes its node: f/2/g is
+    # (1/2*f)/g, where div(f, mul(2, g)) is f/(2*g).
 
     def parse_expr(self) -> Expr:
-        kind, text, _ = self.peek()
-        negated = False
-        if kind == "OP" and text == "-":
-            self.next()
-            negated = True
-        elif kind == "OP" and text == "+":
-            self.next()
-        e = self.parse_term()
-        if negated:
-            e = neg(e)
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "OP" and text in "+-":
-                self.next()
-                rhs = self.parse_term()
-                e = add(e, rhs if text == "+" else neg(rhs))
-            else:
-                return e
+        terms, sign = [], self.accept("+-") or "+"
+        while sign:
+            term = self.parse_term()
+            terms.append(neg(term) if sign == "-" else term)
+            sign = self.accept("+-")
+        return add(*terms)
 
     def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "OP" and text in "*/":
-                self.next()
-                rhs = self.parse_factor()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
+        const, factors, op = ONE, [], "*"
+        while op:
+            rhs = self.parse_factor()
+            if op == "/":
+                const, factors = ONE, [div(mul(const, *factors), rhs)]
+            elif rhs.kind == "num":
+                const = mul(const, rhs)
             else:
-                return e
+                factors.append(rhs)
+            op = self.accept("*/")
+        return mul(const, *factors)
 
     def parse_factor(self) -> Expr:
         e = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "OP" and text == "^":
-            self.next()
+        if self.accept("^"):
             e = pow_(e, self.parse_int_literal())
         return e
 
     def parse_int_literal(self) -> int:
+        signum = -1 if self.accept("-") else 1
         kind, text, pos = self.next()
-        signum = 1
-        if kind == "OP" and text == "-":
-            signum = -1
-            kind, text, pos = self.next()
         if kind != "INT":
             raise ExprSyntaxError("expected integer exponent", pos)
         return signum * int(text)
@@ -837,7 +840,8 @@ class _Parser:
             self.depth += 1
             if text == "(":
                 e = self.parse_expr()
-                self.expect_op(")")
+                if not self.accept(")"):
+                    raise ExprSyntaxError("expected ')'", self.peek()[2])
             else:
                 e = neg(self.parse_atom())
             self.depth -= 1
@@ -863,8 +867,7 @@ PARSE_CACHE_SIZE = 1024
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _parse(text: str, extra_symbols: frozenset[str]) -> Expr:
-    allowed = frozenset(RESERVED_SYMBOLS) | extra_symbols
-    parser = _Parser(_tokenize(text), allowed)
+    parser = _Parser(_tokenize(text), frozenset(RESERVED_SYMBOLS) | extra_symbols)
     e = parser.parse_expr()
     kind, text_, pos = parser.peek()
     if kind != "END":

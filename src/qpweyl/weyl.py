@@ -22,10 +22,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import threading
-import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, shown, substitute, sym
@@ -40,51 +38,29 @@ from .identity import (
 from .report import CheckResult, Report
 
 
+@dataclass(frozen=True, slots=True)
 class Transformation:
     """A total substitution map symbol -> Expr; omitted symbols map to themselves.
 
-    A value, as an Expr node is: images is read-only, and equal maps are one
-    object.  Transformation(images) returns the one transformation whose
-    images equal the given ones, so compose can be memoized by identity.  The
-    table holds each transformation weakly: one that no caller or cache
-    holds is freed.
+    A value, as an Expr node is: images is read-only, and two maps are equal,
+    and hash alike, when their (name, image) items are, so compose can be
+    memoized by value.
     """
 
-    __slots__ = ("images", "__weakref__")
-    images: Mapping[str, Expr]
+    images: Mapping[str, Expr] = field(compare=False)
+    items: tuple[tuple[str, Expr], ...] = field(init=False, repr=False)
 
-    def __new__(cls, images: Mapping[str, Expr]):
-        key = tuple(sorted(images.items()))   # names are unique: nodes are never compared
-        t = _TRANSFORMATIONS.get(key)
-        if t is None:
-            with _TRANSFORMATIONS_LOCK:
-                t = _TRANSFORMATIONS.get(key)
-                if t is None:
-                    t = object.__new__(cls)
-                    object.__setattr__(t, "images", MappingProxyType(dict(key)))
-                    _TRANSFORMATIONS[key] = t
-        return t
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"Transformation(images={dict(self.images)!r})"
+    def __post_init__(self):
+        items = tuple(sorted(self.images.items()))   # names are unique: nodes are never compared
+        object.__setattr__(self, "images", MappingProxyType(dict(items)))
+        object.__setattr__(self, "items", items)
 
     def image(self, name: str) -> Expr:
-        img = self.images.get(name)
-        return img if img is not None else sym(name)
+        return self.images.get(name) or sym(name)   # an Expr is never false
 
     def __call__(self, e: Expr, memo: dict | None = None) -> Expr:
         return substitute(e, self.images, memo)
 
-
-# Keys are the (name, image) items sorted by name.
-_TRANSFORMATIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_TRANSFORMATIONS_LOCK = threading.Lock()
 
 IDENTITY = Transformation(images={})
 
@@ -107,10 +83,10 @@ def compose(outer: Transformation, inner: Transformation) -> Transformation:
 
     A name that inner leaves fixed goes to outer's image of it, with no
     substitution.  The result depends only on the two maps, which are
-    hash-consed values, so the last COMPOSE_CACHE_SIZE results are kept by
-    the identity of the pair: a word composed again, or a prefix it shares
-    with an earlier word, costs one lookup per letter.  An ExprError (a zero
-    denominator) is raised again on every call, never cached."""
+    values, so the last COMPOSE_CACHE_SIZE results are kept by the value of
+    the pair: a word composed again, or a prefix it shares with an earlier
+    word, costs one lookup per letter.  An ExprError (a zero denominator) is
+    raised again on every call, never cached."""
     memo: dict = {}
     moved = inner.images
     names = set(outer.images) | set(moved)

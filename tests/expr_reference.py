@@ -1,6 +1,6 @@
-"""The expression core's factories, walks and compose as they were before
-each hit became one probe, kept as the reference the fast versions must
-match node for node.
+"""The expression core's factories, walks, parser and compose as they were
+before each hit became one probe and each sum one node, kept as the
+reference the fast versions must match node for node.
 
 They intern through the same table, so a node either side builds is the
 node the other side finds: a difference in structure shows as a pair of
@@ -13,11 +13,18 @@ from qpweyl.expr import (
     MAX_FOLD_BITS,
     MINUS_ONE,
     ONE,
+    RESERVED_SYMBOLS,
     ZERO,
     Expr,
     ExprError,
     _bits,
     _intern,
+    _Parser,
+    _tokenize,
+    add,
+    div,
+    mul,
+    neg,
 )
 from qpweyl.weyl import Transformation
 
@@ -186,3 +193,46 @@ def ref_compose(outer: Transformation, inner: Transformation) -> Transformation:
     names = set(outer.images) | set(inner.images)
     return Transformation({n: ref_substitute(inner.image(n), outer.images, memo)
                            for n in names})
+
+
+class _LeftFoldParser(_Parser):
+    """The parser as it folded sums and products left, one operand at a time."""
+
+    def parse_expr(self) -> Expr:
+        kind, text, _ = self.peek()
+        negated = False
+        if kind == "OP" and text == "-":
+            self.next()
+            negated = True
+        elif kind == "OP" and text == "+":
+            self.next()
+        e = self.parse_term()
+        if negated:
+            e = neg(e)
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "OP" and text in "+-":
+                self.next()
+                rhs = self.parse_term()
+                e = add(e, rhs if text == "+" else neg(rhs))
+            else:
+                return e
+
+    def parse_term(self) -> Expr:
+        e = self.parse_factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "OP" and text in "*/":
+                self.next()
+                rhs = self.parse_factor()
+                e = mul(e, rhs) if text == "*" else div(e, rhs)
+            else:
+                return e
+
+
+def ref_parse(text: str) -> Expr:
+    """The left fold's node for a text over the reserved symbols."""
+    parser = _LeftFoldParser(_tokenize(text), frozenset(RESERVED_SYMBOLS))
+    e = parser.parse_expr()
+    assert parser.peek()[0] == "END", text
+    return e

@@ -1,8 +1,10 @@
 """Expression core: parsing, printing, interning, substitution, evaluation."""
 
 import random
+import re
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from expr_reference import (
     ref_div,
     ref_mul,
     ref_num,
+    ref_parse,
     ref_pow,
     ref_substitute,
     ref_sym,
@@ -168,6 +171,44 @@ def test_print_parse_round_trip_on_dags(e):
     assert parse(to_string(e)) is e
 
 
+def _chains(operands):
+    """Texts "[sign] x op x op ... x" of the operands, any of + - * /."""
+    rest = st.lists(st.tuples(st.sampled_from("+-*/"), operands), max_size=12)
+    return st.builds(lambda sign, first, pairs: sign + first + "".join(op + x for op, x in pairs),
+                     st.sampled_from(["", "-", "+"]), operands, rest)
+
+
+_CHAIN_OPERANDS = st.recursive(
+    st.sampled_from(["f", "g", "q", "0", "1", "2", "3", "-f", "f^2", "g^-1", "2^3", "(1/2)"]),
+    lambda inner: _chains(inner).map(lambda text: f"({text})"), max_leaves=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_chains(_CHAIN_OPERANDS))
+def test_operand_chains_parse_to_the_left_fold(text):
+    # A sum and a run of factors are built once from all their operands;
+    # the node, or the error, is the one the left fold builds.
+    try:
+        want = ref_parse(text)
+    except ExprError as err:
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            parse(text)
+    else:
+        assert parse(text) is want
+
+
+@pytest.mark.parametrize("op", "+-*")
+def test_long_sums_and_products_parse_in_linear_time(op):
+    # Folding one operand at a time copies the partial node's children on
+    # every step: a 4,000-term sum took 0.48 s.
+    text = op.join(["f"] * 50_000)
+    start = time.monotonic()
+    e = parse(text)
+    assert time.monotonic() - start < 1
+    assert len(e.children) == 50_000
+    assert e.children[-1] is (sym("f") if op != "-" else neg(sym("f")))
+
+
 @pytest.mark.parametrize("text, message, offset", [
     ("nu1 + * nu2", "unexpected token '*'", 6),
     ("f $ g", "unexpected character '$'", 2),
@@ -250,6 +291,15 @@ def test_negative_power_is_the_quotient(base, k):
 def test_every_power_has_an_exponent_of_at_least_2(e):
     # A negative power is built as a quotient, so only a quotient divides.
     assert all(arg[1] >= 2 for kind, arg in _compile(e)[0] if kind == "pow")
+
+
+def test_a_product_of_large_constants_is_refused_at_once():
+    # Folded all at once, the 64 constants took about 100 s to multiply.
+    start = time.monotonic()
+    for fold, big in ((add, num(2 ** 1048575)), (mul, num(3 ** 660000))):
+        with pytest.raises(ExprError, match="folds to more than"):
+            fold(*[big] * 64)
+    assert time.monotonic() - start < 1
 
 
 def test_constant_folds_have_a_bit_budget():

@@ -101,10 +101,11 @@ def _clear_memos():
 def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     # 4 threads run two suites on the shared E6 and E7 descriptors at once,
     # each with its own seed, and one mutant suite each, racing to parse,
-    # compose, eliminate and compile the same things from empty memos and an
-    # empty transformation table.  Theorem I without the constraint fails
-    # with witnesses that depend on the seed.  Each report equals the same
-    # call run alone.
+    # compose, eliminate and compile the same things from empty memos.  Each
+    # thread builds its own copy of its mutant, equal to the serial one but
+    # not the same object.  Theorem I without the constraint fails with
+    # witnesses that depend on the seed.  Each report equals the same call
+    # run alone.
     jobs = [(fam, CheckConfig(seed=seed, use_constraint=use))
             for seed, fam in enumerate((e6, e7, e6, e7), start=31) for use in (True, False)]
     # Thread slot s runs jobs s and s + 4, of one family, and this mutant.
@@ -133,10 +134,6 @@ def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
             got[i] = reports(*jobs[i])
         got_mutants[slot] = mutant_suite(slot)
 
-    # The table is emptied for the run and then given back its entries, so
-    # the shared generators are again the one object for their images.
-    table = dict(weyl._TRANSFORMATIONS)
-    weyl._TRANSFORMATIONS.clear()
     _clear_memos()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -149,7 +146,6 @@ def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     finally:
         sys.setswitchinterval(interval)
         _clear_memos()
-        weyl._TRANSFORMATIONS.update(table)
     assert not any(t.is_alive() for t in threads)
     assert got == serial
     assert got_mutants == serial_mutants
@@ -164,20 +160,49 @@ def test_images_are_read_only(d5):
             t.images["g"] = sym("f")
         with pytest.raises(TypeError):
             del t.images["g"]
-        with pytest.raises(AttributeError):
-            t.images = {"g": sym("f")}
+        for field in ("images", "items"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, {"g": sym("f")})
+            with pytest.raises(AttributeError):
+                delattr(t, field)
     assert s2.image("g") is parse("g*(f - nu3)/(f - kappa1/nu7)")
     assert verify_involutions(make_family("D5")).ok
 
 
-def test_equal_maps_are_one_transformation(d5):
+def test_maps_with_equal_images_are_equal_values(d5):
     s2 = d5.generators["s2"]
-    assert Transformation(dict(s2.images)) is s2
-    assert Transformation(dict(reversed(s2.images.items()))) is s2
-    assert weyl._swap("nu1", "nu2") is weyl._swap("nu2", "nu1") is d5.generators["s4"]
-    assert compose(IDENTITY, s2) is s2
-    assert Transformation({}) is IDENTITY
-    assert Transformation({"f": sym("f")}) is not IDENTITY
+    copy = Transformation(dict(s2.images))
+    assert copy is not s2
+    assert copy == s2 and hash(copy) == hash(s2)
+    assert Transformation(dict(reversed(s2.images.items()))) == s2
+    assert weyl._swap("nu1", "nu2") == weyl._swap("nu2", "nu1") == d5.generators["s4"]
+    assert compose(IDENTITY, s2) == s2
+    assert Transformation({}) == IDENTITY
+    assert Transformation({"f": sym("f")}) != IDENTITY
+    assert s2 != d5.generators["s3"]
+    assert s2 != s2.images
+
+
+def test_compose_memo_is_keyed_by_value(d5):
+    # An equal map that is another object finds the memo's entry, and a
+    # mutant built twice shares entries with itself and with the base
+    # family's unchanged letters.
+    _clear_memos()
+    s2, s3 = d5.generators["s2"], d5.generators["s3"]
+    cached = compose(s2, s3)
+    hits = compose.cache_info().hits
+    assert compose(Transformation(dict(s2.images)), s3) == cached
+    assert compose.cache_info().hits == hits + 1
+
+    images = {"nu3": "nu7*z", "nu7": "nu3*z"}
+    first, second = (d5.with_generator("s2", images) for _ in range(2))
+    assert first.generators["s2"] is not second.generators["s2"]
+    word = "s3 s1 s2 s3 s2"
+    t = word_to_transform(first, word)
+    misses = compose.cache_info().misses
+    assert word_to_transform(second, word) == t
+    assert word_to_transform(d5, "s3 s1") == word_to_transform(first, "s3 s1")
+    assert compose.cache_info().misses == misses
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -203,8 +228,8 @@ def test_compose_memo_matches_the_reference_on_random_words(mutation, data):
             t = compose(t, fam.generators[letter])
             assert t.images.keys() == ref.images.keys()
             assert all(t.images[n] is img for n, img in ref.images.items())
-            assert t is ref
-        assert word_to_transform(fam, word) is t
+            assert t == ref
+        assert word_to_transform(fam, word) == t
 
 
 def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
@@ -219,15 +244,19 @@ def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
     info = identity._eliminate.cache_info()
     assert info.currsize <= identity.ELIMINATION_CACHE_SIZE == info.maxsize
 
+    # Nothing but its callers and the memos holds a map: once they drop the
+    # mutant, no live object is a map with its images.
+    def live(items):
+        return [o for o in gc.get_objects() if isinstance(o, Transformation) and o.items == items]
+
     mutant = d5.with_generator("s2", {"nu3": "nu7*z", "nu7": "nu3*z"})
-    key = tuple(sorted(mutant.generators["s2"].images.items()))
+    items = mutant.generators["s2"].items
     assert not verify_involutions(mutant, CheckConfig(trials=4)).ok
-    assert key in weyl._TRANSFORMATIONS
+    assert live(items)
     del mutant
     _clear_memos()
     gc.collect()
-    assert key not in weyl._TRANSFORMATIONS
-    assert tuple(sorted(d5.generators["s2"].images.items())) in weyl._TRANSFORMATIONS
+    assert not live(items)
 
 
 def test_d5_table_spot_values(d5):
