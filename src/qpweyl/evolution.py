@@ -19,12 +19,15 @@ cancel by hand.  Most of the unreduced pair for the new coordinate would
 cancel in its reduction, as singularity confinement predicts (Grammaticos,
 Ramani and Papageorgiou 1991): the factors of the relation's rational
 function recur in the numerators and denominators of f and g.  So each
-solver first cancels the pairs known to share them.  The operands of such a
-pair are not small: the smaller nearly divides the larger (on the
-benchmark's orbits, D5 cancels 5,278 against 2,630 bits on average, with a
-2,628-bit gcd).  A gcd of such a pair is one long division and a short
-tail, and dividing the larger operand by it is a second long division, so
-each pair is cancelled with one long division instead (_cancel).
+solver first cancels the products of linear factors against the operands
+known to share them (_cancel_factors).  Each solve keeps its "pieces", the
+cofactors its linear factors leave, for the last few coordinates built, and
+a later solve divides each factor by its gcd with its paired piece before
+an exact cancellation of what is left (_cancel): on the benchmark's orbits
+a D5 factor of 4,222 bits meets a piece of 2,143 bits, where the whole
+product would be divided by the whole operand, 8,473 against 4,236 bits.
+The pairing table, and why a hint cannot change a result, are in the
+comment above _cancel.
 
 What is left, num/den, shares only a small factor, and the solver reduces
 it against a bound instead of by gcd(num, den) (_fraction).  The bound K is
@@ -55,6 +58,7 @@ so the orbit is the one Fraction arithmetic throughout would give.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -325,9 +329,8 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 # known coordinate y paired with the unknown z, and `up`, true when z belongs
 # to the later state.  It reads the parameter roots as integer pairs, not
 # necessarily reduced, and works on the integer numerators and denominators
-# of x and y.  Before building z, each solver cancels the factor pairs that
-# share most of their bits along an orbit, each with _cancel and the larger
-# operand first:
+# of x and y.  Before building z, each solver cancels the operand pairs that
+# share most of their bits along an orbit, the larger operand first:
 #   D5: u against y's numerator, v against y's denominator;
 #   E6: u against (x y - 1), v against y's numerator, then the solve
 #       denominator against x's denominator (modulo xd it is
@@ -336,19 +339,44 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 #       that, hence a cancellation and not a division);
 #   E7: u against (x y - t), v against (x y - 1), then a - b against x's
 #       denominator and s.num a - s.den b against x's numerator.
-# Each cancellation divides numerator and denominator of z alike.  A pair
-# of zeros arises only for u against (x y - 1) or (x y - t); _cancel keeps
-# both zero, so the solve denominator is zero and the pole is raised as it
-# was before cancelling.  Every denominator is tested before it is used, so
-# a pole raises PoleError.
+# u and v are products of linear factors, one per root (_ratio), and are
+# cancelled by _cancel_factors.  Each solve keeps its pieces: the cofactors
+# its top and its bottom factors leave, in order, under the coordinate z it
+# built (_keep).  Along an orbit a linear factor of a later solve shares all
+# but a few bits of one such piece, so each factor is first cancelled against
+# its gcd with its paired piece.  The pairs, measured along the sample and
+# random orbits of every family, in both directions:
+#   D5's u and v, E6's v: the pieces of y, kept by the solve of this
+#       relation that built y.  Factor i pairs with piece 1 - i when that
+#       solve ran in the same direction, and with piece i otherwise.
+#   E6's u, E7's u and v: the pieces of x, kept by the solve of the other
+#       relation that built x, factor i with piece i.  Where the direction
+#       turns, the pieces of y instead, kept by the solve of this relation
+#       that ran the other way: it had the same x, hence the same factors.
+# Any other producer, a coordinate that no solve built or whose entry was
+# overwritten, and an operand under HINT_BITS bits give no hint, and the
+# product is cancelled whole, as one _cancel.
+#
+# A hint cannot change a result.  The gcd of factor i with its piece divides
+# that factor, so the product h of these gcds divides u, and c = gcd(h, b)
+# divides both u and the operand b.  Since gcd(u, b) = c gcd(u/c, b/c), the
+# exact _cancel of (u/c, b/c) that runs last returns what _cancel(u, b)
+# would (for b = 0, c = h, and both return _cancel(u, 0)).  A wrong, stale
+# or missing piece only leaves more to that last _cancel.
+#
+# Each cancellation divides numerator and denominator of z alike.  A pair of
+# zeros arises only for u against (x y - 1) or (x y - t); _cancel keeps both
+# zero, so the solve denominator is zero and the pole is raised as it was
+# before cancelling.  Every denominator is tested before it is used, so a
+# pole raises PoleError.
 #
 # z = N / D is then built by _fraction, reduced against K, a multiple of
 # gcd(N, D) made of the roots and of the small cofactors _cancel leaves.
 # Write x = c/d in lowest terms, each root r = r_n/r_d with r_d != 0 (not
 # necessarily reduced), A_a = c a_d - a_n d for a top root a and B_b =
-# c b_d - b_n d for a bottom root b, so that _ratio returns u = prod A_a *
-# prod b_d and v = prod a_d * prod B_b.  Three lemmas, which hold with
-# zeros too (gcd(0, Z) = |Z|):
+# c b_d - b_n d for a bottom root b, the factors _ratio returns, so that
+# u = prod A_a * prod b_d and v = prod a_d * prod B_b.  Three lemmas, which
+# hold with zeros too (gcd(0, Z) = |Z|):
 #   (1) gcd(X Y, Z) | gcd(X, Z) gcd(Y, Z).
 #   (2) gcd(A_a, B_b) | D_ab = a_d b_n - a_n b_d, because b_n A_a - a_n B_b
 #       = c D_ab and b_d A_a - a_d B_b = d D_ab, and c, d are coprime.
@@ -357,9 +385,9 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 #       in X.
 # By (1) over the factors of u and of v, and (2) for each pair,
 #   gcd(u, v) | K_uv = prod a_d * prod b_d * prod_ab D_ab,
-# which _ratio returns as k.  The two cofactors _cancel returns are coprime
-# unless both are zero, which only happens at a pole (above), and each
-# divides its operand, so gcd(u', v') | K_uv.  Then:
+# which _ratio returns as k.  The two cofactors the cancellations leave are
+# coprime unless both are zero, which only happens at a pole (above), and
+# each divides its operand, so gcd(u', v') | K_uv.  Then:
 #   D5: N = c_n u' y_d', D = c_d v' y_n'.  y_d' is coprime to v' y_n', and
 #       u' to y_n', so by (3) and (1) gcd(N, D) | lcm(c_d, c_n c_d
 #       gcd(u', v')): K = c_n c_d K_uv.
@@ -426,22 +454,94 @@ def _mul(a: Fraction, b: Fraction) -> tuple[int, int]:
     return an * bn, ad * bd
 
 
-def _ratio(x: Fraction, top, bottom) -> tuple[int, int, int]:
-    """Integers (u, v, k) with prod(x - a for a in top) / prod(x - b for b in
-    bottom) == u / (v * d**(len(top) - len(bottom))), d the denominator of
-    x, and k = K_uv, a multiple of gcd(u, v).  Roots are integer pairs with
-    nonzero denominators; v is 0 exactly when a bottom factor is."""
+def _ratio(x: Fraction, top, bottom) -> tuple[list[int], list[int], int, int, int]:
+    """The factors of prod(x - a for a in top) / prod(x - b for b in bottom)
+    as integers (tops, bots, pa, pb, k): tops[i] = c a_d - a_n d for the i-th
+    top root, bots[j] = c b_d - b_n d for the j-th bottom root, x = c/d, pa
+    and pb the products of the top and bottom roots' denominators, so that
+    u = pb prod(tops) and v = pa prod(bots) make the quotient u / (v *
+    d**(len(top) - len(bottom))), and k = K_uv, a multiple of gcd(u, v).
+    Roots are integer pairs with nonzero denominators; v is 0 exactly when
+    a bottom factor is."""
     c, d = x.as_integer_ratio()
-    ua = vb = pa = pb = k = 1
+    pa = pb = k = 1
     for an, ad in top:
         pa *= ad
-        ua *= c * ad - an * d
         for bn, bd in bottom:
             k *= ad * bn - an * bd
     for bn, bd in bottom:
         pb *= bd
-        vb *= c * bd - bn * d
-    return ua * pb, pa * vb, k * pa * pb
+    return ([c * ad - an * d for an, ad in top], [c * bd - bn * d for bn, bd in bottom],
+            pa, pb, k * pa * pb)
+
+
+#: Operands below this many bits are cancelled without hints.  On the
+#: benchmark's orbits (in process, best of 5, Python 3.11.7 on an AMD EPYC
+#: core), 1,000 bits is the fastest cutoff on the short random orbits: no
+#: cutoff is 2-4 % slower there, 500 and 2,000 bits within 2 %, and 4,000
+#: bits 10 % (D5, E6) to 23 % (E7) slower.  The long orbits differ by 4 % at
+#: most between these cutoffs.
+HINT_BITS = 1000
+
+#: The pieces kept by the solves that built the last few coordinates, one
+#: entry (z, family, rel, up, tops, bots) per slot, overwritten in turn: a
+#: lookup matches z by identity, and memory does not grow with the states a
+#: caller keeps.  Threads share the table without a lock; a race can only
+#: overwrite an entry, which loses a hint.
+_PIECE_SLOTS = 8
+_pieces: list = [None] * _PIECE_SLOTS
+_next_slot = itertools.count()
+
+
+def _pieces_of(v: Fraction, family: str, rel: int):
+    """(up, tops, bots) kept by the solve of `family`'s relation `rel` that
+    built v, or None."""
+    for entry in _pieces:
+        if entry is not None and entry[0] is v:
+            return entry[3:] if entry[1:3] == (family, rel) else None
+    return None
+
+
+def _keep(z: Fraction, family: str, rel: int, up: bool, tops, bots) -> Fraction:
+    """z, with the pieces of the solve that built it kept for later solves."""
+    _pieces[next(_next_slot) % _PIECE_SLOTS] = (z, family, rel, up, tops, bots)
+    return z
+
+
+def _cancel_factors(factors: list[int], extra: int, b: int, pieces, flip: bool):
+    """(u // g, b // g, cofactors) for u = extra * prod(factors) and g =
+    gcd(u, b) or 1, as _cancel(u, b) returns them.  pieces, when given and
+    b has at least HINT_BITS bits, are hints: factor i is divided by its
+    gcd with pieces[i], or pieces[-1 - i] when flip, the product of those
+    gcds is cancelled against b, and the exact _cancel runs last, on what is
+    left.  cofactors, the solve's pieces, are the factors after their hints
+    and, when the hints missed more than 64 bits of g, after their share of
+    what they missed; without hints they are the factors themselves."""
+    if pieces is None or b.bit_length() < HINT_BITS:
+        u = extra
+        for f in factors:
+            u *= f
+        u, b = _cancel(u, b)
+        return u, b, factors
+    found, rest = 1, []
+    for f, p in zip(factors, reversed(pieces) if flip else pieces):
+        if p:
+            q, r = divmod(f, p)
+            g = gcd(p, r)                        # gcd(f, p)
+            found *= g
+            f = q * (p // g) + r // g
+        rest.append(f)
+    b, found = _cancel(b, found)
+    u = extra * found
+    for f in rest:
+        u *= f
+    u, b_left = _cancel(u, b)
+    g = b // b_left if b_left else 1
+    if g.bit_length() > 64:                      # the hints missed: spread g over the pieces
+        for i, f in enumerate(rest):
+            h = gcd(f, g)
+            rest[i], g = f // h, g // h
+    return u, b_left, rest
 
 
 def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -453,15 +553,17 @@ def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     else:
         (cd, cn), top, bottom = (_mul(n[0], n[1]), (_div(k1, n[6]), _div(k1, n[7])),
                                  (n[2].as_integer_ratio(), n[3].as_integer_ratio()))
-    u, v, k = _ratio(x, top, bottom)
-    if v == 0:
+    tops, bots, pa, pb, k = _ratio(x, top, bottom)
+    if 0 in bots:
         raise PoleError(st.t, f"rel{rel} denominator")
     if y == 0:
         raise PoleError(st.t, "f" if rel == 1 else "g")
     yn, yd = y.as_integer_ratio()
-    u, yn = _cancel(u, yn)
-    v, yd = _cancel(v, yd)
-    return _fraction(cn * u * yd, cd * v * yn, cn * cd * k)
+    hy = _pieces_of(y, "D5", rel)
+    flip = hy is not None and hy[0] == up
+    u, yn, tops = _cancel_factors(tops, pb, yn, hy and hy[1], flip)
+    v, yd, bots = _cancel_factors(bots, pa, yd, hy and hy[2], flip)
+    return _keep(_fraction(cn * u * yd, cd * v * yn, cn * cd * k), "D5", rel, up, tops, bots)
 
 
 def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -471,18 +573,20 @@ def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         top, bottom = tuple(_div(1, v) for v in n[:4]), (_div(n[4], k2), _div(n[5], k2))
     else:
         top, bottom = tuple(v.as_integer_ratio() for v in n[:4]), (_div(k1, n[6]), _div(k1, n[7]))
-    u, v, k = _ratio(x, top, bottom)         # prod(x - a) / prod(x - b) = u / (v xd^2)
-    if v == 0:
+    tops, bots, pa, pb, k = _ratio(x, top, bottom)   # prod(x - a) / prod(x - b) = u / (v xd^2)
+    if 0 in bots:
         raise PoleError(st.t, f"rel{rel} rhs")
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     m = xn * yn - xd * yd                    # (x y - 1) xd yd
-    u, m = _cancel(u, m)                     # m == u == 0 leaves den == 0
-    v, yn = _cancel(v, yn)
+    hy = _pieces_of(y, "E6", rel)
+    hx = hy if hy is not None and hy[0] != up else _pieces_of(x, "E6", 3 - rel)
+    u, m, tops = _cancel_factors(tops, pb, m, hx and hx[1], False)   # u == m == 0: den == 0
+    v, yn, bots = _cancel_factors(bots, pa, yn, hy and hy[2], hy is not None and hy[0] == up)
     den = m * xn * v - u * yn
     if den == 0:
         raise PoleError(st.t, f"rel{rel} solve")
     den, xd = _cancel(den, xd)
-    return _fraction(m * v * xd, den, gcd(m, yn) * k)
+    return _keep(_fraction(m * v * xd, den, gcd(m, yn) * k), "E6", rel, up, tops, bots)
 
 
 def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
@@ -497,15 +601,17 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         top, bottom = tuple(_div(k1, v) for v in n[4:]), tuple(v.as_integer_ratio() for v in n[:4])
         c, qc = (rn, rd), (rn * qn, rd * qd)
     (sn, sd), (tn, td) = (c, qc) if up else (qc, c)
-    u, v, k = _ratio(x, top, bottom)                     # prod(x - a) / prod(x - b) = u / v
-    if v == 0:
+    tops, bots, pa, pb, k = _ratio(x, top, bottom)       # prod(x - a) / prod(x - b) = u / v
+    if 0 in bots:
         raise PoleError(st.t, f"rel{rel} rhs")
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     xy, dd = xn * yn, xd * yd
     m1 = xy * td - tn * dd                               # (x y - t), times xd yd t.den
     m2 = (xy - dd) * td                                  # (x y - 1), times xd yd t.den
-    u, m1 = _cancel(u, m1)                               # m1 == u == 0 leaves den == 0
-    v, m2 = _cancel(v, m2)
+    hy = _pieces_of(y, "E7", rel)
+    hx = hy if hy is not None and hy[0] != up else _pieces_of(x, "E7", 3 - rel)
+    u, m1, tops = _cancel_factors(tops, pb, m1, hx and hx[1], False)  # u == m1 == 0: den == 0
+    v, m2, bots = _cancel_factors(bots, pa, m2, hx and hx[2], False)
     a, b = m1 * v, m2 * u
     den = a - b                                          # z = num xd / (s.den xn den)
     if den == 0 or xn == 0:
@@ -513,7 +619,8 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     num = sn * a - sd * b
     den, xd = _cancel(den, xd)
     num, xn = _cancel(num, xn)
-    return _fraction(num * xd, sd * xn * den, sd * (sn - sd) * gcd(m1, m2) * k)
+    return _keep(_fraction(num * xd, sd * xn * den, sd * (sn - sd) * gcd(m1, m2) * k),
+                 "E7", rel, up, tops, bots)
 
 
 _SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}

@@ -790,7 +790,10 @@ class _Parser:
     # the node the left fold builds.  A constant factor folds as it comes, so
     # an oversized product is refused before the factors after it are parsed.
     # A quotient folds left, as batching changes its node: f/2/g is
-    # (1/2*f)/g, where div(f, mul(2, g)) is f/(2*g).
+    # (1/2*f)/g, where div(f, mul(2, g)) is f/(2*g).  Only a quotient n/d
+    # divided by a factor that is neither a constant nor a quotient keeps
+    # its shape, as n/(d*rhs): such a run of divisors is collected and its
+    # product built once, where folding copies the growing product each time.
 
     def parse_expr(self) -> Expr:
         terms, sign = [], self.accept("+-") or "+"
@@ -802,15 +805,26 @@ class _Parser:
 
     def parse_term(self) -> Expr:
         const, factors, op = ONE, [], "*"
+        over: list[Expr] = []   # when set, the term so far is factors[0] / mul(*over)
         while op:
             rhs = self.parse_factor()
-            if op == "/":
-                const, factors = ONE, [div(mul(const, *factors), rhs)]
-            elif rhs.kind == "num":
-                const = mul(const, rhs)
+            if over and op == "/" and rhs.kind not in ("num", "div"):
+                over.append(rhs)
             else:
-                factors.append(rhs)
+                if over:
+                    factors, over = [div(factors[0], mul(*over))], []
+                if op == "/":
+                    q = div(mul(const, *factors), rhs)
+                    const, factors = ONE, [q]
+                    if q.kind == "div":
+                        factors, over = [q.children[0]], [q.children[1]]
+                elif rhs.kind == "num":
+                    const = mul(const, rhs)
+                else:
+                    factors.append(rhs)
             op = self.accept("*/")
+        if over:
+            factors = [div(factors[0], mul(*over))]
         return mul(const, *factors)
 
     def parse_factor(self) -> Expr:

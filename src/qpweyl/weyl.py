@@ -44,16 +44,22 @@ class Transformation:
 
     A value, as an Expr node is: images is read-only, and two maps are equal,
     and hash alike, when their (name, image) items are, so compose can be
-    memoized by value.
+    memoized by value.  The hash is computed once, as a tuple does not keep
+    its own.
     """
 
     images: Mapping[str, Expr] = field(compare=False)
     items: tuple[tuple[str, Expr], ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(sorted(self.images.items()))   # names are unique: nodes are never compared
         object.__setattr__(self, "images", MappingProxyType(dict(items)))
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_hash", hash(items))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def image(self, name: str) -> Expr:
         return self.images.get(name) or sym(name)   # an Expr is never false

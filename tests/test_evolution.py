@@ -551,9 +551,9 @@ def _outcome_and_corners(fam, st0, direction):
     ratio, fraction = evolution._ratio, evolution._fraction
 
     def ratio_spy(x, top, bottom):
-        u, v, k = ratio(x, top, bottom)
-        met.update(tag for tag, hit in (("D=0", k == 0), ("u=0", u == 0)) if hit)
-        return u, v, k
+        tops, bots, pa, pb, k = ratio(x, top, bottom)
+        met.update(tag for tag, hit in (("D=0", k == 0), ("u=0", 0 in tops)) if hit)
+        return tops, bots, pa, pb, k
 
     def fraction_spy(num, den, k):
         met.update(tag for tag, hit in (("K=0", k == 0), ("z=0", num == 0)) if hit)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from test_acceptance import MUTATIONS
 
 from qpweyl import expr as expr_module, identity, weyl
-from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
+from qpweyl.evolution import time_evolution, verify_theorem_i, verify_theorem_ii
 from qpweyl.expr import ExprError, add, evaluate, num, parse, sub, substitute, sym
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.lax import verify_gauge_claims
@@ -203,6 +203,25 @@ def test_compose_memo_is_keyed_by_value(d5):
     assert word_to_transform(second, word) == t
     assert word_to_transform(d5, "s3 s1") == word_to_transform(first, "s3 s1")
     assert compose.cache_info().misses == misses
+
+
+def test_equal_maps_hash_alike_and_the_benchmark_words_hit_the_memo(families):
+    # The hash is kept with the map: an equal map built again hashes alike,
+    # and the words the benchmark composes (apply's D5 and E7 words and the
+    # three evolution maps) make the lookups they made with a hash of items.
+    for fam in families.values():
+        for t in (*fam.generators.values(), fam.xi):
+            copy = Transformation(dict(reversed(t.images.items())))
+            assert copy is not t and copy == t and hash(copy) == hash(t)
+    _clear_memos()
+    e7_word = " ".join(families["E7"].evolution_word)
+    words = [("D5", f"(s2 s3 s1 s4)^{n}") for n in (2, 4, 6)] + [("E7", f"({e7_word})^2")]
+    for name, word in words:
+        word_to_transform(families[name], word)
+    for fam in families.values():
+        time_evolution(fam)
+    info = compose.cache_info()
+    assert (info.hits, info.misses) == (41, 80), info
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
