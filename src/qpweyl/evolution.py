@@ -20,11 +20,12 @@ cancel in its reduction, as singularity confinement predicts (Grammaticos,
 Ramani and Papageorgiou 1991): the factors of the relation's rational
 function recur in the numerators and denominators of f and g.  So each
 solver first cancels the products of linear factors against the operands
-known to share them (_cancel_factors).  Each solve keeps its "pieces", the
-cofactors its linear factors leave, for the last few coordinates built, and
-a later solve divides each factor by its gcd with its paired piece before
-an exact cancellation of what is left (_cancel): on the benchmark's orbits
-a D5 factor of 4,222 bits meets a piece of 2,143 bits, where the whole
+known to share them (_cancel_factors).  Each solver takes hints and returns
+its "pieces", the cofactors its linear factors leave; orbit_step keeps the
+pieces of the last few states it built, keyed by the state, and a step from
+such a state divides each factor by its gcd with its paired piece before an
+exact cancellation of what is left (_cancel): on the benchmark's orbits a
+D5 factor of 4,222 bits meets a piece of 2,143 bits, where the whole
 product would be divided by the whole operand, 8,473 against 4,236 bits.
 The pairing table, and why a hint cannot change a result, are in the
 comment above _cancel.
@@ -313,24 +314,37 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
     previous g, then rel1 at the previous kappas for the previous f."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {shown(direction)}")
-    solve, q = _SOLVERS[fam.name], st.q
-    if direction == "forward":
+    solve, q, up = _SOLVERS[fam.name], st.q, direction == "forward"
+    built = next((entry for entry in _built if entry is not None and entry[0] is st), None)
+    turn = built is not None and built[1] != up
+    pf, pg = built[2:] if built else (None, None)
+
+    def hints(y, x):
+        """(hx, hy) for a solve, from the pieces of its y and of its x."""
+        return (y, y) if turn else (x, y and (y[0][::-1], y[1][::-1]))
+
+    if up:
         k1, k2 = st.kappa1 / q, st.kappa2 * q
-        f = solve(st, 1, st.g, st.f, st.kappa1, st.kappa2, True)
-        return OrbitState(q, st.nu, k1, k2, f, solve(st, 2, f, st.g, k1, k2, True), st.t + 1)
-    k1, k2 = st.kappa1 * q, st.kappa2 / q
-    g = solve(st, 2, st.f, st.g, st.kappa1, st.kappa2, False)
-    return OrbitState(q, st.nu, k1, k2, solve(st, 1, g, st.f, k1, k2, False), g, st.t - 1)
+        f, pf = solve(st, 1, st.g, st.f, st.kappa1, st.kappa2, up, *hints(pf, pg))
+        g, pg = solve(st, 2, f, st.g, k1, k2, up, *hints(pg, pf))
+    else:
+        k1, k2 = st.kappa1 * q, st.kappa2 / q
+        g, pg = solve(st, 2, st.f, st.g, st.kappa1, st.kappa2, up, *hints(pg, pf))
+        f, pf = solve(st, 1, g, st.f, k1, k2, up, *hints(pf, pg))
+    nxt = OrbitState(q, st.nu, k1, k2, f, g, st.t + 1 if up else st.t - 1)
+    _built[next(_next_slot) % _BUILT_SLOTS] = (nxt, up, pf, pg)
+    return nxt
 
 
 # Each solver takes relation `rel` (1 or 2) at the kappas k1, k2 it is
 # written at (those of the earlier state for rel1, of the later state for
 # rel2), the coordinate x shared by both states (g for rel1, f for rel2), the
-# known coordinate y paired with the unknown z, and `up`, true when z belongs
-# to the later state.  It reads the parameter roots as integer pairs, not
-# necessarily reduced, and works on the integer numerators and denominators
-# of x and y.  Before building z, each solver cancels the operand pairs that
-# share most of their bits along an orbit, the larger operand first:
+# known coordinate y paired with the unknown z, `up`, true when z belongs
+# to the later state, and the hints hx and hy (below).  It reads the
+# parameter roots as integer pairs, not necessarily reduced, and works on
+# the integer numerators and denominators of x and y.  Before building z,
+# each solver cancels the operand pairs that share most of their bits along
+# an orbit, the larger operand first:
 #   D5: u against y's numerator, v against y's denominator;
 #   E6: u against (x y - 1), v against y's numerator, then the solve
 #       denominator against x's denominator (modulo xd it is
@@ -340,22 +354,25 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 #   E7: u against (x y - t), v against (x y - 1), then a - b against x's
 #       denominator and s.num a - s.den b against x's numerator.
 # u and v are products of linear factors, one per root (_ratio), and are
-# cancelled by _cancel_factors.  Each solve keeps its pieces: the cofactors
-# its top and its bottom factors leave, in order, under the coordinate z it
-# built (_keep).  Along an orbit a linear factor of a later solve shares all
-# but a few bits of one such piece, so each factor is first cancelled against
-# its gcd with its paired piece.  The pairs, measured along the sample and
-# random orbits of every family, in both directions:
-#   D5's u and v, E6's v: the pieces of y, kept by the solve of this
-#       relation that built y.  Factor i pairs with piece 1 - i when that
-#       solve ran in the same direction, and with piece i otherwise.
-#   E6's u, E7's u and v: the pieces of x, kept by the solve of the other
-#       relation that built x, factor i with piece i.  Where the direction
-#       turns, the pieces of y instead, kept by the solve of this relation
-#       that ran the other way: it had the same x, hence the same factors.
-# Any other producer, a coordinate that no solve built or whose entry was
-# overwritten, and an operand under HINT_BITS bits give no hint, and the
-# product is cancelled whole, as one _cancel.
+# cancelled by _cancel_factors.  Each solver returns z with its pieces: the
+# cofactors its top and its bottom factors leave, in order.  orbit_step keeps
+# the pieces of the last few states it built, keyed by the state (_built);
+# rel1 always builds f and rel2 g.  Along an orbit a linear factor of a later
+# solve shares all but a few bits of one such piece, so each factor is first
+# cancelled against its gcd with its paired piece.  A step from a state in the
+# table passes each solve the pieces of its y as hy and of its x as hx (x is
+# the state's other coordinate in the first solve, the first solve's z in the
+# second).  The pairs, measured along the sample and random orbits of every
+# family, in both directions:
+#   D5's u and v, E6's v: hy.  Factor i pairs with piece 1 - i when the
+#       state was built in the step's direction (hy is passed reversed),
+#       and with piece i otherwise.
+#   E6's u, E7's u and v: hx, factor i with piece i.  Where the direction
+#       turns, hx is hy, not reversed: the solve that built y ran the other
+#       way from the same x, hence had the same factors.
+# A state not in the table, pieces that are not one per factor and an
+# operand under HINT_BITS bits give no hint, and the product is cancelled
+# whole, as one _cancel.
 #
 # A hint cannot change a result.  The gcd of factor i with its piece divides
 # that factor, so the product h of these gcds divides u, and c = gcd(h, b)
@@ -483,48 +500,32 @@ def _ratio(x: Fraction, top, bottom) -> tuple[list[int], list[int], int, int, in
 #: most between these cutoffs.
 HINT_BITS = 1000
 
-#: The pieces kept by the solves that built the last few coordinates, one
-#: entry (z, family, rel, up, tops, bots) per slot, overwritten in turn: a
-#: lookup matches z by identity, and memory does not grow with the states a
-#: caller keeps.  Threads share the table without a lock; a race can only
-#: overwrite an entry, which loses a hint.
-_PIECE_SLOTS = 8
-_pieces: list = [None] * _PIECE_SLOTS
+#: The pieces of the last few states orbit_step built, one entry (state, up,
+#: pieces of f, pieces of g) per slot, overwritten in turn: a lookup matches
+#: the state by identity, and memory does not grow with the states a caller
+#: keeps.  Threads share the table without a lock; a race can only overwrite
+#: an entry, which loses a hint.
+_BUILT_SLOTS = 4
+_built: list = [None] * _BUILT_SLOTS
 _next_slot = itertools.count()
 
 
-def _pieces_of(v: Fraction, family: str, rel: int):
-    """(up, tops, bots) kept by the solve of `family`'s relation `rel` that
-    built v, or None."""
-    for entry in _pieces:
-        if entry is not None and entry[0] is v:
-            return entry[3:] if entry[1:3] == (family, rel) else None
-    return None
-
-
-def _keep(z: Fraction, family: str, rel: int, up: bool, tops, bots) -> Fraction:
-    """z, with the pieces of the solve that built it kept for later solves."""
-    _pieces[next(_next_slot) % _PIECE_SLOTS] = (z, family, rel, up, tops, bots)
-    return z
-
-
-def _cancel_factors(factors: list[int], extra: int, b: int, pieces, flip: bool):
+def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
     """(u // g, b // g, cofactors) for u = extra * prod(factors) and g =
-    gcd(u, b) or 1, as _cancel(u, b) returns them.  pieces, when given and
-    b has at least HINT_BITS bits, are hints: factor i is divided by its
-    gcd with pieces[i], or pieces[-1 - i] when flip, the product of those
-    gcds is cancelled against b, and the exact _cancel runs last, on what is
-    left.  cofactors, the solve's pieces, are the factors after their hints
-    and, when the hints missed more than 64 bits of g, after their share of
-    what they missed; without hints they are the factors themselves."""
-    if pieces is None or b.bit_length() < HINT_BITS:
+    gcd(u, b) or 1, as _cancel(u, b) returns them.  pieces, when given one
+    per factor and b has at least HINT_BITS bits, are hints: factor i is
+    divided by its gcd with pieces[i], the product of those gcds is
+    cancelled against b, and the exact _cancel runs last, on what is left.
+    cofactors, the solve's pieces, are the factors after their hints;
+    without hints they are the factors themselves."""
+    if pieces is None or len(pieces) != len(factors) or b.bit_length() < HINT_BITS:
         u = extra
         for f in factors:
             u *= f
         u, b = _cancel(u, b)
         return u, b, factors
     found, rest = 1, []
-    for f, p in zip(factors, reversed(pieces) if flip else pieces):
+    for f, p in zip(factors, pieces):
         if p:
             q, r = divmod(f, p)
             g = gcd(p, r)                        # gcd(f, p)
@@ -535,16 +536,11 @@ def _cancel_factors(factors: list[int], extra: int, b: int, pieces, flip: bool):
     u = extra * found
     for f in rest:
         u *= f
-    u, b_left = _cancel(u, b)
-    g = b // b_left if b_left else 1
-    if g.bit_length() > 64:                      # the hints missed: spread g over the pieces
-        for i, f in enumerate(rest):
-            h = gcd(f, g)
-            rest[i], g = f // h, g // h
-    return u, b_left, rest
+    u, b = _cancel(u, b)
+    return u, b, rest
 
 
-def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
+def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
     """z y prod(x - b) = c prod(x - a), solved for z."""
     n = st.nu
     if rel == 1:
@@ -559,14 +555,12 @@ def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     if y == 0:
         raise PoleError(st.t, "f" if rel == 1 else "g")
     yn, yd = y.as_integer_ratio()
-    hy = _pieces_of(y, "D5", rel)
-    flip = hy is not None and hy[0] == up
-    u, yn, tops = _cancel_factors(tops, pb, yn, hy and hy[1], flip)
-    v, yd, bots = _cancel_factors(bots, pa, yd, hy and hy[2], flip)
-    return _keep(_fraction(cn * u * yd, cd * v * yn, cn * cd * k), "D5", rel, up, tops, bots)
+    u, yn, tops = _cancel_factors(tops, pb, yn, hy and hy[0])
+    v, yd, bots = _cancel_factors(bots, pa, yd, hy and hy[1])
+    return _fraction(cn * u * yd, cd * v * yn, cn * cd * k), (tops, bots)
 
 
-def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
+def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
     """(x z - 1)(x y - 1) prod(x - b) = z y prod(x - a), solved for z."""
     n = st.nu
     if rel == 1:
@@ -578,18 +572,16 @@ def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
         raise PoleError(st.t, f"rel{rel} rhs")
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     m = xn * yn - xd * yd                    # (x y - 1) xd yd
-    hy = _pieces_of(y, "E6", rel)
-    hx = hy if hy is not None and hy[0] != up else _pieces_of(x, "E6", 3 - rel)
-    u, m, tops = _cancel_factors(tops, pb, m, hx and hx[1], False)   # u == m == 0: den == 0
-    v, yn, bots = _cancel_factors(bots, pa, yn, hy and hy[2], hy is not None and hy[0] == up)
+    u, m, tops = _cancel_factors(tops, pb, m, hx and hx[0])   # u == m == 0: den == 0
+    v, yn, bots = _cancel_factors(bots, pa, yn, hy and hy[1])
     den = m * xn * v - u * yn
     if den == 0:
         raise PoleError(st.t, f"rel{rel} solve")
     den, xd = _cancel(den, xd)
-    return _keep(_fraction(m * v * xd, den, gcd(m, yn) * k), "E6", rel, up, tops, bots)
+    return _fraction(m * v * xd, den, gcd(m, yn) * k), (tops, bots)
 
 
-def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool) -> Fraction:
+def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
     """(x z - s)(x y - t) prod(x - b) = (x z - 1)(x y - 1) prod(x - a),
     solved for z; s and t are c and q c, swapped going backward."""
     n = st.nu
@@ -608,10 +600,8 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     xy, dd = xn * yn, xd * yd
     m1 = xy * td - tn * dd                               # (x y - t), times xd yd t.den
     m2 = (xy - dd) * td                                  # (x y - 1), times xd yd t.den
-    hy = _pieces_of(y, "E7", rel)
-    hx = hy if hy is not None and hy[0] != up else _pieces_of(x, "E7", 3 - rel)
-    u, m1, tops = _cancel_factors(tops, pb, m1, hx and hx[1], False)  # u == m1 == 0: den == 0
-    v, m2, bots = _cancel_factors(bots, pa, m2, hx and hx[2], False)
+    u, m1, tops = _cancel_factors(tops, pb, m1, hx and hx[0])  # u == m1 == 0: den == 0
+    v, m2, bots = _cancel_factors(bots, pa, m2, hx and hx[1])
     a, b = m1 * v, m2 * u
     den = a - b                                          # z = num xd / (s.den xn den)
     if den == 0 or xn == 0:
@@ -619,8 +609,7 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     num = sn * a - sd * b
     den, xd = _cancel(den, xd)
     num, xn = _cancel(num, xn)
-    return _keep(_fraction(num * xd, sd * xn * den, sd * (sn - sd) * gcd(m1, m2) * k),
-                 "E7", rel, up, tops, bots)
+    return _fraction(num * xd, sd * xn * den, sd * (sn - sd) * gcd(m1, m2) * k), (tops, bots)
 
 
 _SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}

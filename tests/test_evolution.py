@@ -501,7 +501,16 @@ def _one_gcd_e7(state, rel, x, y, k1, k2, up):
     return Fraction((s.numerator * a - s.denominator * b) * xd, s.denominator * den)
 
 
-_ONE_GCD_SOLVERS = {"D5": _one_gcd_d5, "E6": _one_gcd_e6, "E7": _one_gcd_e7}
+def _no_pieces(solve):
+    """The reference solver with the orbit solvers' signature: it takes the
+    hints hx and hy, ignores them and returns no pieces."""
+    def adapted(state, rel, x, y, k1, k2, up, hx, hy):
+        return solve(state, rel, x, y, k1, k2, up), None
+    return adapted
+
+
+_ONE_GCD_SOLVERS = {"D5": _no_pieces(_one_gcd_d5), "E6": _no_pieces(_one_gcd_e6),
+                    "E7": _no_pieces(_one_gcd_e7)}
 
 
 def _step_outcome(fam, st0, direction):
