@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .evolution import (
@@ -83,6 +82,7 @@ def _check_config(args) -> CheckConfig:
 
 def _emit_report(report: Report, args, family: str) -> int:
     if args.format == "json":
+        import json   # in the functions that print or read JSON: a cold start skips it
         doc = {
             "schema": 1,
             "command": args.command,
@@ -143,6 +143,7 @@ def cmd_apply(args) -> int:
         raise UsageError("the image has a number past Python's int-to-str "
                          "digit limit") from None
     if args.format == "json":
+        import json
         text = json.dumps({"schema": 1, "family": fam.name, "word": " ".join(word),
                            "expr": args.expr, "image": text}, sort_keys=True)
     print(text)
@@ -150,6 +151,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    import json
     fam = make_family(args.family)
     try:
         with open(args.params, encoding="utf-8") as handle:

@@ -60,17 +60,15 @@ so the orbit is the one Fraction arithmetic throughout would give.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .expr import Expr, ZERO, parse, shown, substitute, sym
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
 from .lax import d5_dilation_scaling, d5_power_scaling, e_scaling
-from .report import Report
+from .report import Frozen, Record, Report, Value
 from .weyl import (
     CheckConfig,
     FamilyDescriptor,
@@ -115,9 +113,11 @@ QP_RELATION_TEXTS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionSpec:
-    qp_relations: tuple[Expr, Expr]
+class EvolutionSpec(Frozen):
+    __slots__ = ("qp_relations",)
+
+    def __init__(self, qp_relations: tuple[Expr, Expr]):
+        super().__init__(qp_relations)
 
 
 def make_evolution_spec(fam: FamilyDescriptor) -> EvolutionSpec:
@@ -195,15 +195,19 @@ class PoleError(ArithmeticError):
         self.where = where
 
 
-@dataclass(frozen=True)
-class OrbitState:
-    q: Fraction
-    nu: tuple[Fraction, ...]          # nu1..nu8
-    kappa1: Fraction
-    kappa2: Fraction
-    f: Fraction
-    g: Fraction
-    t: int = 0
+class OrbitState(Value):
+    __slots__ = ("q", "nu", "kappa1", "kappa2", "f", "g", "t")
+
+    def __init__(self, q: Fraction, nu: tuple[Fraction, ...],   # nu1..nu8
+                 kappa1: Fraction, kappa2: Fraction, f: Fraction, g: Fraction, t: int = 0):
+        set_field = object.__setattr__   # Frozen.__init__ unrolled: every orbit step builds one
+        set_field(self, "q", q)
+        set_field(self, "nu", nu)
+        set_field(self, "kappa1", kappa1)
+        set_field(self, "kappa2", kappa2)
+        set_field(self, "f", f)
+        set_field(self, "g", g)
+        set_field(self, "t", t)
 
     def constraint_residual(self) -> Fraction:
         prod = Fraction(1)
@@ -615,10 +619,11 @@ def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
 _SOLVERS = {"D5": _solve_d5, "E6": _solve_e6, "E7": _solve_e7}
 
 
-@dataclass
-class OrbitResult:
-    states: list[OrbitState]
-    pole: PoleError | None = None
+class OrbitResult(Record):
+    __slots__ = ("states", "pole")
+
+    def __init__(self, states: list[OrbitState], pole: PoleError | None = None):
+        self.states, self.pole = states, pole
 
     @property
     def complete(self) -> bool:
@@ -675,6 +680,7 @@ def orbit_to_json(result: OrbitResult) -> str:
     """The orbit as JSON.  Raises ValueError naming the first state with a
     numerator or denominator past Python's limit on int-to-str conversion
     (4300 digits by default)."""
+    import json   # here, not at module level: only evolve prints JSON
     bound = _digit_bound()
     for st in result.states:
         _check_printable(st, bound)

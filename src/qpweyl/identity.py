@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import random
-from dataclasses import dataclass
 
 from .expr import (
     DivisionByZero,
@@ -44,6 +42,7 @@ from .expr import (
     sub,
     substitute,
 )
+from .report import Frozen, Record
 
 #: Default modulus 2^61 - 1 (prime), comfortably above the 2^60 floor.
 DEFAULT_PRIME = (1 << 61) - 1
@@ -69,17 +68,16 @@ class _TermBlowUp(Exception):
     """A product would exceed the term cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintRelation:
+class ConstraintRelation(Frozen):
     """Eliminate one symbol by a replacement expression (e.g. the nu8 image
     of kappa1^2 kappa2^2 = q nu1...nu8 solved for nu8)."""
 
-    eliminated: str
-    replacement: Expr
+    __slots__ = ("eliminated", "replacement")
 
-    def __post_init__(self):
-        if self.eliminated in self.replacement.free:
+    def __init__(self, eliminated: str, replacement: Expr):
+        if eliminated in replacement.free:
             raise ValueError("replacement must not contain the eliminated symbol")
+        super().__init__(eliminated, replacement)
 
     def apply(self, e: Expr) -> Expr:
         """e with the eliminated symbol replaced.  The result depends only on
@@ -97,12 +95,12 @@ def _eliminate(name: str, replacement: Expr, e: Expr) -> Expr:
     return substitute(e, {name: replacement})
 
 
-@dataclass
-class IdentityResult:
-    verdict: str                      # "equal" | "unequal" | "exact-proved"
-    witness: dict[str, int] | None = None
-    trials: int = 0
-    resamples: int = 0
+class IdentityResult(Record):
+    __slots__ = ("verdict", "witness", "trials", "resamples")
+
+    def __init__(self, verdict: str,  # "equal" | "unequal" | "exact-proved"
+                 witness: dict[str, int] | None = None, trials: int = 0, resamples: int = 0):
+        self.verdict, self.witness, self.trials, self.resamples = verdict, witness, trials, resamples
 
     def __bool__(self):
         return self.verdict in ("equal", "exact-proved")
@@ -110,6 +108,7 @@ class IdentityResult:
 
 def rng_for(seed: int, label: str) -> random.Random:
     """Deterministic per-check generator: stable across runs and platforms."""
+    import hashlib   # here, not at module level: it loads OpenSSL at start-up
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

@@ -24,12 +24,10 @@ keeps its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .expr import ZERO, Expr, div, mul, parse, shown, sub, substitute, sym
 from .identity import ConstraintRelation
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
-from .report import CheckResult, Report
+from .report import CheckResult, Frozen, Report, Value
 from .weyl import (
     CheckConfig,
     FamilyDescriptor,
@@ -39,36 +37,42 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class LinearQDE:
-    coeff_up: Expr
-    coeff_mid: Expr
-    coeff_down: Expr
+class LinearQDE(Frozen):
+    __slots__ = ("coeff_up", "coeff_mid", "coeff_down")
+
+    def __init__(self, coeff_up: Expr, coeff_mid: Expr, coeff_down: Expr):
+        super().__init__(coeff_up, coeff_mid, coeff_down)
 
     def coefficients(self):
         return (self.coeff_up, self.coeff_mid, self.coeff_down)
 
 
-@dataclass(frozen=True)
-class Pochhammer:
-    a: Expr
-    b: Expr
+class Pochhammer(Value):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Expr, b: Expr):
+        super().__init__(a, b)
 
 
-@dataclass(frozen=True)
-class PowerGauge:
-    delta: Expr
+class PowerGauge(Value):
+    __slots__ = ("delta",)
+
+    def __init__(self, delta: Expr):
+        super().__init__(delta)
 
 
-@dataclass(frozen=True)
-class Dilation:
-    c: Expr
+class Dilation(Value):
+    __slots__ = ("c",)
+
+    def __init__(self, c: Expr):
+        super().__init__(c)
 
 
-@dataclass(frozen=True)
-class Inversion:
-    c: Expr
-    delta: Expr
+class Inversion(Value):
+    __slots__ = ("c", "delta")
+
+    def __init__(self, c: Expr, delta: Expr):
+        super().__init__(c, delta)
 
 
 _L1_TABLES = {
@@ -159,7 +163,7 @@ def equations_equivalent(
     sample point off the poles is returned as it is; no pivot is degenerate.
     """
     cfg = cfg or CheckConfig()
-    sampled = replace(cfg, exact=False)
+    sampled = cfg._replace(exact=False)
     pairs = list(zip(e1.coefficients(), e2.coefficients()))
     for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
         for c, side in zip(pairs[idx], "ab"):
@@ -214,13 +218,11 @@ def e_scaling(c: Expr) -> Transformation:
 # ---------------------------------------------------------------------------
 # claim registry
 
-@dataclass(frozen=True)
-class GaugeClaim:
-    id: str
-    family: str
-    gauges: tuple
-    target: object          # callable FamilyDescriptor -> Transformation
-    note: str = ""
+class GaugeClaim(Value):
+    __slots__ = ("id", "family", "gauges", "target", "note")   # target(fam) is a map
+
+    def __init__(self, id: str, family: str, gauges: tuple, target: object, note: str = ""):
+        super().__init__(id, family, gauges, target, note)
 
 
 def _claim_registry() -> dict[str, GaugeClaim]:
@@ -316,7 +318,7 @@ def _verify_claim(fam: FamilyDescriptor, claim: GaugeClaim, eq: LinearQDE,
     res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim.id)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
-    return replace(res, id=claim.id, detail=detail)
+    return res._replace(id=claim.id, detail=detail)
 
 
 def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:

@@ -23,7 +23,6 @@ import functools
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, shown, substitute, sym
@@ -35,11 +34,10 @@ from .identity import (
     _reduced_monomial,
     identities_equal,
 )
-from .report import CheckResult, Report
+from .report import CheckResult, Frozen, Report, Value
 
 
-@dataclass(frozen=True, slots=True)
-class Transformation:
+class Transformation(Value):
     """A total substitution map symbol -> Expr; omitted symbols map to themselves.
 
     A value, as an Expr node is: images is read-only, and two maps are equal,
@@ -48,18 +46,20 @@ class Transformation:
     its own.
     """
 
-    images: Mapping[str, Expr] = field(compare=False)
-    items: tuple[tuple[str, Expr], ...] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("images", "items", "_hash")
 
-    def __post_init__(self):
-        items = tuple(sorted(self.images.items()))   # names are unique: nodes are never compared
-        object.__setattr__(self, "images", MappingProxyType(dict(items)))
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_hash", hash(items))
+    def __init__(self, images: Mapping[str, Expr]):
+        items = tuple(sorted(images.items()))   # names are unique: nodes are never compared
+        super().__init__(MappingProxyType(dict(items)), items, hash(items))
+
+    def __eq__(self, other):   # by items alone: images and the hash follow from them
+        return self.items == other.items if type(other) is Transformation else NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Transformation(images={self.images!r})"
 
     def image(self, name: str) -> Expr:
         return self.images.get(name) or sym(name)   # an Expr is never false
@@ -142,16 +142,16 @@ def word_to_transform(fam: "FamilyDescriptor", word) -> Transformation:
 # ---------------------------------------------------------------------------
 # family descriptors
 
-@dataclass(frozen=True, eq=False)
-class FamilyDescriptor:
-    name: str
-    generators: Mapping[str, Transformation]
-    s_names: tuple[str, ...]
-    pi_names: tuple[str, ...]
-    dynkin_edges: frozenset[tuple[int, int]]
-    constraint: ConstraintRelation
-    evolution_word: tuple[str, ...]
-    xi: Transformation
+class FamilyDescriptor(Frozen):
+    __slots__ = ("name", "generators", "s_names", "pi_names", "dynkin_edges",
+                 "constraint", "evolution_word", "xi")
+
+    def __init__(self, name: str, generators: Mapping[str, Transformation],
+                 s_names: tuple[str, ...], pi_names: tuple[str, ...],
+                 dynkin_edges: frozenset[tuple[int, int]], constraint: ConstraintRelation,
+                 evolution_word: tuple[str, ...], xi: Transformation):
+        super().__init__(name, generators, s_names, pi_names, dynkin_edges, constraint,
+                         evolution_word, xi)
 
     def with_generator(self, name: str, images: dict[str, str]) -> "FamilyDescriptor":
         """Copy of the family with one generator replaced (mutation fixtures).
@@ -163,7 +163,7 @@ class FamilyDescriptor:
             raise KeyError(f"unknown generator {shown(name)} for family {self.name}")
         gens = dict(self.generators)
         gens[name] = transformation(images)
-        return replace(self, generators=gens)
+        return self._replace(generators=gens)
 
 
 DEFAULT_CONSTRAINT_TEXT = "kappa1^2*kappa2^2/(q*nu1*nu2*nu3*nu4*nu5*nu6*nu7)"
@@ -374,20 +374,19 @@ def make_family(name: str) -> FamilyDescriptor:
             raise ValueError(f"unknown family {shown(name)}; expected one of {FAMILY_NAMES}") from None
         fam = builder()
         # Two threads may both build; setdefault hands each the first one.
-        fam = _SHARED.setdefault(name, replace(fam, generators=MappingProxyType(fam.generators)))
+        fam = _SHARED.setdefault(name, fam._replace(generators=MappingProxyType(fam.generators)))
     return fam
 
 
 # ---------------------------------------------------------------------------
 # relation suites
 
-@dataclass(frozen=True)
-class CheckConfig:
-    trials: int = DEFAULT_TRIALS
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    exact: bool = False
-    use_constraint: bool = True
+class CheckConfig(Value):
+    __slots__ = ("trials", "prime", "seed", "exact", "use_constraint")
+
+    def __init__(self, trials: int = DEFAULT_TRIALS, prime: int = DEFAULT_PRIME, seed: int = 0,
+                 exact: bool = False, use_constraint: bool = True):
+        super().__init__(trials, prime, seed, exact, use_constraint)
 
     def constraint(self, fam: FamilyDescriptor) -> ConstraintRelation | None:
         """The family's constraint, or None when checks run without it."""
@@ -509,7 +508,7 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
                         _image_pairs(lhs, s_pi[cand]), constraint, cfg)
             detail = {"pass": f"{pi_name} {s_name} = {cand} {pi_name}",
                       "fail": "no matching conjugate generator"}.get(res.status, res.detail)
-            report.add(replace(res, id=f"{fam.name}:pi:{pi_name} {s_name}", detail=detail))
+            report.add(res._replace(id=f"{fam.name}:pi:{pi_name} {s_name}", detail=detail))
     return report
 
 

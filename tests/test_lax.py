@@ -1,6 +1,6 @@
 """Linear q-difference equations, gauge mechanics and the claim registry."""
 
-import dataclasses
+import inspect
 import itertools
 import re
 
@@ -42,7 +42,7 @@ def test_d5_coefficients(d5):
     assert eq(eq5.coeff_up,
               parse("-(z - kappa1/nu7)*(z - kappa1/nu8)/(q*(f - z))"),
               label="d5:up") == "equal"
-    assert [f.name for f in dataclasses.fields(LinearQDE)] == [
+    assert list(inspect.signature(LinearQDE).parameters) == [
         "coeff_up", "coeff_mid", "coeff_down"]
 
 
