@@ -21,8 +21,10 @@ Commands and their options
       --family (optional), --format {text,latex}; latex needs --family
 
 Exit status: 0 all checks passed, 1 verification failure or pole, 2 usage or
-input error.  Every usage or input error, argparse's included, is one
-UsageError that main prints as a single "error: ..." line on stderr.  Words
+input error, also when the reader closes stdout or stderr early.  Commands
+return (status, stdout lines, stderr lines) and main alone prints them; a
+usage or input error, argparse's included, is one UsageError that main
+prints as a single "error: ..." line on stderr.  Words
 are printed leftmost first and applied rightmost first.  In --format json
 and in text alike, a report is a function of the command, its flags and the
 seed: it carries no timings, and two runs print the same bytes.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .evolution import (
@@ -57,6 +60,7 @@ from .weyl import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+Output = tuple[int, list[str], list[str]]   # a command's status, stdout lines, stderr lines
 
 
 class UsageError(Exception):
@@ -80,9 +84,9 @@ def _check_config(args) -> CheckConfig:
                        exact=args.exact, use_constraint=not args.no_constraint)
 
 
-def _emit_report(report: Report, args, family: str) -> int:
+def _emit_report(report: Report, args, family: str) -> Output:
     if args.format == "json":
-        import json   # in the functions that print or read JSON: a cold start skips it
+        import json   # in the functions that write or read JSON: a cold start skips it
         doc = {
             "schema": 1,
             "command": args.command,
@@ -98,21 +102,17 @@ def _emit_report(report: Report, args, family: str) -> int:
             ],
             "summary": report.summary(),
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        out = [json.dumps(doc, sort_keys=True, indent=2)]
     else:
-        for c in report.checks:
-            line = f"[{c.status:4s}] {c.id}"
-            if c.detail:
-                line += f"  ({c.detail})"
-            if c.witness and not c.ok:
-                line += f"  witness: {c.witness}"
-            print(line)
+        out = [f"[{c.status:4s}] {c.id}" + (f"  ({c.detail})" if c.detail else "")
+               + (f"  witness: {c.witness}" if c.witness and not c.ok else "")
+               for c in report.checks]
         s = report.summary()
-        print(f"{s['pass']}/{s['total']} checks passed")
-    return 0 if report.ok else CHECK_FAILED
+        out.append(f"{s['pass']}/{s['total']} checks passed")
+    return 0 if report.ok else CHECK_FAILED, out, []
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     fam = make_family(args.family)
     cfg = _check_config(args)
     # Looked up at each run, so that bench/tracer.py's wrappers of these
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     return _emit_report(report, args, fam.name)
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> Output:
     fam = make_family(args.family)
     try:
         word = parse_word(args.word)
@@ -146,11 +146,10 @@ def cmd_apply(args) -> int:
         import json
         text = json.dumps({"schema": 1, "family": fam.name, "word": " ".join(word),
                            "expr": args.expr, "image": text}, sort_keys=True)
-    print(text)
-    return 0
+    return 0, [text], []
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> Output:
     import json
     fam = make_family(args.family)
     try:
@@ -170,40 +169,34 @@ def cmd_evolve(args) -> int:
                 handle.write(doc + "\n")
         except OSError as err:
             raise UsageError(f"cannot write --out: {err}") from None
-    else:
-        print(doc)
     final = result.states[-1]
     hf, hg = (v.numerator.bit_length() + v.denominator.bit_length() for v in (final.f, final.g))
-    print(f"final state t={final.t}: heights f {hf} bits, g {hg} bits", file=sys.stderr)
+    err = [f"final state t={final.t}: heights f {hf} bits, g {hg} bits"]
     if result.pole is not None:
-        print(f"pole at step {result.pole.step}: {result.pole.where}", file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+        err.append(f"pole at step {result.pole.step}: {result.pole.where}")
+    return (0 if result.pole is None else CHECK_FAILED), [] if args.out else [doc], err
 
 
-def cmd_list(args) -> int:
+def cmd_list(args) -> Output:
     if args.format == "latex" and not args.family:
         raise UsageError("list --format latex needs --family")
-    if args.family:
-        fam = make_family(args.family)
-        if args.format == "latex":
-            for name in fam.s_names + fam.pi_names:
-                gen = fam.generators[name]
-                cells = ", ".join(
-                    f"{to_latex(parse(symname))} \\mapsto {to_latex(gen.image(symname))}"
-                    for symname in sorted(gen.images))
-                print(f"{name}: \\left\\{{ {cells} \\right\\}}")
-        else:
-            print(f"family {fam.name}")
-            print("  generators:", " ".join(fam.s_names + fam.pi_names))
-            print("  dynkin edges:", sorted(fam.dynkin_edges))
-            print("  evolution word:", " ".join(fam.evolution_word))
-            print("  claims:", " ".join(c for c, cl in CLAIMS.items()
-                                        if cl.family == fam.name))
-        return 0
-    print("families:", " ".join(FAMILY_NAMES))
-    print("claims:", " ".join(CLAIMS))
-    return 0
+    if not args.family:
+        return 0, ["families: " + " ".join(FAMILY_NAMES), "claims: " + " ".join(CLAIMS)], []
+    fam = make_family(args.family)
+    if args.format == "latex":
+        out = []
+        for name in fam.s_names + fam.pi_names:
+            gen = fam.generators[name]
+            cells = ", ".join(
+                f"{to_latex(parse(symname))} \\mapsto {to_latex(gen.image(symname))}"
+                for symname in sorted(gen.images))
+            out.append(f"{name}: \\left\\{{ {cells} \\right\\}}")
+        return 0, out, []
+    return 0, [f"family {fam.name}",
+               "  generators: " + " ".join(fam.s_names + fam.pi_names),
+               f"  dynkin edges: {sorted(fam.dynkin_edges)}",
+               "  evolution word: " + " ".join(fam.evolution_word),
+               "  claims: " + " ".join(c for c, cl in CLAIMS.items() if cl.family == fam.name)], []
 
 
 @functools.cache  # built once per process; each parse_args makes a new namespace
@@ -258,14 +251,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except UsageError as err:
+        status, out, err = args.func(args)
+    except UsageError as error:
         # argparse and OSError quote an argument whole: cut each long one,
         # or the value after its "=", as expr.shown cuts quoted input.  A
         # path given to evolve's --params or --out, or to a prefix argparse
         # accepts, is cut only past 120 characters: its last part is the one
         # usually wrong.
-        message = str(err)
+        message = str(error)
         path_next = False
         for token in argv:
             option, eq, tail = token.partition("=")
@@ -276,10 +269,17 @@ def main(argv=None) -> int:
                     cut = shown(value)
                     message = message.replace(repr(value), cut).replace(value, cut)
             path_next = path_option and not eq
-        print(f"error: {message}", file=sys.stderr)
-        return USAGE_ERROR
-    except BrokenPipeError:
-        return 0
+        status, out, err = USAGE_ERROR, [], [f"error: {message}"]
+    for stream, lines in ((sys.stdout, out), (sys.stderr, err)):
+        try:
+            if lines:
+                print("\n".join(lines), file=stream, flush=True)
+        except BrokenPipeError:
+            # The reader left: the rest goes to os.devnull; the status stands.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

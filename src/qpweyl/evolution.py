@@ -523,12 +523,8 @@ def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
     cofactors, the solve's pieces, are the factors after their hints;
     without hints they are the factors themselves."""
     if pieces is None or len(pieces) != len(factors) or b.bit_length() < HINT_BITS:
-        u = extra
-        for f in factors:
-            u *= f
-        u, b = _cancel(u, b)
-        return u, b, factors
-    found, rest = 1, []
+        pieces = (0,) * len(factors)             # no hints: every factor is kept whole
+    found, u, rest = 1, extra, []
     for f, p in zip(factors, pieces):
         if p:
             q, r = divmod(f, p)
@@ -536,10 +532,10 @@ def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
             found *= g
             f = q * (p // g) + r // g
         rest.append(f)
-    b, found = _cancel(b, found)
-    u = extra * found
-    for f in rest:
         u *= f
+    if found != 1:
+        b, found = _cancel(b, found)
+        u *= found
     u, b = _cancel(u, b)
     return u, b, rest
 

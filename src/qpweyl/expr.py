@@ -20,14 +20,6 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-RESERVED_SYMBOLS: tuple[str, ...] = (
-    "q",
-    "nu1", "nu2", "nu3", "nu4", "nu5", "nu6", "nu7", "nu8",
-    "kappa1", "kappa2",
-    "f", "g", "z", "u",
-    "delta", "c", "s",
-)
-
 PARAM_SYMBOLS: tuple[str, ...] = (
     "q",
     "nu1", "nu2", "nu3", "nu4", "nu5", "nu6", "nu7", "nu8",
@@ -37,6 +29,8 @@ PARAM_SYMBOLS: tuple[str, ...] = (
 #: Parameters plus the dependent pair (f, g): the symbols a family
 #: transformation may move.
 ACTION_SYMBOLS: tuple[str, ...] = PARAM_SYMBOLS + ("f", "g")
+
+RESERVED_SYMBOLS: tuple[str, ...] = ACTION_SYMBOLS + ("z", "u", "delta", "c", "s")
 
 
 def shown(value) -> str:

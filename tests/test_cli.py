@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import ast
+import contextlib
 import hashlib
 import json
 import os
@@ -262,14 +264,94 @@ def test_list_families(capsys):
     assert "e7.s0s4s0" in out
 
 
-def test_python_dash_m_runs_the_cli():
+def python_m(module, *argv, unbuffered=None, **streams):
+    """python -m module in a subprocess, with PYTHONUNBUFFERED unset or set."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "qpweyl", "list"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "families: D5 E6 E7" in proc.stdout
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, text=True,
+                          timeout=120, **streams)
+
+
+def test_python_dash_m_runs_the_cli():
+    for module in ("qpweyl", "qpweyl.cli"):
+        proc = python_m(module, "list", capture_output=True)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "families: D5 E6 E7" in proc.stdout
+
+
+@contextlib.contextmanager
+def closed_pipe():
+    """The write end of a real pipe whose read end is already closed, so the
+    first write to it fails with EPIPE, whatever the buffering.  (A fake
+    stream has no file descriptor to point at os.devnull.)"""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+_UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"],
+                                      ids=["buffered", "unbuffered"])
+
+
+@_UNBUFFERED
+@pytest.mark.parametrize("argv, want", [
+    (("verify-theorem", "--family", "D5", "--no-constraint"), 1),
+    (("verify-theorem", "--family", "D5"), 0),
+    (("evolve", "--family", "D5", "--steps", "1"), 1),
+], ids=["failing-verify", "passing-verify", "pole"])
+def test_a_closed_stdout_keeps_the_exit_status(capsys, tmp_path, argv, want, unbuffered):
+    """A reader that closes stdout before the report is written changes
+    neither the verdict nor stderr: no traceback, no "Exception ignored"."""
+    if argv[0] == "evolve":
+        argv += ("--params", write_params(tmp_path, g="1/2"))   # a pole at step 0
+    code, _, err = run(capsys, *argv)
+    assert code == want
+    with closed_pipe() as stdout:
+        proc = python_m("qpweyl", *argv, unbuffered=unbuffered, stdout=stdout,
+                        stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (want, err)
+
+
+@_UNBUFFERED
+@pytest.mark.parametrize("argv, want", [
+    (("evolve", "--family", "D5", "--params", "sample-params.json", "--steps", "1"), 0),
+    (("apply", "--family", "D5", "--word", "s9", "--expr", "f"), 2),
+], ids=["evolve", "usage-error"])
+def test_a_closed_stderr_keeps_the_exit_status(capsys, argv, want, unbuffered):
+    # A traceback would exit 1, and a failed flush at exit 120.
+    code, out, _ = run(capsys, *argv)
+    assert code == want
+    with closed_pipe() as stderr:
+        proc = python_m("qpweyl", *argv, unbuffered=unbuffered, stdout=subprocess.PIPE,
+                        stderr=stderr)
+    assert (proc.returncode, proc.stdout) == (want, out)
+
+
+def test_only_cli_main_writes():
+    """print and the standard streams are named in the package only inside
+    cli.main: the commands return their lines."""
+    package = Path(cli.__file__).resolve().parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+            allowed = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            writes = (isinstance(node, ast.Name) and node.id == "print"
+                      or isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))
+            if writes and id(node) not in allowed:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
 
 
 def test_list_family_details(capsys):

@@ -277,6 +277,12 @@ def test_zero_denominator_rejected():
         parse("f/0")
 
 
+@pytest.mark.parametrize("exponent", [2.0, Fraction(1, 2), "2"])
+def test_a_non_integer_exponent_is_refused(exponent):
+    with pytest.raises(ExprError, match="^exponent must be an integer$"):
+        pow_(sym("f"), exponent)
+
+
 @pytest.mark.parametrize("text", ["0^-1", "0^-2", "(1 - 1)^-3"])
 def test_zero_to_a_negative_power_is_a_zero_denominator(text):
     with pytest.raises(ExprError, match="^syntactically zero denominator$"):

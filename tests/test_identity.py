@@ -210,6 +210,17 @@ def test_exact_zero_on_inverse_of_identically_zero_expression():
         exact_zero(bad)
 
 
+def test_an_exact_path_that_disagrees_with_sampling_is_an_engine_defect():
+    # A sampled "equal" that the exact path calls nonzero cannot come from a
+    # correct engine: identities_equal raises instead of returning either.
+    a, b = parse("(f + g)^2"), parse("f^2 + 2*f*g + g^2")
+    assert identities_equal(a, b, exact=True).verdict == "exact-proved"
+    with mock.patch.object(identity, "exact_zero", lambda r: False):
+        assert identities_equal(a, b).verdict == "equal"
+        with pytest.raises(AssertionError, match="engine defect"):
+            identities_equal(a, b, exact=True)
+
+
 def test_exact_and_probabilistic_verdicts_agree_on_random_pairs():
     import random
 

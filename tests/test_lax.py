@@ -124,6 +124,11 @@ def test_inversion_swaps_up_and_down(d5):
     assert eq(gauged.coeff_up, old_down_at, label="inv:up") == "equal"
 
 
+def test_an_unknown_gauge_is_refused(d5):
+    with pytest.raises(TypeError, match="^unknown gauge 'z'$"):
+        apply_gauge(build_L1(d5), "z")
+
+
 def test_pochhammer_round_trip(d5):
     eq5 = build_L1(d5)
     there = apply_gauge(eq5, Pochhammer(parse("nu3"), parse("kappa1/nu7")))
