@@ -22,9 +22,9 @@ Commands and their options
 
 Exit status: 0 all checks passed, 1 verification failure or pole, 2 usage or
 input error, also when the reader closes stdout or stderr early.  Commands
-return (status, stdout lines, stderr lines) and main alone prints them; a
-usage or input error, argparse's included, is one UsageError that main
-prints as a single "error: ..." line on stderr.  Words
+return (status, stdout lines, stderr lines) and main alone prints them, and
+the --help text too; a usage or input error, argparse's included, is one
+UsageError that main prints as a single "error: ..." line on stderr.  Words
 are printed leftmost first and applied rightmost first.  In --format json
 and in text alike, a report is a function of the command, its flags and the
 seed: it carries no timings, and two runs print the same bytes.
@@ -67,12 +67,19 @@ class UsageError(Exception):
     """Bad command line or input; main prints it as one line and exits 2."""
 
 
+class _Help(Exception):
+    """-h or --help: main prints the help text as the command's stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of printing usage and exiting; subparsers
-    are built from the same class."""
+    """Raises UsageError instead of printing usage and exiting, and _Help
+    instead of printing help; subparsers are built from the same class."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help().removesuffix("\n"))
 
 
 def _check_config(args) -> CheckConfig:
@@ -252,6 +259,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         status, out, err = args.func(args)
+    except _Help as help_request:
+        status, out, err = 0, [str(help_request)], []
     except UsageError as error:
         # argparse and OSError quote an argument whole: cut each long one,
         # or the value after its "=", as expr.shown cuts quoted input.  A

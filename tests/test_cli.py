@@ -305,7 +305,9 @@ _UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"],
     (("verify-theorem", "--family", "D5", "--no-constraint"), 1),
     (("verify-theorem", "--family", "D5"), 0),
     (("evolve", "--family", "D5", "--steps", "1"), 1),
-], ids=["failing-verify", "passing-verify", "pole"])
+    (("--help",), 0),
+    (("verify-theorem", "--help"), 0),
+], ids=["failing-verify", "passing-verify", "pole", "help", "command-help"])
 def test_a_closed_stdout_keeps_the_exit_status(capsys, tmp_path, argv, want, unbuffered):
     """A reader that closes stdout before the report is written changes
     neither the verdict nor stderr: no traceback, no "Exception ignored"."""
@@ -743,12 +745,12 @@ def test_usage_error_cuts_a_non_path_argument_past_24_characters(capsys, argv):
 
 @pytest.mark.parametrize("argv", [("--help",), ("evolve", "--help")])
 def test_help_prints_usage_and_exits_0(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(argv))
-    assert exc.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("usage: qpweyl")
-    assert captured.err == ""
+    # main prints the help as a command's output and returns, so a closed
+    # stdout keeps the status as it does for a report.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qpweyl")
+    assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 def test_one_parser_serves_every_call_without_leaking_options(capsys):

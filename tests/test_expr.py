@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from dags import small_dags
+from dags import DAG_LEAVES, small_dags
 from expr_reference import (
     ref_add,
     ref_compile,
@@ -481,6 +481,10 @@ def test_lanes_match_one_point_runs(e, p, data):
     values = st.sampled_from([1 % p, 2 % p, 3 % p, p - 1])
     m = data.draw(st.integers(1, 12))
     columns = {n: data.draw(st.lists(values, min_size=m, max_size=m)) for n in "fgq"}
+    _assert_lanes_match_one_point_runs(e, columns, m, p)
+
+
+def _assert_lanes_match_one_point_runs(e, columns, m, p):
     code, nodes = expr_module._compile(e)
     lanes = expr_module._run_lanes(code, columns, m, p)
     assert len(lanes) == m
@@ -493,6 +497,18 @@ def test_lanes_match_one_point_runs(e, p, data):
         else:
             assert lane is not None and (lane == 0) == (numer == 0)
         assert lane is None or 0 <= lane < p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 61) - 1])
+@pytest.mark.parametrize("c", [leaf.value for leaf in DAG_LEAVES if leaf.kind == "num"],
+                         ids=str)
+def test_lanes_of_f_plus_each_constant_leaf(c, p):
+    # f + c vanishes at f = -c, which the columns hold whenever p does not
+    # divide c's denominator; a lane run that misreads the denominator, or
+    # p's dividing it, puts that zero elsewhere or at no lane.
+    f = sorted({v % p for v in (0, 1, 2, 3, -1)}
+               | ({-c.numerator * pow(c.denominator, -1, p) % p} if c.denominator % p else set()))
+    _assert_lanes_match_one_point_runs(add(sym("f"), num(c)), {"f": f}, len(f), p)
 
 
 def test_lanes_name_a_missing_symbol():

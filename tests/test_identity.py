@@ -459,6 +459,87 @@ def test_exact_zero_fields_never_carry():
             assert exact_zero(sub(mul(fk, g), mul(g, fk)))
 
 
+def _assert_degree_bound_holds(e):
+    """_degree_bound of e's program is at least every exponent of every
+    polynomial _normalize builds for e, read with packed fields 40 bits wide
+    whatever the bound, so that no exponent carries."""
+    from qpweyl.expr import _compile
+
+    width = 40
+    order = sorted(e.free)
+    largest = [0]
+    poly_mul = identity._poly_mul
+
+    def spy(p, q):
+        out = poly_mul(p, q)
+        for m in out:
+            largest[0] = max(largest[0], *((m >> (i * width)) & ((1 << width) - 1)
+                                           for i in range(len(order))))
+        return out
+
+    with mock.patch.object(identity, "_degree_bound", lambda code: (1 << width) - 1), \
+            mock.patch.object(identity, "_poly_mul", spy):
+        try:
+            identity._normalize(e, {})
+        except ExactPathUnavailable:
+            pass
+    assert identity._degree_bound(_compile(e)[0]) >= largest[0]
+
+
+@settings(max_examples=150, deadline=None)
+@example(a=parse("(f^5*kappa1)^8"), b=parse("(f*kappa1)^8*g"))
+@given(a=small_dags(), b=small_dags())
+def test_degree_bound_holds_every_exponent(a, b):
+    # A bound too small lets an exponent carry into the next variable's
+    # field, which can turn a nonzero residual into a zero one: k + b for a
+    # k-th power proves (f^5*kappa1)^8 equal to (f*kappa1)^8*g.
+    _assert_degree_bound_holds(sub(a, b))
+
+
+def test_degree_bound_holds_every_exponent_of_the_theorem_residuals(d5):
+    for r in _theorem_residuals(d5):
+        _assert_degree_bound_holds(r)
+
+
+def test_term_cap_is_a_third_above_every_proof(families, fresh_exact):
+    # The 18 --exact verify runs (three commands, three families, with and
+    # without the constraint) normalize 73 residuals: 59 are proved, and no
+    # proof takes a product above 73,920 term pairs; 14 end in term blow-up,
+    # and they took 616 of the 725 ms spent in the exact path under a cap of
+    # 400,000.  A change whose proofs need more than three quarters of the
+    # cap raises it on purpose, and a cap too low for a proof fails here.
+    from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
+    from qpweyl.lax import verify_gauge_claims
+    from qpweyl.weyl import CheckConfig, verify_relations
+
+    poly_mul, normalize = identity._poly_mul, identity._normalize
+    largest, outcomes = [0], []
+
+    def spy_mul(p, q):
+        if p and q:
+            largest[0] = max(largest[0], len(p) * len(q))
+        return poly_mul(p, q)
+
+    def spy_normalize(e, memo):
+        largest[0] = 0
+        outcome = normalize(e, memo)
+        outcomes.append((outcome, largest[0]))
+        return outcome
+
+    with mock.patch.object(identity, "_poly_mul", spy_mul), \
+            mock.patch.object(identity, "_normalize", spy_normalize):
+        for use_constraint in (True, False):
+            cfg = CheckConfig(exact=True, use_constraint=use_constraint)
+            for suite in (verify_relations, verify_theorem_i, verify_theorem_ii,
+                          verify_gauge_claims):
+                for fam in families.values():
+                    suite(fam, cfg)
+    proved = [product for outcome, product in outcomes if outcome is True]
+    blown = [outcome for outcome, _ in outcomes if outcome == "term blow-up"]
+    assert (len(proved), len(blown), len(outcomes)) == (59, 14, 73)
+    assert max(proved) <= identity._TERM_CAP * 3 // 4
+
+
 def test_exact_zero_runs_once_per_residual(families):
     # Past the lattice, verify-relations --exact asks 15 / 25 / 10 times
     # about 13 / 19 / 7 distinct residuals (seed 0); each must be normalized
@@ -719,6 +800,23 @@ def test_sample_columns_are_sample_points_split_by_name():
         ref = rng_for(3, "cols")
         points = [sample_point(ref, names, prime) for _ in range(9)]
         assert columns == {n: [pt[n] for pt in points] for n in names}
+
+
+def test_sample_columns_redraw_p_minus_1():
+    # A draw of p - 1 would be the value p, a zero coordinate: randrange(1, p)
+    # draws again, and so must sample_columns.
+    class Draws:
+        def __init__(self, *values):
+            self.values = list(values)
+
+        def getrandbits(self, bits):
+            assert bits == (DEFAULT_PRIME - 1).bit_length()
+            return self.values.pop(0)
+
+    draws = Draws(DEFAULT_PRIME - 1, DEFAULT_PRIME - 2, DEFAULT_PRIME - 1, 0)
+    assert identity.sample_columns(draws, ["f", "g"], DEFAULT_PRIME, 1) == {
+        "f": [DEFAULT_PRIME - 1], "g": [1]}
+    assert draws.values == []
 
 
 @pytest.mark.parametrize("trials", [identity._LANE_CAP + 1, 3 * identity._LANE_CAP - 7])
