@@ -65,9 +65,10 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+from . import paper
 from .expr import Expr, ZERO, parse, shown, substitute, sym
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
-from .lax import d5_dilation_scaling, d5_power_scaling, e_scaling
+from .lax import scaling_map
 from .report import Frozen, Record, Report, Value
 from .weyl import (
     CheckConfig,
@@ -84,35 +85,6 @@ FRESH = ("fbar", "gbar")
 #: so only this bounds the time and the output.
 MAX_STEPS = 100_000
 
-#: Coupled relations of each family, written as cross-multiplied residuals in
-#: fbar = f after one step and gbar = g after one step.  The second relation
-#: is taken at the advanced parameters, so kappa1 appears as kappa1/q.
-QP_RELATION_TEXTS = {
-    "D5": (
-        "fbar*f*(g - 1/nu1)*(g - 1/nu2) - nu3*nu4*(g - nu5/kappa2)*(g - nu6/kappa2)",
-        "gbar*g*nu1*nu2*(fbar - nu3)*(fbar - nu4)"
-        " - (fbar - kappa1/(q*nu7))*(fbar - kappa1/(q*nu8))",
-    ),
-    "E6": (
-        "(fbar*g - 1)*(f*g - 1)*(g - nu5/kappa2)*(g - nu6/kappa2)"
-        " - fbar*f*(g - 1/nu1)*(g - 1/nu2)*(g - 1/nu3)*(g - 1/nu4)",
-        "(fbar*g - 1)*(fbar*gbar - 1)*(fbar - kappa1/(q*nu7))*(fbar - kappa1/(q*nu8))"
-        " - g*gbar*(fbar - nu1)*(fbar - nu2)*(fbar - nu3)*(fbar - nu4)",
-    ),
-    "E7": (
-        "(fbar*g - kappa1/(q*kappa2))*(f*g - kappa1/kappa2)"
-        "*(g - 1/nu1)*(g - 1/nu2)*(g - 1/nu3)*(g - 1/nu4)"
-        " - (g - nu5/kappa2)*(g - nu6/kappa2)*(g - nu7/kappa2)*(g - nu8/kappa2)"
-        "*(fbar*g - 1)*(f*g - 1)",
-        "(gbar*fbar - kappa1/(q^2*kappa2))*(fbar*g - kappa1/(q*kappa2))"
-        "*(fbar - nu1)*(fbar - nu2)*(fbar - nu3)*(fbar - nu4)"
-        " - (fbar - kappa1/(q*nu5))*(fbar - kappa1/(q*nu6))"
-        "*(fbar - kappa1/(q*nu7))*(fbar - kappa1/(q*nu8))"
-        "*(gbar*fbar - 1)*(fbar*g - 1)",
-    ),
-}
-
-
 class EvolutionSpec(Frozen):
     __slots__ = ("qp_relations",)
 
@@ -121,7 +93,7 @@ class EvolutionSpec(Frozen):
 
 
 def make_evolution_spec(fam: FamilyDescriptor) -> EvolutionSpec:
-    r1, r2 = (parse(t, extra_symbols=FRESH) for t in QP_RELATION_TEXTS[fam.name])
+    r1, r2 = (parse(t, extra_symbols=FRESH) for t in paper.FAMILIES[fam.name]["relations"])
     return EvolutionSpec((r1, r2))
 
 
@@ -135,8 +107,7 @@ def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> R
     constraint = cfg.constraint(fam)
     T = time_evolution(fam)
     claims = [(f"nu{i}", T.image(f"nu{i}"), sym(f"nu{i}")) for i in range(1, 9)]
-    claims += [("kappa1", T.image("kappa1"), parse("kappa1/q")),
-               ("kappa2", T.image("kappa2"), parse("q*kappa2"))]
+    claims += [(name, T.image(name), parse(image)) for name, image in paper.T_IMAGES.items()]
     images = {"fbar": T.image("f"), "gbar": T.image("g")}
     claims += [(tag, substitute(rel, images), ZERO)
                for tag, rel in zip(("rel1", "rel2"), make_evolution_spec(fam).qp_relations)]
@@ -146,31 +117,10 @@ def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> R
     return report
 
 
-#: Generator lists for the rescaling decomposition of xi, per family; D5
-#: and E6 share one.
-_XI_D5_E6 = ("nu1", "nu2", "nu3", "nu4", "nu5/kappa2", "nu6/kappa2",
-             "nu7/kappa1", "nu8/kappa1", "f", "g")
-_XI_GENERATORS = {
-    "D5": _XI_D5_E6,
-    "E6": _XI_D5_E6,
-    "E7": ("nu1", "nu2", "nu3", "nu4", "nu5/kappa1", "nu6/kappa1",
-           "nu7/kappa1", "nu8/kappa1", "kappa2/kappa1", "f", "g"),
-}
-
-
 def xi_scaling_map(fam: FamilyDescriptor) -> Transformation:
-    """The composed scaling map that xi factors through.
-
-    D5 composes the power-gauge action at scale kappa2/(nu5 nu6) with the
-    dilation action at scale kappa1/(q nu3 nu4); E6 and E7 are single joint
-    scalings at nu5 nu6/kappa2 and kappa1/(q kappa2).
-    """
-    if fam.name == "D5":
-        return compose(d5_power_scaling(parse("kappa2/(nu5*nu6)")),
-                       d5_dilation_scaling(parse("kappa1/(q*nu3*nu4)")))
-    if fam.name == "E6":
-        return e_scaling(parse("nu5*nu6/kappa2"))
-    return e_scaling(parse("kappa1/(q*kappa2)"))
+    """The composed scaling map that xi factors through: for D5 the power
+    gauge's action after the dilation's, for E6 and E7 one joint scaling."""
+    return scaling_map(paper.FAMILIES[fam.name]["xi_scaling"])
 
 
 def verify_theorem_ii(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
@@ -178,7 +128,7 @@ def verify_theorem_ii(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> 
     constraint = cfg.constraint(fam)
     scaling = xi_scaling_map(fam)
     report = Report()
-    for zeta_text in _XI_GENERATORS[fam.name]:
+    for zeta_text in paper.FAMILIES[fam.name]["xi_generators"]:
         zeta = parse(zeta_text)
         report.add(check(f"{fam.name}:xi:{zeta_text}",
                          [("", fam.xi(zeta), scaling(zeta))], constraint, cfg))
@@ -345,10 +295,10 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 # rel2), the coordinate x shared by both states (g for rel1, f for rel2), the
 # known coordinate y paired with the unknown z, `up`, true when z belongs
 # to the later state, and the hints hx and hy (below).  It reads the
-# parameter roots as integer pairs, not necessarily reduced, and works on
-# the integer numerators and denominators of x and y.  Before building z,
-# each solver cancels the operand pairs that share most of their bits along
-# an orbit, the larger operand first:
+# relation's roots in paper.py as integer pairs, not necessarily reduced
+# (_roots), and works on the integer numerators and denominators of x and
+# y.  Before building z, each solver cancels the operand pairs that share
+# most of their bits along an orbit, the larger operand first:
 #   D5: u against y's numerator, v against y's denominator;
 #   E6: u against (x y - 1), v against y's numerator, then the solve
 #       denominator against x's denominator (modulo xd it is
@@ -461,18 +411,42 @@ def _fraction(num: int, den: int, k: int) -> Fraction:
     return _coprime_fraction(num // g, den // g)
 
 
-def _div(a: Fraction | int, b: Fraction | int) -> tuple[int, int]:
-    """a / b as an integer pair (numerator, denominator), not reduced."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bd, ad * bn
+#: The values a root text names, q, nu1..nu8 and its relation's kappas k1, k2;
+#: _roots lists their numerators and denominators, then a 1 at _ONE as padding.
+_ROOT_NAMES = ("q", "nu1", "nu2", "nu3", "nu4", "nu5", "nu6", "nu7", "nu8", "k1", "k2")
+_ONE = 2 * len(_ROOT_NAMES)
 
 
-def _mul(a: Fraction, b: Fraction) -> tuple[int, int]:
-    """a b as an integer pair (numerator, denominator), not reduced."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bn, ad * bd
+def _root_indices(text: str) -> tuple[int, ...]:
+    """Where _roots' integer list holds the 3 factors of each part of a root
+    text's integer pair: "nu5/k2" gives nu5_n, k2_d, 1, nu5_d, k2_n, 1."""
+    top, bottom = ([_ROOT_NAMES.index(name) for name in side.strip("()").split("*")
+                    if name not in ("", "1")] for side in text.partition("/")[::2])
+    num = [2 * i for i in top] + [2 * i + 1 for i in bottom]
+    den = [2 * i + 1 for i in top] + [2 * i for i in bottom]
+    return tuple(num + [_ONE] * (3 - len(num)) + den + [_ONE] * (3 - len(den)))
+
+
+#: Each family's roots in paper.py, per relation (constants, top roots,
+#: bottom roots), each root as its _root_indices.
+_ROOTS = {name: tuple(tuple(tuple(map(_root_indices, p)) for p in rel) for rel in data["roots"])
+          for name, data in paper.FAMILIES.items()}
+
+#: (q, nu, their numerators and denominators) for the last state solved:
+#: along an orbit every state holds the same q and nu objects.
+_last_params: tuple = (None, None, [])
+
+
+def _roots(st: OrbitState, rel: tuple, k1: Fraction, k2: Fraction) -> list[list[tuple[int, int]]]:
+    """A relation's constants, top roots and bottom roots at st and k1, k2,
+    each as its integer pair, not reduced: nu5/k2 is (nu5_n k2_d, nu5_d k2_n)."""
+    global _last_params
+    q, nu, params = _last_params       # one tuple, so threads read a matching triple
+    if q is not st.q or nu is not st.nu:
+        params = [i for v in (st.q, *st.nu) for i in v.as_integer_ratio()]
+        _last_params = (st.q, st.nu, params)
+    v = [*params, *k1.as_integer_ratio(), *k2.as_integer_ratio(), 1]
+    return [[(v[a] * v[b] * v[c], v[d] * v[e] * v[f]) for a, b, c, d, e, f in p] for p in rel]
 
 
 def _ratio(x: Fraction, top, bottom) -> tuple[list[int], list[int], int, int, int]:
@@ -542,13 +516,7 @@ def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
 
 def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
     """z y prod(x - b) = c prod(x - a), solved for z."""
-    n = st.nu
-    if rel == 1:
-        (cn, cd), top, bottom = (_mul(n[2], n[3]), (_div(n[4], k2), _div(n[5], k2)),
-                                 (_div(1, n[0]), _div(1, n[1])))
-    else:
-        (cd, cn), top, bottom = (_mul(n[0], n[1]), (_div(k1, n[6]), _div(k1, n[7])),
-                                 (n[2].as_integer_ratio(), n[3].as_integer_ratio()))
+    ((cn, cd),), top, bottom = _roots(st, _ROOTS["D5"][rel - 1], k1, k2)
     tops, bots, pa, pb, k = _ratio(x, top, bottom)
     if 0 in bots:
         raise PoleError(st.t, f"rel{rel} denominator")
@@ -562,11 +530,7 @@ def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
 
 def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
     """(x z - 1)(x y - 1) prod(x - b) = z y prod(x - a), solved for z."""
-    n = st.nu
-    if rel == 1:
-        top, bottom = tuple(_div(1, v) for v in n[:4]), (_div(n[4], k2), _div(n[5], k2))
-    else:
-        top, bottom = tuple(v.as_integer_ratio() for v in n[:4]), (_div(k1, n[6]), _div(k1, n[7]))
+    _, top, bottom = _roots(st, _ROOTS["E6"][rel - 1], k1, k2)
     tops, bots, pa, pb, k = _ratio(x, top, bottom)   # prod(x - a) / prod(x - b) = u / (v xd^2)
     if 0 in bots:
         raise PoleError(st.t, f"rel{rel} rhs")
@@ -584,14 +548,7 @@ def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
 def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
     """(x z - s)(x y - t) prod(x - b) = (x z - 1)(x y - 1) prod(x - a),
     solved for z; s and t are c and q c, swapped going backward."""
-    n = st.nu
-    (qn, qd), (rn, rd) = st.q.as_integer_ratio(), _div(k1, k2)
-    if rel == 1:                                         # c = k1 / (q k2)
-        top, bottom = tuple(_div(v, k2) for v in n[4:]), tuple(_div(1, v) for v in n[:4])
-        c, qc = (rn * qd, rd * qn), (rn, rd)
-    else:                                                # c = k1 / k2
-        top, bottom = tuple(_div(k1, v) for v in n[4:]), tuple(v.as_integer_ratio() for v in n[:4])
-        c, qc = (rn, rd), (rn * qn, rd * qd)
+    (c, qc), top, bottom = _roots(st, _ROOTS["E7"][rel - 1], k1, k2)
     (sn, sd), (tn, td) = (c, qc) if up else (qc, c)
     tops, bots, pa, pb, k = _ratio(x, top, bottom)       # prod(x - a) / prod(x - b) = u / v
     if 0 in bots:

@@ -24,6 +24,9 @@ keeps its witness.
 
 from __future__ import annotations
 
+import functools
+
+from . import paper
 from .expr import ZERO, Expr, div, mul, parse, shown, sub, substitute, sym
 from .identity import ConstraintRelation
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
@@ -33,6 +36,7 @@ from .weyl import (
     FamilyDescriptor,
     Transformation,
     check,
+    compose,
     word_to_transform,
 )
 
@@ -75,47 +79,14 @@ class Inversion(Value):
         super().__init__(c, delta)
 
 
-_L1_TABLES = {
-    "D5": {
-        "up": "-(z - kappa1/nu7)*(z - kappa1/nu8)/(q*(f - z))",
-        "mid": "z*(g*nu1 - 1)*(g*nu2 - 1)/(q*g)"
-               " - nu1*nu2*nu3*nu4*(g - nu5/kappa2)*(g - nu6/kappa2)/(f*g)"
-               " + nu1*nu2*(z - q*nu3)*(z - q*nu4)*g/(q*(q*f - z))"
-               " + (z - kappa1/nu7)*(z - kappa1/nu8)/(q*(f - z)*g)",
-        "down": "-nu1*nu2*(z - q*nu3)*(z - q*nu4)/(q*(q*f - z))",
-    },
-    "E6": {
-        "up": "-(kappa1/nu7 - z)*(kappa1/nu8 - z)/(q*(f - z))",
-        "mid": "z*(g*nu1 - 1)*(g*nu2 - 1)*(g*nu3 - 1)*(g*nu4 - 1)/(g*(f*g - 1)*(g*z - q))"
-               " - (g*kappa2/nu5 - 1)*(g*kappa2/nu6 - 1)*kappa1^2/(q*f*g*nu7*nu8)"
-               " + (nu1 - z/q)*(nu2 - z/q)*(nu3 - z/q)*(nu4 - z/q)*g/((f - z/q)*(1 - g*z/q))"
-               " + (kappa1/nu7 - z)*(kappa1/nu8 - z)*(1/g - z)/(q*(f - z))",
-        "down": "-(nu1 - z/q)*(nu2 - z/q)*(nu3 - z/q)*(nu4 - z/q)/(f - z/q)",
-    },
-    "E7": {
-        "up": "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu7*z)*(kappa1 - nu8*z)"
-              "/(kappa1^4*(f - z)*z^2)",
-        "mid": "q*(kappa1 - kappa2)*(g*kappa2 - nu5)*(g*kappa2 - nu6)*(g*kappa2 - nu7)*(g*kappa2 - nu8)"
-               "/(g*kappa1*kappa2^2*(f*g*kappa2 - kappa1)*(g*kappa2*z - kappa1))"
-               " - q*(kappa1 - kappa2)*(g*nu1 - 1)*(g*nu2 - 1)*(g*nu3 - 1)*(g*nu4 - 1)"
-               "/(g*(f*g - 1)*kappa1*nu1*nu2*nu3*nu4*(g*z - q))"
-               " + (q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)*(g*kappa2*z - kappa1*q)"
-               "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2*kappa1*(q - g*z))"
-               " + q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu7*z)*(kappa1 - nu8*z)"
-               "*(1 - g*z)/(kappa1^3*(f - z)*z^2*(g*kappa2*z - kappa1))",
-        "down": "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)"
-                "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)",
-    },
-}
+#: The gauge kinds paper.CLAIMS names, each built from its argument texts.
+GAUGES = {"pochhammer": Pochhammer, "power": PowerGauge, "dilation": Dilation,
+          "inversion": Inversion}
 
 
 def build_L1(fam: FamilyDescriptor) -> LinearQDE:
-    table = _L1_TABLES[fam.name]
-    return LinearQDE(
-        coeff_up=parse(table["up"]),
-        coeff_mid=parse(table["mid"]),
-        coeff_down=parse(table["down"]),
-    )
+    table = paper.FAMILIES[fam.name]["L1"]
+    return LinearQDE(*(parse(table[part]) for part in ("up", "mid", "down")))
 
 
 def apply_gauge(eq: LinearQDE,
@@ -215,6 +186,15 @@ def e_scaling(c: Expr) -> Transformation:
     return _scaling(c, ("nu1", "nu2", "nu3", "nu4", "f"), ("nu5", "nu6", "nu7", "nu8", "g"))
 
 
+#: The scaling kinds a scaling spec in paper.py names.
+SCALINGS = {"d5_power": d5_power_scaling, "d5_dilation": d5_dilation_scaling, "e": e_scaling}
+
+
+def scaling_map(spec) -> Transformation:
+    """The composite of a scaling spec's (kind, scale text) maps; the last acts first."""
+    return functools.reduce(compose, (SCALINGS[kind](parse(scale)) for kind, scale in spec))
+
+
 # ---------------------------------------------------------------------------
 # claim registry
 
@@ -225,72 +205,17 @@ class GaugeClaim(Value):
         super().__init__(id, family, gauges, target, note)
 
 
-def _claim_registry() -> dict[str, GaugeClaim]:
-    claims = [
-        GaugeClaim(
-            "d5.s2", "D5",
-            (Pochhammer(parse("nu3"), parse("kappa1/nu7")),),
-            lambda fam: fam.generators["s2"],
-            "single Pochhammer ratio exchanging nu3 and kappa1/nu7",
-        ),
-        GaugeClaim(
-            "d5.s2s1s0s2", "D5",
-            (Pochhammer(parse("nu3"), parse("kappa1/nu7")),
-             Pochhammer(parse("nu4"), parse("kappa1/nu8"))),
-            lambda fam: word_to_transform(fam, "s2 s1 s0 s2"),
-            "double Pochhammer ratio",
-        ),
-        GaugeClaim(
-            "d5.G", "D5",
-            (PowerGauge(sym("s")),),
-            lambda fam: d5_power_scaling(sym("s")),
-            "power gauge z^d with delta = q^d = s",
-        ),
-        GaugeClaim(
-            "d5.D", "D5",
-            (Dilation(sym("c")),),
-            lambda fam: d5_dilation_scaling(sym("c")),
-            "dilation z = u/c",
-        ),
-        GaugeClaim(
-            "d5.inversion", "D5",
-            (Inversion(parse("q*kappa1"), parse("kappa2")),),
-            lambda fam: word_to_transform(fam, "pi2 pi1 pi2 pi1"),
-            "inversion z = c/u with q^d = kappa2, c = q kappa1",
-        ),
-        GaugeClaim(
-            "e6.s6", "E6",
-            (Pochhammer(parse("nu1"), parse("kappa1/nu7")),),
-            lambda fam: fam.generators["s6"],
-            "single Pochhammer ratio exchanging nu1 and kappa1/nu7",
-        ),
-        GaugeClaim(
-            "e6.S", "E6",
-            (PowerGauge(parse("1/c")), Dilation(sym("c"))),
-            lambda fam: e_scaling(sym("c")),
-            "dilation plus power gauge with c q^d = 1",
-        ),
-        GaugeClaim(
-            "e7.s0s4s0", "E7",
-            # The Pochhammer ratio alone leaves the reciprocal factor pair
-            # (up * nu1 nu5/kappa1, down * kappa1/(nu1 nu5)); the z^d
-            # rescaling with q^d = kappa1/(nu1 nu5) removes it.
-            (Pochhammer(parse("nu1"), parse("kappa1/nu5")),
-             PowerGauge(parse("kappa1/(nu1*nu5)"))),
-            lambda fam: word_to_transform(fam, "s0 s4 s0"),
-            "Pochhammer ratio exchanging nu1 and kappa1/nu5, power-completed",
-        ),
-        GaugeClaim(
-            "e7.S", "E7",
-            (Dilation(sym("c")),),
-            lambda fam: e_scaling(sym("c")),
-            "pure dilation",
-        ),
-    ]
-    return {c.id: c for c in claims}
+def _target(spec):
+    """A claim's target map of fam: a Weyl word's, or a scaling spec's."""
+    if isinstance(spec, str):
+        return lambda fam: word_to_transform(fam, spec)
+    return lambda fam: scaling_map(spec)
 
 
-CLAIMS = _claim_registry()
+CLAIMS = {claim_id: GaugeClaim(claim_id, family,
+                               tuple(GAUGES[kind](*map(parse, args)) for kind, *args in gauges),
+                               _target(target), note)
+          for claim_id, family, gauges, target, note in paper.CLAIMS}
 
 
 def verify_gauge_claim(

@@ -1,9 +1,10 @@
 """Extended affine Weyl group actions for the q-Painleve families D5, E6, E7.
 
-Each family carries a table of generators acting on the parameters
-(q, nu1..nu8, kappa1, kappa2) and the dependent pair (f, g) by simultaneous
-substitution, the Dynkin diagram edges, the parameter constraint, the
-evolution word and the adjustment map used by the time-evolution theorem.
+Each family is built from its tables in paper.py: generators acting on
+the parameters (q, nu1..nu8, kappa1, kappa2) and the dependent pair (f, g)
+by simultaneous substitution, the Dynkin diagram edges, the parameter
+constraint, the evolution word and the adjustment map used by the
+time-evolution theorem.
 
 Composition convention
 ----------------------
@@ -25,6 +26,7 @@ import re
 from collections.abc import Mapping
 from types import MappingProxyType
 
+from . import paper
 from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, shown, substitute, sym
 from .identity import (
     ConstraintRelation,
@@ -73,10 +75,6 @@ IDENTITY = Transformation(images={})
 
 def transformation(images: dict[str, str]) -> Transformation:
     return Transformation({k: parse(v) for k, v in images.items()})
-
-
-def _swap(a: str, b: str) -> Transformation:
-    return Transformation({a: sym(b), b: sym(a)})
 
 
 #: Compositions kept: a benchmark pass makes at most 263 distinct ones.
@@ -166,201 +164,23 @@ class FamilyDescriptor(Frozen):
         return self._replace(generators=gens)
 
 
-DEFAULT_CONSTRAINT_TEXT = "kappa1^2*kappa2^2/(q*nu1*nu2*nu3*nu4*nu5*nu6*nu7)"
-
-
-def default_constraint() -> ConstraintRelation:
-    return ConstraintRelation("nu8", parse(DEFAULT_CONSTRAINT_TEXT))
-
-
-def _edges(pairs) -> frozenset[tuple[int, int]]:
-    return frozenset(tuple(sorted(p)) for p in pairs)
-
-
-def _build_d5() -> FamilyDescriptor:
-    inv_all = {name: f"1/{name}" for name in
-               ("q", "nu5", "nu6", "kappa1", "kappa2")}
-    gens = {
-        "s0": _swap("nu7", "nu8"),
-        "s1": _swap("nu3", "nu4"),
-        "s4": _swap("nu1", "nu2"),
-        "s5": _swap("nu5", "nu6"),
-        "s2": transformation({
-            "nu3": "kappa1/nu7",
-            "nu7": "kappa1/nu3",
-            "kappa2": "kappa1*kappa2/(nu3*nu7)",
-            "g": "g*(f - nu3)/(f - kappa1/nu7)",
-        }),
-        "s3": transformation({
-            "nu1": "kappa2/nu5",
-            "nu5": "kappa2/nu1",
-            "kappa1": "kappa1*kappa2/(nu1*nu5)",
-            "f": "f*(g - 1/nu1)/(g - nu5/kappa2)",
-        }),
-        "pi1": transformation({
-            **inv_all,
-            "nu1": "1/nu1", "nu2": "1/nu2",
-            "nu3": "1/nu7", "nu4": "1/nu8",
-            "nu7": "1/nu3", "nu8": "1/nu4",
-            "f": "f/kappa1", "g": "1/g",
-        }),
-        "pi2": transformation({
-            "q": "1/q",
-            "nu1": "1/nu7", "nu2": "1/nu8",
-            "nu3": "1/nu5", "nu4": "1/nu6",
-            "nu5": "1/nu3", "nu6": "1/nu4",
-            "nu7": "1/nu1", "nu8": "1/nu2",
-            "kappa1": "1/kappa2", "kappa2": "1/kappa1",
-            "f": "1/(kappa2*g)", "g": "kappa1/f",
-        }),
-    }
-    xi = transformation({
-        "nu1": "nu1*nu5*nu6/kappa2",
-        "nu2": "nu2*nu5*nu6/kappa2",
-        "nu3": "kappa1/(q*nu4)",
-        "nu4": "kappa1/(q*nu3)",
-        "nu5": "nu5*nu1*nu2/kappa2",
-        "nu6": "nu6*nu1*nu2/kappa2",
-        "nu7": "kappa1/(q*nu8)",
-        "nu8": "kappa1/(q*nu7)",
-        "kappa1": "kappa1^3/(q^2*nu3*nu4*nu7*nu8)",
-        "kappa2": "nu1*nu2*nu5*nu6/kappa2",
-        "f": "f*kappa1/(q*nu3*nu4)",
-        "g": "g*kappa2/(nu5*nu6)",
-    })
-    return FamilyDescriptor(
-        name="D5",
-        generators=gens,
-        s_names=tuple(f"s{i}" for i in range(6)),
-        pi_names=("pi1", "pi2"),
-        dynkin_edges=_edges([(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),
-        constraint=default_constraint(),
-        evolution_word=parse_word("pi2 pi1 s2 s1 s0 s2"),
-        xi=xi,
-    )
-
-
-def _build_e6() -> FamilyDescriptor:
-    gens = {
-        "s0": _swap("nu7", "nu8"),
-        "s1": _swap("nu5", "nu6"),
-        "s3": _swap("nu1", "nu2"),
-        "s4": _swap("nu2", "nu3"),
-        "s5": _swap("nu3", "nu4"),
-        "s2": transformation({
-            "nu1": "kappa2/nu6",
-            "nu6": "kappa2/nu1",
-            "kappa1": "kappa1*kappa2/(nu1*nu6)",
-            "f": "f*kappa2*(nu1*g - 1)/(-(kappa2 - nu1*nu6)*f*g + nu1*kappa2*g - nu1*nu6)",
-        }),
-        "s6": transformation({
-            "nu1": "kappa1/nu7",
-            "nu7": "kappa1/nu1",
-            "kappa2": "kappa1*kappa2/(nu1*nu7)",
-            "g": "g*nu7*(nu1 - f)/(kappa1 - nu7*f + (nu1*nu7 - kappa1)*f*g)",
-        }),
-        "pi1": transformation({
-            "q": "1/q",
-            "nu1": "nu2/kappa2", "nu2": "nu1/kappa2",
-            "nu3": "1/nu6", "nu4": "1/nu5",
-            "nu5": "1/nu4", "nu6": "1/nu3",
-            "nu7": "1/nu7", "nu8": "1/nu8",
-            "kappa1": "nu1*nu2/(kappa1*kappa2)", "kappa2": "1/kappa2",
-            "f": "nu1*nu2*(1 - f*g)/(kappa2*(nu1*nu2*g + f - (nu1 + nu2)*f*g))",
-            "g": "kappa2*g",
-        }),
-        "pi2": transformation({
-            "q": "1/q",
-            "nu1": "1/nu1", "nu2": "1/nu2", "nu3": "1/nu3", "nu4": "1/nu4",
-            "nu5": "1/nu8", "nu6": "1/nu7", "nu7": "1/nu6", "nu8": "1/nu5",
-            "kappa1": "1/kappa2", "kappa2": "1/kappa1",
-            "f": "g", "g": "f",
-        }),
-    }
-    # Adjustment map derived from the evolution word's square and the required
-    # time-evolution images; see the package tests for the fixture chain.
-    xi = transformation({
-        "nu1": "nu1*nu5*nu6/kappa2",
-        "nu2": "nu2*nu5*nu6/kappa2",
-        "nu3": "nu3*nu5*nu6/kappa2",
-        "nu4": "nu4*nu5*nu6/kappa2",
-        "nu5": "nu5*kappa1/(q*kappa2)",
-        "nu6": "nu6*kappa1/(q*kappa2)",
-        "nu7": "kappa1/(q*nu8)",
-        "nu8": "kappa1/(q*nu7)",
-        "kappa1": "nu5*nu6*kappa1^2/(q*kappa2*nu7*nu8)",
-        "kappa2": "nu5*nu6*kappa1/(q*kappa2)",
-        "f": "f*nu5*nu6/kappa2",
-        "g": "g*kappa2/(nu5*nu6)",
-    })
-    return FamilyDescriptor(
-        name="E6",
-        generators=gens,
-        s_names=tuple(f"s{i}" for i in range(7)),
-        pi_names=("pi1", "pi2"),
-        dynkin_edges=_edges([(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)]),
-        constraint=default_constraint(),
-        evolution_word=parse_word("pi1 pi2 s4 s5 s3 s6 s4 s3 s0 s6"),
-        xi=xi,
-    )
-
-
-def _build_e7() -> FamilyDescriptor:
-    gens = {
-        "s0": transformation({
-            "kappa1": "kappa2", "kappa2": "kappa1",
-            "f": "1/g", "g": "1/f",
-        }),
-        "s1": _swap("nu3", "nu4"),
-        "s2": _swap("nu2", "nu3"),
-        "s3": _swap("nu1", "nu2"),
-        "s5": _swap("nu5", "nu6"),
-        "s6": _swap("nu6", "nu7"),
-        "s7": _swap("nu7", "nu8"),
-        "s4": transformation({
-            "nu1": "kappa2/nu5",
-            "nu5": "kappa2/nu1",
-            "kappa1": "kappa1*kappa2/(nu1*nu5)",
-            "f": "(-kappa2*(nu1*nu5 - kappa1)*f*g - nu5*(kappa1 - kappa2)*f"
-                 " + kappa1*(nu1*nu5 - kappa2))"
-                 "/(nu5*(-(nu1*nu5 - kappa2)*f*g + nu1*(kappa1 - kappa2)*g"
-                 " + (nu1*nu5 - kappa1)))",
-        }),
-        "pi": transformation({
-            "q": "1/q",
-            "nu1": "1/nu5", "nu2": "1/nu6", "nu3": "1/nu7", "nu4": "1/nu8",
-            "nu5": "1/nu1", "nu6": "1/nu2", "nu7": "1/nu3", "nu8": "1/nu4",
-            "kappa1": "1/kappa1", "kappa2": "1/kappa2",
-            "f": "f/kappa1", "g": "kappa2*g",
-        }),
-    }
-    xi = transformation({
-        **{f"nu{i}": f"nu{i}*kappa1/(q*kappa2)" for i in range(1, 9)},
-        "kappa1": "kappa1^3/(q^2*kappa2^2)",
-        "kappa2": "kappa1^2/(q^2*kappa2)",
-        "f": "f*kappa1/(q*kappa2)",
-        "g": "g*q*kappa2/kappa1",
-    })
-    return FamilyDescriptor(
-        name="E7",
-        generators=gens,
-        s_names=tuple(f"s{i}" for i in range(8)),
-        pi_names=("pi",),
-        dynkin_edges=_edges([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 0)]),
-        constraint=default_constraint(),
-        # Staircase word: right wing outside-in, mirrored left wing, pivot s4,
-        # closing s0.  This is the word whose square the adjustment map xi
-        # straightens into the time evolution; restarting each left-wing run
-        # at s1 instead of its mirror position breaks the nu3/nu4/nu6/nu7
-        # images (the tests pin this down).
-        evolution_word=parse_word("s4 s5 s3 s4 s6 s5 s2 s3 s4 s7 s6 s5 s1 s2 s3 s4 s0"),
-        xi=xi,
-    )
-
-
-_BUILDERS = {"D5": _build_d5, "E6": _build_e6, "E7": _build_e7}
-FAMILY_NAMES = tuple(_BUILDERS)
+FAMILY_NAMES = tuple(paper.FAMILIES)
 _SHARED: dict[str, FamilyDescriptor] = {}
+
+
+def _build(name: str) -> FamilyDescriptor:
+    """The family's descriptor, built from its tables in paper.py."""
+    data = paper.FAMILIES[name]
+    return FamilyDescriptor(
+        name=name,
+        generators=MappingProxyType({g: transformation(t) for g, t in data["generators"].items()}),
+        s_names=data["s_names"],
+        pi_names=data["pi_names"],
+        dynkin_edges=frozenset(tuple(sorted(edge)) for edge in data["dynkin_edges"]),
+        constraint=ConstraintRelation("nu8", parse(data["constraint"])),
+        evolution_word=parse_word(data["evolution_word"]),
+        xi=transformation(data["xi"]),
+    )
 
 
 def make_family(name: str) -> FamilyDescriptor:
@@ -368,13 +188,10 @@ def make_family(name: str) -> FamilyDescriptor:
     generators are read-only, and with_generator makes a changed copy."""
     fam = _SHARED.get(name)
     if fam is None:
-        try:
-            builder = _BUILDERS[name]
-        except KeyError:
-            raise ValueError(f"unknown family {shown(name)}; expected one of {FAMILY_NAMES}") from None
-        fam = builder()
+        if name not in paper.FAMILIES:
+            raise ValueError(f"unknown family {shown(name)}; expected one of {FAMILY_NAMES}")
         # Two threads may both build; setdefault hands each the first one.
-        fam = _SHARED.setdefault(name, fam._replace(generators=MappingProxyType(fam.generators)))
+        fam = _SHARED.setdefault(name, _build(name))
     return fam
 
 
@@ -458,38 +275,26 @@ def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Repor
     return report
 
 
-_D5_PI_RELATIONS = (
-    ("pi1 s0", "s1 pi1"),
-    ("pi1 s2", "s2 pi1"),
-    ("pi1 s3", "s3 pi1"),
-    ("pi1 s4", "s4 pi1"),
-    ("pi1 s5", "s5 pi1"),
-    ("pi2 s0", "s4 pi2"),
-    ("pi2 s1", "s5 pi2"),
-    ("pi2 s2", "s3 pi2"),
-)
-
-
 def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
     """Diagram-automorphism relations.
 
-    For D5 the explicit list plus (pi1 pi2)^4 = id is checked.  For E6/E7
-    the conjugate of each s_i is read off the exponent lattice: pi s_i can
-    equal s_j pi only if no parameter image of the two is a pair of
-    monomials with different exponents.  The first such s_j, else s0, is
-    checked once; the check fails if it does not match.
+    A family with a pi_relations table in paper.py (D5) has each listed
+    relation checked, an empty right-hand side standing for the identity.
+    For the others (E6/E7) the conjugate of each s_i is read off the
+    exponent lattice: pi s_i can equal s_j pi only if no parameter image of
+    the two is a pair of monomials with different exponents.  The first
+    such s_j, else s0, is checked once; the check fails if it does not match.
     """
     cfg = cfg or CheckConfig()
     constraint = cfg.constraint(fam)
     report = Report()
-    if fam.name == "D5":
-        for lhs_word, rhs_word in _D5_PI_RELATIONS:
-            lhs = word_to_transform(fam, lhs_word)
-            rhs = word_to_transform(fam, rhs_word)
-            report.add(check(f"D5:pi:{lhs_word} = {rhs_word}",
-                             _image_pairs(lhs, rhs), constraint, cfg))
-        t = word_to_transform(fam, "(pi1 pi2)^4")
-        report.add(check("D5:pi:(pi1 pi2)^4", _image_pairs(t, IDENTITY), constraint, cfg))
+    listed = paper.FAMILIES[fam.name]["pi_relations"]
+    for lhs_word, rhs_word in listed:
+        lhs = word_to_transform(fam, lhs_word)
+        rhs = word_to_transform(fam, rhs_word)
+        report.add(check(f"{fam.name}:pi:{lhs_word}" + (f" = {rhs_word}" if rhs_word else ""),
+                         _image_pairs(lhs, rhs), constraint, cfg))
+    if listed:
         return report
 
     def lattice(t: Transformation) -> list:

@@ -38,6 +38,10 @@ pin every byte of the longest orbits from `sample-params.json` that still
 print under the default int-to-str digit limit.  They also held, unchanged,
 when each cancelled pair went from a gcd and two divisions to one long
 division.
+
+The `list` hashes were recorded before the paper's tables moved out of
+`weyl`, `lax` and `evolution` into `paper.py`; they pin every byte of the
+family summaries and of the LaTeX generator tables built from them.
 """
 
 import contextlib
@@ -214,5 +218,28 @@ def test_evolve_bytes_unchanged(family, steps, sha256):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         got = cli.main(["evolve", "--family", family, "--params",
                         "sample-params.json", "--steps", str(steps)])
+    assert got == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
+
+
+LIST_GOLDEN = [
+    ("list", "7b2f5588f7ff69369153ad30937a2445788b28556c2b7e2529761f349846e2f2"),
+    ("list --family D5", "886ade3d237ec5c7bbb7ff8c3c558b97aaa7e9d0b3c7da7d6b593d14b8f72c1c"),
+    ("list --family E6", "62c6b58a8466b1df2f78f817247b4b73a1373a08f526c8edeefb213f318ff8c6"),
+    ("list --family E7", "d39d5cf9f123035b6dc2ff8a60de2f543013e97c6aa059c116783bab73f4f07a"),
+    ("list --family D5 --format latex",
+     "4753b4af4610e9c753cd1a38c7a918d9b98d6322ee501f4e6fe9d516e07e33d3"),
+    ("list --family E6 --format latex",
+     "b9fce9a18c618f9f723db56117fe70e28dc6394d12c497713e308b487659773b"),
+    ("list --family E7 --format latex",
+     "d7509c9bb70176605bdc1c8c06af1abe4f06d03e6bf12ab337ab139801a213a0"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", LIST_GOLDEN, ids=[g[0] for g in LIST_GOLDEN])
+def test_list_bytes_unchanged(argv, sha256):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main(argv.split())
     assert got == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
