@@ -22,13 +22,12 @@ verdicts, witnesses and counts are that loop's.
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an
 expression-size bound because fully expanded normal forms of long Weyl-word
-composites blow up.  One memo holds each node's outcome, "term blow-up" at
-the nodes where the term cap trips, so a residual reaching one fails at once.
+composites blow up.  Each residual's outcome, its verdict or why the path is
+unavailable, is kept in a bounded LRU cache, one entry per residual.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import random
 
@@ -320,9 +319,9 @@ def _sample(r, trials, prime, seed, label) -> IdentityResult:
 _TERM_CAP = 100_000
 _SIZE_BOUND = 20_000
 
-#: Per (_SIZE_BOUND, _TERM_CAP), each node's outcome as a residual: True, False
-#: or why the exact path is unavailable.  Unbounded, like the intern table.
-_OUTCOMES: dict[tuple[int, int], dict[Expr, bool | str]] = {}
+#: Residual outcomes kept, by the residual alone: the bound and the cap are
+#: constants.  The 18 --exact verify runs normalize 73 distinct residuals.
+EXACT_CACHE_SIZE = 256
 
 
 def _poly_add(p, q):
@@ -386,49 +385,29 @@ def exact_zero(e: Expr) -> bool:
     Runs the compiled program of e (see expr.evaluate) over polynomial
     fractions.  Raises ExactPathUnavailable when e has more than _SIZE_BOUND
     nodes, an intermediate expansion exceeds _TERM_CAP terms or a quotient
-    divides by an identically zero expression.  Outcomes are remembered per
-    node in _OUTCOMES, under the bound and cap the run sees.
-
-    A run that trips the cap stores "term blow-up" as the outcome of the node
-    it was building: 1. packing maps exponent vectors one to one, so a node's
-    term counts, and its cap tests, do not depend on the program; its
-    descendants passed them in that run, and its program is no larger than
-    the residual's, so the node alone trips at itself.  A node decided True
-    or False never trips later, so no outcome is overwritten with another.
-    A residual reaching a node stored as "term blow-up" is that at once if
-    its program runs over F_p at one fixed point (else it is normalized in
-    full), as the full run would end: by 1 the node trips wherever it is
-    reached, and 2. a program that runs at a point divides by no identically
-    zero expression (evaluation is a ring homomorphism on the functions
-    defined there), so any failure before that node is also a blow-up.
+    divides by an identically zero expression.  The last EXACT_CACHE_SIZE
+    outcomes are kept, one per residual.
     """
-    memo = _OUTCOMES.setdefault((_SIZE_BOUND, _TERM_CAP), {})
-    outcome = memo.get(e)
-    if outcome is None:
-        outcome = memo[e] = _normalize(e, memo)
+    outcome = _normalize(e)
     if isinstance(outcome, str):
         raise ExactPathUnavailable(outcome)
     return outcome
 
 
-def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
+@functools.lru_cache(maxsize=EXACT_CACHE_SIZE)
+def _normalize(e: Expr) -> bool | str:
     """Whether e is identically zero, or why the exact path is unavailable."""
-    code, nodes = _compile(e)
+    code = _compile(e)[0]
     if len(code) > _SIZE_BOUND:
         return f"expression exceeds {_SIZE_BOUND} nodes"
     order = sorted(e.free)
-    if "term blow-up" in map(memo.get, nodes):  # sound once certified: see exact_zero
-        point = sample_point(rng_for(0, "exact:certificate"), order, DEFAULT_PRIME)
-        with contextlib.suppress(DivisionByZero):
-            evaluate(e, point, DEFAULT_PRIME)
-            return "term blow-up"
     width = max(1, _degree_bound(code).bit_length())
     one = {0: 1}
     monomial = {n: 1 << (i * width) for i, n in enumerate(order)}
 
     vals: list[tuple[dict, dict]] = []
     try:
-        for i, (kind, arg) in enumerate(code):
+        for kind, arg in code:
             if kind == "num":
                 pair = ({0: arg.numerator}, {0: arg.denominator}) if arg else ({}, one)
             elif kind == "sym":
@@ -456,6 +435,5 @@ def _normalize(e: Expr, memo: dict[Expr, bool | str]) -> bool | str:
                 pair = (_poly_mul(n1, d2), _poly_mul(d1, n2))
             vals.append(pair)
     except _TermBlowUp:
-        memo[nodes[i]] = "term blow-up"
         return "term blow-up"
     return not vals[-1][0]

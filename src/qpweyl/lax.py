@@ -151,48 +151,18 @@ def equations_equivalent(
     return CheckResult(label, "degenerate", detail="all candidate pivot coefficients vanish")
 
 
-# ---------------------------------------------------------------------------
-# gauge-induced parameter scalings
-#
-# The power gauge and the dilation induce multiplicative actions on the
-# parameters; the family-specific combinations below realize them on the
-# primitive symbols so that the stated action on the composite quantities
-# (nu5/kappa2, nu7/kappa1, ...) comes out.
-
-def _scaling(s: Expr, up, down) -> Transformation:
-    """x -> s x for each symbol x in up; x -> x/s for each in down;
-    everything else fixed."""
+def _scaling(kind: str, s: Expr) -> Transformation:
+    """paper.SCALINGS[kind]'s map: x -> s x for each symbol x of its up set,
+    x -> x/s for each of its down set, everything else fixed."""
+    up, down = paper.SCALINGS[kind]
     images = {x: mul(s, sym(x)) for x in up}
     images.update({x: div(sym(x), s) for x in down})
     return Transformation(images)
 
 
-def d5_power_scaling(s: Expr) -> Transformation:
-    """nu1,nu2 -> nu_i/s; nu5,nu6 -> s nu_i; g -> s g; everything else fixed."""
-    return _scaling(s, ("nu5", "nu6", "g"), ("nu1", "nu2"))
-
-
-def d5_dilation_scaling(c: Expr) -> Transformation:
-    """nu3,nu4 -> c nu_i; nu7,nu8 -> nu_i/c; f -> c f; everything else fixed."""
-    return _scaling(c, ("nu3", "nu4", "f"), ("nu7", "nu8"))
-
-
-def e_scaling(c: Expr) -> Transformation:
-    """nu1..nu4, f -> c x; nu5..nu8, g -> x/c; kappa1, kappa2 fixed.
-
-    E6 realizes it as dilation plus power gauge with c q^d = 1, E7 as a pure
-    dilation.
-    """
-    return _scaling(c, ("nu1", "nu2", "nu3", "nu4", "f"), ("nu5", "nu6", "nu7", "nu8", "g"))
-
-
-#: The scaling kinds a scaling spec in paper.py names.
-SCALINGS = {"d5_power": d5_power_scaling, "d5_dilation": d5_dilation_scaling, "e": e_scaling}
-
-
 def scaling_map(spec) -> Transformation:
     """The composite of a scaling spec's (kind, scale text) maps; the last acts first."""
-    return functools.reduce(compose, (SCALINGS[kind](parse(scale)) for kind, scale in spec))
+    return functools.reduce(compose, (_scaling(kind, parse(scale)) for kind, scale in spec))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Only literals, texts in the paper's notation; nothing is imported or
 parsed here.  weyl builds the family descriptors, lax the linear equation
-L1 and the gauge claims, and evolution reads the relation texts, the xi
-checks and the orbit roots.  Per family, beside the names, the Dynkin
-edges (s indices) and the constraint:
+L1, the gauge claims and the scalings, and evolution reads the relation
+texts, the xi checks and the orbit roots.  Per family, beside the names,
+the Dynkin edges (s indices) and the constraint:
   generators, xi   images, symbol -> text; an unlisted symbol is fixed
   evolution_word   W in T = xi o W^2, the rightmost letter acting first
   pi_relations     (lhs, rhs) words checked as listed, rhs "" the identity
@@ -14,7 +14,7 @@ edges (s indices) and the constraint:
                    bottom roots), each at most 3 factors from q, nu1..nu8 and
                    the kappas k1, k2 the relation is taken at
   xi_generators    the zeta whose xi(zeta) = scaling(zeta) is checked
-  xi_scaling       (kind of lax.SCALINGS, scale) maps, the last acting first
+  xi_scaling       (kind of SCALINGS, scale) maps, the last acting first
   L1               coefficients of y(qz), y(z) and y(z/q)
 """
 
@@ -282,6 +282,17 @@ E7 = {
 }
 
 FAMILIES = {"D5": D5, "E6": E6, "E7": E7}
+
+#: The parameter scalings the power gauge and the dilation induce, per kind:
+#: (up, down), the symbols multiplied and divided by the scale.  They realize
+#: the stated actions on composite quantities such as nu5/kappa2 and
+#: nu7/kappa1.  E6 realizes "e" as dilation plus power gauge with c q^d = 1,
+#: E7 as a pure dilation.
+SCALINGS = {
+    "d5_power": (("nu5", "nu6", "g"), ("nu1", "nu2")),
+    "d5_dilation": (("nu3", "nu4", "f"), ("nu7", "nu8")),
+    "e": (("nu1", "nu2", "nu3", "nu4", "f"), ("nu5", "nu6", "nu7", "nu8", "g")),
+}
 
 #: The gauge claims on L1, in report order: (id, family, gauges, target,
 #: note).  A gauge is (kind, argument texts), a kind of lax.GAUGES; the

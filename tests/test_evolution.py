@@ -156,9 +156,9 @@ def test_d5_xi_on_nu5_over_kappa2(d5):
 def test_d5_dilation_scale_with_nu7_nu8_fails(d5):
     # the working dilation scale is kappa1/(q nu3 nu4); swapping in
     # kappa1/(q nu7 nu8) breaks five of the ten generators even mod constraint
-    from qpweyl.lax import d5_dilation_scaling, d5_power_scaling
-    bad = compose(d5_power_scaling(parse("kappa2/(nu5*nu6)")),
-                  d5_dilation_scaling(parse("kappa1/(q*nu7*nu8)")))
+    from qpweyl.lax import _scaling
+    bad = compose(_scaling("d5_power", parse("kappa2/(nu5*nu6)")),
+                  _scaling("d5_dilation", parse("kappa1/(q*nu7*nu8)")))
     xi = d5.xi
     failing = []
     for zeta_text in ("nu1", "nu3", "nu4", "nu7/kappa1", "nu8/kappa1", "f", "g"):

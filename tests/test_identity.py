@@ -1,5 +1,7 @@
 """Randomized and exact identity testing."""
 
+import contextlib
+import functools
 from unittest import mock
 
 import pytest
@@ -178,22 +180,34 @@ def test_exact_zero_direct():
     assert exact_zero(parse("(f^2 - g^2)/(f - g) - f - g"))
 
 
-def test_exact_zero_size_gate():
+@pytest.fixture
+def fresh_exact():
+    """No exact outcome remembered before or after the test.  The outcome
+    cache is keyed by the residual alone, so an outcome decided under a
+    patched _TERM_CAP, _SIZE_BOUND, _degree_bound or _poly_mul must not
+    outlive the patch."""
+    identity._normalize.cache_clear()
+    yield
+    identity._normalize.cache_clear()
+
+
+@contextlib.contextmanager
+def _term_cap(cap):
+    """_TERM_CAP patched to cap, with no outcome remembered on entry or on
+    exit; for the hypothesis tests, which take no function-scoped fixture."""
+    identity._normalize.cache_clear()
+    try:
+        with mock.patch.object(identity, "_TERM_CAP", cap):
+            yield
+    finally:
+        identity._normalize.cache_clear()
+
+
+def test_exact_zero_size_gate(fresh_exact):
     e = parse("(f + g)^2")
     with mock.patch.object(identity, "_SIZE_BOUND", 2):
         with pytest.raises(ExactPathUnavailable):
             exact_zero(e)
-
-
-def test_exact_zero_keys_its_memo_by_the_size_bound():
-    # Decided at the default bound, then asked again under a patched one: the
-    # remembered verdict must not answer for the smaller bound.
-    e = parse("(f + g)^2 - f^2 - 2*f*g - g^2")
-    assert exact_zero(e)
-    with mock.patch.object(identity, "_SIZE_BOUND", 2):
-        with pytest.raises(ExactPathUnavailable, match="expression exceeds 2 nodes"):
-            exact_zero(e)
-    assert exact_zero(e)
 
 
 def test_exact_zero_on_division_by_zero_expression():
@@ -383,14 +397,17 @@ _EXPANDED = ("5400*f^2*g^2 - 10800*f^2*g + 5400*f^2 + 10800*f*g^2 - {}*f*g + 108
 @settings(max_examples=150, deadline=None)
 @example(a=parse(_CONTENT_HEAVY), b=parse(_EXPANDED.format(21600)))
 @example(a=parse(_CONTENT_HEAVY), b=parse(_EXPANDED.format(21601)))
+@example(a=parse("(f + g)^3"), b=parse("-1/(f - f)"))
 @given(a=small_dags(), b=small_dags())
 def test_exact_zero_matches_tuple_fraction_normalizer(cap, a, b):
     # Both forms keep every pair a constant multiple of the other, so every
     # polynomial has the same support: the same verdicts, and the cap trips
-    # at the same step for the same reason.  The examples carry a large
-    # common integer content in every pair, which exact_zero never divides out.
+    # at the same step for the same reason.  The first two examples carry a
+    # large common integer content in every pair, which exact_zero never
+    # divides out.  In the third, the division by f - f comes before the
+    # cube in the program, so the run ends there at every cap.
     r = sub(a, b)
-    with mock.patch.object(identity, "_TERM_CAP", cap):
+    with _term_cap(cap):
         got = _outcome(lambda: exact_zero(r))
     assert got == _outcome(lambda: _reference_exact_zero(r, cap))
 
@@ -429,7 +446,7 @@ def test_exact_zero_matches_tuple_fraction_normalizer_on_theorem_residuals(famil
     residuals = [r for fam in families.values() for r in _theorem_residuals(fam)]
     assert len(residuals) == 36
     for cap in (40, 4000, 40000):
-        with mock.patch.object(identity, "_TERM_CAP", cap):
+        with _term_cap(cap):
             got = [_outcome(lambda: exact_zero(r)) for r in residuals]
         assert got == [_outcome(lambda: _reference_exact_zero(r, cap)) for r in residuals]
         assert "unavailable: term blow-up" in got and True in got
@@ -480,7 +497,7 @@ def _assert_degree_bound_holds(e):
     with mock.patch.object(identity, "_degree_bound", lambda code: (1 << width) - 1), \
             mock.patch.object(identity, "_poly_mul", spy):
         try:
-            identity._normalize(e, {})
+            identity._normalize.__wrapped__(e)
         except ExactPathUnavailable:
             pass
     assert identity._degree_bound(_compile(e)[0]) >= largest[0]
@@ -512,7 +529,7 @@ def test_term_cap_is_a_third_above_every_proof(families, fresh_exact):
     from qpweyl.lax import verify_gauge_claims
     from qpweyl.weyl import CheckConfig, verify_relations
 
-    poly_mul, normalize = identity._poly_mul, identity._normalize
+    poly_mul, normalize = identity._poly_mul, identity._normalize.__wrapped__
     largest, outcomes = [0], []
 
     def spy_mul(p, q):
@@ -520,9 +537,10 @@ def test_term_cap_is_a_third_above_every_proof(families, fresh_exact):
             largest[0] = max(largest[0], len(p) * len(q))
         return poly_mul(p, q)
 
-    def spy_normalize(e, memo):
+    @functools.lru_cache(maxsize=identity.EXACT_CACHE_SIZE)
+    def spy_normalize(e):
         largest[0] = 0
-        outcome = normalize(e, memo)
+        outcome = normalize(e)
         outcomes.append((outcome, largest[0]))
         return outcome
 
@@ -548,124 +566,62 @@ def test_exact_zero_runs_once_per_residual(families):
 
     exact_zero = identity.exact_zero
     for name, runs in (("D5", 13), ("E6", 19), ("E7", 7)):
-        identity._OUTCOMES.clear()
+        identity._normalize.cache_clear()
         asked = []
         with mock.patch.object(identity, "exact_zero",
-                               lambda e: asked.append(e) or exact_zero(e)), \
-                mock.patch.object(identity, "_normalize",
-                                  wraps=identity._normalize) as spy:
+                               lambda e: asked.append(e) or exact_zero(e)):
             verify_relations(families[name], CheckConfig(exact=True))
         assert len(asked) > runs, name
-        assert spy.call_count == len(set(asked)) == runs, name
+        assert identity._normalize.cache_info().misses == len(set(asked)) == runs, name
 
 
-def test_exact_zero_remembers_unavailable_and_keys_by_cap():
-    identity._OUTCOMES.clear()
+def test_exact_zero_remembers_unavailable(fresh_exact):
+    # Why the path is unavailable is remembered like a verdict: asked twice,
+    # the residual is normalized once.
     e = parse("(f + g)^3 - (g + f)^3")
-    with mock.patch.object(identity, "_normalize", wraps=identity._normalize) as spy:
-        for _ in range(2):
-            with mock.patch.object(identity, "_SIZE_BOUND", 2):
-                with pytest.raises(ExactPathUnavailable, match="exceeds 2 nodes"):
+    for constant, value, reason in (("_SIZE_BOUND", 2, "exceeds 2 nodes"),
+                                    ("_TERM_CAP", 4, "^term blow-up$")):
+        identity._normalize.cache_clear()
+        with mock.patch.object(identity, constant, value):
+            for _ in range(2):
+                with pytest.raises(ExactPathUnavailable, match=reason):
                     exact_zero(e)
-            with mock.patch.object(identity, "_TERM_CAP", 4):
-                with pytest.raises(ExactPathUnavailable, match="term blow-up"):
-                    exact_zero(e)
-            assert exact_zero(e)
-    assert spy.call_count == 3
+        info = identity._normalize.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+    identity._normalize.cache_clear()
+    assert exact_zero(e)
 
 
-@pytest.fixture
-def fresh_exact():
-    """exact_zero with no outcome remembered, so no node recorded as blown."""
-    with mock.patch.dict(identity._OUTCOMES, clear=True):
-        yield
-
-
-def test_e7_rel2_after_rel1_builds_no_polynomial(e7, fresh_exact):
-    # E7 T:rel1 and T:rel2 trip the cap at one shared node, so once rel1 has
-    # recorded it, rel2 is unavailable without a single product.
-    rel1, rel2 = _theorem_residuals(e7)[-2:]
-    with mock.patch.object(identity, "_poly_mul", wraps=identity._poly_mul) as spy:
-        with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
-            exact_zero(rel1)
-        assert spy.call_count > 0
-        spy.reset_mock()
-        got = _outcome(lambda: exact_zero(rel2))
-        assert spy.call_count == 0
-    assert got == _outcome(lambda: _reference_exact_zero(rel2, identity._TERM_CAP))
-    assert got == "unavailable: term blow-up"
+def test_exact_cache_is_bounded(fresh_exact):
+    # The bound holds the 73 distinct residuals of the 18 --exact verify runs,
+    # so a process that runs them again normalizes none of them again.
+    assert identity._normalize.cache_info().maxsize == identity.EXACT_CACHE_SIZE >= 73
+    f = sym("f")
+    for k in range(identity.EXACT_CACHE_SIZE + 10):
+        assert not exact_zero(sub(pow_(f, k + 2), num(k + 1)))
+    info = identity._normalize.cache_info()
+    assert info.misses == identity.EXACT_CACHE_SIZE + 10
+    assert info.currsize == identity.EXACT_CACHE_SIZE
 
 
 @pytest.mark.parametrize("cap", [4, 12, 40])
 @settings(max_examples=150, deadline=None)
 @given(a=small_dags(), b=small_dags(), c=small_dags())
 def test_residuals_sharing_a_blown_node_match_the_reference(cap, a, b, c):
-    # The first residual records where it trips the cap; the later ones reach
-    # its nodes.  The cube trips small caps often, and the last residual
-    # divides by c - c before it reaches the cube.
+    # Residuals that share nodes each end as the reference does, whichever
+    # ran first.  The cube trips small caps often, at a node that every
+    # residual with the cube reaches, and the last residual divides by c - c
+    # before it reaches the cube.
     d = sub(a, b)
     residuals = [d, sub(mul(a, c), b), sub(pow_(d, 3), c)]
     try:
         residuals.append(mul(pow_(d, 3), div(num(1), sub(c, c))))
     except ExprError:  # c - c folded to the constant 0
         pass
-    with mock.patch.dict(identity._OUTCOMES, clear=True), \
-            mock.patch.object(identity, "_TERM_CAP", cap):
+    with _term_cap(cap):
         for r in residuals:
             got = _outcome(lambda: exact_zero(r))
             assert got == _outcome(lambda: _reference_exact_zero(r, cap))
-
-
-@pytest.mark.parametrize("cap", [4, 12, 40])
-@settings(max_examples=150, deadline=None)
-@given(a=small_dags(), b=small_dags(), c=small_dags())
-def test_memo_outcomes_are_each_nodes_own_and_never_change(cap, a, b, c):
-    # The invariant of exact_zero's memo: a node stored as "term blow-up"
-    # blows up as a residual of its own, and no node is ever stored with two
-    # outcomes.  Later residuals reach earlier ones, and ask again about
-    # nodes that may already be stored.
-    d = sub(a, b)
-    residuals = [d, sub(mul(a, c), b), sub(pow_(d, 3), c), pow_(d, 3), d]
-    try:
-        residuals.append(mul(pow_(d, 3), div(num(1), sub(c, c))))
-    except ExprError:  # c - c folded to the constant 0
-        pass
-    stored = {}
-    with mock.patch.dict(identity._OUTCOMES, clear=True), \
-            mock.patch.object(identity, "_TERM_CAP", cap):
-        for r in residuals:
-            _outcome(lambda: exact_zero(r))
-            for node, outcome in identity._OUTCOMES[(identity._SIZE_BOUND, cap)].items():
-                assert stored.setdefault(node, outcome) == outcome
-                if outcome == "term blow-up":
-                    assert _outcome(lambda: _reference_exact_zero(node, cap)) == \
-                        "unavailable: term blow-up"
-
-
-def test_blown_node_with_a_zero_divisor_keeps_the_reference_message(fresh_exact):
-    # The division by f - f comes first in the program, so the full run ends
-    # there; the certificate's evaluation divides by zero and falls back to it.
-    f, g = sym("f"), sym("g")
-    blown = pow_(add(f, g), 3)
-    r = add(blown, div(num(1), sub(f, f)))
-    with mock.patch.object(identity, "_TERM_CAP", 4):
-        with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
-            exact_zero(blown)
-        assert identity._OUTCOMES[(identity._SIZE_BOUND, 4)][blown] == "term blow-up"
-        got = _outcome(lambda: exact_zero(r))
-    assert got == _outcome(lambda: _reference_exact_zero(r, 4))
-    assert got == "unavailable: division by an identically zero expression"
-
-
-def test_node_blown_at_one_cap_is_not_blown_at_another(fresh_exact):
-    f, g = sym("f"), sym("g")
-    blown = pow_(add(f, g), 3)
-    with mock.patch.object(identity, "_TERM_CAP", 4):
-        with pytest.raises(ExactPathUnavailable, match="^term blow-up$"):
-            exact_zero(blown)
-    assert identity._OUTCOMES[(identity._SIZE_BOUND, 4)][blown] == "term blow-up"
-    assert exact_zero(sub(mul(blown, num(2)), add(blown, blown)))
-    assert blown not in identity._OUTCOMES[(identity._SIZE_BOUND, identity._TERM_CAP)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from qpweyl.lax import (
     Pochhammer,
     PowerGauge,
     apply_gauge,
+    _scaling,
     build_L1,
-    d5_dilation_scaling,
-    d5_power_scaling,
     equations_equivalent,
     substitute_params,
     verify_gauge_claim,
@@ -378,7 +377,7 @@ def test_d5_double_gauge_is_composition_of_singles(d5):
 
 def test_d5_power_scaling_induces_stated_composite_action(d5):
     s = sym("s")
-    G = d5_power_scaling(s)
+    G = _scaling("d5_power", s)
     assert eq(G(parse("nu5/kappa2")), mul(s, parse("nu5/kappa2")), label="G:52") == "equal"
     assert eq(G(parse("nu6/kappa2")), mul(s, parse("nu6/kappa2")), label="G:62") == "equal"
     assert eq(G(parse("nu7/kappa1")), parse("nu7/kappa1"), label="G:71") == "equal"
@@ -388,7 +387,7 @@ def test_d5_power_scaling_induces_stated_composite_action(d5):
 
 def test_d5_dilation_scaling_induces_stated_composite_action(d5):
     c = sym("c")
-    D = d5_dilation_scaling(c)
+    D = _scaling("d5_dilation", c)
     assert eq(D(parse("nu3")), parse("c*nu3"), label="D:3") == "equal"
     assert eq(D(parse("nu7/kappa1")), parse("nu7/kappa1/c"), label="D:71") == "equal"
     assert eq(D(parse("f")), parse("c*f"), label="D:f") == "equal"

@@ -93,22 +93,26 @@ def test_make_family_never_caches_an_unknown_name():
 
 
 def _clear_memos():
-    """Empty the compose, parse, elimination and compile caches."""
-    for memo in (weyl.compose, expr_module._parse, identity._eliminate, expr_module._compile):
+    """Empty the compose, parse, elimination, compile and exact outcome caches."""
+    for memo in (weyl.compose, expr_module._parse, identity._eliminate, expr_module._compile,
+                 identity._normalize):
         memo.cache_clear()
 
 
 def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     # 4 threads run two suites on the shared E6 and E7 descriptors at once,
     # each with its own seed, and one mutant suite each, racing to parse,
-    # compose, eliminate and compile the same things from empty memos.  Each
-    # thread builds its own copy of its mutant, equal to the serial one but
-    # not the same object.  Theorem I without the constraint fails with
-    # witnesses that depend on the seed.  Each report equals the same call
-    # run alone.
+    # compose, eliminate and compile the same things from empty memos.  One
+    # --exact job per thread, two on each family, races on the exact outcome
+    # cache.  Each thread builds its own copy of its mutant, equal to the
+    # serial one but not the same object.  Theorem I without the constraint
+    # fails with witnesses that depend on the seed.  Each report equals the
+    # same call run alone.
     jobs = [(fam, CheckConfig(seed=seed, use_constraint=use))
             for seed, fam in enumerate((e6, e7, e6, e7), start=31) for use in (True, False)]
-    # Thread slot s runs jobs s and s + 4, of one family, and this mutant.
+    jobs += [(fam, CheckConfig(seed=seed, exact=True))
+             for seed, fam in ((31, e6), (33, e6), (32, e7), (34, e7))]
+    # Thread slot s runs jobs s, s + 4 and s + 8, of one family, and this mutant.
     mutations = [m for m in MUTATIONS if m[:2] in {("E6", "s6"), ("E6", "s4"),
                                                      ("E7", "s0"), ("E7", "s4")}]
 
