@@ -85,6 +85,12 @@ FRESH = ("fbar", "gbar")
 #: so only this bounds the time and the output.
 MAX_STEPS = 100_000
 
+#: The most decimal digits a numerator or denominator may have, in a params
+#: rational and in every orbit state: CPython's default int-to-str limit,
+#: whatever the interpreter's own setting.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
 class EvolutionSpec(Frozen):
     __slots__ = ("qp_relations",)
 
@@ -205,14 +211,13 @@ def _text_digits(text: str) -> int:
 
 def parse_rational(text, name: str) -> Fraction:
     """Fraction(text) for the field `name`.  Raises ValueError naming it
-    before building a numerator or denominator past Python's int-to-str
-    digit limit, which 1e200000000 would take minutes to reach."""
+    before building a numerator or denominator of more than MAX_DIGITS
+    digits, which 1e200000000 would take minutes to reach."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ValueError(f"{name} must be a string like '3/4', got {shown(text)}")
-    limit = _digit_limit()
-    if isinstance(text, str) and limit and _text_digits(text) > limit:
+    if isinstance(text, str) and _text_digits(text) > MAX_DIGITS:
         raise ValueError(f"{name} = {shown(text)} has a numerator or denominator "
-                         f"past Python's int-to-str digit limit ({limit} digits)")
+                         f"past Python's int-to-str digit limit ({MAX_DIGITS} digits)")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -585,13 +590,12 @@ class OrbitResult(Record):
 
 def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
     """n forward steps, 0 <= n <= MAX_STEPS; aborts at the first pole with
-    partial output.  Raises orbit_to_json's ValueError at the first state it
-    could not print, before stepping on: the rationals only grow, and each
-    step costs more."""
+    partial output.  Raises ValueError at the first state with a numerator
+    or denominator of more than MAX_DIGITS digits, before stepping on: the
+    rationals only grow, and each step costs more."""
     if not 0 <= n <= MAX_STEPS:
         raise ValueError(f"the number of steps n must be >= 0 and at most {MAX_STEPS}, got {n}")
-    bound = _digit_bound()
-    _check_printable(st0, bound, "give a smaller start state")
+    _check_digits(st0, "give a smaller start state")
     states = [st0]
     st = st0
     for _ in range(n):
@@ -599,45 +603,37 @@ def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
             st = orbit_step(fam, st, "forward")
         except PoleError as err:
             return OrbitResult(states, err)
-        _check_printable(st, bound)
+        _check_digits(st, "ask for fewer steps")
         states.append(st)
     return OrbitResult(states)
 
 
-def _digit_limit() -> int:
-    """Python's limit on int-to-str conversion, 0 when there is none (limit
-    0, or an interpreter before 3.10.7 that has no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _past_limit(st: OrbitState, advice: str) -> ValueError:
+    return ValueError(f"state t={st.t} has a rational past Python's int-to-str digit "
+                      f"limit; {advice}")
 
 
-def _digit_bound() -> int | None:
-    """10**limit for the int-to-str digit limit, None when there is none."""
-    limit = _digit_limit()
-    return 10 ** limit if limit else None
-
-
-def _check_printable(st: OrbitState, bound: int | None,
-                     advice: str = "ask for fewer steps") -> None:
+def _check_digits(st: OrbitState, advice: str) -> None:
     """Raise ValueError naming st when a numerator or denominator has more
-    decimal digits than the limit, that is, when its str() would raise."""
-    if bound is not None and any(
-            not -bound < v.numerator < bound or v.denominator >= bound
-            for v in (st.q, *st.nu, st.kappa1, st.kappa2, st.f, st.g)):
-        raise ValueError(
-            f"state t={st.t} has a rational past Python's int-to-str digit "
-            f"limit; {advice}"
-        )
+    than MAX_DIGITS decimal digits."""
+    if any(not -_DIGIT_BOUND < v.numerator < _DIGIT_BOUND or v.denominator >= _DIGIT_BOUND
+           for v in (st.q, *st.nu, st.kappa1, st.kappa2, st.f, st.g)):
+        raise _past_limit(st, advice)
 
 
 def orbit_to_json(result: OrbitResult) -> str:
-    """The orbit as JSON.  Raises ValueError naming the first state with a
-    numerator or denominator past Python's limit on int-to-str conversion
-    (4300 digits by default)."""
+    """The orbit as JSON.  Raises ValueError naming the first state whose
+    str() the interpreter refuses: a numerator or denominator past its
+    int-to-str digit limit, 4300 digits (MAX_DIGITS) by default."""
     import json   # here, not at module level: only evolve prints JSON
-    bound = _digit_bound()
+    records = []
     for st in result.states:
-        _check_printable(st, bound)
-    doc = {"schema": 1, "states": [st.to_record() for st in result.states]}
+        try:
+            records.append(st.to_record())
+        except ValueError:
+            raise _past_limit(st, "ask for fewer steps" if records
+                              else "give a smaller start state") from None
+    doc = {"schema": 1, "states": records}
     if result.pole is not None:
         doc["pole"] = {"step": result.pole.step, "where": result.pole.where}
     return json.dumps(doc, sort_keys=True, indent=2)

@@ -15,6 +15,7 @@ import pytest
 from test_golden import GOLDEN
 
 import qpweyl.cli as cli
+from qpweyl import evolution
 from qpweyl.expr import shown
 from qpweyl.identity import MAX_PRIME_BITS, MAX_TRIALS
 from qpweyl.weyl import MAX_WORD_LETTERS
@@ -598,14 +599,20 @@ def test_evolve_params_past_int_str_limit_names_field(capsys, tmp_path, value):
     assert out == ""
     assert err == (f"error: bad params file: nu7 = '{value}' has a numerator or "
                    f"denominator past Python's int-to-str digit limit "
-                   f"({sys.get_int_max_str_digits()} digits)\n")
+                   f"({evolution.MAX_DIGITS} digits)\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_apply_image_past_int_str_limit_exit_2(capsys, fmt):
-    # 2^20000 has 6,021 digits, past the default limit of 4,300.
-    code, out, err = run(capsys, "apply", "--family", "D5", "--expr", "2^20000*f",
-                         "--format", fmt)
+    # 2^20000 has 6,021 digits, past the default limit of 4,300, which
+    # printing the image follows whatever it is set to.
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "apply", "--family", "D5", "--expr", "2^20000*f",
+                             "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(old)
     assert code == 2
     assert out == ""
     assert re.fullmatch(r"error: the image has a number past [^\n]*digit limit\n", err)

@@ -726,6 +726,26 @@ def test_orbit_start_past_int_str_limit_blames_the_start(d5):
         orbit(d5, st0, 3)
 
 
+@pytest.mark.parametrize("limit", [0, 50_000])
+def test_digit_budget_ignores_the_interpreters_limit(d5, limit):
+    # D5 from sample_state(): state 22 has a numerator past 4300 digits.
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(limit)
+        with pytest.raises(ValueError, match="^state t=22 .*ask for fewer steps$"):
+            orbit(d5, sample_state(), 30)
+        with pytest.raises(ValueError, match=r"^f = '1e5000' has a numerator or denominator past"):
+            parse_rational("1e5000", "f")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_no_module_reads_the_interpreters_digit_limit():
+    package = Path(evolution.__file__).resolve().parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "int_max_str_digits" in path.read_text(encoding="utf-8")] == []
+
+
 @pytest.mark.parametrize("limit", [None, 640, 0])
 def test_printable_check_agrees_with_int_to_str(limit):
     old = sys.get_int_max_str_digits()
@@ -735,11 +755,14 @@ def test_printable_check_agrees_with_int_to_str(limit):
         digits = sys.get_int_max_str_digits() or 5000
         for n in (10 ** digits - 1, 10 ** digits, -(10 ** digits - 1), -(10 ** digits)):
             for f, g in ((n, 1), (1, Fraction(1, abs(n)))):
-                result = OrbitResult([make_state(2, [1] * 7, 1, 1, f, g, t=3)])
-                if _prints(n):
-                    orbit_to_json(result)
-                else:
-                    with pytest.raises(ValueError, match="state t=3 "):
-                        orbit_to_json(result)
+                st = make_state(2, [1] * 7, 1, 1, f, g, t=3)
+                for states, advice in (([st], "give a smaller start state"),
+                                       ([make_state(2, [1] * 7, 1, 1, 1, 1, t=2), st],
+                                        "ask for fewer steps")):
+                    if _prints(n):
+                        orbit_to_json(OrbitResult(states))
+                    else:
+                        with pytest.raises(ValueError, match=f"^state t=3 .*; {advice}$"):
+                            orbit_to_json(OrbitResult(states))
     finally:
         sys.set_int_max_str_digits(old)
