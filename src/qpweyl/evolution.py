@@ -13,53 +13,25 @@ advances kappa1 -> kappa1/q and kappa2 -> q kappa2, then solves the second
 relation for gbar at the advanced parameters.  This ordering is the only one
 consistent with the symbolic T, and the acceptance suite cross-checks the
 two paths pointwise.  Each relation is affine in its unknown, and the step
-solves it on the integer numerators and denominators of f and g: a factor
-(x - p/r) with x = c/d becomes the integer c*r - p*d, and the powers of d
-cancel by hand.  Most of the unreduced pair for the new coordinate would
-cancel in its reduction, as singularity confinement predicts (Grammaticos,
-Ramani and Papageorgiou 1991): the factors of the relation's rational
-function recur in the numerators and denominators of f and g.  So each
-solver first cancels the products of linear factors against the operands
-known to share them (_cancel_factors).  Each solver takes hints and returns
-its "pieces", the cofactors its linear factors leave; orbit_step keeps the
-pieces of the last few states it built, keyed by the state, and a step from
-such a state divides each factor by its gcd with its paired piece before an
-exact cancellation of what is left (_cancel): on the benchmark's orbits a
-D5 factor of 4,222 bits meets a piece of 2,143 bits, where the whole
-product would be divided by the whole operand, 8,473 against 4,236 bits.
-The pairing table, and why a hint cannot change a result, are in the
-comment above _cancel.
-
-What is left, num/den, shares only a small factor, and the solver reduces
-it against a bound instead of by gcd(num, den) (_fraction).  The bound K is
-a multiple of gcd(num, den) that the solver builds from the parameter
-roots, read as integer pairs a_n/a_d, and from the small cofactors the
-cancellations leave.  With x = c/d the shared coordinate, A_a = c a_d -
-a_n d for each root a of the relation's numerator and B_b = c b_d - b_n d
-for each root b of its denominator, three lemmas give it:
-gcd(X Y, Z) | gcd(X, Z) gcd(Y, Z); gcd(A_a, B_b) | D_ab = a_d b_n - a_n b_d,
-as b_n A_a - a_n B_b = c D_ab, b_d A_a - a_d B_b = d D_ab and c, d are
-coprime; and gcd(X Y, Z W) | lcm(Z, gcd(X, Z W)) when Y and W are coprime.
-Together,
-
-    K_uv = prod a_d * prod b_d * prod D_ab,
-    D5: K = c_n c_d K_uv,   E6: K = gcd(m', y_n') K_uv,
-    E7: K = s_d (s_n - s_d) gcd(m1', m2') K_uv,
-
-with the names and the full proof in the comment above _cancel.  Then
-g = gcd(gcd(num, K), den) equals gcd(num, den) and costs divisions by
-numbers of K's size, where gcd(num, den) runs Lehmer's algorithm on
-operands of num's size (on the benchmark's orbits, K has a median of 193
-bits and num and den of 1,184).  K = 0 bounds nothing, as gcd(num, 0) =
-|num|; a root of the numerator equal to one of the denominator and E7's
-s = 1 give it.  Every cancellation divides the numerator and the
-denominator by the same nonzero integer, and a reduced fraction is unique,
-so the orbit is the one Fraction arithmetic throughout would give.
+solves it on the integer numerators and denominators of f and g, with the
+parameter roots read as integer pairs.  As singularity confinement predicts
+(Grammaticos, Ramani and Papageorgiou 1991), the relation's linear factors
+recur in f and g, so each solver first cancels its products of linear
+factors against the operands known to share them.  The cofactors a solve
+leaves, its "pieces", travel with the state it builds, and a step from that
+state first divides each linear factor by its gcd with its paired piece: a
+hint that costs time and never changes a result.  What is left shares only a
+small factor, and the solver reduces it against a bound K, a multiple of the
+gcd built from the roots and the small cofactors, instead of by a gcd of the
+pair itself.  The pairing, the proofs that a hint cannot change a result and
+that K is such a multiple, and their sizes on the benchmark's orbits are in
+the comment above _cancel.  Every cancellation divides the numerator and the
+denominator by the same nonzero integer, and a reduced fraction is unique, so
+the orbit is the one Fraction arithmetic throughout would give.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from fractions import Fraction
@@ -151,7 +123,18 @@ class PoleError(ArithmeticError):
         self.where = where
 
 
-class OrbitState(Value):
+class _WithContext(Value):
+    """OrbitState's base: a slot outside the fields for the solve context
+    orbit_step hands on (see the comment above _cancel), so equality,
+    hashing, repr and _replace ignore it, and copy and pickle drop it."""
+
+    __slots__ = ("_context",)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class OrbitState(_WithContext):
     __slots__ = ("q", "nu", "kappa1", "kappa2", "f", "g", "t")
 
     def __init__(self, q: Fraction, nu: tuple[Fraction, ...],   # nu1..nu8
@@ -212,18 +195,24 @@ def _text_digits(text: str) -> int:
 def parse_rational(text, name: str) -> Fraction:
     """Fraction(text) for the field `name`.  Raises ValueError naming it
     before building a numerator or denominator of more than MAX_DIGITS
-    digits, which 1e200000000 would take minutes to reach."""
+    digits, which 1e200000000 would take minutes to reach, and naming it and
+    the interpreter's int-to-str limit when that limit alone refuses text."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ValueError(f"{name} must be a string like '3/4', got {shown(text)}")
     if isinstance(text, str) and _text_digits(text) > MAX_DIGITS:
         raise ValueError(f"{name} = {shown(text)} has a numerator or denominator "
-                         f"past Python's int-to-str digit limit ({MAX_DIGITS} digits)")
+                         f"past evolution.MAX_DIGITS ({MAX_DIGITS} digits)")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{name} = {shown(text)} has a zero denominator") from None
     except ValueError:
-        raise ValueError(f"Invalid literal for Fraction: {shown(text)}") from None
+        try:   # refused for its digits alone, under a lower int-to-str limit
+            Fraction(re.sub(r"\d+", "1", text))
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: {shown(text)}") from None
+        raise ValueError(f"{name} = {shown(text)} has a numerator or denominator past "
+                         f"Python's int-to-str digit limit") from None
 
 
 def make_state(q, nu_first7, kappa1, kappa2, f, g, t: int = 0) -> OrbitState:
@@ -270,13 +259,17 @@ def state_from_record(rec) -> OrbitState:
 def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward") -> OrbitState:
     """One step of the family's orbit.  Forward solves rel1 for fbar, then
     rel2 for gbar at the advanced kappas; backward solves rel2 for the
-    previous g, then rel1 at the previous kappas for the previous f."""
+    previous g, then rel1 at the previous kappas for the previous f.  The
+    state it returns takes over st's solve context, with the pieces of this
+    step (the comment above _cancel)."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {shown(direction)}")
     solve, q, up = _SOLVERS[fam.name], st.q, direction == "forward"
-    built = next((entry for entry in _built if entry is not None and entry[0] is st), None)
-    turn = built is not None and built[1] != up
-    pf, pg = built[2:] if built else (None, None)
+    context = getattr(st, "_context", None)
+    if context is None:
+        context = (None, None, None, *(i for v in (q, *st.nu) for i in v.as_integer_ratio()))
+    built_up, pf, pg, *params = context
+    turn = built_up == (not up)
 
     def hints(y, x):
         """(hx, hy) for a solve, from the pieces of its y and of its x."""
@@ -284,26 +277,29 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 
     if up:
         k1, k2 = st.kappa1 / q, st.kappa2 * q
-        f, pf = solve(st, 1, st.g, st.f, st.kappa1, st.kappa2, up, *hints(pf, pg))
-        g, pg = solve(st, 2, f, st.g, k1, k2, up, *hints(pg, pf))
+        f, pf = solve(st, params, 1, st.g, st.f, st.kappa1, st.kappa2, up, *hints(pf, pg))
+        g, pg = solve(st, params, 2, f, st.g, k1, k2, up, *hints(pg, pf))
     else:
         k1, k2 = st.kappa1 * q, st.kappa2 / q
-        g, pg = solve(st, 2, st.f, st.g, st.kappa1, st.kappa2, up, *hints(pg, pf))
-        f, pf = solve(st, 1, g, st.f, k1, k2, up, *hints(pf, pg))
+        g, pg = solve(st, params, 2, st.f, st.g, st.kappa1, st.kappa2, up, *hints(pg, pf))
+        f, pf = solve(st, params, 1, g, st.f, k1, k2, up, *hints(pf, pg))
     nxt = OrbitState(q, st.nu, k1, k2, f, g, st.t + 1 if up else st.t - 1)
-    _built[next(_next_slot) % _BUILT_SLOTS] = (nxt, up, pf, pg)
+    object.__setattr__(nxt, "_context", (up, pf, pg, *params))
+    object.__setattr__(st, "_context", None)
     return nxt
 
 
-# Each solver takes relation `rel` (1 or 2) at the kappas k1, k2 it is
-# written at (those of the earlier state for rel1, of the later state for
-# rel2), the coordinate x shared by both states (g for rel1, f for rel2), the
-# known coordinate y paired with the unknown z, `up`, true when z belongs
-# to the later state, and the hints hx and hy (below).  It reads the
-# relation's roots in paper.py as integer pairs, not necessarily reduced
-# (_roots), and works on the integer numerators and denominators of x and
-# y.  Before building z, each solver cancels the operand pairs that share
-# most of their bits along an orbit, the larger operand first:
+# Each solver takes the state st it steps from, params, the numerators and
+# denominators of q and nu1..nu8 in turn, relation `rel` (1 or 2) at the
+# kappas k1, k2 it is written at (those of the earlier state for rel1, of
+# the later state for rel2), the coordinate x shared by both states (g for
+# rel1, f for rel2), the known coordinate y paired with the unknown z, `up`,
+# true when z belongs to the later state, and the hints hx and hy (below).
+# It reads the relation's roots in paper.py as integer pairs, not
+# necessarily reduced (_roots), and works on the integer numerators and
+# denominators of x and y.  Before building z, each solver cancels the
+# operand pairs that share most of their bits along an orbit, the larger
+# operand first:
 #   D5: u against y's numerator, v against y's denominator;
 #   E6: u against (x y - 1), v against y's numerator, then the solve
 #       denominator against x's denominator (modulo xd it is
@@ -314,24 +310,34 @@ def orbit_step(fam: FamilyDescriptor, st: OrbitState, direction: str = "forward"
 #       denominator and s.num a - s.den b against x's numerator.
 # u and v are products of linear factors, one per root (_ratio), and are
 # cancelled by _cancel_factors.  Each solver returns z with its pieces: the
-# cofactors its top and its bottom factors leave, in order.  orbit_step keeps
-# the pieces of the last few states it built, keyed by the state (_built);
-# rel1 always builds f and rel2 g.  Along an orbit a linear factor of a later
-# solve shares all but a few bits of one such piece, so each factor is first
-# cancelled against its gcd with its paired piece.  A step from a state in the
-# table passes each solve the pieces of its y as hy and of its x as hx (x is
-# the state's other coordinate in the first solve, the first solve's z in the
-# second).  The pairs, measured along the sample and random orbits of every
-# family, in both directions:
+# cofactors its top and its bottom factors leave, in order; rel1 always
+# builds f and rel2 g.  The pieces travel with the state: orbit_step gives
+# the state it builds a solve context, one tuple (the step's direction, the
+# pieces of f and of g, then params), and clears that of the state it
+# stepped from, so along an orbit only the last state holds one, and memory
+# does not grow with the states a caller keeps.  A caller keeps the last
+# state's context with it, so the context is small: one tuple built anew
+# with each state, and pieces as tuples.  Kept as lists, with params a
+# list made at the orbit's start, they raised the orbit benchmark's peak
+# RSS by up to 1 MB (by 2 % in the median).  Along an orbit a linear factor of a
+# later solve shares all but a few bits of one such piece, so each factor is
+# first cancelled against its gcd with its paired piece: on the benchmark's
+# orbits (seed 1) a D5 factor of 4,222 bits meets a piece of 2,143 bits,
+# where the whole product would be divided by the whole operand, 8,473
+# against 4,236 bits.  A step from a state with pieces passes each solve
+# the pieces of its y as hy and of its x as hx (x is the state's other
+# coordinate in the first solve, the first solve's z in the second).  The
+# pairs, measured along the sample and random orbits of every family, in
+# both directions:
 #   D5's u and v, E6's v: hy.  Factor i pairs with piece 1 - i when the
 #       state was built in the step's direction (hy is passed reversed),
 #       and with piece i otherwise.
 #   E6's u, E7's u and v: hx, factor i with piece i.  Where the direction
 #       turns, hx is hy, not reversed: the solve that built y ran the other
 #       way from the same x, hence had the same factors.
-# A state not in the table, pieces that are not one per factor and an
-# operand under HINT_BITS bits give no hint, and the product is cancelled
-# whole, as one _cancel.
+# A state without a context (a start state, a copy, one already stepped
+# from), pieces that are not one per factor and an operand under HINT_BITS
+# bits give no hint, and the product is cancelled whole, as one _cancel.
 #
 # A hint cannot change a result.  The gcd of factor i with its piece divides
 # that factor, so the product h of these gcds divides u, and c = gcd(h, b)
@@ -437,19 +443,11 @@ def _root_indices(text: str) -> tuple[int, ...]:
 _ROOTS = {name: tuple(tuple(tuple(map(_root_indices, p)) for p in rel) for rel in data["roots"])
           for name, data in paper.FAMILIES.items()}
 
-#: (q, nu, their numerators and denominators) for the last state solved:
-#: along an orbit every state holds the same q and nu objects.
-_last_params: tuple = (None, None, [])
 
-
-def _roots(st: OrbitState, rel: tuple, k1: Fraction, k2: Fraction) -> list[list[tuple[int, int]]]:
-    """A relation's constants, top roots and bottom roots at st and k1, k2,
-    each as its integer pair, not reduced: nu5/k2 is (nu5_n k2_d, nu5_d k2_n)."""
-    global _last_params
-    q, nu, params = _last_params       # one tuple, so threads read a matching triple
-    if q is not st.q or nu is not st.nu:
-        params = [i for v in (st.q, *st.nu) for i in v.as_integer_ratio()]
-        _last_params = (st.q, st.nu, params)
+def _roots(params: list[int], rel: tuple, k1: Fraction,
+           k2: Fraction) -> list[list[tuple[int, int]]]:
+    """A relation's constants, top roots and bottom roots at params and k1,
+    k2, each as its integer pair, not reduced: nu5/k2 is (nu5_n k2_d, nu5_d k2_n)."""
     v = [*params, *k1.as_integer_ratio(), *k2.as_integer_ratio(), 1]
     return [[(v[a] * v[b] * v[c], v[d] * v[e] * v[f]) for a, b, c, d, e, f in p] for p in rel]
 
@@ -483,15 +481,6 @@ def _ratio(x: Fraction, top, bottom) -> tuple[list[int], list[int], int, int, in
 #: most between these cutoffs.
 HINT_BITS = 1000
 
-#: The pieces of the last few states orbit_step built, one entry (state, up,
-#: pieces of f, pieces of g) per slot, overwritten in turn: a lookup matches
-#: the state by identity, and memory does not grow with the states a caller
-#: keeps.  Threads share the table without a lock; a race can only overwrite
-#: an entry, which loses a hint.
-_BUILT_SLOTS = 4
-_built: list = [None] * _BUILT_SLOTS
-_next_slot = itertools.count()
-
 
 def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
     """(u // g, b // g, cofactors) for u = extra * prod(factors) and g =
@@ -499,8 +488,8 @@ def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
     per factor and b has at least HINT_BITS bits, are hints: factor i is
     divided by its gcd with pieces[i], the product of those gcds is
     cancelled against b, and the exact _cancel runs last, on what is left.
-    cofactors, the solve's pieces, are the factors after their hints;
-    without hints they are the factors themselves."""
+    cofactors, the solve's pieces, are the factors after their hints, as a
+    tuple; without hints they are the factors themselves."""
     if pieces is None or len(pieces) != len(factors) or b.bit_length() < HINT_BITS:
         pieces = (0,) * len(factors)             # no hints: every factor is kept whole
     found, u, rest = 1, extra, []
@@ -516,12 +505,13 @@ def _cancel_factors(factors: list[int], extra: int, b: int, pieces):
         b, found = _cancel(b, found)
         u *= found
     u, b = _cancel(u, b)
-    return u, b, rest
+    return u, b, tuple(rest)
 
 
-def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
+def _solve_d5(st: OrbitState, params, rel: int, x: Fraction, y: Fraction,
+              k1, k2, up: bool, hx, hy):
     """z y prod(x - b) = c prod(x - a), solved for z."""
-    ((cn, cd),), top, bottom = _roots(st, _ROOTS["D5"][rel - 1], k1, k2)
+    ((cn, cd),), top, bottom = _roots(params, _ROOTS["D5"][rel - 1], k1, k2)
     tops, bots, pa, pb, k = _ratio(x, top, bottom)
     if 0 in bots:
         raise PoleError(st.t, f"rel{rel} denominator")
@@ -533,9 +523,10 @@ def _solve_d5(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     return _fraction(cn * u * yd, cd * v * yn, cn * cd * k), (tops, bots)
 
 
-def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
+def _solve_e6(st: OrbitState, params, rel: int, x: Fraction, y: Fraction,
+              k1, k2, up: bool, hx, hy):
     """(x z - 1)(x y - 1) prod(x - b) = z y prod(x - a), solved for z."""
-    _, top, bottom = _roots(st, _ROOTS["E6"][rel - 1], k1, k2)
+    _, top, bottom = _roots(params, _ROOTS["E6"][rel - 1], k1, k2)
     tops, bots, pa, pb, k = _ratio(x, top, bottom)   # prod(x - a) / prod(x - b) = u / (v xd^2)
     if 0 in bots:
         raise PoleError(st.t, f"rel{rel} rhs")
@@ -550,10 +541,11 @@ def _solve_e6(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bo
     return _fraction(m * v * xd, den, gcd(m, yn) * k), (tops, bots)
 
 
-def _solve_e7(st: OrbitState, rel: int, x: Fraction, y: Fraction, k1, k2, up: bool, hx, hy):
+def _solve_e7(st: OrbitState, params, rel: int, x: Fraction, y: Fraction,
+              k1, k2, up: bool, hx, hy):
     """(x z - s)(x y - t) prod(x - b) = (x z - 1)(x y - 1) prod(x - a),
     solved for z; s and t are c and q c, swapped going backward."""
-    (c, qc), top, bottom = _roots(st, _ROOTS["E7"][rel - 1], k1, k2)
+    (c, qc), top, bottom = _roots(params, _ROOTS["E7"][rel - 1], k1, k2)
     (sn, sd), (tn, td) = (c, qc) if up else (qc, c)
     tops, bots, pa, pb, k = _ratio(x, top, bottom)       # prod(x - a) / prod(x - b) = u / v
     if 0 in bots:
@@ -608,9 +600,8 @@ def orbit(fam: FamilyDescriptor, st0: OrbitState, n: int) -> OrbitResult:
     return OrbitResult(states)
 
 
-def _past_limit(st: OrbitState, advice: str) -> ValueError:
-    return ValueError(f"state t={st.t} has a rational past Python's int-to-str digit "
-                      f"limit; {advice}")
+def _past_limit(st: OrbitState, limit: str, advice: str) -> ValueError:
+    return ValueError(f"state t={st.t} has a rational past {limit}; {advice}")
 
 
 def _check_digits(st: OrbitState, advice: str) -> None:
@@ -618,7 +609,7 @@ def _check_digits(st: OrbitState, advice: str) -> None:
     than MAX_DIGITS decimal digits."""
     if any(not -_DIGIT_BOUND < v.numerator < _DIGIT_BOUND or v.denominator >= _DIGIT_BOUND
            for v in (st.q, *st.nu, st.kappa1, st.kappa2, st.f, st.g)):
-        raise _past_limit(st, advice)
+        raise _past_limit(st, f"evolution.MAX_DIGITS ({MAX_DIGITS} digits)", advice)
 
 
 def orbit_to_json(result: OrbitResult) -> str:
@@ -631,8 +622,8 @@ def orbit_to_json(result: OrbitResult) -> str:
         try:
             records.append(st.to_record())
         except ValueError:
-            raise _past_limit(st, "ask for fewer steps" if records
-                              else "give a smaller start state") from None
+            raise _past_limit(st, "Python's int-to-str digit limit", "ask for fewer steps"
+                              if records else "give a smaller start state") from None
     doc = {"schema": 1, "states": records}
     if result.pole is not None:
         doc["pole"] = {"step": result.pole.step, "where": result.pole.where}

@@ -598,8 +598,23 @@ def test_evolve_params_past_int_str_limit_names_field(capsys, tmp_path, value):
     assert code == 2
     assert out == ""
     assert err == (f"error: bad params file: nu7 = '{value}' has a numerator or "
-                   f"denominator past Python's int-to-str digit limit "
-                   f"({evolution.MAX_DIGITS} digits)\n")
+                   f"denominator past evolution.MAX_DIGITS ({evolution.MAX_DIGITS} digits)\n")
+
+
+def test_evolve_params_past_a_lower_int_str_limit_names_field(capsys, tmp_path):
+    # The interpreter's limit, below MAX_DIGITS, refuses the text's digits,
+    # not its syntax.
+    path = write_params(tmp_path, f="7" * 1000)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, "evolve", "--family", "D5", "--params", path)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: bad params file: f = '77777777777777777777...' has a numerator "
+                   "or denominator past Python's int-to-str digit limit\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])

@@ -503,8 +503,9 @@ def _one_gcd_e7(state, rel, x, y, k1, k2, up):
 
 def _no_pieces(solve):
     """The reference solver with the orbit solvers' signature: it takes the
-    hints hx and hy, ignores them and returns no pieces."""
-    def adapted(state, rel, x, y, k1, k2, up, hx, hy):
+    integers of q and nu and the hints hx and hy, ignores them and returns
+    no pieces."""
+    def adapted(state, params, rel, x, y, k1, k2, up, hx, hy):
         return solve(state, rel, x, y, k1, k2, up), None
     return adapted
 
@@ -736,6 +737,28 @@ def test_digit_budget_ignores_the_interpreters_limit(d5, limit):
             orbit(d5, sample_state(), 30)
         with pytest.raises(ValueError, match=r"^f = '1e5000' has a numerator or denominator past"):
             parse_rational("1e5000", "f")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_digit_errors_name_the_limit_that_stopped_them(d5):
+    # Under an interpreter limit below MAX_DIGITS, Fraction refuses a
+    # 1,000-digit text for its digits alone, and D5 from sample_state()
+    # prints only up to t=9 but steps on to the package's budget at t=22.
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError, match=r"^f = '7+\.\.\.' has a numerator or denominator "
+                                             r"past Python's int-to-str digit limit$"):
+            parse_rational("7" * 1000, "f")
+        with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '7+\.\.\.'$"):
+            parse_rational("7" * 1000 + "x", "f")
+        with pytest.raises(ValueError, match=r"^state t=22 has a rational past evolution\."
+                                             r"MAX_DIGITS \(4300 digits\); ask for fewer steps$"):
+            orbit(d5, sample_state(), 30)
+        with pytest.raises(ValueError, match=r"^state t=10 has a rational past Python's "
+                                             r"int-to-str digit limit; ask for fewer steps$"):
+            orbit_to_json(orbit(d5, sample_state(), 15))
     finally:
         sys.set_int_max_str_digits(old)
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from test_evolution import _LONG_STEPS, _NONZERO, _SMALL, _step_outcome
 
 from qpweyl import evolution
-from qpweyl.evolution import PoleError, make_state, orbit_step, state_from_record
+from qpweyl.evolution import PoleError, make_state, orbit, orbit_step, state_from_record
 
 _START = st.tuples(_NONZERO, st.lists(_NONZERO, min_size=7, max_size=7),
                    _NONZERO, _NONZERO, _SMALL, _SMALL)
@@ -54,14 +54,14 @@ def _walk(fam, st0, directions):
 
 
 def _entry(state):
-    """The hint table's entry (state, up, pieces of f, pieces of g) for a
-    state orbit_step built, or None."""
-    return next((e for e in evolution._built if e is not None and e[0] is state), None)
+    """The solve context (up, pieces of f, pieces of g, *params) that state
+    holds, or None."""
+    return getattr(state, "_context", None)
 
 
-def _plant(*entries):
-    """Make the hint table hold exactly these entries."""
-    evolution._built[:] = list(entries) + [None] * (evolution._BUILT_SLOTS - len(entries))
+def _plant(state, context):
+    """Make state hold this solve context; None clears it."""
+    object.__setattr__(state, "_context", context)
 
 
 def _misled(pieces, bad, short):
@@ -75,11 +75,11 @@ def _misled(pieces, bad, short):
 @given(start=_START, other=_START, warm=st.integers(min_value=1, max_value=3), turn=st.booleans())
 def test_hints_never_change_a_step(families, family, direction, start, other, warm, turn):
     """A step from a state orbit_step built, with hints at every size, equals
-    the step with the hint table cleared, the step with another state's
-    pieces planted under this state, and the steps with misleading numbers
-    for pieces, one per factor or one fewer, as another family's solve
-    leaves them.  The warm-up steps run in the step's direction, or against
-    it (a turn)."""
+    the step with the state's solve context cleared, the step with another
+    state's direction and pieces planted in this state's context, and the
+    steps with misleading numbers for pieces, one per factor or one fewer,
+    as another family's solve leaves them.  The warm-up steps run in the
+    step's direction, or against it (a turn)."""
     fam = families[family]
     other_way = {"forward": "backward", "backward": "forward"}[direction]
     before = [other_way if turn else direction] * warm
@@ -93,9 +93,9 @@ def test_hints_never_change_a_step(families, family, direction, start, other, wa
         mine = _entry(cur)
         assert mine is not None, "the warm-up kept no pieces for the state it reached"
         normal = _step_outcome(fam, cur, direction)
-        _plant()
+        _plant(cur, None)
         cleared = _step_outcome(fam, cur, direction)
-        _plant((cur,) + donor_entry[1:])
+        _plant(cur, donor_entry[:3] + mine[3:])
         planted = _step_outcome(fam, cur, direction)
         # Pieces that share the new coordinates' primes, or every small prime,
         # with the factors: their gcds with a factor need not divide the
@@ -106,7 +106,8 @@ def test_hints_never_change_a_step(families, family, direction, start, other, wa
                 bad *= v.numerator * v.denominator
         misleading = []
         for short in (0, 1):
-            _plant((cur, mine[1], _misled(mine[2], bad, short), _misled(mine[3], bad, short)))
+            _plant(cur, (mine[0], _misled(mine[1], bad, short), _misled(mine[2], bad, short),
+                         *mine[3:]))
             misleading.append(_step_outcome(fam, cur, direction))
     assert [normal] * 4 == [cleared, planted, *misleading]
 
@@ -153,21 +154,20 @@ def test_large_cancellations_are_finished_by_a_small_exact_cancel(families, fami
         assert max(large) < _FINAL_CANCEL_BITS, sorted(large)[-5:]
 
 
-def test_a_full_hint_table_keeps_every_hint(families):
-    """As many orbits as the hint table holds (4), stepped round-robin
-    forward and then back, equal the same orbits stepped one after another,
-    and after each orbit's first step every cancellation against an operand
-    of 1,000 bits or more still ends in an exact _cancel whose smaller
-    operand is under _FINAL_CANCEL_BITS: no orbit's hints are pushed out by
-    the others."""
-    sample = _sample()
-    starts = [("D5", sample), ("E6", sample), ("E7", sample), ("D5", _swapped(sample))]
+def test_interleaved_orbits_keep_every_hint(families):
+    """Six orbits, D5, E6 and E7 from the sample and from its f/g swap,
+    stepped round-robin forward and then back, equal the same orbits stepped
+    one after another, and after each orbit's first step every cancellation
+    against an operand of 1,000 bits or more still ends in an exact _cancel
+    whose smaller operand is under _FINAL_CANCEL_BITS: each state carries its
+    own pieces, so no orbit's hints are pushed out by the others."""
+    starts = [(name, st0) for name in ("D5", "E6", "E7")
+              for st0 in (_sample(), _swapped(_sample()))]
     walks = [(families[name], st0, _there_and_back(name)) for name, st0 in starts]
     want = [_walk(fam, st0, directions) for fam, st0, directions in walks]
     got = [[] for _ in walks]
     finals, spies = _cancellations()
     large = []
-    _plant()
     with spies:
         for i in range(max(len(directions) for _, _, directions in walks)):
             for k, (fam, st0, directions) in enumerate(walks):
@@ -177,11 +177,33 @@ def test_a_full_hint_table_keeps_every_hint(families):
                     if i:
                         large += [smaller for bits, smaller in finals if bits >= 1000]
     assert got == want
-    assert len(large) >= 100, len(large)
+    assert len(large) >= 500, len(large)
     assert max(large) < _FINAL_CANCEL_BITS, sorted(large)[-5:]
 
 
-def test_threads_step_orbits_from_an_empty_piece_table(families):
+def test_stepping_keeps_no_module_state(families):
+    """Orbits of every family, forward and then back, rebind no name of the
+    evolution module and change no list it holds."""
+    before = dict(vars(evolution))
+    lists = {name: list(v) for name, v in before.items() if isinstance(v, list)}
+    for name in ("D5", "E6", "E7"):
+        _walk(families[name], _sample(), ["forward"] * 3 + ["backward"] * 3)
+    after = vars(evolution)
+    assert after.keys() == before.keys()
+    assert [name for name in after if after[name] is not before[name]] == []
+    assert {name: list(after[name]) for name in lists} == lists
+
+
+def test_only_an_orbits_last_state_holds_a_context(d5):
+    """The context is handed on from each state to the next, so an orbit's
+    states hold one context between them, however many a caller keeps."""
+    st0 = _sample()
+    states = orbit(d5, st0, 20).states
+    assert [t for t, state in enumerate(states) if _entry(state) is not None] == [20]
+    assert _entry(st0) is None
+
+
+def test_threads_step_orbits_at_once(families):
     """D5, E6 and E7 orbits and their f/g swaps, forward and then back, from
     4 threads at once, equal the serial orbits."""
     sample = _sample()
@@ -201,7 +223,6 @@ def test_threads_step_orbits_from_an_empty_piece_table(families):
         for i in range(k, len(jobs), 4):
             got[i] = run(jobs[i])
 
-    _plant()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -129,19 +129,15 @@ def _unreduced(text: str, values: dict) -> tuple[int, int]:
 
 @pytest.mark.parametrize("family", ["D5", "E6", "E7"])
 def test_solvers_read_the_root_texts(family):
-    """The solvers' resolved roots give the unreduced pair of each root text,
-    state after state, whatever state was solved before."""
-    rng, st = random.Random(3), None
-    for i in range(20):
+    """The solvers' resolved roots give the unreduced pair of each root text."""
+    rng = random.Random(3)
+    for _ in range(20):
         values = {name: Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 40))
                   for name in evolution._ROOT_NAMES}
-        q, nu = values["q"], tuple(values[f"nu{k}"] for k in range(1, 9))
-        if st is not None:   # the q or the nu objects of the state before, in turn
-            q, nu = (st.q, nu) if i % 2 else (q, st.nu)
-            values.update(q=q, **{f"nu{k}": v for k, v in enumerate(nu, 1)})
-        st = evolution.OrbitState(q, nu, values["k1"], values["k2"], Fraction(1), Fraction(1))
+        params = [i for name in evolution._ROOT_NAMES[:9] for i in values[name].as_integer_ratio()]
         for rel in (1, 2):
-            got = evolution._roots(st, evolution._ROOTS[family][rel - 1], values["k1"], values["k2"])
+            got = evolution._roots(params, evolution._ROOTS[family][rel - 1],
+                                   values["k1"], values["k2"])
             want = [[_unreduced(text, values) for text in part]
                     for part in paper.FAMILIES[family]["roots"][rel - 1]]
             assert got == want

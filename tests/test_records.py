@@ -14,7 +14,14 @@ from types import MappingProxyType
 import pytest
 
 from qpweyl import lax
-from qpweyl.evolution import EvolutionSpec, OrbitResult, OrbitState, PoleError
+from qpweyl.evolution import (
+    EvolutionSpec,
+    OrbitResult,
+    OrbitState,
+    PoleError,
+    make_state,
+    orbit_step,
+)
 from qpweyl.expr import parse, sym
 from qpweyl.identity import ConstraintRelation, IdentityResult
 from qpweyl.lax import (
@@ -237,6 +244,22 @@ def test_records_copy_and_pickle(d5):
     eq = LinearQDE(A, B, Z)
     assert copy.copy(eq).coefficients() == eq.coefficients()
     assert copy.copy(d5).generators is d5.generators
+
+
+def test_stepped_orbit_states_are_plain_values(d5):
+    # orbit_step hands a solve context to the state it builds, in a slot
+    # outside the fields: the state compares, hashes and prints as one built
+    # from its values, and _replace, copy and pickle drop the context.
+    st0 = make_state(2, [3, 5, 7, 11, 13, 17, 19], 3, 5, Fraction(7, 3), Fraction(2, 9))
+    built = orbit_step(d5, orbit_step(d5, st0))
+    same = make_state(built.q, built.nu[:7], built.kappa1, built.kappa2, built.f, built.g, built.t)
+    assert built == same and hash(built) == hash(same) and repr(built) == repr(same)
+    assert getattr(built, "_context", None) is not None
+    twins = [built._replace(), copy.copy(built), pickle.loads(pickle.dumps(built))]
+    assert twins == [built] * 3
+    assert [getattr(twin, "_context", None) for twin in twins] == [None] * 3
+    nxt = orbit_step(d5, built)
+    assert [orbit_step(d5, twin) for twin in twins] == [nxt] * 3
 
 
 def test_mutable_records_take_assignment():
