@@ -32,12 +32,8 @@ from .identity import (
 )
 from .lax import (
     CLAIMS,
-    Dilation,
     GaugeClaim,
-    Inversion,
     LinearQDE,
-    Pochhammer,
-    PowerGauge,
     apply_gauge,
     build_L1,
     equations_equivalent,

@@ -5,15 +5,17 @@ Each family's spectral equation is stored as
     coeff_up * y(q z) + coeff_mid * y(z) + coeff_down * y(z/q) = 0
 
 with rational coefficients in the spectral variable z and the parameters.
-Four transformation mechanisms act on such equations:
+A gauge is a tuple (kind, *args): one of the four kind names paper.CLAIMS
+uses, then its argument expressions.  The four act on such equations as
 
-  pochhammer(a, b)   y(z) = p(z) ytilde(z) with p the ratio of infinite
-                     q-Pochhammer symbols (q a/z; q)/(q b/z; q).  Only the
-                     rational ratios p(qz)/p(z) and p(z/q)/p(z) enter, so
-                     nothing infinite is ever represented.
-  power(delta)       y(z) = z^d ytilde(z) with delta standing for q^d.
-  dilation(c)        z = u/c, y(z) = ytilde(u).
-  inversion(c,delta) z = c/u, y(z) = z^d ytilde(u); up and down swap roles.
+  ("pochhammer", a, b)     y(z) = p(z) ytilde(z) with p the ratio of infinite
+                           q-Pochhammer symbols (q a/z; q)/(q b/z; q).  Only
+                           the rational ratios p(qz)/p(z) and p(z/q)/p(z)
+                           enter, so nothing infinite is ever represented.
+  ("power", delta)         y(z) = z^d ytilde(z) with delta standing for q^d.
+  ("dilation", c)          z = u/c, y(z) = ytilde(u).
+  ("inversion", c, delta)  z = c/u, y(z) = z^d ytilde(u); up and down swap
+                           roles.
 
 A dilated or inverted equation is written back in z, substituting z -> z/c
 or z -> c/z at once.  Equations are compared projectively: equality up to
@@ -51,66 +53,34 @@ class LinearQDE(Frozen):
         return (self.coeff_up, self.coeff_mid, self.coeff_down)
 
 
-class Pochhammer(Value):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Expr, b: Expr):
-        super().__init__(a, b)
-
-
-class PowerGauge(Value):
-    __slots__ = ("delta",)
-
-    def __init__(self, delta: Expr):
-        super().__init__(delta)
-
-
-class Dilation(Value):
-    __slots__ = ("c",)
-
-    def __init__(self, c: Expr):
-        super().__init__(c)
-
-
-class Inversion(Value):
-    __slots__ = ("c", "delta")
-
-    def __init__(self, c: Expr, delta: Expr):
-        super().__init__(c, delta)
-
-
-#: The gauge kinds paper.CLAIMS names, each built from its argument texts.
-GAUGES = {"pochhammer": Pochhammer, "power": PowerGauge, "dilation": Dilation,
-          "inversion": Inversion}
-
-
 def build_L1(fam: FamilyDescriptor) -> LinearQDE:
     table = paper.FAMILIES[fam.name]["L1"]
     return LinearQDE(*(parse(table[part]) for part in ("up", "mid", "down")))
 
 
-def apply_gauge(eq: LinearQDE,
-                gauge: Pochhammer | PowerGauge | Dilation | Inversion) -> LinearQDE:
+def apply_gauge(eq: LinearQDE, gauge: tuple) -> LinearQDE:
+    """eq under gauge = (kind, *args), one of the four kinds of the module
+    docstring with its argument expressions."""
     z = sym("z")
     q = sym("q")
-    if isinstance(gauge, Pochhammer):
-        a, b = gauge.a, gauge.b
-        up = mul(eq.coeff_up, div(sub(z, a), sub(z, b)))
-        down = mul(eq.coeff_down, div(sub(z, mul(q, b)), sub(z, mul(q, a))))
-        return LinearQDE(up, eq.coeff_mid, down)
-    if isinstance(gauge, PowerGauge):
-        d = gauge.delta
-        return LinearQDE(mul(eq.coeff_up, d), eq.coeff_mid, div(eq.coeff_down, d))
-    if isinstance(gauge, Dilation):
-        image = {"z": div(z, gauge.c)}
-        return LinearQDE(*(substitute(cf, image) for cf in eq.coefficients()))
-    if isinstance(gauge, Inversion):
-        image = {"z": div(gauge.c, z)}
-        up, mid, down = (substitute(cf, image) for cf in eq.coefficients())
-        # y(qz) lands on ytilde(z/q): the up and down coefficients swap,
-        # weighted by delta = q^d.
-        return LinearQDE(div(down, gauge.delta), mid, mul(up, gauge.delta))
-    raise TypeError(f"unknown gauge {gauge!r}")
+    match gauge:
+        case ("pochhammer", a, b):
+            up = mul(eq.coeff_up, div(sub(z, a), sub(z, b)))
+            down = mul(eq.coeff_down, div(sub(z, mul(q, b)), sub(z, mul(q, a))))
+            return LinearQDE(up, eq.coeff_mid, down)
+        case ("power", d):
+            return LinearQDE(mul(eq.coeff_up, d), eq.coeff_mid, div(eq.coeff_down, d))
+        case ("dilation", c):
+            image = {"z": div(z, c)}
+            return LinearQDE(*(substitute(cf, image) for cf in eq.coefficients()))
+        case ("inversion", c, d):
+            image = {"z": div(c, z)}
+            up, mid, down = (substitute(cf, image) for cf in eq.coefficients())
+            # y(qz) lands on ytilde(z/q): the up and down coefficients swap,
+            # weighted by delta = q^d.
+            return LinearQDE(div(down, d), mid, mul(up, d))
+    kind, *args = gauge
+    raise ValueError(f"unknown gauge {shown(kind)} with {len(args)} argument(s)")
 
 
 def substitute_params(eq: LinearQDE, t: Transformation) -> LinearQDE:
@@ -169,23 +139,31 @@ def scaling_map(spec) -> Transformation:
 # claim registry
 
 class GaugeClaim(Value):
-    __slots__ = ("id", "family", "gauges", "target", "note")   # target(fam) is a map
+    """A row of paper.CLAIMS with each gauge's arguments parsed: gauges are
+    (kind, *Expr), and target is the paper's spec, a Weyl word text or a
+    scaling spec."""
 
-    def __init__(self, id: str, family: str, gauges: tuple, target: object, note: str = ""):
+    __slots__ = ("id", "family", "gauges", "target", "note")
+
+    def __init__(self, id: str, family: str, gauges: tuple, target: str | tuple,
+                 note: str = ""):
         super().__init__(id, family, gauges, target, note)
 
 
-def _target(spec):
-    """A claim's target map of fam: a Weyl word's, or a scaling spec's."""
-    if isinstance(spec, str):
-        return lambda fam: word_to_transform(fam, spec)
-    return lambda fam: scaling_map(spec)
-
-
 CLAIMS = {claim_id: GaugeClaim(claim_id, family,
-                               tuple(GAUGES[kind](*map(parse, args)) for kind, *args in gauges),
-                               _target(target), note)
+                               tuple((kind, *map(parse, args)) for kind, *args in gauges),
+                               target, note)
           for claim_id, family, gauges, target, note in paper.CLAIMS}
+
+
+def claim_equations(fam: FamilyDescriptor, claim: GaugeClaim) -> tuple[LinearQDE, LinearQDE]:
+    """fam's L1 under the claim's gauges, the first acting first, and L1
+    under the claim's target map."""
+    eq = build_L1(fam)
+    gauged = functools.reduce(apply_gauge, claim.gauges, eq)
+    spec = claim.target
+    target = word_to_transform(fam, spec) if isinstance(spec, str) else scaling_map(spec)
+    return gauged, substitute_params(eq, target)
 
 
 def verify_gauge_claim(
@@ -193,35 +171,22 @@ def verify_gauge_claim(
     claim_id: str,
     cfg: CheckConfig | None = None,
 ) -> CheckResult:
-    """equations_equivalent's result for the gauged equation and the target,
-    under the claim id, with the claim's note as its detail."""
+    """equations_equivalent's result for the claim's two equations, under
+    the claim id, with the claim's note as its detail."""
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id {shown(claim_id)}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
-    return _verify_claim(fam, claim, build_L1(fam), cfg or CheckConfig())
-
-
-def _verify_claim(fam: FamilyDescriptor, claim: GaugeClaim, eq: LinearQDE,
-                  cfg: CheckConfig) -> CheckResult:
-    """verify_gauge_claim for a claim of fam, given fam's equation eq."""
-    gauged = eq
-    for gauge in claim.gauges:
-        gauged = apply_gauge(gauged, gauge)
-    target = substitute_params(eq, claim.target(fam))
-    res = equations_equivalent(gauged, target, cfg.constraint(fam), cfg, label=claim.id)
+    cfg = cfg or CheckConfig()
+    res = equations_equivalent(*claim_equations(fam, claim), cfg.constraint(fam), cfg,
+                               label=claim_id)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
-    return res._replace(id=claim.id, detail=detail)
+    return res._replace(id=claim_id, detail=detail)
 
 
 def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
-    """Every claim of fam, in registry order, against one build of its equation."""
-    cfg = cfg or CheckConfig()
-    claims = [claim for claim in CLAIMS.values() if claim.family == fam.name]
-    eq = build_L1(fam) if claims else None
-    report = Report()
-    for claim in claims:
-        report.add(_verify_claim(fam, claim, eq, cfg))
-    return report
+    """verify_gauge_claim of every claim of fam, in registry order."""
+    return Report([verify_gauge_claim(fam, claim_id, cfg)
+                   for claim_id, claim in CLAIMS.items() if claim.family == fam.name])

@@ -295,8 +295,8 @@ SCALINGS = {
 }
 
 #: The gauge claims on L1, in report order: (id, family, gauges, target,
-#: note).  A gauge is (kind, argument texts), a kind of lax.GAUGES; the
-#: target is a Weyl word, or a scaling spec as in xi_scaling.
+#: note).  A gauge is (kind, argument texts), a kind lax.apply_gauge names;
+#: the target is a Weyl word, or a scaling spec as in xi_scaling.
 CLAIMS = (
     ("d5.s2", "D5", (("pochhammer", "nu3", "kappa1/nu7"),), "s2",
      "single Pochhammer ratio exchanging nu3 and kappa1/nu7"),

@@ -23,7 +23,6 @@ from qpweyl.evolution import (
 from qpweyl.expr import DivisionByZero, ZERO, evaluate, parse, substitute
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.lax import (
-    Pochhammer,
     apply_gauge,
     build_L1,
     equations_equivalent,
@@ -182,8 +181,8 @@ def test_criterion_5_gauge_claims(families):
     # double gauge equals the composition of the two single gauges
     d5 = families["D5"]
     eq = build_L1(d5)
-    chain = apply_gauge(apply_gauge(eq, Pochhammer(parse("nu3"), parse("kappa1/nu7"))),
-                        Pochhammer(parse("nu4"), parse("kappa1/nu8")))
+    chain = apply_gauge(apply_gauge(eq, ("pochhammer", parse("nu3"), parse("kappa1/nu7"))),
+                        ("pochhammer", parse("nu4"), parse("kappa1/nu8")))
     target = substitute_params(eq, word_to_transform(d5, "s2 s1 s0 s2"))
     composed_ok = equations_equivalent(chain, target, d5.constraint, CFG,
                                        label="acc5:double")

@@ -16,7 +16,7 @@ import pytest
 
 from qpweyl import evolution, paper
 from qpweyl.expr import ONE, ZERO, ExprError, mul, parse, sub, substitute, sym
-from qpweyl.weyl import CheckConfig, check
+from qpweyl.weyl import CheckConfig, check, parse_word
 
 PACKAGE = Path(evolution.__file__).resolve().parent
 
@@ -47,6 +47,36 @@ def test_mechanism_modules_hold_no_paper_text(module):
             if e.free and e.kind != "sym":
                 texts.append(f"{node.lineno}: {node.value}")
     assert texts == []
+
+
+#: The gauge kinds lax.apply_gauge knows, each with its argument count.
+GAUGE_ARITY = {"pochhammer": 2, "power": 1, "dilation": 1, "inversion": 2}
+
+
+def claim_faults(row) -> list[str]:
+    """What is wrong with a paper.CLAIMS row: a gauge of an unknown kind or
+    with the wrong number of arguments, a word target with a letter that is
+    no generator of the family, a scaling target with an unknown kind."""
+    claim_id, family, gauges, target, _ = row
+    faults = [f"{claim_id}: gauge {kind} of {len(args)}" for kind, *args in gauges
+              if GAUGE_ARITY.get(kind) != len(args)]
+    if isinstance(target, str):
+        generators = paper.FAMILIES[family]["generators"]
+        faults += [f"{claim_id}: letter {name}" for name in parse_word(target)
+                   if name not in generators]
+    else:
+        faults += [f"{claim_id}: scaling {kind}" for kind, _ in target
+                   if kind not in paper.SCALINGS]
+    return faults
+
+
+def test_claims_are_well_formed():
+    assert [fault for row in paper.CLAIMS for fault in claim_faults(row)] == []
+    _, family, gauges, target, note = paper.CLAIMS[1]
+    assert claim_faults(("x", family, (("pochamer", "nu3", "nu4"), ("power", "a", "b")),
+                         target + " s9", note)) == [
+        "x: gauge pochamer of 2", "x: gauge power of 2", "x: letter s9"]
+    assert claim_faults(("y", family, (), (("e7", "c"),), note)) == ["y: scaling e7"]
 
 
 def _kappas(rel: int):

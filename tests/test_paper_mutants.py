@@ -7,8 +7,9 @@ k2 in a root) trade places, or a binary + becomes - or the reverse.  A data
 mutant is killed when a suite of its family reports a failed check with a
 witness; the suites run in report order, and the first kill ends the run.
 A root mutant is killed when the solver form it gives differs from the
-relation text (tests/test_paper.py).  The L1 tables are not mutated here:
-the gauge suite misses 30 of their mutants.
+relation text (tests/test_paper.py).  An L1 mutant is killed when the
+gauge suite fails a claim with a witness; the ones it misses are listed in
+L1_SURVIVORS.
 """
 
 import re
@@ -19,6 +20,7 @@ from test_paper import root_check
 
 from qpweyl import paper
 from qpweyl.evolution import verify_theorem_i, verify_theorem_ii
+from qpweyl.lax import verify_gauge_claims
 from qpweyl.weyl import (
     CheckConfig,
     transformation,
@@ -112,3 +114,79 @@ def test_root_mutants_fail_the_root_check(families, family):
                         survivors.append(f"rel{rel} {text} -> {mutant}")
     assert count > 10
     assert survivors == []
+
+#: The L1 mutants the gauge suite misses, as (part, mutant text), in the
+#: order one_change_mutants makes them.  Each changes the up or down
+#: coefficient only, and every claim of its family still passes for the
+#: changed equation.
+L1_SURVIVORS = {
+    "D5": (),
+    "E6": (
+        ("up", "-(kappa1/nu7 - z)*(kappa1/nu8 + z)/(q*(f - z))"),
+        ("up", "-(kappa1/nu7 - z)*(kappa1/nu8 - z)/(q*(f + z))"),
+        ("down", "-(nu1 - z/q)*(nu3 - z/q)*(nu3 - z/q)*(nu4 - z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 - z/q)*(nu2 - z/q)*(nu4 - z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 - z/q)*(nu4 - z/q)*(nu4 - z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 - z/q)*(nu3 - z/q)*(nu3 - z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 + z/q)*(nu3 - z/q)*(nu4 - z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 - z/q)*(nu3 + z/q)*(nu4 - z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 - z/q)*(nu3 - z/q)*(nu4 + z/q)/(f - z/q)"),
+        ("down", "-(nu1 - z/q)*(nu2 - z/q)*(nu3 - z/q)*(nu4 - z/q)/(f + z/q)"),
+    ),
+    "E7": (
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu7*z)*(kappa1 - nu7*z)*(kappa1 - nu8*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu6*z)*(kappa1 - nu8*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu8*z)*(kappa1 - nu8*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu7*z)*(kappa1 - nu7*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 + nu6*z)*(kappa1 - nu7*z)*(kappa1 - nu8*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 + nu7*z)*(kappa1 - nu8*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu7*z)*(kappa1 + nu8*z)"
+               "/(kappa1^4*(f - z)*z^2)"),
+        ("up", "q*(kappa1 - nu5*z)*(kappa1 - nu6*z)*(kappa1 - nu7*z)*(kappa1 - nu8*z)"
+               "/(kappa1^4*(f + z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu3 - z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu2 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu4 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu3 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu3*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu2*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu4*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu3*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 + z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 + z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 + z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q - z)*z^2)"),
+        ("down", "(q*nu1 - z)*(q*nu2 - z)*(q*nu3 - z)*(q*nu4 - z)"
+                 "/(q*nu1*nu2*nu3*nu4*(f*q + z)*z^2)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", ["D5", "E6", "E7"])
+def test_l1_mutants_are_killed_or_listed(families, family):
+    fam, table = families[family], paper.FAMILIES[family]["L1"]
+    survivors, count = [], 0
+    for part, text in table.items():
+        for mutant in one_change_mutants(text):
+            count += 1
+            with mock.patch.dict(paper.FAMILIES[family], L1={**table, part: mutant}):
+                if killer(fam, (verify_gauge_claims,)) is None:
+                    survivors.append((part, mutant))
+    assert count == {"D5": 59, "E6": 70, "E7": 134}[family]
+    assert tuple(survivors) == L1_SURVIVORS[family]

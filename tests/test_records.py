@@ -1,9 +1,10 @@
 """The record types: construction, equality, hashing, immutability and repr.
 
-Sixteen classes carry the package's data.  Four compare by identity
+Twelve classes carry the package's data.  Four compare by identity
 (EvolutionSpec, ConstraintRelation, LinearQDE, FamilyDescriptor), a
 Transformation by its items, and the others by value; no two kinds ever
-compare equal.  Twelve are frozen.
+compare equal.  Eight are frozen.  A gauge is no record but a tuple
+(kind, *args), and a claim's target is the paper's text or scaling spec.
 """
 
 import copy
@@ -13,7 +14,7 @@ from types import MappingProxyType
 
 import pytest
 
-from qpweyl import lax
+from qpweyl import lax, paper
 from qpweyl.evolution import (
     EvolutionSpec,
     OrbitResult,
@@ -26,12 +27,8 @@ from qpweyl.expr import parse, sym
 from qpweyl.identity import ConstraintRelation, IdentityResult
 from qpweyl.lax import (
     CLAIMS,
-    Dilation,
     GaugeClaim,
-    Inversion,
     LinearQDE,
-    Pochhammer,
-    PowerGauge,
     build_L1,
     equations_equivalent,
     verify_gauge_claim,
@@ -58,7 +55,7 @@ def orbit_state(t=4):
 
 
 def claim():
-    return GaugeClaim("x", "D5", (PowerGauge(Z),), len)
+    return GaugeClaim("x", "D5", (("power", Z),), "s2")
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +92,10 @@ def test_config_and_orbit_records_take_positions_keywords_and_defaults():
 
 
 def test_gauge_records_take_positions_keywords_and_defaults():
-    assert Pochhammer(A, B) == Pochhammer(b=B, a=A)
-    assert PowerGauge(A) == PowerGauge(delta=A) and PowerGauge(A).delta is A
-    assert Dilation(A) == Dilation(c=A) and Dilation(A).c is A
-    assert Inversion(A, B) == Inversion(delta=B, c=A)
-    assert (Inversion(A, B).c, Inversion(A, B).delta) == (A, B)
-    assert claim() == GaugeClaim(target=len, gauges=(PowerGauge(Z),), family="D5",
+    assert claim() == GaugeClaim(target="s2", gauges=(("power", Z),), family="D5",
                                  id="x", note="")
     assert claim().note == ""
-    assert GaugeClaim("x", "D5", (), len, "n").note == "n"
+    assert GaugeClaim("x", "D5", (), "s2", "n").note == "n"
 
 
 def test_identity_records_take_positions_and_keywords(d5):
@@ -139,11 +131,7 @@ VALUES = [
     (lambda: IdentityResult("equal", trials=2), lambda: IdentityResult("equal", trials=3)),
     (lambda: CheckResult("a", "pass"), lambda: CheckResult("a", "fail")),
     (lambda: Report([CheckResult("a", "pass")]), lambda: Report()),
-    (lambda: claim(), lambda: GaugeClaim("y", "D5", (), len)),
-    (lambda: Pochhammer(A, B), lambda: Pochhammer(B, A)),
-    (lambda: PowerGauge(A), lambda: PowerGauge(B)),
-    (lambda: Dilation(A), lambda: Dilation(B)),
-    (lambda: Inversion(A, B), lambda: Inversion(A, A)),
+    (lambda: claim(), lambda: GaugeClaim("x", "D5", (("power", A),), "s2")),
     (lambda: Transformation({"f": A, "g": B}), lambda: Transformation({"f": B, "g": A})),
 ]
 
@@ -180,10 +168,27 @@ def test_mutable_values_are_unhashable(make):
 
 
 def test_different_kinds_never_compare_equal():
-    assert PowerGauge(A) != Dilation(A) and not PowerGauge(A) == Dilation(A)
-    assert Dilation(A) != PowerGauge(A)
-    assert Pochhammer(A, B) != Inversion(A, B) and not Pochhammer(A, B) == Inversion(A, B)
-    assert Inversion(A, B) != Pochhammer(A, B)
+    # Equal fields, and for values equal hashes, make no two kinds equal.
+    claim_, cfg = GaugeClaim(5, 7, 1, True, False), CheckConfig(5, 7, 1, True, False)
+    assert hash(claim_) == hash(cfg)
+    assert claim_ != cfg and not claim_ == cfg and cfg != claim_
+    check, got = CheckResult("a", "b", None, ""), IdentityResult("a", "b", None, "")
+    assert check._fields() == got._fields()
+    assert check != got and not check == got and got != check
+
+
+def test_claims_are_the_paper_rows_parsed():
+    # A claim holds only data: rebuilt from its row, it is equal and hashes
+    # alike, and it prints no function.
+    for claim_id, family, gauges, target, note in paper.CLAIMS:
+        parsed = tuple((kind, *map(parse, args)) for kind, *args in gauges)
+        built = GaugeClaim(claim_id, family, parsed, target, note)
+        assert built == CLAIMS[claim_id] and hash(built) == hash(CLAIMS[claim_id])
+        assert "<function" not in repr(CLAIMS[claim_id])
+    assert repr(CLAIMS["e6.S"]) == (
+        "GaugeClaim(id='e6.S', family='E6', gauges=(('power', Expr(1/c)), "
+        "('dilation', Expr(c))), target=(('e', 'c'),), "
+        "note='dilation plus power gauge with c q^d = 1')")
 
 
 def test_transformations_compare_by_items():
@@ -212,10 +217,6 @@ FROZEN = [
     (lambda fam: CheckConfig(), "seed"),
     (lambda fam: orbit_state(), "t"),
     (lambda fam: claim(), "note"),
-    (lambda fam: Pochhammer(A, B), "a"),
-    (lambda fam: PowerGauge(A), "delta"),
-    (lambda fam: Dilation(A), "c"),
-    (lambda fam: Inversion(A, B), "delta"),
     (lambda fam: Transformation({"g": A}), "images"),
     (lambda fam: ConstraintRelation("nu8", A), "replacement"),
     (lambda fam: LinearQDE(A, B, Z), "coeff_mid"),
@@ -292,13 +293,8 @@ def test_value_reprs():
         "exact=False, use_constraint=True)")
     assert repr(Transformation({"g": sym("f"), "f": parse("g/q")})) == (
         "Transformation(images=mappingproxy({'f': Expr(g/q), 'g': Expr(f)}))")
-    assert repr(Pochhammer(A, parse("kappa1/nu7"))) == "Pochhammer(a=Expr(a), b=Expr(kappa1/nu7))"
-    assert repr(PowerGauge(Z)) == "PowerGauge(delta=Expr(z))"
-    assert repr(Dilation(Z)) == "Dilation(c=Expr(z))"
-    assert repr(Inversion(A, Z)) == "Inversion(c=Expr(a), delta=Expr(z))"
     assert repr(claim()) == (
-        "GaugeClaim(id='x', family='D5', gauges=(PowerGauge(delta=Expr(z)),), "
-        "target=<built-in function len>, note='')")
+        "GaugeClaim(id='x', family='D5', gauges=(('power', Expr(z)),), target='s2', note='')")
     st = ("OrbitState(q=Fraction(2, 1), nu=(" + ", ".join(["Fraction(1, 2)"] * 8)
           + "), kappa1=Fraction(3, 1), kappa2=Fraction(5, 1), f=Fraction(7, 3), "
           "g=Fraction(1, 1), t=4)")
