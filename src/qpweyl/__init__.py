@@ -22,6 +22,7 @@ from .expr import (
     to_string,
 )
 from .identity import (
+    CheckConfig,
     ConstraintRelation,
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
@@ -56,7 +57,6 @@ from .evolution import (
 )
 from .report import CheckResult, Report
 from .weyl import (
-    CheckConfig,
     FAMILY_NAMES,
     FamilyDescriptor,
     Transformation,

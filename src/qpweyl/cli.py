@@ -46,11 +46,10 @@ from .evolution import (
     verify_theorem_ii,
 )
 from .expr import ExprError, parse, shown, to_latex, to_string
-from .identity import DEFAULT_PRIME, DEFAULT_TRIALS, check_sampling
+from .identity import DEFAULT_PRIME, DEFAULT_TRIALS, CheckConfig
 from .lax import CLAIMS, verify_gauge_claims
 from .report import Report
 from .weyl import (
-    CheckConfig,
     FAMILY_NAMES,
     make_family,
     parse_word,
@@ -84,11 +83,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_config(args) -> CheckConfig:
     try:
-        check_sampling(args.trials, args.prime)
+        return CheckConfig(trials=args.trials, prime=args.prime, seed=args.seed,
+                           exact=args.exact, use_constraint=not args.no_constraint)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    return CheckConfig(trials=args.trials, prime=args.prime, seed=args.seed,
-                       exact=args.exact, use_constraint=not args.no_constraint)
 
 
 def _emit_report(report: Report, args, family: str) -> Output:

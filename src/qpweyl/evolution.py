@@ -39,15 +39,15 @@ from math import gcd
 
 from . import paper
 from .expr import Expr, ZERO, parse, shown, substitute, sym
+from .identity import CheckConfig
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
-from .lax import scaling_map
 from .report import Frozen, Record, Report, Value
 from .weyl import (
-    CheckConfig,
     FamilyDescriptor,
     Transformation,
-    check,
     compose,
+    run_checks,
+    scaling_map,
     word_to_transform,
 )
 
@@ -80,37 +80,24 @@ def time_evolution(fam: FamilyDescriptor) -> Transformation:
     return compose(fam.xi, compose(s, s))
 
 
-def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
-    cfg = cfg or CheckConfig()
-    constraint = cfg.constraint(fam)
+def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     T = time_evolution(fam)
     claims = [(f"nu{i}", T.image(f"nu{i}"), sym(f"nu{i}")) for i in range(1, 9)]
     claims += [(name, T.image(name), parse(image)) for name, image in paper.T_IMAGES.items()]
     images = {"fbar": T.image("f"), "gbar": T.image("g")}
     claims += [(tag, substitute(rel, images), ZERO)
                for tag, rel in zip(("rel1", "rel2"), make_evolution_spec(fam).qp_relations)]
-    report = Report()
-    for tag, a, b in claims:
-        report.add(check(f"{fam.name}:T:{tag}", [("", a, b)], constraint, cfg))
-    return report
+    return run_checks(fam, cfg, ((f"{fam.name}:T:{tag}", [("", a, b)]) for tag, a, b in claims))
 
 
-def xi_scaling_map(fam: FamilyDescriptor) -> Transformation:
-    """The composed scaling map that xi factors through: for D5 the power
-    gauge's action after the dilation's, for E6 and E7 one joint scaling."""
-    return scaling_map(paper.FAMILIES[fam.name]["xi_scaling"])
-
-
-def verify_theorem_ii(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
-    cfg = cfg or CheckConfig()
-    constraint = cfg.constraint(fam)
-    scaling = xi_scaling_map(fam)
-    report = Report()
-    for zeta_text in paper.FAMILIES[fam.name]["xi_generators"]:
-        zeta = parse(zeta_text)
-        report.add(check(f"{fam.name}:xi:{zeta_text}",
-                         [("", fam.xi(zeta), scaling(zeta))], constraint, cfg))
-    return report
+def verify_theorem_ii(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+    """xi against the scaling map it factors through, on each generator:
+    for D5 the power gauge's action after the dilation's, for E6 and E7
+    one joint scaling."""
+    scaling = scaling_map(paper.FAMILIES[fam.name]["xi_scaling"])
+    texts = paper.FAMILIES[fam.name]["xi_generators"]
+    return run_checks(fam, cfg, ((f"{fam.name}:xi:{text}", [("", fam.xi(zeta), scaling(zeta))])
+                                 for text, zeta in zip(texts, map(parse, texts))))
 
 
 # ---------------------------------------------------------------------------

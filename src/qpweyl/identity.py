@@ -41,7 +41,7 @@ from .expr import (
     sub,
     substitute,
 )
-from .report import Frozen, Record
+from .report import Frozen, Record, Value
 
 #: Default modulus 2^61 - 1 (prime), comfortably above the 2^60 floor.
 DEFAULT_PRIME = (1 << 61) - 1
@@ -145,7 +145,7 @@ _MR_EXTRA_ROUNDS = 32
 
 @functools.lru_cache(maxsize=16)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test; cached because every check asks again."""
+    """Miller-Rabin primality test; cached, as each config built asks again."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -171,56 +171,54 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_sampling(trials: int, prime: int) -> None:
-    """Raise ValueError unless 1 <= trials <= MAX_TRIALS and prime is a
-    prime above 2^60 and at most MAX_PRIME_BITS bits wide.
+class CheckConfig(Value):
+    """How comparisons run, valid once built: __init__ raises ValueError
+    unless 1 <= trials <= MAX_TRIALS and prime is a prime above 2^60 and at
+    most MAX_PRIME_BITS bits wide.  The sampled field must be a field:
+    projective evaluation relies on every nonzero denominator being
+    invertible, and the error bound on p - 1 nonzero values."""
 
-    The sampled field must be a field: projective evaluation relies on every
-    nonzero denominator being invertible, and the error bound on p - 1
-    nonzero values.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    if prime <= 1 << 60:
-        raise ValueError(f"prime must exceed 2^60, got {prime}")
-    if prime.bit_length() > MAX_PRIME_BITS:
-        raise ValueError(f"prime must be at most {MAX_PRIME_BITS} bits wide, "
-                         f"got {prime.bit_length()} bits")
-    if not is_prime(prime):
-        raise ValueError(f"prime {prime} is composite")
+    __slots__ = ("trials", "prime", "seed", "exact", "use_constraint")
+
+    def __init__(self, trials: int = DEFAULT_TRIALS, prime: int = DEFAULT_PRIME, seed: int = 0,
+                 exact: bool = False, use_constraint: bool = True):
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+        if prime <= 1 << 60:
+            raise ValueError(f"prime must exceed 2^60, got {prime}")
+        if prime.bit_length() > MAX_PRIME_BITS:
+            raise ValueError(f"prime must be at most {MAX_PRIME_BITS} bits wide, "
+                             f"got {prime.bit_length()} bits")
+        if not is_prime(prime):
+            raise ValueError(f"prime {prime} is composite")
+        super().__init__(trials, prime, seed, exact, use_constraint)
+
+    def constraint(self, fam) -> ConstraintRelation | None:
+        """The family's constraint, or None when checks run without it."""
+        return fam.constraint if self.use_constraint else None
 
 
-def identities_equal(
-    a: Expr,
-    b: Expr,
-    constraint: ConstraintRelation | None = None,
-    *,
-    trials: int = DEFAULT_TRIALS,
-    prime: int = DEFAULT_PRIME,
-    seed: int = 0,
-    label: str = "",
-    exact: bool = False,
-) -> IdentityResult:
+def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = None,
+                     cfg: CheckConfig = CheckConfig(), *, label: str = "") -> IdentityResult:
     """Decide whether a and b agree as rational functions (mod constraint).
 
     The rules of the module docstring, in order: lattice ("exact-proved"
-    with exact, and no residual is built), sampling.  The lattice returns
+    with cfg.exact, and no residual is built), sampling.  The lattice returns
     the sampling loop's result: every trial equal and none resampled.  With
-    exact, an "equal" from sampling goes on to the exact path.
+    cfg.exact, an "equal" from sampling goes on to the exact path.
     """
-    check_sampling(trials, prime)
     lattice = _reduced_monomial(a, constraint)
     if lattice is not None and lattice == _reduced_monomial(b, constraint):
         # Monomials have no pole at a point with nonzero coordinates.
-        return IdentityResult("exact-proved" if exact else "equal", trials=trials)
+        return IdentityResult("exact-proved" if cfg.exact else "equal", trials=cfg.trials)
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
-    result = _sample(r, trials, prime, seed, label)
+    result = _sample(r, cfg.trials, cfg.prime, cfg.seed, label)
 
-    if exact and result.verdict == "equal":
+    if cfg.exact and result.verdict == "equal":
         try:
             if exact_zero(r):
                 result.verdict = "exact-proved"

@@ -30,15 +30,14 @@ import functools
 
 from . import paper
 from .expr import ZERO, Expr, div, mul, parse, shown, sub, substitute, sym
-from .identity import ConstraintRelation
+from .identity import CheckConfig, ConstraintRelation
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
 from .report import CheckResult, Frozen, Report, Value
 from .weyl import (
-    CheckConfig,
     FamilyDescriptor,
     Transformation,
     check,
-    compose,
+    scaling_map,
     word_to_transform,
 )
 
@@ -94,7 +93,7 @@ def equations_equivalent(
     e1: LinearQDE,
     e2: LinearQDE,
     constraint: ConstraintRelation | None = None,
-    cfg: CheckConfig | None = None,
+    cfg: CheckConfig = CheckConfig(),
     label: str = "",
 ) -> CheckResult:
     """The check that the equations agree up to one common rational factor.
@@ -103,7 +102,6 @@ def equations_equivalent(
     sampled, never exact, zero test finds both nonzero.  A zero test with no
     sample point off the poles is returned as it is; no pivot is degenerate.
     """
-    cfg = cfg or CheckConfig()
     sampled = cfg._replace(exact=False)
     pairs = list(zip(e1.coefficients(), e2.coefficients()))
     for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
@@ -119,20 +117,6 @@ def equations_equivalent(
                      for i, (c1, c2) in enumerate(pairs) if i != idx)
             return check(label, cross, constraint, cfg)
     return CheckResult(label, "degenerate", detail="all candidate pivot coefficients vanish")
-
-
-def _scaling(kind: str, s: Expr) -> Transformation:
-    """paper.SCALINGS[kind]'s map: x -> s x for each symbol x of its up set,
-    x -> x/s for each of its down set, everything else fixed."""
-    up, down = paper.SCALINGS[kind]
-    images = {x: mul(s, sym(x)) for x in up}
-    images.update({x: div(sym(x), s) for x in down})
-    return Transformation(images)
-
-
-def scaling_map(spec) -> Transformation:
-    """The composite of a scaling spec's (kind, scale text) maps; the last acts first."""
-    return functools.reduce(compose, (_scaling(kind, parse(scale)) for kind, scale in spec))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +153,7 @@ def claim_equations(fam: FamilyDescriptor, claim: GaugeClaim) -> tuple[LinearQDE
 def verify_gauge_claim(
     fam: FamilyDescriptor,
     claim_id: str,
-    cfg: CheckConfig | None = None,
+    cfg: CheckConfig = CheckConfig(),
 ) -> CheckResult:
     """equations_equivalent's result for the claim's two equations, under
     the claim id, with the claim's note as its detail."""
@@ -178,7 +162,6 @@ def verify_gauge_claim(
         raise KeyError(f"unknown claim id {shown(claim_id)}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
-    cfg = cfg or CheckConfig()
     res = equations_equivalent(*claim_equations(fam, claim), cfg.constraint(fam), cfg,
                                label=claim_id)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
@@ -186,7 +169,7 @@ def verify_gauge_claim(
     return res._replace(id=claim_id, detail=detail)
 
 
-def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
+def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     """verify_gauge_claim of every claim of fam, in registry order."""
     return Report([verify_gauge_claim(fam, claim_id, cfg)
                    for claim_id, claim in CLAIMS.items() if claim.family == fam.name])

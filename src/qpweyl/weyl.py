@@ -27,11 +27,10 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from . import paper
-from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, parse, shown, substitute, sym
+from .expr import ACTION_SYMBOLS, PARAM_SYMBOLS, Expr, div, mul, parse, shown, substitute, sym
 from .identity import (
+    CheckConfig,
     ConstraintRelation,
-    DEFAULT_PRIME,
-    DEFAULT_TRIALS,
     DegenerateComparison,
     _reduced_monomial,
     identities_equal,
@@ -98,6 +97,20 @@ def compose(outer: Transformation, inner: Transformation) -> Transformation:
                            if n in moved else outer.image(n) for n in names})
 
 
+def _scaling(kind: str, s: Expr) -> Transformation:
+    """paper.SCALINGS[kind]'s map: x -> s x for each symbol x of its up set,
+    x -> x/s for each of its down set, everything else fixed."""
+    up, down = paper.SCALINGS[kind]
+    images = {x: mul(s, sym(x)) for x in up}
+    images.update({x: div(sym(x), s) for x in down})
+    return Transformation(images)
+
+
+def scaling_map(spec) -> Transformation:
+    """The composite of a scaling spec's (kind, scale text) maps; the last acts first."""
+    return functools.reduce(compose, (_scaling(kind, parse(scale)) for kind, scale in spec))
+
+
 # ---------------------------------------------------------------------------
 # words
 
@@ -107,19 +120,36 @@ _WORD_MARKUP_RE = re.compile(r"[()]|\^\s*\d*")
 MAX_WORD_LETTERS = 10_000
 
 
+def _letters(text: str) -> int:
+    """How many names text holds, its group markup read as blanks."""
+    return len(_WORD_MARKUP_RE.sub(" ", text).split())
+
+
 def parse_word(text: str) -> tuple[str, ...]:
     """Whitespace-separated generator names; "(...)^n" groups are expanded,
-    innermost first.  Raises ValueError before an expansion would make the
-    word longer than MAX_WORD_LETTERS letters."""
-    while True:
-        m = _WORD_GROUP_RE.search(text)
-        body, n = (m.group(1), int(m.group(2))) if m else ("", 1)
-        letters = len(_WORD_MARKUP_RE.sub(" ", text).split()) + (n - 1) * len(body.split())
+    innermost first, each adding n - 1 times its body's words to the letter
+    count.  Raises ValueError before an expansion would make the word
+    longer than MAX_WORD_LETTERS letters.  A blank body's copies are cut to
+    MAX_WORD_LETTERS characters, past which blanks change neither the word
+    nor a message."""
+    letters, pos = _letters(text), 0
+    while m := _WORD_GROUP_RE.search(text, pos):
+        body, n = m.group(1), int(m.group(2))
+        k = len(body.split())
+        letters += (n - 1) * k
         if letters > MAX_WORD_LETTERS:
-            raise ValueError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-        if m is None:
             break
-        text = text[: m.start()] + " ".join([body] * n) + text[m.end() :]
+        if not k:
+            n = min(n, MAX_WORD_LETTERS // (len(body) + 1) + 1)
+        expansion = " ".join([body] * n)
+        # The text before the group is unchanged: no group starts before
+        # the last "(" in it.
+        start = m.start()
+        pos = text.rfind("(", 0, start)
+        pos = start if pos < 0 else pos
+        text = text[:start] + (expansion if k else expansion[:MAX_WORD_LETTERS]) + text[m.end():]
+    if letters > MAX_WORD_LETTERS or _letters(text) > MAX_WORD_LETTERS:
+        raise ValueError(f"word expands to more than {MAX_WORD_LETTERS} letters")
     if "(" in text or ")" in text or "^" in text:
         raise ValueError(f"malformed word {shown(text)}")
     return tuple(text.split())
@@ -198,18 +228,6 @@ def make_family(name: str) -> FamilyDescriptor:
 # ---------------------------------------------------------------------------
 # relation suites
 
-class CheckConfig(Value):
-    __slots__ = ("trials", "prime", "seed", "exact", "use_constraint")
-
-    def __init__(self, trials: int = DEFAULT_TRIALS, prime: int = DEFAULT_PRIME, seed: int = 0,
-                 exact: bool = False, use_constraint: bool = True):
-        super().__init__(trials, prime, seed, exact, use_constraint)
-
-    def constraint(self, fam: FamilyDescriptor) -> ConstraintRelation | None:
-        """The family's constraint, or None when checks run without it."""
-        return fam.constraint if self.use_constraint else None
-
-
 def check(check_id: str, pairs, constraint: ConstraintRelation | None,
           cfg: CheckConfig) -> CheckResult:
     """The verdict of every suite: does a equal b for each (name, a, b)?
@@ -223,11 +241,8 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     proved = cfg.exact
     try:
         for name, a, b in pairs:
-            res = identities_equal(
-                a, b, constraint,
-                trials=cfg.trials, prime=cfg.prime, seed=cfg.seed,
-                exact=cfg.exact, label=f"{check_id}:{name}" if name else check_id,
-            )
+            res = identities_equal(a, b, constraint, cfg,
+                                   label=f"{check_id}:{name}" if name else check_id)
             if res.verdict == "unequal":
                 return CheckResult(check_id, "fail", witness=res.witness,
                                    detail=f"images of {name} differ" if name else "")
@@ -237,45 +252,41 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     return CheckResult(check_id, "pass", detail="exact" if proved else "")
 
 
+def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, checks) -> Report:
+    """The report of check(check_id, pairs) for each (check_id, pairs), in
+    order, modulo fam's constraint unless cfg drops it."""
+    constraint = cfg.constraint(fam)
+    return Report([check(check_id, pairs, constraint, cfg) for check_id, pairs in checks])
+
+
 def _image_pairs(t1: Transformation, t2: Transformation):
     """(name, t1 image, t2 image) for each of the 12 action symbols, those
     that neither map moves included: their two images are the bare symbol."""
     return ((name, t1.image(name), t2.image(name)) for name in ACTION_SYMBOLS)
 
 
-def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
-    cfg = cfg or CheckConfig()
-    constraint = cfg.constraint(fam)
-    report = Report()
-    for name in fam.s_names + fam.pi_names:
-        gen = fam.generators[name]
-        report.add(check(f"{fam.name}:invol:{name}",
-                         _image_pairs(compose(gen, gen), IDENTITY), constraint, cfg))
-    return report
+def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+    gens = fam.generators
+    return run_checks(fam, cfg, ((f"{fam.name}:invol:{name}",
+                                  _image_pairs(compose(gens[name], gens[name]), IDENTITY))
+                                 for name in fam.s_names + fam.pi_names))
 
 
-def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
+def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     """Braid relation on Dynkin edges, commutation on non-edges."""
-    cfg = cfg or CheckConfig()
-    constraint = cfg.constraint(fam)
-    report = Report()
-    indices = [int(n[1:]) for n in fam.s_names]
-    for i, j in itertools.combinations(indices, 2):
+
+    def relation(i: int, j: int):
         si, sj = fam.generators[f"s{i}"], fam.generators[f"s{j}"]
         if tuple(sorted((i, j))) in fam.dynkin_edges:
-            lhs = compose(si, compose(sj, si))
-            rhs = compose(sj, compose(si, sj))
-            kind = "braid"
-        else:
-            lhs = compose(si, sj)
-            rhs = compose(sj, si)
-            kind = "commute"
-        report.add(check(f"{fam.name}:{kind}:s{i},s{j}",
-                         _image_pairs(lhs, rhs), constraint, cfg))
-    return report
+            return (f"{fam.name}:braid:s{i},s{j}",
+                    _image_pairs(compose(si, compose(sj, si)), compose(sj, compose(si, sj))))
+        return f"{fam.name}:commute:s{i},s{j}", _image_pairs(compose(si, sj), compose(sj, si))
+
+    indices = [int(n[1:]) for n in fam.s_names]
+    return run_checks(fam, cfg, itertools.starmap(relation, itertools.combinations(indices, 2)))
 
 
-def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
+def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     """Diagram-automorphism relations.
 
     A family with a pi_relations table in paper.py (D5) has each listed
@@ -285,17 +296,14 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
     the two is a pair of monomials with different exponents.  The first
     such s_j, else s0, is checked once; the check fails if it does not match.
     """
-    cfg = cfg or CheckConfig()
+    listed = paper.FAMILIES[fam.name]["pi_relations"]
+    if listed:
+        return run_checks(fam, cfg, ((f"{fam.name}:pi:{lhs}" + (f" = {rhs}" if rhs else ""),
+                                      _image_pairs(word_to_transform(fam, lhs),
+                                                   word_to_transform(fam, rhs)))
+                                     for lhs, rhs in listed))
     constraint = cfg.constraint(fam)
     report = Report()
-    listed = paper.FAMILIES[fam.name]["pi_relations"]
-    for lhs_word, rhs_word in listed:
-        lhs = word_to_transform(fam, lhs_word)
-        rhs = word_to_transform(fam, rhs_word)
-        report.add(check(f"{fam.name}:pi:{lhs_word}" + (f" = {rhs_word}" if rhs_word else ""),
-                         _image_pairs(lhs, rhs), constraint, cfg))
-    if listed:
-        return report
 
     def lattice(t: Transformation) -> list:
         return [_reduced_monomial(t.image(name), constraint) for name in PARAM_SYMBOLS]
@@ -317,7 +325,7 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -
     return report
 
 
-def verify_relations(fam: FamilyDescriptor, cfg: CheckConfig | None = None) -> Report:
+def verify_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     report = Report()
     report.extend(verify_involutions(fam, cfg))
     report.extend(verify_braid(fam, cfg))

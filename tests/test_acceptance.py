@@ -100,8 +100,7 @@ def test_criterion_2_closed_form_fixtures(families):
 
     def check(fam, t, symbol, expected, tag):
         res = identities_equal(t.image(symbol), parse(expected), fam.constraint,
-                               trials=CFG.trials, prime=CFG.prime, seed=CFG.seed,
-                               exact=True, label=f"fix:{tag}:{symbol}")
+                               CFG._replace(exact=True), label=f"fix:{tag}:{symbol}")
         if res.verdict == "unequal":
             failures.append((tag, symbol))
 
@@ -148,7 +147,7 @@ def test_criterion_3_time_evolution(families):
     spec = make_evolution_spec(d5)
     residual = substitute(spec.qp_relations[0],
                           {"fbar": T.image("f"), "gbar": T.image("g")})
-    res = identities_equal(residual, ZERO, d5.constraint, exact=True,
+    res = identities_equal(residual, ZERO, d5.constraint, CheckConfig(exact=True),
                            label="acc3:exact")
     announce(3, "T fixes nu_i, scales kappa_i, and the coupled relations vanish",
              all_ok and res.verdict == "exact-proved",
@@ -198,16 +197,13 @@ def test_criterion_6_constraint_discovery(families):
     e6 = families["E6"]
     dual = identities_equal(parse("kappa1*kappa2^3/(nu1*nu2*nu3*nu4*nu5*nu6)"),
                             parse("q*nu7*nu8*kappa2/kappa1"),
-                            e6.constraint, trials=CFG.trials, prime=CFG.prime,
-                            seed=CFG.seed, label="acc6:e6")
+                            e6.constraint, CFG, label="acc6:e6")
     e7 = families["E7"]
     s = word_to_transform(e7, " ".join(e7.evolution_word))
     with_k = identities_equal(s.image("kappa2"), parse("q*kappa2^2/kappa1"),
-                              e7.constraint, trials=CFG.trials, prime=CFG.prime,
-                              seed=CFG.seed, label="acc6:e7")
+                              e7.constraint, CFG, label="acc6:e7")
     without_k = identities_equal(s.image("kappa2"), parse("q*kappa2^2/kappa1"),
-                                 None, trials=CFG.trials, prime=CFG.prime,
-                                 seed=CFG.seed, label="acc6:e7nc")
+                                 None, CFG, label="acc6:e7nc")
     ok = (dual.verdict == "equal" and with_k.verdict == "equal"
           and without_k.verdict == "unequal" and without_k.witness is not None)
     announce(6, "default constraint kappa1^2 kappa2^2 = q nu1..nu8 confirmed",

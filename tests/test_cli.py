@@ -131,6 +131,12 @@ def test_apply_word_past_the_letter_budget_exit_2(capsys, word):
     assert err == f"error: word expands to more than {MAX_WORD_LETTERS} letters\n"
 
 
+def test_apply_blank_group_of_a_huge_power_is_the_identity(capsys):
+    # 10^20 copies of nothing once ended in an OverflowError traceback.
+    assert run(capsys, "apply", "--family", "D5", "--word", "()^100000000000000000000",
+               "--expr", "f") == (0, "f\n", "")
+
+
 def test_apply_latex_format(capsys):
     code, out, _ = run(capsys, "apply", "--family", "D5", "--word", "s2",
                        "--expr", "kappa2", "--format", "latex")

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qpweyl import evolution
+from qpweyl import evolution, paper
 from qpweyl.evolution import (
     OrbitResult,
     PoleError,
@@ -25,13 +25,12 @@ from qpweyl.evolution import (
     time_evolution,
     verify_theorem_i,
     verify_theorem_ii,
-    xi_scaling_map,
     _cancel,
     _fraction,
 )
 from qpweyl.expr import ZERO, evaluate, parse, substitute, sym
-from qpweyl.identity import identities_equal
-from qpweyl.weyl import CheckConfig, compose, transformation, word_to_transform
+from qpweyl.identity import CheckConfig, identities_equal
+from qpweyl.weyl import compose, scaling_map, transformation, word_to_transform
 
 
 def eq(a, b, k=None, label="t"):
@@ -114,7 +113,7 @@ def test_d5_T_f_residual_exact_proved(d5):
     spec = make_evolution_spec(d5)
     residual = substitute(spec.qp_relations[0],
                           {"fbar": T.image("f"), "gbar": T.image("g")})
-    res = identities_equal(residual, ZERO, d5.constraint, exact=True,
+    res = identities_equal(residual, ZERO, d5.constraint, CheckConfig(exact=True),
                            label="d5:rel1:exact")
     assert res.verdict == "exact-proved"
 
@@ -149,14 +148,14 @@ def test_theorem_ii_holds_exactly_without_constraint(families):
 def test_d5_xi_on_nu5_over_kappa2(d5):
     xi = d5.xi
     assert eq(xi(parse("nu5/kappa2")), parse("1/nu6"), label="xi:52") == "equal"
-    scaling = xi_scaling_map(d5)
+    scaling = scaling_map(paper.FAMILIES["D5"]["xi_scaling"])
     assert eq(scaling(parse("nu5/kappa2")), parse("1/nu6"), label="GD:52") == "equal"
 
 
 def test_d5_dilation_scale_with_nu7_nu8_fails(d5):
     # the working dilation scale is kappa1/(q nu3 nu4); swapping in
     # kappa1/(q nu7 nu8) breaks five of the ten generators even mod constraint
-    from qpweyl.lax import _scaling
+    from qpweyl.weyl import _scaling
     bad = compose(_scaling("d5_power", parse("kappa2/(nu5*nu6)")),
                   _scaling("d5_dilation", parse("kappa1/(q*nu7*nu8)")))
     xi = d5.xi
@@ -170,7 +169,7 @@ def test_d5_dilation_scale_with_nu7_nu8_fails(d5):
 
 def test_e7_xi_equals_scaling_exactly(e7):
     xi = e7.xi
-    scaling = xi_scaling_map(e7)
+    scaling = scaling_map(paper.FAMILIES["E7"]["xi_scaling"])
     for zeta_text in ("nu1", "nu5/kappa1", "kappa2/kappa1", "f", "g"):
         zeta = parse(zeta_text)
         assert eq(xi(zeta), scaling(zeta), label=f"e7ii:{zeta_text}") == "equal"

@@ -13,6 +13,7 @@ from qpweyl.expr import (
     ACTION_SYMBOLS, DivisionByZero, ExprError, add, div, evaluate, mul, num, parse, pow_, sub,
     sym)
 from qpweyl.identity import (
+    CheckConfig,
     ConstraintRelation,
     DEFAULT_PRIME,
     DegenerateComparison,
@@ -76,10 +77,10 @@ def test_constraint_rejects_self_reference():
 
 def test_seed_reproducibility():
     a, b = parse("nu3 + f"), parse("nu4*g")
-    r1 = identities_equal(a, b, seed=5, label="same")
-    r2 = identities_equal(a, b, seed=5, label="same")
+    r1 = identities_equal(a, b, None, CheckConfig(seed=5), label="same")
+    r2 = identities_equal(a, b, None, CheckConfig(seed=5), label="same")
     assert r1.witness == r2.witness
-    r3 = identities_equal(a, b, seed=6, label="same")
+    r3 = identities_equal(a, b, None, CheckConfig(seed=6), label="same")
     assert r3.witness != r1.witness
 
 
@@ -95,15 +96,19 @@ def test_sample_point_draws_what_randrange_draws(prime):
 
 
 def test_trials_validation():
-    with pytest.raises(ValueError):
-        identities_equal(parse("f"), parse("f"), trials=0)
-    with pytest.raises(ValueError):
-        identities_equal(parse("f"), parse("f"), prime=97)
-    with pytest.raises(ValueError, match="composite"):
-        identities_equal(parse("f"), parse("f"), prime=10**21)
-    with pytest.raises(ValueError, match=f"at most {identity.MAX_TRIALS}"):
-        identities_equal(parse("f"), parse("g"), trials=identity.MAX_TRIALS + 1)
-    identity.check_sampling(identity.MAX_TRIALS, DEFAULT_PRIME)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        CheckConfig(trials=0)
+    with pytest.raises(ValueError, match=r"^prime must exceed 2\^60, got 97$"):
+        CheckConfig(prime=97)
+    with pytest.raises(ValueError, match=f"^prime {10**21} is composite$"):
+        CheckConfig(prime=10**21)
+    with pytest.raises(ValueError, match=f"^trials must be at most {identity.MAX_TRIALS}, "):
+        CheckConfig(trials=identity.MAX_TRIALS + 1)
+    # 2^1279 - 1 is prime: its width alone refuses it.
+    with pytest.raises(ValueError, match=f"^prime must be at most {identity.MAX_PRIME_BITS} "
+                                         "bits wide, got 1279 bits$"):
+        CheckConfig(prime=(1 << 1279) - 1)
+    CheckConfig(trials=identity.MAX_TRIALS, prime=DEFAULT_PRIME)   # the bound is allowed
 
 
 def test_is_prime_matches_sympy():
@@ -137,7 +142,7 @@ def test_degenerate_comparison_raises():
     from qpweyl.expr import substitute, sym
     bad = substitute(bad, {"g": sym("f")})
     with pytest.raises(DegenerateComparison):
-        identities_equal(bad, parse("f"), trials=2, label="degen")
+        identities_equal(bad, parse("f"), None, CheckConfig(trials=2), label="degen")
 
 
 def test_unlabeled_degenerate_comparison_prints_nothing(monkeypatch):
@@ -150,7 +155,7 @@ def test_unlabeled_degenerate_comparison_prints_nothing(monkeypatch):
     monkeypatch.setattr(expr_module, "to_string", lambda e: calls.append(e) or real(e))
     bad = div(num(1), sub(sym("f"), sym("f")))
     with pytest.raises(DegenerateComparison, match="^exhausted 400 sampling attempts$"):
-        identities_equal(bad, parse("f"), trials=4)
+        identities_equal(bad, parse("f"), None, CheckConfig(trials=4))
     assert not calls
 
 
@@ -162,13 +167,14 @@ def test_resampling_survives_occasional_poles():
 
 
 def test_exact_proof_small_case():
-    r = identities_equal(parse("(f + g)^2"), parse("f^2 + 2*f*g + g^2"),
-                         exact=True, label="exact1")
+    r = identities_equal(parse("(f + g)^2"), parse("f^2 + 2*f*g + g^2"), None,
+                         CheckConfig(exact=True), label="exact1")
     assert r.verdict == "exact-proved"
 
 
 def test_exact_and_probabilistic_agree_on_unequal():
-    r = identities_equal(parse("nu3"), parse("nu4"), exact=True, label="exact2")
+    r = identities_equal(parse("nu3"), parse("nu4"), None, CheckConfig(exact=True),
+                         label="exact2")
     assert r.verdict == "unequal"
 
 
@@ -228,11 +234,11 @@ def test_an_exact_path_that_disagrees_with_sampling_is_an_engine_defect():
     # A sampled "equal" that the exact path calls nonzero cannot come from a
     # correct engine: identities_equal raises instead of returning either.
     a, b = parse("(f + g)^2"), parse("f^2 + 2*f*g + g^2")
-    assert identities_equal(a, b, exact=True).verdict == "exact-proved"
+    assert identities_equal(a, b, None, CheckConfig(exact=True)).verdict == "exact-proved"
     with mock.patch.object(identity, "exact_zero", lambda r: False):
         assert identities_equal(a, b).verdict == "equal"
         with pytest.raises(AssertionError, match="engine defect"):
-            identities_equal(a, b, exact=True)
+            identities_equal(a, b, None, CheckConfig(exact=True))
 
 
 def test_exact_and_probabilistic_verdicts_agree_on_random_pairs():
@@ -254,7 +260,7 @@ def test_exact_and_probabilistic_verdicts_agree_on_random_pairs():
     for k in range(80):
         a, b = rand(), rand()
         probabilistic = identities_equal(a, b, label=f"agree:{k}:p")
-        exact = identities_equal(a, b, exact=True, label=f"agree:{k}:p")
+        exact = identities_equal(a, b, None, CheckConfig(exact=True), label=f"agree:{k}:p")
         assert bool(probabilistic) == bool(exact)
         if exact.verdict == "exact-proved":
             assert probabilistic.verdict == "equal"
@@ -269,8 +275,8 @@ def test_exact_matches_sympy_on_small_identities():
         ("f*g + 1", f * g - 1, False),
     ]
     for text, sexpr, expected in pairs:
-        mine = identities_equal(parse(text), parse(str(sexpr).replace("**", "^")),
-                                exact=True, label=f"sym:{text}")
+        mine = identities_equal(parse(text), parse(str(sexpr).replace("**", "^")), None,
+                                CheckConfig(exact=True), label=f"sym:{text}")
         assert bool(mine) == expected
         assert (sympy.simplify(sympy.sympify(str(sexpr)) - sympy.sympify(
             text.replace("^", "**"))) == 0) == expected
@@ -632,16 +638,15 @@ def test_residuals_sharing_a_blown_node_match_the_reference(cap, a, b, c):
 _REJECTING_PRIME = (1 << 60) + 33
 
 
-def _sequential_identities_equal(a, b, constraint=None, *, trials, prime=DEFAULT_PRIME,
-                                 seed=0, label=""):
+def _sequential_identities_equal(a, b, constraint=None, cfg=CheckConfig(), *, label=""):
     """identities_equal as it ran before batching: every trial draws one
     point and evaluates it alone.  The batched function must match it."""
-    identity.check_sampling(trials, prime)
+    trials, prime = cfg.trials, cfg.prime
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
     names = sorted(r.free)
-    rng = identity.rng_for(seed, label)
+    rng = identity.rng_for(cfg.seed, label)
 
     result = IdentityResult(verdict="equal")
     budget = 100 * trials
@@ -665,7 +670,7 @@ def _sequential_identities_equal(a, b, constraint=None, *, trials, prime=DEFAULT
     return result
 
 
-def _both(a, b, constraint=None, **kwargs):
+def _both(a, b, constraint=None, cfg=CheckConfig(), label=""):
     """Run both versions; each result is an IdentityResult or the
     DegenerateComparison message together with the state of the generator
     it drew from, which tells how many points were drawn before it gave up."""
@@ -678,7 +683,7 @@ def _both(a, b, constraint=None, **kwargs):
 
         with mock.patch.object(identity, "rng_for", spy):
             try:
-                return decide(a, b, constraint, **kwargs)
+                return decide(a, b, constraint, cfg, label=label)
             except DegenerateComparison as err:
                 return str(err), drawn[0].getstate()
 
@@ -710,8 +715,7 @@ def test_batched_trials_match_point_by_point_loop(a, b, trials, seed, label, pri
     # A cap below trials leaves the rest to further batches drawn from the
     # same generator.
     with mock.patch.object(identity, "_LANE_CAP", cap):
-        batched, sequential = _both(a, b, k, trials=trials, prime=prime, seed=seed,
-                                    label=label)
+        batched, sequential = _both(a, b, k, CheckConfig(trials, prime, seed), label)
     assert batched == sequential
 
 
@@ -723,8 +727,8 @@ def test_batched_trials_match_on_pole_heavy_residuals(trials):
         poles = _residue_poles(names, DEFAULT_PRIME)
         for b in (num(0), poles):
             for seed in range(2):
-                batched, sequential = _both(poles, b, trials=trials, seed=seed,
-                                            label=f"poles:{len(names)}")
+                batched, sequential = _both(poles, b, None, CheckConfig(trials, seed=seed),
+                                            f"poles:{len(names)}")
                 assert batched == sequential
 
 
@@ -733,7 +737,7 @@ def test_batched_trials_match_where_the_budget_runs_out(trials):
     # Off the poles with probability 1/64: some comparisons find their
     # points in the last batches, others exhaust the budget.
     poles = _residue_poles(["f", "g", "q", "nu1", "nu2", "nu3"], DEFAULT_PRIME)
-    outcomes = [_both(poles, poles, trials=trials, seed=seed, label="budget")
+    outcomes = [_both(poles, poles, None, CheckConfig(trials, seed=seed), "budget")
                 for seed in range(6)]
     for batched, sequential in outcomes:
         assert batched == sequential
@@ -744,7 +748,7 @@ def test_batched_trials_match_where_the_budget_runs_out(trials):
 def test_all_pole_residual_gives_up_at_the_same_attempt(trials):
     bad = div(num(1), sub(sym("f"), sym("f")))
     for label in ("", "degen"):
-        batched, sequential = _both(bad, parse("f"), trials=trials, label=label)
+        batched, sequential = _both(bad, parse("f"), None, CheckConfig(trials), label)
         assert batched == sequential
         assert batched[0].startswith(f"exhausted {100 * trials} sampling attempts")
 
@@ -789,7 +793,7 @@ def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
     with mock.patch.object(identity, "_run_lanes", spy):
         for a, b in ((poles, poles), (poles, num(0)), (div(f, g), mul(f, pow_(g, -1))),
                      (div(num(1), sub(f, f)), f)):
-            batched, sequential = _both(a, b, trials=trials, label="above-cap")
+            batched, sequential = _both(a, b, None, CheckConfig(trials), "above-cap")
             assert batched == sequential
     assert max(sizes) == identity._LANE_CAP
 
@@ -798,13 +802,13 @@ def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
 # self-comparisons are sampled unless the lattice decides them
 
 
-def _both_on_self(a, constraint=None, **kwargs):
+def _both_on_self(a, constraint, cfg, label):
     """identities_equal(a, a) and the loop copy, and whether the former
     ended through the loop."""
     sample, sampled = identity._sample, []
     with mock.patch.object(identity, "_sample",
                            lambda *args: sampled.append(1) or sample(*args)):
-        batched, sequential = _both(a, a, constraint, **kwargs)
+        batched, sequential = _both(a, a, constraint, cfg, label)
     return batched, sequential, bool(sampled)
 
 
@@ -818,8 +822,8 @@ def test_self_comparison_matches_point_by_point_loop(a, trials, seed, prime, con
     if poles:
         pole = _residue_poles(["f"], prime)
         a = div(mul(a, pole), pole)
-    batched, sequential, sampled = _both_on_self(a, k, trials=trials, prime=prime,
-                                                 seed=seed, label="self")
+    batched, sequential, sampled = _both_on_self(a, k, CheckConfig(trials, prime, seed),
+                                                 "self")
     assert batched == sequential
     assert sampled == (identity._reduced_monomial(a, k) is None)
     if not sampled:
@@ -832,8 +836,8 @@ def test_self_comparison_matches_point_by_point_loop(a, trials, seed, prime, con
 ])
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, _REJECTING_PRIME])
 def test_self_comparisons_skip_sampling_only_on_the_lattice(text, prime):
-    batched, sequential, sampled = _both_on_self(parse(text), trials=9, prime=prime,
-                                                 label="skip")
+    batched, sequential, sampled = _both_on_self(parse(text), None,
+                                                 CheckConfig(9, prime), "skip")
     assert batched == sequential == IdentityResult("equal", trials=9)
     assert sampled == (text not in ("f", "f*g/q^2", "nu1^-3"))
 
@@ -856,7 +860,7 @@ def test_self_comparisons_with_possible_poles_end_through_the_loop(case):
         # nu8 less its own image: a sum that vanishes once constrained.
         k = constraint()
         a = div(num(1), sub(sym("nu8"), k.replacement))
-    batched, sequential, sampled = _both_on_self(a, k, trials=4, label=case)
+    batched, sequential, sampled = _both_on_self(a, k, CheckConfig(trials=4), case)
     assert sampled
     assert batched == sequential
     if case == "(f - g)^-1":
@@ -915,16 +919,15 @@ def lattice_monomials(draw):
     return nodes[-1]
 
 
-def _lattice_and_sample(a, b, k, **kwargs):
+def _lattice_and_sample(a, b, k, cfg, label):
     """identities_equal's result, whether the lattice decided it, and the
     sampling loop's result on the same comparison."""
     sample, sampled = identity._sample, []
     with mock.patch.object(identity, "_sample",
                            lambda *args: sampled.append(1) or sample(*args)):
-        got = identities_equal(a, b, k, **kwargs)
+        got = identities_equal(a, b, k, cfg, label=label)
     r = sub(a, b) if k is None else k.apply(sub(a, b))
-    loop = identity._sample(r, kwargs["trials"], kwargs["prime"], kwargs["seed"],
-                            kwargs["label"])
+    loop = identity._sample(r, cfg.trials, cfg.prime, cfg.seed, label)
     return got, not sampled, loop
 
 
@@ -946,15 +949,15 @@ def test_lattice_verdict_is_the_sampling_loops(ma, mb, constrained, how, trials,
         b = div(top, bottom) if bottom.kind != "num" else top
     elif how == "constrained image":
         b = constraint().apply(a)
-    kwargs = dict(trials=trials, prime=prime, seed=seed, label="lattice")
-    got, decided, loop = _lattice_and_sample(a, b, k, **kwargs)
+    cfg = CheckConfig(trials, prime, seed)
+    got, decided, loop = _lattice_and_sample(a, b, k, cfg, "lattice")
     assert got == loop
     assert decided == (loop.verdict == "equal")
     if how == "same exponents":
         assert decided
     assert decided == (identity._reduced_monomial(a, k) == identity._reduced_monomial(b, k))
     if decided:
-        exact = identities_equal(a, b, k, exact=True, **kwargs)
+        exact = identities_equal(a, b, k, cfg._replace(exact=True), label="lattice")
         assert exact == IdentityResult("exact-proved", trials=trials)
         assert exact_zero(sub(a, b) if k is None else k.apply(sub(a, b)))
 
@@ -973,8 +976,7 @@ def test_lattice_near_misses_are_sampled(a, b, k):
     else:
         assert a.monomial == b.monomial == (("f", 1), ("q", 1))
         assert identity._reduced_monomial(a, k) is None
-    kwargs = dict(trials=8, prime=DEFAULT_PRIME, seed=0, label="near miss")
-    got, decided, loop = _lattice_and_sample(a, b, k, **kwargs)
+    got, decided, loop = _lattice_and_sample(a, b, k, CheckConfig(trials=8), "near miss")
     assert not decided
     assert got == loop == IdentityResult("equal", trials=8)
 
@@ -989,9 +991,8 @@ def test_cancelled_eliminated_symbol_needs_a_monomial_replacement():
     k = ConstraintRelation("q", parse("f/(g - 1)"))
     assert identity._reduced_monomial(a, k) is None
     assert identity._reduced_monomial(e, constraint()) == ()
-    kwargs = dict(trials=4, prime=DEFAULT_PRIME, seed=0, label="cancelled")
     for x, b, c in ((a, num(1), k), (e, num(1), constraint())):
-        got, decided, loop = _lattice_and_sample(x, b, c, **kwargs)
+        got, decided, loop = _lattice_and_sample(x, b, c, CheckConfig(trials=4), "cancelled")
         assert decided == (c is not k)
         assert got == loop == IdentityResult("equal", trials=4)
 

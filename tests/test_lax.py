@@ -12,7 +12,6 @@ from qpweyl.lax import (
     CLAIMS,
     LinearQDE,
     apply_gauge,
-    _scaling,
     build_L1,
     claim_equations,
     equations_equivalent,
@@ -20,7 +19,7 @@ from qpweyl.lax import (
     verify_gauge_claim,
     verify_gauge_claims,
 )
-from qpweyl.weyl import CheckConfig, transformation, word_to_transform
+from qpweyl.weyl import CheckConfig, _scaling, transformation, word_to_transform
 
 
 def eq(a, b, k=None, label="t"):

@@ -24,7 +24,13 @@ from qpweyl.evolution import (
     orbit_step,
 )
 from qpweyl.expr import parse, sym
-from qpweyl.identity import ConstraintRelation, IdentityResult
+from qpweyl.identity import (
+    DEFAULT_PRIME,
+    DEFAULT_TRIALS,
+    CheckConfig,
+    ConstraintRelation,
+    IdentityResult,
+)
 from qpweyl.lax import (
     CLAIMS,
     GaugeClaim,
@@ -35,9 +41,6 @@ from qpweyl.lax import (
 )
 from qpweyl.report import CheckResult, Report
 from qpweyl.weyl import (
-    DEFAULT_PRIME,
-    DEFAULT_TRIALS,
-    CheckConfig,
     FamilyDescriptor,
     Transformation,
     make_family,
@@ -79,8 +82,9 @@ def test_config_and_orbit_records_take_positions_keywords_and_defaults():
     cfg = CheckConfig()
     assert (cfg.trials, cfg.prime, cfg.seed, cfg.exact, cfg.use_constraint) == (
         DEFAULT_TRIALS, DEFAULT_PRIME, 0, False, True)
-    assert CheckConfig(5, 7, 1, True, False) == CheckConfig(
-        use_constraint=False, exact=True, seed=1, prime=7, trials=5)
+    p89 = (1 << 89) - 1
+    assert CheckConfig(5, p89, 1, True, False) == CheckConfig(
+        use_constraint=False, exact=True, seed=1, prime=p89, trials=5)
     st = orbit_state()
     assert st == OrbitState(t=4, g=Fraction(1), f=Fraction(7, 3), kappa2=Fraction(5),
                             kappa1=Fraction(3), nu=(HALF,) * 8, q=Fraction(2))
@@ -169,7 +173,8 @@ def test_mutable_values_are_unhashable(make):
 
 def test_different_kinds_never_compare_equal():
     # Equal fields, and for values equal hashes, make no two kinds equal.
-    claim_, cfg = GaugeClaim(5, 7, 1, True, False), CheckConfig(5, 7, 1, True, False)
+    p89 = (1 << 89) - 1
+    claim_, cfg = GaugeClaim(5, p89, 1, True, False), CheckConfig(5, p89, 1, True, False)
     assert hash(claim_) == hash(cfg)
     assert claim_ != cfg and not claim_ == cfg and cfg != claim_
     check, got = CheckResult("a", "b", None, ""), IdentityResult("a", "b", None, "")

@@ -9,6 +9,7 @@ import gc
 import itertools
 import sys
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -346,6 +347,38 @@ def test_parse_word_plain_and_grouped():
     assert parse_word("") == ()
     with pytest.raises(ValueError):
         parse_word("(s1 s2")
+
+
+def test_parse_word_expands_a_blank_group_of_any_power():
+    # Copies of a blank body are blanks, however many: a power past the
+    # index range once raised OverflowError, and 10^9 copies built a list of
+    # 10^9 strings.  Nested, they would multiply.
+    assert parse_word("()^100000000000000000000") == ()
+    assert parse_word("s0 ( )^1000000000 s1") == ("s0", "s1")
+    assert parse_word("s0()^0s1 s2()^1s3 s4()^2s5") == ("s0s1", "s2s3", "s4", "s5")
+    assert parse_word("(" * 30 + ")^10" * 30 + " s2") == ("s2",)
+    with pytest.raises(ValueError, match=r"^malformed word ' {20}\.\.\.'$"):
+        parse_word("()^100000000000000000000 (")
+
+
+def test_parse_word_is_linear_in_the_groups():
+    # Each expansion once scanned and recounted the whole text: 10,000
+    # groups took about half a minute.
+    start = time.monotonic()
+    assert parse_word("(s0)^1 " * 10_000) == ("s0",) * 10_000
+    assert parse_word("(" * 5_000 + "s0" + ")^1" * 5_000) == ("s0",)
+    assert time.monotonic() - start < 2
+
+
+def test_a_config_is_checked_once_when_built(e7):
+    # A CheckConfig that exists is valid: no comparison tests its prime again.
+    cfg = CheckConfig()
+    calls = []
+    real = identity.is_prime
+    with mock.patch.object(identity, "is_prime", lambda n: calls.append(n) or real(n)):
+        assert verify_relations(e7, cfg).ok
+        assert verify_theorem_i(e7, cfg).ok
+    assert calls == []
 
 
 def test_identity_word_is_identity(d5):
