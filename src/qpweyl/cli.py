@@ -46,7 +46,7 @@ from .evolution import (
     verify_theorem_ii,
 )
 from .expr import ExprError, parse, shown, to_latex, to_string
-from .identity import DEFAULT_PRIME, DEFAULT_TRIALS, CheckConfig
+from .identity import DEFAULT_PRIME, CheckConfig
 from .lax import CLAIMS, verify_gauge_claims
 from .report import Report
 from .weyl import (
@@ -89,15 +89,16 @@ def _check_config(args) -> CheckConfig:
         raise UsageError(str(err)) from None
 
 
-def _emit_report(report: Report, args, family: str) -> Output:
+def _emit_report(report: Report, args, cfg: CheckConfig, family: str) -> Output:
     if args.format == "json":
         import json   # in the functions that write or read JSON: a cold start skips it
         doc = {
             "schema": 1,
             "command": args.command,
             "family": family,
-            "seed": args.seed,
-            "trials": args.trials,
+            "seed": cfg.seed,
+            "trials": cfg.trials,
+            "prime": str(cfg.prime),
             "checks": [
                 {"id": c.id, "status": c.status,
                  **({"witness": {k: str(v) for k, v in c.witness.items()}}
@@ -128,7 +129,7 @@ def cmd_verify(args) -> Output:
     report = Report()
     for suite in suites:
         report.extend(suite(fam, cfg))
-    return _emit_report(report, args, fam.name)
+    return _emit_report(report, args, cfg, fam.name)
 
 
 def cmd_apply(args) -> Output:
@@ -228,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("verify-theorem", "time-evolution checks"),
             ("verify-gauge", "registered gauge claims")):
         p = command(name, cmd_verify, summary, ("text", "json"))
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        p.add_argument("--trials", type=int, default=None,
+                       help="default: derived from --prime, 11 for the default prime")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact", action="store_true",

@@ -8,9 +8,22 @@ A comparison is decided by the first of two rules that applies:
 2. sampling: the constrained difference is evaluated at independent uniform
    points of a large prime field.  A nonzero value disproves the identity,
    and that point alone is returned as the witness; agreement at every trial
-   accepts it with error probability at most (deg/p) per trial.
+   accepts it.
 Only points with nonzero coordinates are drawn, so rule 1 is exact and
-returns what sampling would; the (deg/p) bound concerns rule 2.
+returns what sampling would; the error bound below concerns rule 2.
+
+The error bound.  A nonzero residual whose numerator has degree at most D
+vanishes at a uniform point of the p - 1 nonzero values per coordinate with
+probability at most D/(p - 1) (Schwartz, J. ACM 27:701, 1980), so t
+independent trials all agree with probability at most (D/(p - 1))^t.  The
+default t is trials_for(p), the fewest with (p - 1)^t >= (2^61 - 2)^16.  For
+p >= 2^61 - 1 that t is at most 16, so D^t <= D^16 for every D >= 1, and
+    (D/(p - 1))^t = D^t/(p - 1)^t <= D^16/(2^61 - 2)^16:
+no residual gets a weaker bound than 16 trials over 2^61 - 1 gave it.  Over
+the default p = 2^89 - 1, t = 11: 11 * 89 = 979 >= 976 = 16 * 61 gives
+(p - 1)^11 > 2^978 > (2^61 - 2)^16, while (p - 1)^10 < 2^890.  Between 2^60
+and 2^61 - 1, t = 17, and as (p - 1)^17 >= 2^1020 = 2^44 * 2^976, no
+residual with D <= 2^44 gets a weaker bound either.
 
 The first point is a probe, evaluated alone: most false identities fail
 there.  The remaining trials run the residual's compiled program over their
@@ -43,9 +56,26 @@ from .expr import (
 )
 from .report import Frozen, Record, Value
 
-#: Default modulus 2^61 - 1 (prime), comfortably above the 2^60 floor.
-DEFAULT_PRIME = (1 << 61) - 1
-DEFAULT_TRIALS = 16
+#: Default modulus, the Mersenne prime 2^89 - 1: every residue above the 2^60
+#: floor already takes three of CPython's 30-bit digits, and this one fills 89
+#: of their 90 bits.
+DEFAULT_PRIME = (1 << 89) - 1
+#: Every default trial count bounds a comparison's error at least as tightly
+#: as 16 trials over 2^61 - 1: (p - 1)^trials >= (2^61 - 2)^16.
+_TRIAL_TARGET = ((1 << 61) - 2) ** 16
+
+
+def trials_for(prime: int) -> int:
+    """The fewest trials t with (prime - 1)^t >= (2^61 - 2)^16, in integers."""
+    if prime < 3:
+        raise ValueError(f"prime must exceed 2, got {prime}")
+    t, power = 1, prime - 1
+    while power < _TRIAL_TARGET:
+        t, power = t + 1, power * (prime - 1)
+    return t
+
+
+DEFAULT_TRIALS = trials_for(DEFAULT_PRIME)
 #: The most trials a comparison may ask for, so that a mistyped --trials is
 #: refused at once instead of running for hours.
 MAX_TRIALS = 10_000
@@ -145,12 +175,22 @@ _MR_EXTRA_ROUNDS = 32
 
 @functools.lru_cache(maxsize=16)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test; cached, as each config built asks again."""
+    """Primality test; cached, as each config built asks again.  A Mersenne
+    number 2^k - 1 is prime iff k is and the Lucas-Lehmer sequence ends in 0,
+    a deterministic test of k - 2 squarings; other numbers get Miller-Rabin."""
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    if n & (n + 1) == 0:   # n = 2^k - 1 > 41, so k is at least 6
+        k = n.bit_length()
+        if not is_prime(k):
+            return False
+        s = 4
+        for _ in range(k - 2):
+            s = (s * s - 2) % n
+        return s == 0
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -176,15 +216,17 @@ class CheckConfig(Value):
     unless 1 <= trials <= MAX_TRIALS and prime is a prime above 2^60 and at
     most MAX_PRIME_BITS bits wide.  The sampled field must be a field:
     projective evaluation relies on every nonzero denominator being
-    invertible, and the error bound on p - 1 nonzero values."""
+    invertible, and the error bound on p - 1 nonzero values.  trials=None
+    runs trials_for(prime) trials: 11 over the default 2^89 - 1, 16 over
+    2^61 - 1; the field then holds that count."""
 
     __slots__ = ("trials", "prime", "seed", "exact", "use_constraint")
 
-    def __init__(self, trials: int = DEFAULT_TRIALS, prime: int = DEFAULT_PRIME, seed: int = 0,
+    def __init__(self, trials: int | None = None, prime: int = DEFAULT_PRIME, seed: int = 0,
                  exact: bool = False, use_constraint: bool = True):
-        if trials < 1:
+        if trials is not None and trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        if trials > MAX_TRIALS:
+        if trials is not None and trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
         if prime <= 1 << 60:
             raise ValueError(f"prime must exceed 2^60, got {prime}")
@@ -193,7 +235,8 @@ class CheckConfig(Value):
                              f"got {prime.bit_length()} bits")
         if not is_prime(prime):
             raise ValueError(f"prime {prime} is composite")
-        super().__init__(trials, prime, seed, exact, use_constraint)
+        super().__init__(trials_for(prime) if trials is None else trials, prime, seed,
+                         exact, use_constraint)
 
     def constraint(self, fam) -> ConstraintRelation | None:
         """The family's constraint, or None when checks run without it."""

@@ -51,6 +51,7 @@ from qpweyl.expr import (
     to_latex,
     to_string,
 )
+from qpweyl.identity import DEFAULT_PRIME
 from qpweyl.lax import build_L1
 from qpweyl.weyl import FAMILY_NAMES, make_family, word_to_transform
 
@@ -420,8 +421,13 @@ def _reference_evaluate(e, values, p=None):
     return memo[e]
 
 
+#: Small primes make poles frequent; the large ones are 2^61 - 1 and the
+#: default modulus, 2^89 - 1.
+_FIELD_PRIMES = [2, 3, 5, 7, (1 << 61) - 1, DEFAULT_PRIME]
+
+
 @settings(max_examples=300, deadline=None)
-@given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]),
+@given(small_dags(), st.sampled_from(_FIELD_PRIMES),
        st.tuples(*[st.integers(-2, 3)] * 3))
 def test_evaluation_matches_reference_walk(e, p, point):
     # Small primes and small values make zero divisors, zero negative-power
@@ -445,7 +451,7 @@ def test_evaluation_matches_reference_walk(e, p, point):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]),
+@given(small_dags(), st.sampled_from(_FIELD_PRIMES),
        st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 3))
 def test_rational_values_over_fp_reduce_the_value_over_q(e, p, point):
     # A value n/d is n d^-1 mod p.  Denominators up to 7 make values that p
@@ -474,7 +480,7 @@ def test_rational_and_float_values_over_fp():
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_dags(), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]), st.data())
+@given(small_dags(), st.sampled_from(_FIELD_PRIMES), st.data())
 def test_lanes_match_one_point_runs(e, p, data):
     # Values from {1, 2, 3, p - 1} make poles frequent; a lane is None exactly
     # where the one-point run raises, and zero exactly where its numerator is.
@@ -499,7 +505,7 @@ def _assert_lanes_match_one_point_runs(e, columns, m, p):
         assert lane is None or 0 <= lane < p
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 61) - 1])
+@pytest.mark.parametrize("p", _FIELD_PRIMES)
 @pytest.mark.parametrize("c", [leaf.value for leaf in DAG_LEAVES if leaf.kind == "num"],
                          ids=str)
 def test_lanes_of_f_plus_each_constant_leaf(c, p):

@@ -17,12 +17,16 @@ its comparison's result through: they pin the witness of each failed claim,
 and apart from the witnesses the reports are those of the runs before.  The
 D5 one was re-recorded when dilated and inverted equations stayed in z: the
 failed `d5.inversion` witness names z where it named u, and every other
-byte is the same.
+byte is the same.  Every JSON hash was re-recorded when the default
+modulus became 2^89 - 1, sampled with the 11 trials derived from it, and the
+header gained "prime" and took "trials" from the count run: once "trials",
+"prime" and the witness values are stripped, each report is the one before.
 
 The text hashes were recorded when text reports stopped printing elapsed
 times: they pin every byte of three text reports, the witnesses of the
 failed D5 theorem checks and the E7 gauge checks run with `--exact`
-included.
+included.  The D5 `--no-constraint` one was re-recorded with the JSON
+hashes: only its witness values changed.
 
 The `apply` hashes were recorded while the printers still recursed over the
 tree; they pin every byte of the text, JSON and LaTeX images the post-order
@@ -54,77 +58,77 @@ import qpweyl.cli as cli
 
 GOLDEN = [
     ("verify-relations --family D5 --seed 0 --format json", 0,
-     "77881c7dcd37fef0300f01601e8560304a92b0c8a91b09b3d677e7b0965e7cf1"),
+     "5e11a85cc3d1a479c03e1f00e374ed13d37c02cb6e66833ee77f6b0217038d9d"),
     ("verify-theorem --family D5 --seed 0 --format json", 0,
-     "6682ef741589a370fd997dc46b2c150de0f30e0c53d96443987b4cece8a4faae"),
+     "f375d3930064958d304c6f83a03f412961f7b67883e9189912fda6a96526b271"),
     ("verify-gauge --family D5 --seed 0 --format json", 0,
-     "d881083e9ff7df28c60541221ea4a5d7e795b2025e3ec3928fd0e86af503ccc9"),
+     "ccaf0af4571931607e76bbd645f60dd56671c10fbdb14ea7d68158203eb2bfdd"),
     ("verify-theorem --no-constraint --family D5 --seed 0 --format json", 1,
-     "6afa3dd81d39100b06f530a0ce536398a7087e341fcd1da5c32934f35b0168a8"),
+     "f006f37017a169b4287e5d31209f7db41c338eb1738f74406c88a2b82ff058c6"),
     ("verify-relations --family D5 --seed 7 --format json", 0,
-     "eef8cf80bee039b6d3516c0ebb7343b3902ebb74dcfcb75eea8ae1a125a75297"),
+     "c0626c0fe7e2f7f89f5d5cb4ed8bd1ffb1f0017e0e42fcf3a70111dccbed01ba"),
     ("verify-theorem --family D5 --seed 7 --format json", 0,
-     "61e5d8a0732a2cd2de0ade1137c7aec50e0f1b852b52615ad8ebcc97d78ba612"),
+     "56806fbe302f81619fc67674f47834a327e953a1aec5b292a871a4b255e8bf9f"),
     ("verify-gauge --family D5 --seed 7 --format json", 0,
-     "b894225305778abaa5e8b0ee7745bf0695b3eb8a2c9a4002b652d60e1bc17ca3"),
+     "5bba766e341d5bc8b2fa9a353c769866aff46c9d36e0a570def902b420015a10"),
     ("verify-theorem --no-constraint --family D5 --seed 7 --format json", 1,
-     "f3fbe44b6f855bbbbfe54cdc41ad1f23a04e5d2aade854f2ce6d6c645b07e08c"),
+     "6f043399b9732255f4f492dc615d0a9b079b2f6dd5006bc0e6f393a104a4a560"),
     ("verify-relations --family E6 --seed 0 --format json", 0,
-     "e749c47503b635724a48b9d79aa2e5224c52c7dd72136c028552016464accee8"),
+     "6eab9d072de6bcdc500473dfead64ad0efb93858881d2096604f6f401aac653a"),
     ("verify-theorem --family E6 --seed 0 --format json", 0,
-     "248e8e301ff2471ee420846198f994bd68879d1dfd4ec4ebe4534179211225fa"),
+     "de8685d77d63b7a84f7251919d8a0781dcc1c46ca24a9226905fd2b3759c10da"),
     ("verify-gauge --family E6 --seed 0 --format json", 0,
-     "4c018035c408603e4700085432de32b0547f651b5cd8a79929df2d4572178701"),
+     "c2acbe19a43d2e83ef00dba58eae52e1af62adb2df996e4d36fae887124dd16d"),
     ("verify-theorem --no-constraint --family E6 --seed 0 --format json", 1,
-     "514bd67982d29c97be367a1de2a2bddee37a019966833313b342af162f46197a"),
+     "cda1c3c46ac5cd9b43ed946b696e975be2c5c5ca3f556d98bfd431a4bbf48afd"),
     ("verify-relations --family E6 --seed 7 --format json", 0,
-     "0937566a4a8c57d6385dc74c626658b262d32a98e58856211dc2a00cb0d64b77"),
+     "2f76e2f81d3da509bfddc249966afbc55c0c946bf48d01087c23bc721660bafe"),
     ("verify-theorem --family E6 --seed 7 --format json", 0,
-     "f0d7da3518f5f4a59f114ffdcf8f9992ae4a0b81c3a04607e8709ac1eee8ca24"),
+     "c3a47ed55e4f7acc50040cac443ad9baeecb9eb9df819778f12663656250e238"),
     ("verify-gauge --family E6 --seed 7 --format json", 0,
-     "2e1c00c9e594d9ef34c7833e00154464e3292912b4800e264802a3306ffedaa0"),
+     "fc973cc4abb1e6f2814e72d72a90e6fdc95f8156d88f39cc4699fbead02bcc4f"),
     ("verify-theorem --no-constraint --family E6 --seed 7 --format json", 1,
-     "414e9c646dc9eff34633d6f864b812e7121626116ad28fdd156dad1fc8fe0e56"),
+     "cdaeb64a58c8af65b16ea4848827074ea9c81a853e6b9e0da65da0d62c9d919f"),
     ("verify-relations --family E7 --seed 0 --format json", 0,
-     "1af6fa93c6d24cd13d3c6873fb14a1bfcde820a3573b9edc3ab130f2a13bdccc"),
+     "6abede9e918b0eac68cbc67162a7f7f803478abe0e8e1dfc5bcfd81340c00e36"),
     ("verify-theorem --family E7 --seed 0 --format json", 0,
-     "9eff48cdbe8a6c86f26c5241db613e042f462e931893da160224e0b6981f9935"),
+     "08edd6cac0c0fee07621a597ed89f8a6fd5b12e32ebffd51bf405d0ad1de3def"),
     ("verify-gauge --family E7 --seed 0 --format json", 0,
-     "f4945be5eb45ce89e6cf93bed1c8eedc8e3d6a208b2b7285bee96d1feaeba096"),
+     "311edc9603fe6c829d77fb84cc635bf2460f0c2326b9053cb0251adcc2a60f17"),
     ("verify-theorem --no-constraint --family E7 --seed 0 --format json", 1,
-     "f9ebde465c6c0cb69312ef6454d78dd286dce52b21148a9fe4c1c59675a5870c"),
+     "f06ff4a5563f3c952b2569c5aa4b8f58c47b1df4a46fffcccdffc4414d57abe0"),
     ("verify-relations --family E7 --seed 7 --format json", 0,
-     "3acaecd9498360d99eb446077e84d7c73f1fd0c6d607b077c992a53bd7f488e6"),
+     "534c28f0c554df484a5795840b1d74423046fbac4ba06a7dc3ecb29837211335"),
     ("verify-theorem --family E7 --seed 7 --format json", 0,
-     "d21fc54bb14dc8eccd75ac2a0a7496b647f23ddc98319353ff5179fd8fbcef38"),
+     "ed4fbce2fbd495a2b5cde303c381553cfcf04fd550d45200937ecc3cc62b94c2"),
     ("verify-gauge --family E7 --seed 7 --format json", 0,
-     "8a8e3ab7661f8311c3729f67f921eff971e750bdc1a3b30f954133af825a3829"),
+     "9f3d47fa88490683a1fff8473ea459d2c2906ef03130fd71317f50951041f6e3"),
     ("verify-theorem --no-constraint --family E7 --seed 7 --format json", 1,
-     "da00a60f5c914df10dfa75d1bcc2498f9bd9234097595186cdcdba84767141e0"),
+     "c55f546516443af7159ded4a0240431caf07f1b4de00a4471296a7df1a618788"),
     ("verify-theorem --family D5 --seed 0 --exact --format json", 0,
-     "70043d1928765773a44f61300ca7ea218007a99c22dfc0b98162842ecbbd8f1d"),
+     "29c353c0fcbdbb2b2bd3bda32709ae795ca5440f437632beeca6a6a6ab638146"),
     ("verify-theorem --family E6 --seed 0 --exact --format json", 0,
-     "1b390720980a66fc14a01509093ba25dff59b1ef98df7794d10a06f8e872159b"),
+     "9e77448592cca78f87203c62a4601df4aca4a2fe8ad9e502ed4f0184f1a95ddb"),
     ("verify-theorem --family E7 --seed 0 --exact --format json", 0,
-     "53fd53317e4776a030fe403643459d84bbbb3f76a201d954df3ceb84f634c716"),
+     "8029595feb0440672e9c10a9516d9bc4ed631258680b8a33ae265115ee690b15"),
     ("verify-relations --family D5 --seed 0 --exact --format json", 0,
-     "f2a43cf928cbdcc50fe02bef22fb9614d4414008ea7989df5e5ed3c86bd3c29d"),
+     "6589a6c25e781505c5b630fb635713e1309fe362b10db2cf37451cda80b323e2"),
     ("verify-relations --family E6 --seed 0 --exact --format json", 0,
-     "0d718ee1d68862f9360f64578a6bce32276e032ce4277c08025ad1e8f7d67cf8"),
+     "825066d748f53861bcd6e39246d5834a05b32392e6ac4c1b9f416d0bdcc4dbfd"),
     ("verify-relations --family E7 --seed 0 --exact --format json", 0,
-     "d5a32d31b356e751b295fec61a6484143e8e0a773103d013c25dcb7202b22b09"),
+     "73ccf8d086dc828fdf13e617104fa5dcc23ead456c024ca160dbf78912bf9af2"),
     ("verify-gauge --family D5 --seed 0 --exact --format json", 0,
-     "d881083e9ff7df28c60541221ea4a5d7e795b2025e3ec3928fd0e86af503ccc9"),
+     "ccaf0af4571931607e76bbd645f60dd56671c10fbdb14ea7d68158203eb2bfdd"),
     ("verify-gauge --family E6 --seed 0 --exact --format json", 0,
-     "4c018035c408603e4700085432de32b0547f651b5cd8a79929df2d4572178701"),
+     "c2acbe19a43d2e83ef00dba58eae52e1af62adb2df996e4d36fae887124dd16d"),
     ("verify-gauge --family E7 --seed 0 --exact --format json", 0,
-     "f4945be5eb45ce89e6cf93bed1c8eedc8e3d6a208b2b7285bee96d1feaeba096"),
+     "311edc9603fe6c829d77fb84cc635bf2460f0c2326b9053cb0251adcc2a60f17"),
     ("verify-gauge --no-constraint --family D5 --seed 0 --format json", 1,
-     "c41d23778f8cca352a89244e9109ab6a0f324138bf6f1b14c282c3009d6f6b66"),
+     "57d5869babb47e5db9a25d45c2b62fa5435c00cb422f421944b4d33179adda90"),
     ("verify-gauge --no-constraint --family E6 --seed 0 --format json", 1,
-     "5316cca85e4a48263edbddf3df0b22af4fbd9d423ee3d22a6cb4b74dea84c6f3"),
+     "356eafa5f36120b6cc678f8d46d1e7c8426a49233fc09c6429e95e054f872fc9"),
     ("verify-gauge --no-constraint --family E7 --seed 0 --format json", 1,
-     "1d6e7848f9eb4d5d05819d93aad836d545af378337f09fdd8b69eb31ee417f7e"),
+     "8d91e6e565ef98afdc9fb8bd1b4e1dd97aa6098c0bba2e93921d4e549ddc9ea6"),
 ]
 
 
@@ -141,7 +145,7 @@ TEXT_GOLDEN = [
     ("verify-relations --family E6 --seed 0", 0,
      "e5a794c565f16e978d281d47d3885ea87954d64dbfb19f8c1128efaafb2d2d6c"),
     ("verify-theorem --no-constraint --family D5 --seed 0", 1,
-     "46348ddf0caedff9f4a0ee04e36f90953b051ba7e7b93bf68300741520af6c37"),
+     "4b4f936d2d1e573f142765461edc1baa6a4858475bce6ea113ac24dafee96d72"),
     ("verify-gauge --family E7 --seed 0 --exact", 0,
      "f4a473ef4f280d69c059b380b8dfb94294aa9b6b2f5ea710c268f3ce4a5f938a"),
 ]

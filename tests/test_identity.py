@@ -16,6 +16,7 @@ from qpweyl.identity import (
     CheckConfig,
     ConstraintRelation,
     DEFAULT_PRIME,
+    DEFAULT_TRIALS,
     DegenerateComparison,
     ExactPathUnavailable,
     IdentityResult,
@@ -34,7 +35,7 @@ def constraint():
 def test_equal_verdict():
     r = identities_equal(parse("(f + g)^2"), parse("f^2 + 2*f*g + g^2"), label="t1")
     assert r.verdict == "equal"
-    assert r.trials == 16
+    assert r.trials == DEFAULT_TRIALS
 
 
 def test_involution_image_equal():
@@ -84,7 +85,7 @@ def test_seed_reproducibility():
     assert r3.witness != r1.witness
 
 
-@pytest.mark.parametrize("prime", [DEFAULT_PRIME, (1 << 89) - 1])
+@pytest.mark.parametrize("prime", [(1 << 61) - 1, DEFAULT_PRIME])
 def test_sample_point_draws_what_randrange_draws(prime):
     # Every witness and golden hash depends on these values.
     names = [f"x{i}" for i in range(13)]
@@ -109,6 +110,41 @@ def test_trials_validation():
                                          "bits wide, got 1279 bits$"):
         CheckConfig(prime=(1 << 1279) - 1)
     CheckConfig(trials=identity.MAX_TRIALS, prime=DEFAULT_PRIME)   # the bound is allowed
+
+
+#: The error bound of 16 trials over 2^61 - 1, which every default count meets.
+_SEED_BOUND = ((1 << 61) - 2) ** 16
+
+
+@pytest.mark.parametrize("prime, trials", [
+    ((1 << 60) + 33, 17),          # the smallest prime above 2^60
+    ((1 << 61) - 1, 16),
+    ((1 << 89) - 1, 11),
+    ((1 << 127) - 1, 8),
+    ((1 << 1023) + 1155, 1),       # the smallest 1,024-bit prime
+])
+def test_trials_for_is_the_fewest_that_meet_the_seed_bound(prime, trials):
+    assert identity.trials_for(prime) == trials
+    assert (prime - 1) ** trials >= _SEED_BOUND
+    assert trials == 1 or (prime - 1) ** (trials - 1) < _SEED_BOUND
+
+
+def test_default_trials_follow_the_prime():
+    assert DEFAULT_TRIALS == identity.trials_for(DEFAULT_PRIME) == 11
+    for k in (61, 89, 107, 127, 521, 607):     # the Mersenne primes of 61 to 1,024 bits
+        prime = (1 << k) - 1
+        cfg = CheckConfig(prime=prime)
+        assert cfg.trials == identity.trials_for(prime) <= 16
+        assert (prime - 1) ** cfg.trials >= _SEED_BOUND
+    assert CheckConfig(trials=5, prime=(1 << 61) - 1).trials == 5
+    with pytest.raises(ValueError, match="^prime must exceed 2, got 2$"):
+        identity.trials_for(2)
+
+
+def test_is_prime_proves_mersenne_numbers_by_lucas_lehmer():
+    from qpweyl.identity import is_prime
+    mersenne = {2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607}
+    assert {k for k in range(2, 1025) if is_prime.__wrapped__((1 << k) - 1)} == mersenne
 
 
 def test_is_prime_matches_sympy():
@@ -738,7 +774,7 @@ def test_batched_trials_match_where_the_budget_runs_out(trials):
     # points in the last batches, others exhaust the budget.
     poles = _residue_poles(["f", "g", "q", "nu1", "nu2", "nu3"], DEFAULT_PRIME)
     outcomes = [_both(poles, poles, None, CheckConfig(trials, seed=seed), "budget")
-                for seed in range(6)]
+                for seed in range(8)]
     for batched, sequential in outcomes:
         assert batched == sequential
     assert {type(batched) for batched, _ in outcomes} == {IdentityResult, tuple}
@@ -834,7 +870,7 @@ def test_self_comparison_matches_point_by_point_loop(a, trials, seed, prime, con
     "f", "0", "2/3", "(f - g)^2", "f*g/q^2", "(f + g)/(f*g)", "nu1^-3",
     "(f - nu3)*g/(2*kappa1)", "(f/g)^-2*(g - 1)",
 ])
-@pytest.mark.parametrize("prime", [DEFAULT_PRIME, _REJECTING_PRIME])
+@pytest.mark.parametrize("prime", [(1 << 61) - 1, DEFAULT_PRIME, _REJECTING_PRIME])
 def test_self_comparisons_skip_sampling_only_on_the_lattice(text, prime):
     batched, sequential, sampled = _both_on_self(parse(text), None,
                                                  CheckConfig(9, prime), "skip")
