@@ -427,17 +427,27 @@ def _run_rational(code, nodes, values: Mapping[str, object]) -> Fraction:
     return vals[-1]
 
 
-def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[int, int]:
+def _run_projective(code, nodes, values: Mapping[str, object], p: int,
+                    memo: dict | None = None) -> tuple[int, int]:
     """Run the program over F_p; returns the pair (n, d) with d != 0 mod p.
 
     Pairs are stored reduced mod p, and each instruction kind has one rule:
     a sum of n/d and n'/d' is (n d' + n' d, d d'), a product multiplies
-    numerators and denominators, and a power raises both.
+    numerators and denominators, and a power raises both.  memo maps a node
+    to its pair at the point `values` gives: a node found there is not run
+    again, and each node run is added.  A node that raises is never added.
     """
+    if memo is None:
+        memo = {}
     size = len(code)
     nums = [0] * size
     dens = [1] * size
-    for i, (kind, arg) in enumerate(code):
+    for i, node in enumerate(nodes):
+        hit = memo.get(node)
+        if hit is not None:
+            nums[i], dens[i] = hit
+            continue
+        kind, arg = code[i]
         if kind == "mul":
             x = y = 1
             for k in arg:
@@ -465,7 +475,7 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
                 v = Fraction(v)
                 d = v.denominator % p
                 if d == 0:
-                    raise DivisionByZero(nodes[i])
+                    raise DivisionByZero(node)
                 nums[i] = v.numerator % p
                 dens[i] = d
         elif kind == "pow":
@@ -476,35 +486,54 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int) -> tuple[
             a, b = arg
             x = nums[b]
             if x == 0:
-                raise DivisionByZero(nodes[i])
+                raise DivisionByZero(node)
             nums[i] = nums[a] * dens[b] % p
             dens[i] = dens[a] * x % p
         else:
             d = arg.denominator % p
             if d == 0:
-                raise DivisionByZero(nodes[i])
+                raise DivisionByZero(node)
             nums[i] = arg.numerator % p
             dens[i] = d
+        memo[node] = nums[i], dens[i]
     return nums[-1], dens[-1]
 
 
-def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
+def _run_lanes(code, nodes, columns: Mapping[str, list], m: int, p: int,
+               memo: dict | None = None) -> list:
     """Run the program over F_p at m points at once, lane i of each symbol's
     column being point i; returns each lane's final numerator, or None where
     _run_projective would raise DivisionByZero.
 
     Column values must lie in [0, p), and so does every stored value.  Only
     whether a lane's value is zero matters, so no lane is ever inverted.  A
-    lane whose quotient divisor has numerator 0 is marked and left to run
-    on; its other lanes keep nonzero denominators.  A constant is a column,
-    as a symbol is, and a product multiplies its children's columns in
-    order.  A denominator column of ones is kept as None.
+    lane whose quotient divisor has numerator 0 is dead: it is marked and
+    left to run on, and its other lanes keep nonzero denominators.  A
+    constant is a column, as a symbol is, and a product multiplies its
+    children's columns in order.  A denominator column of ones is kept as
+    None.  memo maps a node to its (numerators, denominators, dead lanes)
+    at these columns, the dead lanes being those at which the node's own
+    subtree divides by zero, as a frozenset, or None: a node found there is
+    not run again and brings its dead lanes, and each node run is added.
+    A constant whose denominator p divides kills every lane and ends the run.
     """
+    if memo is None:
+        memo = {}
     nums: list[list] = []
     dens: list = []
-    dead: set[int] = set()
-    for kind, arg in code:
-        y = None
+    deads: list = []
+    # Until a dead lane appears, every node's dead lanes are None.
+    poles = False
+    for (kind, arg), node in zip(code, nodes):
+        hit = memo.get(node)
+        if hit is not None:
+            x, y, dead = hit
+            poles = poles or dead is not None
+            nums.append(x)
+            dens.append(y)
+            deads.append(dead)
+            continue
+        y = dead = None
         if kind == "mul":
             x = nums[arg[0]]
             for k in arg[1:]:
@@ -542,7 +571,8 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
             x, y = nums[a], dens[a]
             n, d = nums[b], dens[b]
             if 0 in n:
-                dead.update(j for j, c in enumerate(n) if c == 0)
+                poles = True
+                dead = frozenset([j for j, c in enumerate(n) if c == 0])
             if d is not None:
                 x = [c * e % p for c, e in zip(x, d)]
             y = n if y is None else [c * e % p for c, e in zip(y, n)]
@@ -552,14 +582,23 @@ def _run_lanes(code, columns: Mapping[str, list], m: int, p: int) -> list:
             x = [arg.numerator % p] * m
             if arg.denominator != 1:
                 y = [arg.denominator % p] * m
+        if poles and kind != "sym" and kind != "num":
+            for k in arg[:1] if kind == "pow" else arg:
+                d = deads[k]
+                if d is not None:
+                    dead = d if dead is None else dead | d
+        memo[node] = x, y, dead
         nums.append(x)
         dens.append(y)
-    if not dead:
+        deads.append(dead)
+    dead = deads[-1]
+    if dead is None:
         return nums[-1]
     return [None if j in dead else v for j, v in enumerate(nums[-1])]
 
 
-def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
+def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None, *,
+             memo: dict | None = None):
     """Evaluate over the exact rationals (p=None) or the prime field F_p.
 
     `values` must cover every free symbol of e.  Over F_p a value that is
@@ -568,12 +607,13 @@ def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None):
     denominator vanishes: the first quotient in post-order whose divisor is
     zero (a negative power is built as a quotient), or, over F_p, a
     constant or a symbol's value whose denominator p divides.  The caller
-    is expected to resample.
+    is expected to resample.  Over F_p, memo (see _run_projective) keeps
+    the pair of every node run, for later calls at the same values and p.
     """
     code, nodes = _compile(e)
     if p is None:
         return _run_rational(code, nodes, values)
-    n, d = _run_projective(code, nodes, values, p)
+    n, d = _run_projective(code, nodes, values, p, memo)
     # A zero residual, the common case, needs no inverse at all.
     return n if n == 0 or d == 1 else n * pow(d, -1, p) % p
 

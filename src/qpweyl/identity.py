@@ -25,12 +25,28 @@ the default p = 2^89 - 1, t = 11: 11 * 89 = 979 >= 976 = 16 * 61 gives
 and 2^61 - 1, t = 17, and as (p - 1)^17 >= 2^1020 = 2^44 * 2^976, no
 residual with D <= 2^44 gets a weaker bound either.
 
-The first point is a probe, evaluated alone: most false identities fail
-there.  The remaining trials run the residual's compiled program over their
-points in batches of at most _LANE_CAP, one lane per point, which needs no
-modular inverse since only whether a value is zero matters.  The points are
-drawn and the lanes scanned in the order of a point-by-point loop, so
-verdicts, witnesses and counts are that loop's.
+The points.  Point j of symbol x is value j of x's own stream, read from
+the SHAKE-128 output of the seed and x (stream_values), so every comparison
+under one seed reads the same points, whatever its label: a comparison's
+attempt j reads point j.  Attempt 0 is a probe, evaluated alone: most false
+identities fail there.  The remaining trials run the residual's compiled
+program over their points in batches of at most _LANE_CAP, one lane per
+point, which needs no modular inverse since only whether a value is zero
+matters.  The lanes are scanned in the order of a point-by-point loop, so
+verdicts, witnesses and counts are that loop's.  Each public suite call
+builds one Points object, which its comparisons share, and a lone
+identities_equal builds its own; the object keeps the value of every node
+evaluated at the probe and at each batch, so a node that several residuals
+share is evaluated once per point, and it is dropped when the call returns.
+
+Sharing the points leaves each comparison's bound (D/(p - 1))^t as it was:
+its trials still read independent, uniform, nonzero points, and a point at
+a pole still moves it on to the next point of the stream.  The comparisons
+of one call are now dependent, so a check's error is bounded, as before, by
+the union bound over its comparisons, which needs no independence.
+lax.equations_equivalent picks its pivot at the shared probe point, so the
+cross residuals it then compares depend on that choice; the union bound over
+the three possible pivots, one cross residual each, costs at most a factor 3.
 
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an
@@ -135,35 +151,39 @@ class IdentityResult(Record):
         return self.verdict in ("equal", "exact-proved")
 
 
-def rng_for(seed: int, label: str) -> random.Random:
-    """Deterministic per-check generator: stable across runs and platforms."""
+#: Values per block of a symbol's stream: a batch of at most _LANE_CAP lanes
+#: reads at most two blocks.
+_BLOCK = 256
+
+
+def stream_values(seed: int, name: str, prime: int, start: int, end: int) -> list[int]:
+    """Values start .. end - 1 of name's stream under seed, each uniform on
+    1 .. prime - 1.  Value j is value j mod _BLOCK of block j div _BLOCK;
+    block k reads the SHAKE-128 output of "seed:point:name:k" as
+    little-endian words of ceil(b/8) bytes, b the bit width of prime - 1,
+    and takes the low b bits r of each word as the value 1 + r when r is
+    below prime - 1, skipping the word otherwise (rejection sampling, as
+    randrange(1, prime) does).  A block is read only as far as asked, and no
+    block depends on another, so reading a value costs the values before it
+    in its block alone."""
     import hashlib   # here, not at module level: it loads OpenSSL at start-up
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def sample_point(rng: random.Random, names: list[str], prime: int) -> dict[str, int]:
-    """One uniform nonzero value per name, drawn in the order given; pass the
-    names sorted for draws that are reproducible across runs."""
-    return {n: column[0] for n, column in sample_columns(rng, names, prime, 1).items()}
-
-
-def sample_columns(rng: random.Random, names: list[str], prime: int,
-                   m: int) -> dict[str, list[int]]:
-    """The next m points sample_point would draw, one column per name."""
-    # Never sample 0: most symbols sit in denominators.  This is CPython's
-    # randrange(1, prime) inlined (rejection sampling on getrandbits), so the
-    # values are the same at a third of the cost.
-    draw, width = rng.getrandbits, prime - 1
+    width = prime - 1
     bits = width.bit_length()
-    flat = []
-    for _ in range(m * len(names)):
-        r = draw(bits)
-        while r >= width:
-            r = draw(bits)
-        flat.append(1 + r)
-    k = len(names)
-    return {n: flat[j::k] for j, n in enumerate(names)}
+    size, mask = (bits + 7) // 8, (1 << bits) - 1
+    out: list[int] = []
+    for k in range(start // _BLOCK, (end - 1) // _BLOCK + 1):
+        base = k * _BLOCK
+        lo, hi = max(start, base) - base, min(end, base + _BLOCK) - base
+        xof, words = hashlib.shake_128(f"{seed}:point:{name}:{k}".encode()), hi
+        while True:
+            data = xof.digest(words * size)
+            block = [1 + r for r in (int.from_bytes(data[i:i + size], "little") & mask
+                                     for i in range(0, len(data), size)) if r < width]
+            if len(block) >= hi:
+                break
+            words *= 2   # words were skipped: read further into the output
+        out += block[lo:hi]
+    return out
 
 
 # Bases 2..41 make Miller-Rabin deterministic below 3.3e24 (Sorenson and
@@ -244,23 +264,30 @@ class CheckConfig(Value):
 
 
 def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = None,
-                     cfg: CheckConfig = CheckConfig(), *, label: str = "") -> IdentityResult:
+                     cfg: CheckConfig = CheckConfig(), *, label: str = "",
+                     points: Points | None = None) -> IdentityResult:
     """Decide whether a and b agree as rational functions (mod constraint).
 
     The rules of the module docstring, in order: lattice ("exact-proved"
     with cfg.exact, and no residual is built), sampling.  The lattice returns
     the sampling loop's result: every trial equal and none resampled.  With
-    cfg.exact, an "equal" from sampling goes on to the exact path.
+    cfg.exact, an "equal" from sampling goes on to the exact path.  Sampling
+    reads points, built from a config with cfg's prime and seed, or a
+    Points(cfg) of its own; the label only names the comparison in a
+    DegenerateComparison message.
     """
     lattice = _reduced_monomial(a, constraint)
     if lattice is not None and lattice == _reduced_monomial(b, constraint):
         # Monomials have no pole at a point with nonzero coordinates.
         return IdentityResult("exact-proved" if cfg.exact else "equal", trials=cfg.trials)
+    if points is None:
+        points = Points(cfg)
+    elif (points.prime, points.seed) != (cfg.prime, cfg.seed):
+        raise ValueError("points were drawn for another prime or seed")
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
-    result = _sample(r, cfg.trials, cfg.prime, cfg.seed, label)
-
+    result = _sample(r, cfg.trials, points, label)
     if cfg.exact and result.verdict == "equal":
         try:
             if exact_zero(r):
@@ -295,19 +322,76 @@ def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple |
 _LANE_CAP = 256
 
 
-def _sample(r, trials, prime, seed, label) -> IdentityResult:
-    """Test the residual r = a - b (constrained) at sampled points; a
-    refutation returns its point."""
+class Points:
+    """The sample points of one suite call, and the value of every node
+    evaluated at them.
+
+    Point j of symbol x is value j of stream_values(seed, x, ...), so every
+    comparison under one seed reads the same points whatever its label.
+    probe maps a node to its projective pair at point 0 (see
+    expr._run_projective), and batch(start, m) to its lanes at points
+    start .. start + m - 1 (see expr._run_lanes), so a node that several
+    residuals share is evaluated once per point.  Only the first `trials`
+    points of each stream are kept, with the lane memos of batches within
+    them: a comparison that resamples past them reads its points afresh and
+    keeps nothing, so its memory is one batch's whatever its budget.  An
+    object serves one call; no value outlives it.
+    """
+
+    __slots__ = ("prime", "seed", "probe", "_keep", "_kept", "_batches")
+
+    def __init__(self, cfg: CheckConfig):
+        self.prime, self.seed = cfg.prime, cfg.seed
+        self.probe: dict = {}
+        self._keep = cfg.trials
+        self._kept: dict[str, list[int]] = {}
+        self._batches: dict[tuple[int, int], dict] = {}
+
+    def _head(self, name: str) -> list[int]:
+        """The kept values of name's stream, read on its first use."""
+        kept = self._kept.get(name)
+        if kept is None:
+            kept = self._kept[name] = stream_values(self.seed, name, self.prime, 0, self._keep)
+        return kept
+
+    def first(self, names) -> dict[str, int]:
+        """Point 0."""
+        return {n: self._head(n)[0] for n in names}
+
+    def columns(self, names, start: int, m: int) -> dict[str, list[int]]:
+        """Points start .. start + m - 1, one column per name."""
+        end, keep = start + m, self._keep
+        if end <= keep:
+            return {n: self._head(n)[start:end] for n in names}
+        return {n: self._head(n)[start:keep]
+                + stream_values(self.seed, n, self.prime, max(start, keep), end)
+                for n in names}
+
+    def batch(self, start: int, m: int) -> dict | None:
+        """The lane memo of points start .. start + m - 1, None past the kept
+        points."""
+        if start + m > self._keep:
+            return None
+        memo = self._batches.get((start, m))
+        if memo is None:
+            memo = self._batches[start, m] = {}
+        return memo
+
+
+def _sample(r, trials, points: Points, label) -> IdentityResult:
+    """Test the residual r = a - b (constrained) at the points, in the order
+    of a trial-by-trial loop whose attempt j reads point j; a refutation
+    returns its point."""
     names = sorted(r.free)
-    rng = rng_for(seed, label)
+    prime = points.prime
 
     result = IdentityResult(verdict="equal")
     budget = 100 * trials
-    # The probe: one point through evaluate, which refutes most false
+    # The probe: point 0 through evaluate, which refutes most false
     # identities at once.
-    point = sample_point(rng, names, prime)
+    point = points.first(names)
     try:
-        refuted = evaluate(r, point, prime) != 0
+        refuted = evaluate(r, point, prime, memo=points.probe) != 0
         done = 1
     except DivisionByZero:
         refuted, done = False, 0
@@ -320,8 +404,10 @@ def _sample(r, trials, prime, seed, label) -> IdentityResult:
             raise DegenerateComparison(f"exhausted {budget} sampling attempts"
                                        + (f" for '{label}'" if label else ""))
         m = min(trials - done, budget - attempts, _LANE_CAP)
-        columns = sample_columns(rng, names, prime, m)
-        for i, v in enumerate(_run_lanes(_compile(r)[0], columns, m, prime)):
+        columns = points.columns(names, attempts, m)
+        code, nodes = _compile(r)
+        lanes = _run_lanes(code, nodes, columns, m, prime, points.batch(attempts, m))
+        for i, v in enumerate(lanes):
             if v is None:
                 result.resamples += 1
             else:

@@ -30,7 +30,7 @@ import functools
 
 from . import paper
 from .expr import ZERO, Expr, div, mul, parse, shown, sub, substitute, sym
-from .identity import CheckConfig, ConstraintRelation
+from .identity import CheckConfig, ConstraintRelation, Points
 from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
 from .report import CheckResult, Frozen, Report, Value
 from .weyl import (
@@ -95,18 +95,24 @@ def equations_equivalent(
     constraint: ConstraintRelation | None = None,
     cfg: CheckConfig = CheckConfig(),
     label: str = "",
+    points: Points | None = None,
 ) -> CheckResult:
     """The check that the equations agree up to one common rational factor.
 
     The pivot is the first pair, of mid, up and down, whose members a
     sampled, never exact, zero test finds both nonzero.  A zero test with no
     sample point off the poles is returned as it is; no pivot is degenerate.
+    The zero tests and the cross check read one set of points: the
+    caller's, or a Points(cfg) built for this call.
     """
+    if points is None:
+        points = Points(cfg)
     sampled = cfg._replace(exact=False)
     pairs = list(zip(e1.coefficients(), e2.coefficients()))
     for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
         for c, side in zip(pairs[idx], "ab"):
-            zero = check(f"{label}:zero", [(f"p{idx}{side}", c, ZERO)], constraint, sampled)
+            zero = check(f"{label}:zero", [(f"p{idx}{side}", c, ZERO)], constraint, sampled,
+                         points)
             if zero.status == "degenerate":
                 return zero
             if zero.ok:  # c vanishes: try the next pair
@@ -115,7 +121,7 @@ def equations_equivalent(
             p1, p2 = pairs[idx]
             cross = ((f"cross:{i}", mul(c1, p2), mul(c2, p1))
                      for i, (c1, c2) in enumerate(pairs) if i != idx)
-            return check(label, cross, constraint, cfg)
+            return check(label, cross, constraint, cfg, points)
     return CheckResult(label, "degenerate", detail="all candidate pivot coefficients vanish")
 
 
@@ -154,6 +160,7 @@ def verify_gauge_claim(
     fam: FamilyDescriptor,
     claim_id: str,
     cfg: CheckConfig = CheckConfig(),
+    points: Points | None = None,
 ) -> CheckResult:
     """equations_equivalent's result for the claim's two equations, under
     the claim id, with the claim's note as its detail."""
@@ -163,13 +170,15 @@ def verify_gauge_claim(
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
     res = equations_equivalent(*claim_equations(fam, claim), cfg.constraint(fam), cfg,
-                               label=claim_id)
+                               label=claim_id, points=points)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
     return res._replace(id=claim_id, detail=detail)
 
 
 def verify_gauge_claims(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
-    """verify_gauge_claim of every claim of fam, in registry order."""
-    return Report([verify_gauge_claim(fam, claim_id, cfg)
+    """verify_gauge_claim of every claim of fam, in registry order, at one
+    set of points."""
+    points = Points(cfg)
+    return Report([verify_gauge_claim(fam, claim_id, cfg, points)
                    for claim_id, claim in CLAIMS.items() if claim.family == fam.name])

@@ -32,6 +32,7 @@ from .identity import (
     CheckConfig,
     ConstraintRelation,
     DegenerateComparison,
+    Points,
     _reduced_monomial,
     identities_equal,
 )
@@ -127,15 +128,18 @@ def _letters(text: str) -> int:
 
 def parse_word(text: str) -> tuple[str, ...]:
     """Whitespace-separated generator names; "(...)^n" groups are expanded,
-    innermost first, each adding n - 1 times its body's words to the letter
-    count.  Raises ValueError before an expansion would make the word
-    longer than MAX_WORD_LETTERS letters.  A blank body's copies are cut to
-    MAX_WORD_LETTERS characters, past which blanks change neither the word
-    nor a message."""
+    innermost first, each adding n - 1 times its body's letters, counted as
+    _letters counts them, to the letter count.  Raises ValueError before an
+    expansion would make the word longer than MAX_WORD_LETTERS letters.  A
+    body without letters has its copies cut to MAX_WORD_LETTERS characters,
+    past which they change neither the word nor a message.  The count can
+    still run ahead of the word where a copy glues to a neighbour:
+    "s1(s0)^2" counts 3 letters for "s1s0 s0", a word that holds an
+    unknown name anyway."""
     letters, pos = _letters(text), 0
     while m := _WORD_GROUP_RE.search(text, pos):
         body, n = m.group(1), int(m.group(2))
-        k = len(body.split())
+        k = _letters(body)
         letters += (n - 1) * k
         if letters > MAX_WORD_LETTERS:
             break
@@ -229,19 +233,21 @@ def make_family(name: str) -> FamilyDescriptor:
 # relation suites
 
 def check(check_id: str, pairs, constraint: ConstraintRelation | None,
-          cfg: CheckConfig) -> CheckResult:
+          cfg: CheckConfig, points: Points | None = None) -> CheckResult:
     """The verdict of every suite: does a equal b for each (name, a, b)?
 
-    Pairs are compared in order, each sampled under the label
-    "check_id:name", or check_id when name is empty.  The first pair that
-    differs fails the check with its witness.  A comparison that finds no
-    sample point off the poles makes the check degenerate.  A pass is
-    marked exact when cfg.exact is set and every pair was proved exactly.
+    Pairs are compared in order at the suite's points, or, without them,
+    each at a Points(cfg) of its own, which holds the same values.  The
+    first pair that differs fails the check with its witness.  A comparison
+    that finds no sample point off the poles makes the check degenerate;
+    its message names the pair as "check_id:name", or check_id when name is
+    empty.  A pass is marked exact when cfg.exact is set and every pair was
+    proved exactly.
     """
     proved = cfg.exact
     try:
         for name, a, b in pairs:
-            res = identities_equal(a, b, constraint, cfg,
+            res = identities_equal(a, b, constraint, cfg, points=points,
                                    label=f"{check_id}:{name}" if name else check_id)
             if res.verdict == "unequal":
                 return CheckResult(check_id, "fail", witness=res.witness,
@@ -252,11 +258,16 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     return CheckResult(check_id, "pass", detail="exact" if proved else "")
 
 
-def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, checks) -> Report:
+def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, checks,
+               points: Points | None = None) -> Report:
     """The report of check(check_id, pairs) for each (check_id, pairs), in
-    order, modulo fam's constraint unless cfg drops it."""
+    order, modulo fam's constraint unless cfg drops it, all at one set of
+    points: the caller's, or a Points(cfg) built for this call."""
     constraint = cfg.constraint(fam)
-    return Report([check(check_id, pairs, constraint, cfg) for check_id, pairs in checks])
+    if points is None:
+        points = Points(cfg)
+    return Report([check(check_id, pairs, constraint, cfg, points)
+                   for check_id, pairs in checks])
 
 
 def _image_pairs(t1: Transformation, t2: Transformation):
@@ -265,14 +276,16 @@ def _image_pairs(t1: Transformation, t2: Transformation):
     return ((name, t1.image(name), t2.image(name)) for name in ACTION_SYMBOLS)
 
 
-def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
+                       points: Points | None = None) -> Report:
     gens = fam.generators
     return run_checks(fam, cfg, ((f"{fam.name}:invol:{name}",
                                   _image_pairs(compose(gens[name], gens[name]), IDENTITY))
-                                 for name in fam.s_names + fam.pi_names))
+                                 for name in fam.s_names + fam.pi_names), points)
 
 
-def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
+                 points: Points | None = None) -> Report:
     """Braid relation on Dynkin edges, commutation on non-edges."""
 
     def relation(i: int, j: int):
@@ -283,10 +296,12 @@ def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Rep
         return f"{fam.name}:commute:s{i},s{j}", _image_pairs(compose(si, sj), compose(sj, si))
 
     indices = [int(n[1:]) for n in fam.s_names]
-    return run_checks(fam, cfg, itertools.starmap(relation, itertools.combinations(indices, 2)))
+    return run_checks(fam, cfg, itertools.starmap(relation, itertools.combinations(indices, 2)),
+                      points)
 
 
-def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
+                        points: Points | None = None) -> Report:
     """Diagram-automorphism relations.
 
     A family with a pi_relations table in paper.py (D5) has each listed
@@ -301,8 +316,10 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig())
         return run_checks(fam, cfg, ((f"{fam.name}:pi:{lhs}" + (f" = {rhs}" if rhs else ""),
                                       _image_pairs(word_to_transform(fam, lhs),
                                                    word_to_transform(fam, rhs)))
-                                     for lhs, rhs in listed))
+                                     for lhs, rhs in listed), points)
     constraint = cfg.constraint(fam)
+    if points is None:
+        points = Points(cfg)
     report = Report()
 
     def lattice(t: Transformation) -> list:
@@ -318,7 +335,7 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig())
                 None in (a, b) or a == b for a, b in zip(exps, lattice(s_pi[c])))),
                 fam.s_names[0])
             res = check(f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
-                        _image_pairs(lhs, s_pi[cand]), constraint, cfg)
+                        _image_pairs(lhs, s_pi[cand]), constraint, cfg, points)
             detail = {"pass": f"{pi_name} {s_name} = {cand} {pi_name}",
                       "fail": "no matching conjugate generator"}.get(res.status, res.detail)
             report.add(res._replace(id=f"{fam.name}:pi:{pi_name} {s_name}", detail=detail))
@@ -326,8 +343,10 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig())
 
 
 def verify_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+    """The involution, braid and pi suites, at one set of points."""
+    points = Points(cfg)
     report = Report()
-    report.extend(verify_involutions(fam, cfg))
-    report.extend(verify_braid(fam, cfg))
-    report.extend(verify_pi_relations(fam, cfg))
+    report.extend(verify_involutions(fam, cfg, points))
+    report.extend(verify_braid(fam, cfg, points))
+    report.extend(verify_pi_relations(fam, cfg, points))
     return report

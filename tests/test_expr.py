@@ -492,7 +492,7 @@ def test_lanes_match_one_point_runs(e, p, data):
 
 def _assert_lanes_match_one_point_runs(e, columns, m, p):
     code, nodes = expr_module._compile(e)
-    lanes = expr_module._run_lanes(code, columns, m, p)
+    lanes = expr_module._run_lanes(code, nodes, columns, m, p)
     assert len(lanes) == m
     for i, lane in enumerate(lanes):
         point = {n: column[i] for n, column in columns.items()}
@@ -517,10 +517,69 @@ def test_lanes_of_f_plus_each_constant_leaf(c, p):
     _assert_lanes_match_one_point_runs(add(sym("f"), num(c)), {"f": f}, len(f), p)
 
 
+def _projective_outcome(code, nodes, point, p, memo=None):
+    """_run_projective's pair, or the node it raises DivisionByZero on."""
+    try:
+        return expr_module._run_projective(code, nodes, point, p, memo)
+    except DivisionByZero as err:
+        return err.node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_dags(), min_size=1, max_size=4), small_dags(),
+       st.sampled_from(_FIELD_PRIMES), st.booleans(), st.data())
+def test_a_filled_memo_gives_each_program_its_fresh_result(fillers, b, p, poles, data):
+    # Programs A1..Ak fill one probe memo and one lane memo at the same
+    # points; B, built on one of them so that it reuses its nodes, then
+    # gives what it gives alone: the same lanes, the same dead lanes, and
+    # the same pair or the same node raising.
+    if poles and p > 3:
+        # A pole wherever f is a square mod p: dead lanes in most batches.
+        pole = pow_(sub(pow_(sym("f"), (p - 1) // 2), num(1)), -1)
+        fillers = [div(mul(a, pole), pole) for a in fillers]
+    combine = data.draw(st.sampled_from([add, mul, div, lambda x, y: y]))
+    try:
+        b = combine(data.draw(st.sampled_from(fillers)), b)
+    except ExprError:
+        pass
+    values = st.sampled_from([1 % p, 2 % p, 3 % p, p - 1])
+    m = data.draw(st.integers(1, 8))
+    columns = {n: data.draw(st.lists(values, min_size=m, max_size=m)) for n in "fgq"}
+    point = {n: column[0] for n, column in columns.items()}
+    lanes, probe = {}, {}
+    for a in fillers:
+        code, nodes = _compile(a)
+        expr_module._run_lanes(code, nodes, columns, m, p, lanes)
+        _projective_outcome(code, nodes, point, p, probe)
+    code, nodes = _compile(b)
+    assert (expr_module._run_lanes(code, nodes, columns, m, p, lanes)
+            == expr_module._run_lanes(code, nodes, columns, m, p))
+    assert (_projective_outcome(code, nodes, point, p, probe)
+            == _projective_outcome(code, nodes, point, p))
+
+
+@pytest.mark.parametrize("p", _FIELD_PRIMES)
+def test_a_constant_p_divides_kills_every_lane_of_each_program_reusing_it(p):
+    shared = add(sym("f"), num(Fraction(1, p)))
+    columns = {"f": [1 % p, 2 % p, p - 1], "g": [2 % p, 1 % p, 3 % p]}
+    point = {"f": 1 % p, "g": 2 % p}
+    lanes, probe = {}, {}
+    for e in (sym("g"), shared, mul(sym("g"), shared), div(sym("g"), shared),
+              add(shared, sym("g")), sub(sym("g"), shared)):
+        code, nodes = _compile(e)
+        got = expr_module._run_lanes(code, nodes, columns, 3, p, lanes)
+        outcome = _projective_outcome(code, nodes, point, p, probe)
+        if e is sym("g"):
+            assert got == columns["g"] and outcome == (point["g"], 1)
+        else:
+            assert got == [None] * 3
+            assert outcome is num(Fraction(1, p))
+
+
 def test_lanes_name_a_missing_symbol():
-    code, _ = expr_module._compile(parse("f + g"))
+    code, nodes = expr_module._compile(parse("f + g"))
     with pytest.raises(ExprError, match="no value for symbol 'g'"):
-        expr_module._run_lanes(code, {"f": [1, 2]}, 2, 7)
+        expr_module._run_lanes(code, nodes, {"f": [1, 2]}, 2, 7)
     for p in (None, 7):
         with pytest.raises(ExprError, match="no value for symbol 'g'"):
             evaluate(parse("f + g"), {"f": 1}, p)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 from unittest import mock
 
 import pytest
@@ -22,8 +23,7 @@ from qpweyl.identity import (
     IdentityResult,
     exact_zero,
     identities_equal,
-    rng_for,
-    sample_point,
+    stream_values,
 )
 
 
@@ -85,15 +85,40 @@ def test_seed_reproducibility():
     assert r3.witness != r1.witness
 
 
-@pytest.mark.parametrize("prime", [(1 << 61) - 1, DEFAULT_PRIME])
-def test_sample_point_draws_what_randrange_draws(prime):
-    # Every witness and golden hash depends on these values.
-    names = [f"x{i}" for i in range(13)]
-    for seed in range(20):
-        rng = rng_for(seed, "draws")
-        points = [sample_point(rng, names, prime) for _ in range(50)]
-        ref = rng_for(seed, "draws")
-        assert points == [{n: ref.randrange(1, prime) for n in names} for _ in range(50)]
+@functools.lru_cache(maxsize=None)
+def _reference_block(seed, name, prime, k):
+    """Block k of name's stream, decoded apart from identity.stream_values:
+    the whole SHAKE-128 output read as one integer and split into words from
+    its low end, a whole block at a time."""
+    width = prime - 1
+    bits = width.bit_length()
+    word = 8 * ((bits + 7) // 8)
+    n, block = identity._BLOCK, []
+    while len(block) < identity._BLOCK:
+        whole = int.from_bytes(
+            hashlib.shake_128(f"{seed}:point:{name}:{k}".encode()).digest(n * word // 8), "little")
+        block = [1 + v for v in ((whole >> (i * word)) % (1 << bits) for i in range(n))
+                 if v < width]
+        n *= 2
+    return tuple(block[:identity._BLOCK])
+
+
+def _reference_value(seed, name, prime, j):
+    """Value j of name's stream."""
+    return _reference_block(seed, name, prime, j // identity._BLOCK)[j % identity._BLOCK]
+
+
+@pytest.mark.parametrize("prime", [(1 << 61) - 1, DEFAULT_PRIME, (1 << 60) + 33])
+def test_stream_values_match_a_second_decoding(prime):
+    # Every witness and golden hash depends on these values.  Reads start
+    # and end inside a block and cross from one block to the next.
+    for seed in range(4):
+        for name in ("f", "nu1", "kappa2"):
+            ref = [_reference_value(seed, name, prime, j) for j in range(600)]
+            assert stream_values(seed, name, prime, 0, 600) == ref
+            for start, end in ((0, 1), (3, 11), (250, 270), (255, 257), (511, 513)):
+                assert stream_values(seed, name, prime, start, end) == ref[start:end]
+            assert all(1 <= v < prime for v in ref)
 
 
 def test_trials_validation():
@@ -675,23 +700,27 @@ _REJECTING_PRIME = (1 << 60) + 33
 
 
 def _sequential_identities_equal(a, b, constraint=None, cfg=CheckConfig(), *, label=""):
-    """identities_equal as it ran before batching: every trial draws one
-    point and evaluates it alone.  The batched function must match it."""
+    """identities_equal as a point-by-point loop: attempt j reads point j,
+    value j of each symbol's own stream, and evaluates it alone.  The
+    batched function must match it.  A DegenerateComparison carries the
+    number of points read as `read`."""
     trials, prime = cfg.trials, cfg.prime
     r = sub(a, b)
     if constraint is not None:
         r = constraint.apply(r)
     names = sorted(r.free)
-    rng = identity.rng_for(cfg.seed, label)
 
     result = IdentityResult(verdict="equal")
     budget = 100 * trials
     done = 0
     while done < trials:
         if result.resamples + done >= budget:
-            raise DegenerateComparison(f"exhausted {budget} sampling attempts"
+            err = DegenerateComparison(f"exhausted {budget} sampling attempts"
                                        + (f" for '{label}'" if label else ""))
-        point = sample_point(rng, names, prime)
+            err.read = result.resamples + done
+            raise err
+        attempt = result.resamples + done
+        point = {n: _reference_value(cfg.seed, n, prime, attempt) for n in names}
         try:
             v = evaluate(r, point, prime)
         except DivisionByZero:
@@ -708,22 +737,25 @@ def _sequential_identities_equal(a, b, constraint=None, cfg=CheckConfig(), *, la
 
 def _both(a, b, constraint=None, cfg=CheckConfig(), label=""):
     """Run both versions; each result is an IdentityResult or the
-    DegenerateComparison message together with the state of the generator
-    it drew from, which tells how many points were drawn before it gave up."""
-    def run(decide):
-        drawn = []
+    DegenerateComparison message together with the number of points read
+    before it gave up."""
+    read = [0]
+    columns = identity.Points.columns
 
-        def spy(seed, label):
-            drawn.append(rng_for(seed, label))
-            return drawn[-1]
+    def spy(self, names, start, m):
+        read[0] = max(read[0], start + m)
+        return columns(self, names, start, m)
 
-        with mock.patch.object(identity, "rng_for", spy):
-            try:
-                return decide(a, b, constraint, cfg, label=label)
-            except DegenerateComparison as err:
-                return str(err), drawn[0].getstate()
-
-    return run(identities_equal), run(_sequential_identities_equal)
+    with mock.patch.object(identity.Points, "columns", spy):
+        try:
+            batched = identities_equal(a, b, constraint, cfg, label=label)
+        except DegenerateComparison as err:
+            batched = str(err), read[0]
+    try:
+        sequential = _sequential_identities_equal(a, b, constraint, cfg, label=label)
+    except DegenerateComparison as err:
+        sequential = str(err), err.read
+    return batched, sequential
 
 
 def _residue_poles(names, prime):
@@ -748,8 +780,8 @@ def test_batched_trials_match_point_by_point_loop(a, b, trials, seed, label, pri
         # leaves the refutation, if any, to the first lane off the poles.
         pole = _residue_poles(["f"], prime)
         a = div(mul(a, pole), pole)
-    # A cap below trials leaves the rest to further batches drawn from the
-    # same generator.
+    # A cap below trials leaves the rest to further batches read from the
+    # same streams.
     with mock.patch.object(identity, "_LANE_CAP", cap):
         batched, sequential = _both(a, b, k, CheckConfig(trials, prime, seed), label)
     assert batched == sequential
@@ -771,10 +803,11 @@ def test_batched_trials_match_on_pole_heavy_residuals(trials):
 @pytest.mark.parametrize("trials", [1, 2, 3])
 def test_batched_trials_match_where_the_budget_runs_out(trials):
     # Off the poles with probability 1/64: some comparisons find their
-    # points in the last batches, others exhaust the budget.
+    # points in the last batches, others exhaust the budget.  A trial count
+    # exhausts it at about one seed in seven.
     poles = _residue_poles(["f", "g", "q", "nu1", "nu2", "nu3"], DEFAULT_PRIME)
     outcomes = [_both(poles, poles, None, CheckConfig(trials, seed=seed), "budget")
-                for seed in range(8)]
+                for seed in range(32)]
     for batched, sequential in outcomes:
         assert batched == sequential
     assert {type(batched) for batched, _ in outcomes} == {IdentityResult, tuple}
@@ -789,30 +822,24 @@ def test_all_pole_residual_gives_up_at_the_same_attempt(trials):
         assert batched[0].startswith(f"exhausted {100 * trials} sampling attempts")
 
 
-def test_sample_columns_are_sample_points_split_by_name():
-    names = ["f", "g", "nu1"]
-    for prime in (DEFAULT_PRIME, _REJECTING_PRIME):
-        columns = identity.sample_columns(rng_for(3, "cols"), names, prime, 9)
-        ref = rng_for(3, "cols")
-        points = [sample_point(ref, names, prime) for _ in range(9)]
-        assert columns == {n: [pt[n] for pt in points] for n in names}
+def test_stream_values_skip_words_at_or_above_p_minus_1():
+    # A word of p - 1 would be the value p, a zero coordinate: it is skipped,
+    # as randrange(1, p) draws again; bits above the width are dropped.
+    width, size = DEFAULT_PRIME - 1, 12
+    words = [width, width - 1, (1 << 89) - 1, 0, (1 << 95) | 5, width + 1, 7]
 
+    class Output:
+        def __init__(self, key):
+            assert key == b"3:point:f:0"
 
-def test_sample_columns_redraw_p_minus_1():
-    # A draw of p - 1 would be the value p, a zero coordinate: randrange(1, p)
-    # draws again, and so must sample_columns.
-    class Draws:
-        def __init__(self, *values):
-            self.values = list(values)
+        def digest(self, n):
+            data = b"".join(w.to_bytes(size, "little") for w in words)
+            return data[:n] if n <= len(data) else data + bytes(n - len(data))
 
-        def getrandbits(self, bits):
-            assert bits == (DEFAULT_PRIME - 1).bit_length()
-            return self.values.pop(0)
-
-    draws = Draws(DEFAULT_PRIME - 1, DEFAULT_PRIME - 2, DEFAULT_PRIME - 1, 0)
-    assert identity.sample_columns(draws, ["f", "g"], DEFAULT_PRIME, 1) == {
-        "f": [DEFAULT_PRIME - 1], "g": [1]}
-    assert draws.values == []
+    with mock.patch.object(hashlib, "shake_128", Output):
+        # Four values need four words at first, then eight: the second read
+        # goes further into the same output.
+        assert stream_values(3, "f", DEFAULT_PRIME, 0, 4) == [width, 1, 6, 8]
 
 
 @pytest.mark.parametrize("trials", [identity._LANE_CAP + 1, 3 * identity._LANE_CAP - 7])
@@ -822,9 +849,9 @@ def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
     sizes = []
     run_lanes = identity._run_lanes
 
-    def spy(code, columns, m, p):
+    def spy(code, nodes, columns, m, p, memo):
         sizes.append(m)
-        return run_lanes(code, columns, m, p)
+        return run_lanes(code, nodes, columns, m, p, memo)
 
     with mock.patch.object(identity, "_run_lanes", spy):
         for a, b in ((poles, poles), (poles, num(0)), (div(f, g), mul(f, pow_(g, -1))),
@@ -832,6 +859,106 @@ def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
             batched, sequential = _both(a, b, None, CheckConfig(trials), "above-cap")
             assert batched == sequential
     assert max(sizes) == identity._LANE_CAP
+
+
+# ---------------------------------------------------------------------------
+# one set of points per suite call: point j of symbol x is the j-th value of
+# x's own stream
+
+def test_points_are_each_symbols_own_stream():
+    names = ["f", "g", "nu1"]
+    for prime in (DEFAULT_PRIME, _REJECTING_PRIME):
+        points = identity.Points(CheckConfig(trials=5, prime=prime, seed=3))
+        # Past the 5 kept values a column is read afresh.
+        got = points.columns(names, 0, 300)
+        for n in names:
+            assert got[n] == [_reference_value(3, n, prime, j) for j in range(300)]
+        assert points.first(names) == {n: got[n][0] for n in names}
+        # Later reads, of fewer symbols too, read the same values.
+        assert points.columns(["nu1"], 3, 20) == {"nu1": got["nu1"][3:23]}
+        assert points.columns(names, 250, 20) == {n: got[n][250:270] for n in names}
+        assert points.columns(names, 1, 4) == {n: got[n][1:5] for n in names}
+
+
+def test_a_label_moves_no_point():
+    a, b = parse("nu3 + f"), parse("nu4*g")
+    cfg = CheckConfig(seed=5)
+    witnesses = [identities_equal(a, b, None, cfg, label=label).witness
+                 for label in ("", "x", "c:g")]
+    assert witnesses[0] == witnesses[1] == witnesses[2]
+    # Both refute at the probe, so another comparison reads the same value
+    # of every symbol the two share.
+    other = identities_equal(parse("f"), parse("nu3"), None, cfg)
+    assert other.witness == {"f": witnesses[0]["f"], "nu3": witnesses[0]["nu3"]}
+
+
+def test_a_lone_comparison_builds_its_own_points():
+    a, b = parse("nu3 + f"), parse("nu4*g")
+    cfg = CheckConfig(seed=9)
+    alone = identities_equal(a, b, None, cfg)
+    assert alone.verdict == "unequal"
+    assert identities_equal(a, b, None, cfg) == alone
+    assert identities_equal(a, b, None, cfg, points=identity.Points(cfg)) == alone
+    with pytest.raises(ValueError, match="^points were drawn for another prime or seed$"):
+        identities_equal(a, b, None, cfg, points=identity.Points(CheckConfig(seed=10)))
+
+
+def test_comparisons_sharing_points_match_the_loop_one_by_one():
+    # Comparisons that resample past the kept points in turn, while the
+    # memos hold values of the nodes the residuals share.
+    f, g = sym("f"), sym("g")
+    poles = _residue_poles(["f", "g"], DEFAULT_PRIME)
+    pairs = [(poles, poles), (poles, num(0)), (mul(f, poles), mul(poles, f)),
+             (div(f, g), f), (poles, poles), (div(num(1), sub(f, f)), f), (poles, num(0))]
+    for seed in range(3):
+        cfg = CheckConfig(trials=3, seed=seed)
+        points = identity.Points(cfg)
+        for a, b in pairs:
+            try:
+                shared = identities_equal(a, b, None, cfg, label="shared", points=points)
+            except DegenerateComparison as err:
+                shared = str(err)
+            try:
+                loop = _sequential_identities_equal(a, b, None, cfg, label="shared")
+            except DegenerateComparison as err:
+                loop = str(err)
+            assert shared == loop
+
+
+def _node_values(run):
+    """run()'s checks, the Points objects it built and the node values they
+    computed."""
+    made = []
+    init = identity.Points.__init__
+
+    def spy(self, cfg):
+        init(self, cfg)
+        made.append(self)
+
+    with mock.patch.object(identity.Points, "__init__", spy):
+        report = run()
+    checks = [(c.id, c.status, c.witness, c.detail) for c in report.checks]
+    return checks, len(made), sum(len(p.probe) + sum(map(len, p._batches.values()))
+                                  for p in made)
+
+
+def test_a_suite_call_builds_one_points_object_and_keeps_nothing(families):
+    from qpweyl.evolution import verify_theorem_i
+    from qpweyl.lax import verify_gauge_claims
+    from qpweyl.weyl import verify_involutions, verify_relations
+
+    mutant = families["D5"].with_generator("s1", {"nu3": "nu5", "nu5": "nu3"})
+    runs = [(suite, fam, CheckConfig(seed=3, use_constraint=constrained))
+            for fam in families.values()
+            for suite in (verify_relations, verify_theorem_i, verify_gauge_claims)
+            for constrained in (True, False)]
+    runs += [(suite, mutant, CheckConfig(trials=4, seed=5))
+             for suite in (verify_involutions, verify_theorem_i)]
+    for suite, fam, cfg in runs:
+        first = _node_values(lambda: suite(fam, cfg))
+        # The same config again computes every value again.
+        assert _node_values(lambda: suite(fam, cfg)) == first
+        assert first[1] == 1 and first[2] > 0, (suite.__name__, fam.name)
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +1090,7 @@ def _lattice_and_sample(a, b, k, cfg, label):
                            lambda *args: sampled.append(1) or sample(*args)):
         got = identities_equal(a, b, k, cfg, label=label)
     r = sub(a, b) if k is None else k.apply(sub(a, b))
-    loop = identity._sample(r, cfg.trials, cfg.prime, cfg.seed, label)
+    loop = identity._sample(r, cfg.trials, identity.Points(cfg), label)
     return got, not sampled, loop
 
 

@@ -346,12 +346,13 @@ def test_shared_families_hold_read_only_generators():
 
 
 def test_equivalence_zero_tests_run_sampled(d5, monkeypatch):
-    seen = []
+    seen, points = [], []
     original = lax.check
 
-    def spy(check_id, pairs, constraint, cfg):
+    def spy(check_id, pairs, constraint, cfg, at):
         seen.append(cfg)
-        return original(check_id, pairs, constraint, cfg)
+        points.append(at)
+        return original(check_id, pairs, constraint, cfg, at)
 
     monkeypatch.setattr(lax, "check", spy)
     cfg = CheckConfig(trials=3, prime=DEFAULT_PRIME, seed=5, exact=True, use_constraint=False)
@@ -362,6 +363,8 @@ def test_equivalence_zero_tests_run_sampled(d5, monkeypatch):
     assert type(zero_tests[0]) is CheckConfig
     assert seen[-1] == cfg
     assert cfg.exact   # the caller's config is unchanged
+    # The zero tests and the cross check read one set of points.
+    assert points[0] is not None and all(at is points[0] for at in points)
 
 
 def test_claim_results_carry_the_claim_id_and_note(d5):

@@ -361,6 +361,20 @@ def test_parse_word_expands_a_blank_group_of_any_power():
         parse_word("()^100000000000000000000 (")
 
 
+@pytest.mark.parametrize("text, message", [
+    # Markup in a body adds no letters to the count, so these words are
+    # refused as malformed, as a recount of the expanded text finds them.
+    ("(s0 ^ 3)^20", "malformed word"),
+    ("(  (0 )( ^ 32)^9s1(  ", "malformed word"),
+    ("(s1)^2(s0)^39", "word expands to more than 40 letters"),
+    ("(s0 s1)^21", "word expands to more than 40 letters"),
+])
+def test_parse_word_counts_letters_as_the_recount_does(text, message, monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_WORD_LETTERS", 40)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        parse_word(text)
+
+
 def test_parse_word_is_linear_in_the_groups():
     # Each expansion once scanned and recounted the whole text: 10,000
     # groups took about half a minute.
@@ -643,7 +657,9 @@ def test_d5_pi_relations(d5):
 def test_pi1_pi2_fourth_power_by_direct_chain(d5):
     # independent oracle: apply the eight substitutions one at a time,
     # then confirm the word engine and sixteen prime-field points agree
-    from qpweyl.identity import DEFAULT_PRIME, rng_for, sample_point
+    import random
+
+    from qpweyl.identity import DEFAULT_PRIME
     from qpweyl.expr import evaluate, sub
 
     image = sym("f")
@@ -652,9 +668,9 @@ def test_pi1_pi2_fourth_power_by_direct_chain(d5):
     word_image = word_to_transform(d5, "(pi1 pi2)^4").image("f")
     assert eq(image, word_image, label="pi4:chain") == "equal"
     residual = sub(image, sym("f"))
-    rng = rng_for(0, "pi4:points")
+    rng = random.Random(0)
     for _ in range(16):
-        point = sample_point(rng, sorted(residual.free), DEFAULT_PRIME)
+        point = {n: rng.randrange(1, DEFAULT_PRIME) for n in sorted(residual.free)}
         assert evaluate(residual, point, DEFAULT_PRIME) == 0
 
 
@@ -786,15 +802,41 @@ def test_check_fails_at_first_differing_pair_with_its_witness():
     res = check("c", pairs, None, CheckConfig())
     assert res.status == "fail"
     assert res.detail == "images of g differ"
-    # the pair is sampled under "check_id:name", like a direct comparison
-    direct = identities_equal(g, parse("2*g"), None, label="c:g")
+    # a pair reads the points a lone comparison reads: no label moves them
+    direct = identities_equal(g, parse("2*g"), None)
     assert res.witness == direct.witness
 
 
-def test_check_empty_name_samples_under_the_check_id():
+def test_check_with_an_empty_name_returns_a_lone_comparisons_witness():
     res = check("c", [("", sym("f"), sym("g"))], None, CheckConfig())
     assert res.status == "fail" and res.detail == ""
-    assert res.witness == identities_equal(sym("f"), sym("g"), label="c").witness
+    assert res.witness == identities_equal(sym("f"), sym("g")).witness
+
+
+def test_a_check_alone_returns_the_witness_it_returns_in_its_suite(families):
+    # The involution suite on a corrupted table, and the gauge suite without
+    # the constraint, where every claim's pivot zero tests and cross check
+    # share the suite's points with the other claims.
+    from qpweyl.lax import CLAIMS, verify_gauge_claim
+
+    mutant = families["D5"].with_generator("s3", {
+        "nu1": "kappa2/nu5", "nu5": "kappa2/nu1", "kappa1": "kappa1*kappa2/(nu1*nu5)",
+        "f": "f*(g - 1/nu1)/(g - nu6/kappa2)"})
+    cfg = CheckConfig(seed=11)
+    suite = verify_involutions(mutant, cfg).checks
+    gens = mutant.generators
+    alone = [check(f"D5:invol:{name}", _image_pairs(compose(gens[name], gens[name]), IDENTITY),
+                   mutant.constraint, cfg)
+             for name in mutant.s_names + mutant.pi_names]
+    assert alone == suite
+    assert any(c.witness for c in suite)
+    for fam in families.values():
+        cfg = CheckConfig(seed=11, use_constraint=False)
+        suite = verify_gauge_claims(fam, cfg).checks
+        alone = [verify_gauge_claim(fam, claim_id, cfg)
+                 for claim_id, claim in CLAIMS.items() if claim.family == fam.name]
+        assert alone == suite
+        assert any(c.witness for c in suite)
 
 
 def test_check_marks_exact_only_when_every_pair_is_proved():
