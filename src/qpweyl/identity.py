@@ -4,7 +4,9 @@ A comparison is decided by the first of two rules that applies:
 1. lattice: two Laurent monomials with coefficient 1, such as the images of
    q, nu1..nu8, kappa1, kappa2, are equal when their exponents agree after
    the constrained symbol's exponent is carried over to its replacement,
-   which must itself be such a monomial if either side mentions the symbol;
+   which must itself be such a monomial if either side mentions the symbol.
+   A node's reduced exponents depend on no seed, so the last
+   LATTICE_CACHE_SIZE are kept: the rule costs one lookup per node;
 2. sampling: the constrained difference is evaluated at independent uniform
    points of a large prime field.  A nonzero value disproves the identity,
    and that point alone is returned as the witness; agreement at every trial
@@ -303,12 +305,20 @@ def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = N
     return result
 
 
+#: Reduced monomials kept, by the node and the constraint or None: a
+#: benchmark pass asks for at most 396 distinct ones.
+LATTICE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple | None:
     """e.monomial with the constraint applied: the eliminated symbol's
     exponent k becomes k times the replacement's exponents.  None when e is
     not a monomial, or when e mentions that symbol, even with exponent 0,
     and the replacement is not a monomial: the substituted program could
-    then divide by zero where sampling would resample."""
+    then divide by zero where sampling would resample.  The node is
+    interned and the relation read-only, so the last LATTICE_CACHE_SIZE
+    results are kept."""
     m = e.monomial
     if m is None or constraint is None or constraint.eliminated not in e.free:
         return m

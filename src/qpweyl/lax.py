@@ -85,8 +85,7 @@ def apply_gauge(eq: LinearQDE, gauge: tuple) -> LinearQDE:
 def substitute_params(eq: LinearQDE, t: Transformation) -> LinearQDE:
     if t.image("z") is not sym("z"):
         raise ValueError("transformation moves the spectral variable z")
-    memo: dict = {}
-    return LinearQDE(*(t(cf, memo) for cf in eq.coefficients()))
+    return LinearQDE(*map(t, eq.coefficients()))
 
 
 def equations_equivalent(

