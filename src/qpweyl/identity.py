@@ -12,7 +12,10 @@ A comparison is decided by the first of two rules that applies:
    and that point alone is returned as the witness; agreement at every trial
    accepts it.
 Only points with nonzero coordinates are drawn, so rule 1 is exact and
-returns what sampling would; the error bound below concerns rule 2.
+returns what sampling would; the error bound below concerns rule 2.  Rule
+1's verdict and the constrained residual that rule 2 samples depend on no
+seed either, so both are kept per pair (a, b, constraint), the last
+RESIDUAL_CACHE_SIZE of them: a comparison made again only samples.
 
 The error bound.  A nonzero residual whose numerator has degree at most D
 vanishes at a uniform point of the p - 1 nonzero values per coordinate with
@@ -127,19 +130,8 @@ class ConstraintRelation(Frozen):
         super().__init__(eliminated, replacement)
 
     def apply(self, e: Expr) -> Expr:
-        """e with the eliminated symbol replaced.  The result depends only on
-        interned nodes, so the last ELIMINATION_CACHE_SIZE are kept, shared
-        by every relation with the same symbol and replacement."""
-        return _eliminate(self.eliminated, self.replacement, e)
-
-
-#: Eliminations kept: a benchmark pass makes at most 90 distinct ones.
-ELIMINATION_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=ELIMINATION_CACHE_SIZE)
-def _eliminate(name: str, replacement: Expr, e: Expr) -> Expr:
-    return substitute(e, {name: replacement})
+        """e with the eliminated symbol replaced."""
+        return substitute(e, {self.eliminated: self.replacement})
 
 
 class IdentityResult(Record):
@@ -278,17 +270,14 @@ def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = N
     Points(cfg) of its own; the label only names the comparison in a
     DegenerateComparison message.
     """
-    lattice = _reduced_monomial(a, constraint)
-    if lattice is not None and lattice == _reduced_monomial(b, constraint):
+    r = _residual(a, b, constraint)
+    if r is None:
         # Monomials have no pole at a point with nonzero coordinates.
         return IdentityResult("exact-proved" if cfg.exact else "equal", trials=cfg.trials)
     if points is None:
         points = Points(cfg)
     elif (points.prime, points.seed) != (cfg.prime, cfg.seed):
         raise ValueError("points were drawn for another prime or seed")
-    r = sub(a, b)
-    if constraint is not None:
-        r = constraint.apply(r)
     result = _sample(r, cfg.trials, points, label)
     if cfg.exact and result.verdict == "equal":
         try:
@@ -303,6 +292,28 @@ def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = N
         except ExactPathUnavailable:
             pass
     return result
+
+
+#: Residuals kept, by the pair and the constraint or None: a benchmark pass
+#: builds at most 112 distinct ones.
+RESIDUAL_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=RESIDUAL_CACHE_SIZE)
+def _residual(a: Expr, b: Expr, constraint: ConstraintRelation | None) -> Expr | None:
+    """a - b with the constraint applied, or None when the lattice decides
+    that a equals b.  Neither depends on a seed, and the nodes are interned
+    and the relation read-only, so the last RESIDUAL_CACHE_SIZE are kept."""
+    if lattice_equal(a, b, constraint):
+        return None
+    r = sub(a, b)
+    return r if constraint is None else constraint.apply(r)
+
+
+def lattice_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None) -> bool:
+    """Whether rule 1 of the module docstring finds a equal to b."""
+    lattice = _reduced_monomial(a, constraint)
+    return lattice is not None and lattice == _reduced_monomial(b, constraint)
 
 
 #: Reduced monomials kept, by the node and the constraint or None: a

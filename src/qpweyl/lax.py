@@ -148,11 +148,23 @@ CLAIMS = {claim_id: GaugeClaim(claim_id, family,
 def claim_equations(fam: FamilyDescriptor, claim: GaugeClaim) -> tuple[LinearQDE, LinearQDE]:
     """fam's L1 under the claim's gauges, the first acting first, and L1
     under the claim's target map."""
-    eq = build_L1(fam)
-    gauged = functools.reduce(apply_gauge, claim.gauges, eq)
     spec = claim.target
     target = word_to_transform(fam, spec) if isinstance(spec, str) else scaling_map(spec)
-    return gauged, substitute_params(eq, target)
+    return _claim_equations(claim, build_L1(fam).coefficients(), target)
+
+
+#: Equation pairs kept, by the claim, the L1 coefficients and the target
+#: map: a benchmark pass builds 9.
+CLAIM_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=CLAIM_CACHE_SIZE)
+def _claim_equations(claim: GaugeClaim, coefficients: tuple, target: Transformation):
+    """The L1 of these coefficients under the claim's gauges and under
+    target.  The key is values and interned nodes, so the last
+    CLAIM_CACHE_SIZE pairs are kept."""
+    eq = LinearQDE(*coefficients)
+    return functools.reduce(apply_gauge, claim.gauges, eq), substitute_params(eq, target)
 
 
 def verify_gauge_claim(

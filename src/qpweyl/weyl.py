@@ -35,6 +35,7 @@ from .identity import (
     Points,
     _reduced_monomial,
     identities_equal,
+    lattice_equal,
 )
 from .report import CheckResult, Frozen, Report, Value
 
@@ -203,7 +204,7 @@ class FamilyDescriptor(Frozen):
             raise KeyError(f"unknown generator {shown(name)} for family {self.name}")
         gens = dict(self.generators)
         gens[name] = transformation(images)
-        return self._replace(generators=gens)
+        return self._replace(generators=MappingProxyType(gens))
 
 
 FAMILY_NAMES = tuple(paper.FAMILIES)
@@ -250,11 +251,12 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     that finds no sample point off the poles makes the check degenerate;
     its message names the pair as "check_id:name", or check_id when name is
     empty.  A pass is marked exact when cfg.exact is set and every pair was
-    proved exactly.
+    proved exactly.  A pair the lattice decides is equal, and exactly so, at
+    every seed, so only the undecided pairs are compared.
     """
     proved = cfg.exact
     try:
-        for name, a, b in pairs:
+        for name, a, b in _undecided(tuple(pairs), constraint):
             res = identities_equal(a, b, constraint, cfg, points=points,
                                    label=f"{check_id}:{name}" if name else check_id)
             if res.verdict == "unequal":
@@ -264,6 +266,19 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     except DegenerateComparison as err:
         return CheckResult(check_id, "degenerate", detail=str(err))
     return CheckResult(check_id, "pass", detail="exact" if proved else "")
+
+
+#: Undecided pair lists kept, by the check's pairs and the constraint or
+#: None: a benchmark pass builds at most 199 distinct ones.
+CHECK_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CHECK_CACHE_SIZE)
+def _undecided(pairs: tuple, constraint: ConstraintRelation | None) -> tuple:
+    """The (name, a, b) of pairs, in order, whose a and b the lattice leaves
+    undecided.  The pairs are interned nodes and the relation read-only, so
+    the last CHECK_CACHE_SIZE lists are kept."""
+    return tuple(p for p in pairs if not lattice_equal(p[1], p[2], constraint))
 
 
 def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, checks,
@@ -278,10 +293,17 @@ def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, checks,
                    for check_id, pairs in checks])
 
 
-def _image_pairs(t1: Transformation, t2: Transformation):
+#: Image pair lists kept, by the two maps: a benchmark pass makes at most
+#: 96 distinct ones.
+PAIRS_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PAIRS_CACHE_SIZE)
+def _image_pairs(t1: Transformation, t2: Transformation) -> tuple:
     """(name, t1 image, t2 image) for each of the 12 action symbols, those
-    that neither map moves included: their two images are the bare symbol."""
-    return ((name, t1.image(name), t2.image(name)) for name in ACTION_SYMBOLS)
+    that neither map moves included: their two images are the bare symbol.
+    The maps are values, so the last PAIRS_CACHE_SIZE lists are kept."""
+    return tuple((name, t1.image(name), t2.image(name)) for name in ACTION_SYMBOLS)
 
 
 def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),

@@ -1035,9 +1035,14 @@ def test_self_comparisons_with_possible_poles_end_through_the_loop(case):
 def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
     # The probe is the only evaluate call of a comparison that the loop would
     # accept; the lattice shortcut makes none, and every report stays the same.
+    from qpweyl import weyl
     from qpweyl.weyl import CheckConfig, verify_relations
 
     def run(reduced_monomial):
+        # From empty residual and undecided pair caches, so that each run
+        # reads its own lattice.
+        identity._residual.cache_clear()
+        weyl._undecided.cache_clear()
         sampled = []
         with mock.patch.object(identity, "evaluate", wraps=identity.evaluate) as spy, \
                 mock.patch.object(identity, "_reduced_monomial", reduced_monomial), \

@@ -333,7 +333,7 @@ def test_with_generator_changes_one_generator(d5):
     for name in ("name", "s_names", "pi_names", "dynkin_edges", "constraint",
                  "evolution_word", "xi"):
         assert getattr(mutant, name) is getattr(d5, name)
-    assert type(mutant.generators) is dict
+    assert type(mutant.generators) is MappingProxyType
 
 
 def test_shared_families_hold_read_only_generators():

@@ -5,7 +5,9 @@ transformation to an expression substitutes every symbol by its image, and
 the rightmost letter of a word acts first.
 """
 
+import contextlib
 import gc
+import io
 import itertools
 import sys
 import threading
@@ -18,7 +20,7 @@ from expr_reference import ref_compose
 from hypothesis import given, settings, strategies as st
 from test_acceptance import MUTATIONS
 
-from qpweyl import expr as expr_module, identity, weyl
+from qpweyl import expr as expr_module, identity, lax, weyl
 from qpweyl.evolution import time_evolution, verify_theorem_i, verify_theorem_ii
 from qpweyl.expr import ZERO, ExprError, add, evaluate, num, parse, sub, substitute, sym
 from qpweyl.identity import DEFAULT_PRIME, identities_equal
@@ -93,23 +95,27 @@ def test_make_family_never_caches_an_unknown_name():
     assert "X9" not in weyl._SHARED
 
 
+#: Every cache the package keeps for the process.
+MEMOS = (weyl.compose, expr_module._parse, identity._residual, identity._reduced_monomial,
+         Transformation.__call__, expr_module._compile, identity._normalize, weyl._undecided,
+         weyl._image_pairs, lax._claim_equations)
+
+
 def _clear_memos():
-    """Empty the compose, parse, elimination, lattice, map-image, compile and
-    exact outcome caches."""
-    for memo in (weyl.compose, expr_module._parse, identity._eliminate,
-                 identity._reduced_monomial, Transformation.__call__, expr_module._compile,
-                 identity._normalize):
+    """Empty the compose, parse, residual, lattice, map-image, compile, exact
+    outcome, undecided pair, image pair and claim equation caches."""
+    for memo in MEMOS:
         memo.cache_clear()
 
 
 def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     # 4 threads run two suites on the shared E6 and E7 descriptors at once,
     # each with its own seed, and one mutant suite each, racing to parse,
-    # compose, eliminate, reduce to the lattice and compile the same things
-    # from empty memos.  One
-    # --exact job per thread, two on each family, races on the exact outcome
-    # cache.  Each thread builds its own copy of its mutant, equal to the
-    # serial one but not the same object.  Theorem I without the constraint
+    # compose, reduce to the lattice, build residuals, undecided pair lists
+    # and image pair lists, and compile the same things from empty memos.
+    # One --exact job per thread, two on each family, races on the exact
+    # outcome cache.  Each thread builds its own copy of its mutant, equal to
+    # the serial one but not the same object.  Theorem I without the constraint
     # fails with witnesses that depend on the seed.  Each report equals the
     # same call run alone.
     jobs = [(fam, CheckConfig(seed=seed, use_constraint=use))
@@ -266,11 +272,22 @@ def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
     for k in range(bound + 8):
         compose(Transformation({"z": add(sym("z"), num(k))}), IDENTITY)
     assert compose.cache_info().currsize <= bound == compose.cache_info().maxsize
-    constraint = d5.constraint
-    for k in range(identity.ELIMINATION_CACHE_SIZE + 8):
-        constraint.apply(add(sym("nu8"), num(k)))
-    info = identity._eliminate.cache_info()
-    assert info.currsize <= identity.ELIMINATION_CACHE_SIZE == info.maxsize
+    constraint, claim = d5.constraint, lax.CLAIMS["d5.G"]
+    fills = [
+        (identity._residual, identity.RESIDUAL_CACHE_SIZE,
+         lambda k: (add(sym("nu8"), num(k)), sym("f"), constraint)),
+        (weyl._undecided, weyl.CHECK_CACHE_SIZE,
+         lambda k: ((("", sym("f"), num(k)),), constraint)),
+        (weyl._image_pairs, weyl.PAIRS_CACHE_SIZE,
+         lambda k: (Transformation({"z": add(sym("z"), num(k))}), IDENTITY)),
+        (lax._claim_equations, lax.CLAIM_CACHE_SIZE,
+         lambda k: (claim, (num(k), sym("z"), num(1)), IDENTITY)),
+    ]
+    for memo, size, args in fills:
+        for k in range(size + 8):
+            memo(*args(k))
+        info = memo.cache_info()
+        assert info.currsize <= size == info.maxsize
     assert identity._reduced_monomial.cache_info().maxsize == identity.LATTICE_CACHE_SIZE
     assert Transformation.__call__.cache_info().maxsize == weyl.IMAGE_CACHE_SIZE
 
@@ -897,3 +914,86 @@ def test_degenerate_probe_makes_discovery_degenerate(e6):
     by_id = {c.id: c for c in report.checks}
     assert by_id["E6:pi:pi1 s1"].status == "degenerate"
     assert by_id["E6:pi:pi1 s2"].ok
+
+
+# ---------------------------------------------------------------------------
+# process caches keyed by value
+
+def test_a_mutant_descriptor_is_read_only(d5):
+    # A copy is as read-only as the shared descriptor it was made from.
+    mutant = d5.with_generator("s0", {"nu7": "nu8", "nu8": "nu1"})
+    with pytest.raises(TypeError):
+        mutant.generators["s0"] = IDENTITY
+    with pytest.raises(TypeError):
+        del mutant.generators["s1"]
+    assert mutant.generators["s1"] is d5.generators["s1"]
+    assert mutant.generators["s0"] != d5.generators["s0"]
+
+
+def test_a_patched_l1_fails_its_gauge_claims_warm_as_cold(d5):
+    # The claim equations are kept by the L1 coefficient nodes, so an L1
+    # text patched after a warm run is built afresh: the report, witnesses
+    # included, is the one from cold caches, and the table restored passes.
+    from test_paper_mutants import one_change_mutants
+
+    from qpweyl import paper
+
+    cfg = CheckConfig(trials=4, seed=3)
+    table = paper.FAMILIES["D5"]["L1"]
+    changed = {**table, "up": next(one_change_mutants(table["up"]))}
+    assert verify_gauge_claims(d5, cfg).ok
+    with mock.patch.dict(paper.FAMILIES["D5"], L1=changed):
+        warm = verify_gauge_claims(d5, cfg)
+        _clear_memos()
+        cold = verify_gauge_claims(d5, cfg)
+    assert warm == cold
+    assert any(c.status == "fail" and c.witness for c in warm.checks)
+    assert verify_gauge_claims(d5, cfg).ok
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: f"{m[0]}-{m[1]}")
+def test_a_mutant_fails_the_same_checks_warm_as_cold(mutation):
+    # The base family's suites run first, so the mutant's unchanged letters,
+    # image pairs and checks are found in the caches; its reports, witnesses
+    # included, are those of a mutant run from cold caches, and the base
+    # family still passes after it.
+    fam_name, gen_name, images = mutation
+    base = make_family(fam_name)
+    cfg = CheckConfig(trials=4, seed=5)
+
+    def reports(fam):
+        return verify_relations(fam, cfg), verify_theorem_i(fam, cfg)
+
+    assert all(r.ok for r in reports(base))
+    warm = reports(base.with_generator(gen_name, images))
+    _clear_memos()
+    cold = reports(base.with_generator(gen_name, images))
+    assert warm == cold
+    assert any(c.status == "fail" and c.witness for r in warm for c in r.checks)
+    assert all(r.ok for r in reports(base))
+
+
+@pytest.mark.parametrize("family", weyl.FAMILY_NAMES)
+def test_every_verify_command_prints_the_same_json_warm_as_cold(family):
+    # Each command from cold caches, then every one twice more in turn, the
+    # runs with and without the constraint and with --exact interleaved, so
+    # that a cache keyed by less than the pair, the constraint and the maps
+    # answers one run with another's entry.
+    from qpweyl import cli
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, out.getvalue()
+
+    argvs = [[cmd, "--family", family, "--format", "json", *extra]
+             for cmd in ("verify-relations", "verify-theorem", "verify-gauge")
+             for extra in ((), ("--no-constraint",), ("--exact",))]
+    cold = []
+    for argv in argvs:
+        _clear_memos()
+        cold.append(run(argv))
+    for _ in range(2):
+        assert [run(argv) for argv in argvs] == cold
+    assert {code for code, _ in cold} == {0, 1}
