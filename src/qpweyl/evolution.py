@@ -80,24 +80,33 @@ def time_evolution(fam: FamilyDescriptor) -> Transformation:
     return compose(fam.xi, compose(s, s))
 
 
-def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+def _theorem_i_checks(fam: FamilyDescriptor, constraint, relations, t_images):
     T = time_evolution(fam)
     claims = [(f"nu{i}", T.image(f"nu{i}"), sym(f"nu{i}")) for i in range(1, 9)]
-    claims += [(name, T.image(name), parse(image)) for name, image in paper.T_IMAGES.items()]
+    claims += [(name, T.image(name), parse(image)) for name, image in t_images]
     images = {"fbar": T.image("f"), "gbar": T.image("g")}
     claims += [(tag, substitute(rel, images), ZERO)
-               for tag, rel in zip(("rel1", "rel2"), make_evolution_spec(fam).qp_relations)]
-    return run_checks(fam, cfg, ((f"{fam.name}:T:{tag}", [("", a, b)]) for tag, a, b in claims))
+               for tag, rel in zip(("rel1", "rel2"), relations)]
+    return ((f"{fam.name}:T:{tag}", [("", a, b)]) for tag, a, b in claims)
+
+
+def verify_theorem_i(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
+    return run_checks(fam, cfg, _theorem_i_checks, make_evolution_spec(fam).qp_relations,
+                      tuple(paper.T_IMAGES.items()))
+
+
+def _theorem_ii_checks(fam: FamilyDescriptor, constraint, spec, texts):
+    scaling = scaling_map(spec)
+    return ((f"{fam.name}:xi:{text}", [("", fam.xi(zeta), scaling(zeta))])
+            for text, zeta in zip(texts, map(parse, texts)))
 
 
 def verify_theorem_ii(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     """xi against the scaling map it factors through, on each generator:
     for D5 the power gauge's action after the dilation's, for E6 and E7
     one joint scaling."""
-    scaling = scaling_map(paper.FAMILIES[fam.name]["xi_scaling"])
-    texts = paper.FAMILIES[fam.name]["xi_generators"]
-    return run_checks(fam, cfg, ((f"{fam.name}:xi:{text}", [("", fam.xi(zeta), scaling(zeta))])
-                                 for text, zeta in zip(texts, map(parse, texts))))
+    return run_checks(fam, cfg, _theorem_ii_checks,
+                      *(paper.FAMILIES[fam.name][key] for key in ("xi_scaling", "xi_generators")))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .weyl import (
     Transformation,
     check,
     scaling_map,
+    suite_entry,
     word_to_transform,
 )
 
@@ -95,6 +96,7 @@ def equations_equivalent(
     cfg: CheckConfig = CheckConfig(),
     label: str = "",
     points: Points | None = None,
+    cross: dict | None = None,
 ) -> CheckResult:
     """The check that the equations agree up to one common rational factor.
 
@@ -102,10 +104,12 @@ def equations_equivalent(
     sampled, never exact, zero test finds both nonzero.  A zero test with no
     sample point off the poles is returned as it is; no pivot is degenerate.
     The zero tests and the cross check read one set of points: the
-    caller's, or a Points(cfg) built for this call.
+    caller's, or a Points(cfg) built for this call.  The cross pairs of each
+    pivot are kept in cross, which a caller may keep too.
     """
     if points is None:
         points = Points(cfg)
+    cross = {} if cross is None else cross
     sampled = cfg._replace(exact=False)
     pairs = list(zip(e1.coefficients(), e2.coefficients()))
     for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
@@ -117,10 +121,11 @@ def equations_equivalent(
             if zero.ok:  # c vanishes: try the next pair
                 break
         else:  # both nonzero: the pivot
-            p1, p2 = pairs[idx]
-            cross = ((f"cross:{i}", mul(c1, p2), mul(c2, p1))
-                     for i, (c1, c2) in enumerate(pairs) if i != idx)
-            return check(label, cross, constraint, cfg, points)
+            if idx not in cross:  # two threads may both build it: equal tuples
+                p1, p2 = pairs[idx]
+                cross[idx] = tuple((f"cross:{i}", mul(c1, p2), mul(c2, p1))
+                                   for i, (c1, c2) in enumerate(pairs) if i != idx)
+            return check(label, cross[idx], constraint, cfg, points)
     return CheckResult(label, "degenerate", detail="all candidate pivot coefficients vanish")
 
 
@@ -145,26 +150,20 @@ CLAIMS = {claim_id: GaugeClaim(claim_id, family,
           for claim_id, family, gauges, target, note in paper.CLAIMS}
 
 
-def claim_equations(fam: FamilyDescriptor, claim: GaugeClaim) -> tuple[LinearQDE, LinearQDE]:
-    """fam's L1 under the claim's gauges, the first acting first, and L1
-    under the claim's target map."""
+def claim_equations(fam: FamilyDescriptor, claim: GaugeClaim,
+                    eq: LinearQDE | None = None) -> tuple[LinearQDE, LinearQDE]:
+    """eq, fam's L1 unless given, under the claim's gauges, the first acting
+    first, and under the claim's target map."""
     spec = claim.target
     target = word_to_transform(fam, spec) if isinstance(spec, str) else scaling_map(spec)
-    return _claim_equations(claim, build_L1(fam).coefficients(), target)
-
-
-#: Equation pairs kept, by the claim, the L1 coefficients and the target
-#: map: a benchmark pass builds 9.
-CLAIM_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=CLAIM_CACHE_SIZE)
-def _claim_equations(claim: GaugeClaim, coefficients: tuple, target: Transformation):
-    """The L1 of these coefficients under the claim's gauges and under
-    target.  The key is values and interned nodes, so the last
-    CLAIM_CACHE_SIZE pairs are kept."""
-    eq = LinearQDE(*coefficients)
+    if eq is None:
+        eq = build_L1(fam)
     return functools.reduce(apply_gauge, claim.gauges, eq), substitute_params(eq, target)
+
+
+def _claim_pairs(fam: FamilyDescriptor, constraint, claim: GaugeClaim, coefficients: tuple):
+    """The claim's equations from these L1 coefficients, and a cross dict."""
+    return (*claim_equations(fam, claim, LinearQDE(*coefficients)), {})
 
 
 def verify_gauge_claim(
@@ -174,14 +173,16 @@ def verify_gauge_claim(
     points: Points | None = None,
 ) -> CheckResult:
     """equations_equivalent's result for the claim's two equations, under
-    the claim id, with the claim's note as its detail."""
+    the claim id, with the claim's note as its detail, from a suite_entry
+    kept by the claim and the L1 coefficient nodes too."""
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id {shown(claim_id)}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
-    res = equations_equivalent(*claim_equations(fam, claim), cfg.constraint(fam), cfg,
-                               label=claim_id, points=points)
+    # The equations and cross pairs are the same under any constraint.
+    e1, e2, cross = suite_entry(_claim_pairs, fam, None, claim, build_L1(fam).coefficients())
+    res = equations_equivalent(e1, e2, cfg.constraint(fam), cfg, claim_id, points, cross)
     detail = (claim.note if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
     return res._replace(id=claim_id, detail=detail)

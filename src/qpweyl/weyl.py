@@ -252,11 +252,11 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     its message names the pair as "check_id:name", or check_id when name is
     empty.  A pass is marked exact when cfg.exact is set and every pair was
     proved exactly.  A pair the lattice decides is equal, and exactly so, at
-    every seed, so only the undecided pairs are compared.
+    every seed, so run_checks passes only the undecided pairs.
     """
     proved = cfg.exact
     try:
-        for name, a, b in _undecided(tuple(pairs), constraint):
+        for name, a, b in pairs:
             res = identities_equal(a, b, constraint, cfg, points=points,
                                    label=f"{check_id}:{name}" if name else check_id)
             if res.verdict == "unequal":
@@ -268,56 +268,63 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     return CheckResult(check_id, "pass", detail="exact" if proved else "")
 
 
-#: Undecided pair lists kept, by the check's pairs and the constraint or
-#: None: a benchmark pass builds at most 199 distinct ones.
-CHECK_CACHE_SIZE = 1024
+#: Suite entries kept, by the suite, the family's tables and the constraint
+#: or None: a benchmark pass builds at most 28 distinct ones.
+SUITE_CACHE_SIZE = 256
 
 
-@functools.lru_cache(maxsize=CHECK_CACHE_SIZE)
-def _undecided(pairs: tuple, constraint: ConstraintRelation | None) -> tuple:
-    """The (name, a, b) of pairs, in order, whose a and b the lattice leaves
-    undecided.  The pairs are interned nodes and the relation read-only, so
-    the last CHECK_CACHE_SIZE lists are kept."""
-    return tuple(p for p in pairs if not lattice_equal(p[1], p[2], constraint))
+def suite_entry(build, fam: FamilyDescriptor, constraint: ConstraintRelation | None, *tables):
+    """build(fam, constraint, *tables), kept by build, fam's fields, the
+    constraint or None and the tables the suite reads besides fam: equal
+    with_generator copies share an entry, built from the key's fields."""
+    fields = (fam.name, tuple(fam.generators.items()), *fam._fields()[2:])
+    return _suite_entry(build, fields, constraint, tables)
 
 
-def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, checks,
+@functools.lru_cache(maxsize=SUITE_CACHE_SIZE)
+def _suite_entry(build, fields: tuple, constraint, tables: tuple):
+    name, items, *rest = fields
+    return build(FamilyDescriptor(name, MappingProxyType(dict(items)), *rest), constraint, *tables)
+
+
+def _undecided_checks(fam: FamilyDescriptor, constraint, build, *tables) -> tuple:
+    """(check_id, the pairs the lattice leaves undecided) of each check built."""
+    return tuple((check_id, tuple(p for p in pairs if not lattice_equal(p[1], p[2], constraint)))
+                 for check_id, pairs in build(fam, constraint, *tables))
+
+
+def run_checks(fam: FamilyDescriptor, cfg: CheckConfig, build, *tables,
                points: Points | None = None) -> Report:
-    """The report of check(check_id, pairs) for each (check_id, pairs), in
-    order, modulo fam's constraint unless cfg drops it, all at one set of
-    points: the caller's, or a Points(cfg) built for this call."""
+    """The report of check(check_id, pairs) for each (check_id, pairs) that
+    build(fam, constraint, *tables) yields, in order, modulo fam's
+    constraint unless cfg drops it, all at one set of points: the caller's,
+    or a Points(cfg) built for this call.  The list, its pairs cut to the
+    undecided ones, is a suite_entry, so a suite run again only samples."""
     constraint = cfg.constraint(fam)
     if points is None:
         points = Points(cfg)
-    return Report([check(check_id, pairs, constraint, cfg, points)
-                   for check_id, pairs in checks])
+    return Report([check(check_id, pairs, constraint, cfg, points) for check_id, pairs
+                   in suite_entry(_undecided_checks, fam, constraint, build, *tables)])
 
 
-#: Image pair lists kept, by the two maps: a benchmark pass makes at most
-#: 96 distinct ones.
-PAIRS_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=PAIRS_CACHE_SIZE)
 def _image_pairs(t1: Transformation, t2: Transformation) -> tuple:
     """(name, t1 image, t2 image) for each of the 12 action symbols, those
-    that neither map moves included: their two images are the bare symbol.
-    The maps are values, so the last PAIRS_CACHE_SIZE lists are kept."""
+    that neither map moves included: their two images are the bare symbol."""
     return tuple((name, t1.image(name), t2.image(name)) for name in ACTION_SYMBOLS)
+
+
+def _involution_checks(fam: FamilyDescriptor, constraint):
+    gens = fam.generators
+    return ((f"{fam.name}:invol:{name}", _image_pairs(compose(gens[name], gens[name]), IDENTITY))
+            for name in fam.s_names + fam.pi_names)
 
 
 def verify_involutions(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
                        points: Points | None = None) -> Report:
-    gens = fam.generators
-    return run_checks(fam, cfg, ((f"{fam.name}:invol:{name}",
-                                  _image_pairs(compose(gens[name], gens[name]), IDENTITY))
-                                 for name in fam.s_names + fam.pi_names), points)
+    return run_checks(fam, cfg, _involution_checks, points=points)
 
 
-def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
-                 points: Points | None = None) -> Report:
-    """Braid relation on Dynkin edges, commutation on non-edges."""
-
+def _braid_checks(fam: FamilyDescriptor, constraint):
     def relation(i: int, j: int):
         si, sj = fam.generators[f"s{i}"], fam.generators[f"s{j}"]
         if tuple(sorted((i, j))) in fam.dynkin_edges:
@@ -326,8 +333,34 @@ def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
         return f"{fam.name}:commute:s{i},s{j}", _image_pairs(compose(si, sj), compose(sj, si))
 
     indices = [int(n[1:]) for n in fam.s_names]
-    return run_checks(fam, cfg, itertools.starmap(relation, itertools.combinations(indices, 2)),
-                      points)
+    return itertools.starmap(relation, itertools.combinations(indices, 2))
+
+
+def verify_braid(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
+                 points: Points | None = None) -> Report:
+    """Braid relation on Dynkin edges, commutation on non-edges."""
+    return run_checks(fam, cfg, _braid_checks, points=points)
+
+
+def _pi_checks(fam: FamilyDescriptor, constraint, listed):
+    for lhs, rhs in listed:
+        yield (f"{fam.name}:pi:{lhs}" + (f" = {rhs}" if rhs else ""),
+               _image_pairs(word_to_transform(fam, lhs), word_to_transform(fam, rhs)))
+
+    def lattice(t: Transformation) -> list:
+        return [_reduced_monomial(t.image(name), constraint) for name in PARAM_SYMBOLS]
+
+    for pi_name in () if listed else fam.pi_names:   # a listed family checks its list alone
+        pi = fam.generators[pi_name]
+        s_pi = {s: compose(fam.generators[s], pi) for s in fam.s_names}
+        for s_name in fam.s_names:
+            lhs = compose(pi, fam.generators[s_name])
+            exps = lattice(lhs)
+            cand = next((c for c in fam.s_names if all(
+                None in (a, b) or a == b for a, b in zip(exps, lattice(s_pi[c])))),
+                fam.s_names[0])
+            yield (f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
+                   _image_pairs(lhs, s_pi[cand]))
 
 
 def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
@@ -342,41 +375,17 @@ def verify_pi_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig(),
     such s_j, else s0, is checked once; the check fails if it does not match.
     """
     listed = paper.FAMILIES[fam.name]["pi_relations"]
+    report = run_checks(fam, cfg, _pi_checks, listed, points=points)
     if listed:
-        return run_checks(fam, cfg, ((f"{fam.name}:pi:{lhs}" + (f" = {rhs}" if rhs else ""),
-                                      _image_pairs(word_to_transform(fam, lhs),
-                                                   word_to_transform(fam, rhs)))
-                                     for lhs, rhs in listed), points)
-    constraint = cfg.constraint(fam)
-    if points is None:
-        points = Points(cfg)
-    report = Report()
-
-    def lattice(t: Transformation) -> list:
-        return [_reduced_monomial(t.image(name), constraint) for name in PARAM_SYMBOLS]
-
-    for pi_name in fam.pi_names:
-        pi = fam.generators[pi_name]
-        s_pi = {s: compose(fam.generators[s], pi) for s in fam.s_names}
-        for s_name in fam.s_names:
-            lhs = compose(pi, fam.generators[s_name])
-            exps = lattice(lhs)
-            cand = next((c for c in fam.s_names if all(
-                None in (a, b) or a == b for a, b in zip(exps, lattice(s_pi[c])))),
-                fam.s_names[0])
-            res = check(f"{fam.name}:pi:{pi_name} {s_name} = {cand} {pi_name}",
-                        _image_pairs(lhs, s_pi[cand]), constraint, cfg, points)
-            detail = {"pass": f"{pi_name} {s_name} = {cand} {pi_name}",
-                      "fail": "no matching conjugate generator"}.get(res.status, res.detail)
-            report.add(res._replace(id=f"{fam.name}:pi:{pi_name} {s_name}", detail=detail))
-    return report
+        return report
+    # Each check "pi s_i = s_j pi" is reported as "pi s_i".
+    return Report([res._replace(id=res.id.split(" = ")[0], detail={
+        "pass": res.id.split(":")[-1], "fail": "no matching conjugate generator"}.get(
+            res.status, res.detail)) for res in report.checks])
 
 
 def verify_relations(fam: FamilyDescriptor, cfg: CheckConfig = CheckConfig()) -> Report:
     """The involution, braid and pi suites, at one set of points."""
     points = Points(cfg)
-    report = Report()
-    report.extend(verify_involutions(fam, cfg, points))
-    report.extend(verify_braid(fam, cfg, points))
-    report.extend(verify_pi_relations(fam, cfg, points))
-    return report
+    return Report([res for suite in (verify_involutions, verify_braid, verify_pi_relations)
+                   for res in suite(fam, cfg, points).checks])

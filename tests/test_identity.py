@@ -1039,10 +1039,10 @@ def test_relations_make_one_evaluate_call_fewer_per_shortcut(d5):
     from qpweyl.weyl import CheckConfig, verify_relations
 
     def run(reduced_monomial):
-        # From empty residual and undecided pair caches, so that each run
-        # reads its own lattice.
+        # From empty residual and suite entry caches, so that each run reads
+        # its own lattice.
         identity._residual.cache_clear()
-        weyl._undecided.cache_clear()
+        weyl._suite_entry.cache_clear()
         sampled = []
         with mock.patch.object(identity, "evaluate", wraps=identity.evaluate) as spy, \
                 mock.patch.object(identity, "_reduced_monomial", reduced_monomial), \

@@ -97,22 +97,22 @@ def test_make_family_never_caches_an_unknown_name():
 
 #: Every cache the package keeps for the process.
 MEMOS = (weyl.compose, expr_module._parse, identity._residual, identity._reduced_monomial,
-         Transformation.__call__, expr_module._compile, identity._normalize, weyl._undecided,
-         weyl._image_pairs, lax._claim_equations)
+         Transformation.__call__, expr_module._compile, identity._normalize, weyl._suite_entry)
 
 
 def _clear_memos():
     """Empty the compose, parse, residual, lattice, map-image, compile, exact
-    outcome, undecided pair, image pair and claim equation caches."""
+    outcome and suite entry caches."""
     for memo in MEMOS:
         memo.cache_clear()
 
 
 def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
-    # 4 threads run two suites on the shared E6 and E7 descriptors at once,
+    # 4 threads run three suites on the shared E6 and E7 descriptors at once,
     # each with its own seed, and one mutant suite each, racing to parse,
-    # compose, reduce to the lattice, build residuals, undecided pair lists
-    # and image pair lists, and compile the same things from empty memos.
+    # compose, reduce to the lattice, build residuals and suite entries, a
+    # gauge claim's cross pairs among them, and compile the same things from
+    # empty memos.
     # One --exact job per thread, two on each family, races on the exact
     # outcome cache.  Each thread builds its own copy of its mutant, equal to
     # the serial one but not the same object.  Theorem I without the constraint
@@ -127,7 +127,7 @@ def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
                                                      ("E7", "s0"), ("E7", "s4")}]
 
     def reports(fam, cfg):
-        return verify_relations(fam, cfg), verify_theorem_i(fam, cfg)
+        return verify_relations(fam, cfg), verify_theorem_i(fam, cfg), verify_gauge_claims(fam, cfg)
 
     def mutant_suite(slot):
         fam_name, gen_name, images = mutations[slot]
@@ -136,7 +136,7 @@ def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
 
     serial = [reports(fam, cfg) for fam, cfg in jobs]
     serial_mutants = [mutant_suite(slot) for slot in range(4)]
-    assert not all(theorem.ok for _, theorem in serial)
+    assert not all(theorem.ok for _, theorem, _ in serial)
     assert not any(report.ok for report in serial_mutants)
     got = [None] * len(jobs)
     got_mutants = [None] * 4
@@ -275,17 +275,14 @@ def test_memos_are_bounded_and_free_a_dropped_mutant(d5):
     constraint, claim = d5.constraint, lax.CLAIMS["d5.G"]
     fills = [
         (identity._residual, identity.RESIDUAL_CACHE_SIZE,
-         lambda k: (add(sym("nu8"), num(k)), sym("f"), constraint)),
-        (weyl._undecided, weyl.CHECK_CACHE_SIZE,
-         lambda k: ((("", sym("f"), num(k)),), constraint)),
-        (weyl._image_pairs, weyl.PAIRS_CACHE_SIZE,
-         lambda k: (Transformation({"z": add(sym("z"), num(k))}), IDENTITY)),
-        (lax._claim_equations, lax.CLAIM_CACHE_SIZE,
-         lambda k: (claim, (num(k), sym("z"), num(1)), IDENTITY)),
+         lambda k: identity._residual(add(sym("nu8"), num(k)), sym("f"), constraint)),
+        (weyl._suite_entry, weyl.SUITE_CACHE_SIZE,
+         lambda k: weyl.suite_entry(lax._claim_pairs, d5, constraint, claim,
+                                    (num(k), sym("z"), num(1)))),
     ]
-    for memo, size, args in fills:
+    for memo, size, fill in fills:
         for k in range(size + 8):
-            memo(*args(k))
+            fill(k)
         info = memo.cache_info()
         assert info.currsize <= size == info.maxsize
     assert identity._reduced_monomial.cache_info().maxsize == identity.LATTICE_CACHE_SIZE
@@ -997,3 +994,109 @@ def test_every_verify_command_prints_the_same_json_warm_as_cold(family):
     for _ in range(2):
         assert [run(argv) for argv in argvs] == cold
     assert {code for code, _ in cold} == {0, 1}
+
+
+#: The set-up a warm suite call must not redo: each name, wherever a module
+#: of the package binds it.
+SET_UP = ("substitute", "compose", "_reduced_monomial", "apply_gauge", "mul", "div")
+
+
+@contextlib.contextmanager
+def _set_up_calls():
+    """Count the calls of SET_UP through every binding of the package, by name."""
+    from qpweyl import cli, evolution
+
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for module in (expr_module, identity, weyl, lax, evolution, cli):
+            for name in SET_UP:
+                if name in module.__dict__:
+                    stack.enter_context(mock.patch.object(module, name,
+                                                          counted(name, module.__dict__[name])))
+        yield calls
+
+
+def _suite_reports(fam, cfg):
+    return verify_involutions(fam, cfg), verify_theorem_i(fam, cfg)
+
+
+@pytest.mark.parametrize("family", weyl.FAMILY_NAMES)
+def test_a_repeated_request_only_samples(family):
+    # Each verify command, with and without the constraint and with --exact,
+    # is run once and then again at another seed: the second run looks its
+    # checks up and samples, building no map, image, lattice point, gauge
+    # or product, and prints what a fresh process prints.
+    from test_cli import python_m
+
+    from qpweyl import cli
+
+    for cmd in ("verify-relations", "verify-theorem", "verify-gauge"):
+        for extra in ((), ("--no-constraint",), ("--exact",)):
+            argv = [cmd, "--family", family, "--format", "json", *extra]
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main([*argv, "--seed", "3"])
+            out = io.StringIO()
+            with _set_up_calls() as calls, contextlib.redirect_stdout(out):
+                code = cli.main([*argv, "--seed", "4"])
+            assert calls == [], (argv, sorted(set(calls)))
+            fresh = python_m("qpweyl", *argv, "--seed", "4", capture_output=True)
+            assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS[::4], ids=lambda m: f"{m[0]}-{m[1]}")
+def test_an_equal_mutant_built_again_only_samples(mutation):
+    # The refuting requests: a mutant built afresh for each, equal to the
+    # last one, is checked at another seed from the first one's entries.
+    fam_name, gen_name, images = mutation
+    base = make_family(fam_name)
+    _suite_reports(base.with_generator(gen_name, images), CheckConfig(trials=4, seed=1))
+    cfg = CheckConfig(trials=4, seed=2)
+    with _set_up_calls() as calls:
+        warm = _suite_reports(base.with_generator(gen_name, images), cfg)
+    assert calls == []
+    _clear_memos()
+    assert warm == _suite_reports(base.with_generator(gen_name, images), cfg)
+    assert not all(report.ok for report in warm)
+
+
+def test_the_suite_key_holds_the_tables_and_the_constraint(d5):
+    # Equal mutants built apart share their entries.  A mutant that differs
+    # in one image, a descriptor with another xi and a run without the
+    # constraint each get entries of their own, and their reports are those
+    # of cold caches: a key of the family name alone, or without the
+    # constraint, answers them with another descriptor's checks.
+    from test_paper_mutants import data_mutants
+
+    entries = weyl._suite_entry.cache_info
+    cfg = CheckConfig(trials=4, seed=9)
+    images = {"nu3": "nu5", "nu5": "nu3"}
+    _clear_memos()
+    first = _suite_reports(d5.with_generator("s1", images), cfg)
+    built = entries().misses
+    assert built == 2
+    assert _suite_reports(d5.with_generator("s1", images), cfg) == first
+    assert entries().misses == built and entries().currsize == 2
+    assert not all(report.ok for report in first)
+
+    xi_mutant = next(m for label, m in data_mutants(d5) if label.startswith("xi["))
+    assert xi_mutant.xi != d5.xi and xi_mutant.generators == d5.generators
+    others = [(d5.with_generator("s1", {**images, "nu5": "nu4"}), cfg),
+              (d5, cfg),
+              (xi_mutant, cfg),
+              (d5, cfg._replace(use_constraint=False))]
+    warm = []
+    for fam, other_cfg in others:
+        warm.append(_suite_reports(fam, other_cfg))
+        assert entries().misses == built + 2, fam
+        built = entries().misses
+    for (fam, other_cfg), report in zip(others, warm):
+        _clear_memos()
+        assert _suite_reports(fam, other_cfg) == report
+    assert all(r.ok for r in warm[1]) and not warm[2][1].ok and not warm[3][1].ok
