@@ -49,9 +49,6 @@ its trials still read independent, uniform, nonzero points, and a point at
 a pole still moves it on to the next point of the stream.  The comparisons
 of one call are now dependent, so a check's error is bounded, as before, by
 the union bound over its comparisons, which needs no independence.
-lax.equations_equivalent picks its pivot at the shared probe point, so the
-cross residuals it then compares depend on that choice; the union bound over
-the three possible pivots, one cross residual each, costs at most a factor 3.
 
 An exact secondary path normalizes the difference to a single polynomial
 fraction and proves the zero identity outright.  It is gated by an

@@ -19,9 +19,11 @@ uses, then its argument expressions.  The four act on such equations as
 
 A dilated or inverted equation is written back in z, substituting z -> z/c
 or z -> c/z at once.  Equations are compared projectively: equality up to
-one common rational factor, decided by cross-multiplying against a pivot
-coefficient.  The verdict is weyl.check's CheckResult, so a failed claim
-keeps its witness.
+one common rational factor.  Two nonzero coefficient vectors a and b are
+proportional iff their three 2x2 minors a_i b_j - a_j b_i vanish, so each
+equation is shown nonzero at one sample point, an exact proof, and the
+minors are compared as the pairs (a_i b_j, a_j b_i).  The verdict is
+weyl.check's CheckResult, so a failed claim keeps its witness.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import functools
 
 from . import paper
 from .expr import ZERO, Expr, div, mul, parse, shown, sub, substitute, sym
-from .identity import CheckConfig, ConstraintRelation, Points
-from .identity import identities_equal  # noqa: F401  bench/tracer.py wraps this binding
+from .identity import CheckConfig, ConstraintRelation, DegenerateComparison, Points
+from .identity import identities_equal  # bench/tracer.py wraps this binding
 from .report import CheckResult, Frozen, Report, Value
 from .weyl import (
     FamilyDescriptor,
@@ -89,6 +91,16 @@ def substitute_params(eq: LinearQDE, t: Transformation) -> LinearQDE:
     return LinearQDE(*map(t, eq.coefficients()))
 
 
+#: The 2x2 minors a_i b_j - a_j b_i compared, as (name, i, j) over (up, mid, down).
+_MINORS = (("mid:up", 1, 0), ("mid:down", 1, 2), ("up:down", 0, 2))
+
+
+def _minor_pairs(e1: LinearQDE, e2: LinearQDE) -> tuple:
+    """(name, a_i b_j, a_j b_i) of each minor, a from e1 and b from e2."""
+    a, b = e1.coefficients(), e2.coefficients()
+    return tuple((name, mul(a[i], b[j]), mul(a[j], b[i])) for name, i, j in _MINORS)
+
+
 def equations_equivalent(
     e1: LinearQDE,
     e2: LinearQDE,
@@ -96,37 +108,33 @@ def equations_equivalent(
     cfg: CheckConfig = CheckConfig(),
     label: str = "",
     points: Points | None = None,
-    cross: dict | None = None,
+    *,
+    minors: tuple | None = None,
 ) -> CheckResult:
-    """The check that the equations agree up to one common rational factor.
+    """The check that the equations agree up to one common rational factor:
+    each has a coefficient nonzero at a sample point, and every 2x2 minor
+    of their coefficient vectors vanishes.
 
-    The pivot is the first pair, of mid, up and down, whose members a
-    sampled, never exact, zero test finds both nonzero.  A zero test with no
-    sample point off the poles is returned as it is; no pivot is degenerate.
-    The zero tests and the cross check read one set of points: the
-    caller's, or a Points(cfg) built for this call.  The cross pairs of each
-    pivot are kept in cross, which a caller may keep too.
+    A coefficient shown nonzero at a point is proved nonzero.  An equation
+    with no such coefficient, or a coefficient with no sample point off its
+    poles, raises DegenerateComparison from the pairs, so weyl.check makes
+    the check degenerate.  The nonzero tests and the minors read one set of
+    points: the caller's, or a Points(cfg) built for this call.  minors,
+    when given, are _minor_pairs(e1, e2), kept by the caller.
     """
     if points is None:
         points = Points(cfg)
-    cross = {} if cross is None else cross
-    sampled = cfg._replace(exact=False)
-    pairs = list(zip(e1.coefficients(), e2.coefficients()))
-    for idx in (1, 0, 2):  # fixed fallback order: mid, then up, then down
-        for c, side in zip(pairs[idx], "ab"):
-            zero = check(f"{label}:zero", [(f"p{idx}{side}", c, ZERO)], constraint, sampled,
-                         points)
-            if zero.status == "degenerate":
-                return zero
-            if zero.ok:  # c vanishes: try the next pair
-                break
-        else:  # both nonzero: the pivot
-            if idx not in cross:  # two threads may both build it: equal tuples
-                p1, p2 = pairs[idx]
-                cross[idx] = tuple((f"cross:{i}", mul(c1, p2), mul(c2, p1))
-                                   for i, (c1, c2) in enumerate(pairs) if i != idx)
-            return check(label, cross[idx], constraint, cfg, points)
-    return CheckResult(label, "degenerate", detail="all candidate pivot coefficients vanish")
+
+    def pairs():
+        for n, eq in enumerate((e1, e2), start=1):
+            if not any(identities_equal(c, ZERO, constraint, cfg, label=f"{label}:eq{n}",
+                                        points=points).verdict == "unequal"
+                       for c in eq.coefficients()):
+                raise DegenerateComparison(f"no coefficient of equation {n} is nonzero at a"
+                                           " sample point" + (f" for '{label}'" if label else ""))
+        yield from minors or _minor_pairs(e1, e2)
+
+    return check(label, pairs(), constraint, cfg, points)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +170,9 @@ def claim_equations(fam: FamilyDescriptor, claim: GaugeClaim,
 
 
 def _claim_pairs(fam: FamilyDescriptor, constraint, claim: GaugeClaim, coefficients: tuple):
-    """The claim's equations from these L1 coefficients, and a cross dict."""
-    return (*claim_equations(fam, claim, LinearQDE(*coefficients)), {})
+    """The claim's equations from these L1 coefficients, and their minor pairs."""
+    e1, e2 = claim_equations(fam, claim, LinearQDE(*coefficients))
+    return e1, e2, _minor_pairs(e1, e2)
 
 
 def verify_gauge_claim(
@@ -173,17 +182,18 @@ def verify_gauge_claim(
     points: Points | None = None,
 ) -> CheckResult:
     """equations_equivalent's result for the claim's two equations, under
-    the claim id, with the claim's note as its detail, from a suite_entry
-    kept by the claim and the L1 coefficient nodes too."""
+    the claim id, with the claim's note as its detail ("exact" on a pass
+    that check marked exact), from a suite_entry kept by the claim and the
+    L1 coefficient nodes too."""
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise KeyError(f"unknown claim id {shown(claim_id)}")
     if claim.family != fam.name:
         raise ValueError(f"claim {claim_id} belongs to family {claim.family}, not {fam.name}")
-    # The equations and cross pairs are the same under any constraint.
-    e1, e2, cross = suite_entry(_claim_pairs, fam, None, claim, build_L1(fam).coefficients())
-    res = equations_equivalent(e1, e2, cfg.constraint(fam), cfg, claim_id, points, cross)
-    detail = (claim.note if res.ok else f"{claim.note}: mismatch"
+    # The equations and minor pairs are the same under any constraint.
+    e1, e2, minors = suite_entry(_claim_pairs, fam, None, claim, build_L1(fam).coefficients())
+    res = equations_equivalent(e1, e2, cfg.constraint(fam), cfg, claim_id, points, minors=minors)
+    detail = ((res.detail or claim.note) if res.ok else f"{claim.note}: mismatch"
               if res.status == "fail" else f"{claim.note}: {res.detail}")
     return res._replace(id=claim_id, detail=detail)
 

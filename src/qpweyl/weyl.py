@@ -250,9 +250,12 @@ def check(check_id: str, pairs, constraint: ConstraintRelation | None,
     first pair that differs fails the check with its witness.  A comparison
     that finds no sample point off the poles makes the check degenerate;
     its message names the pair as "check_id:name", or check_id when name is
-    empty.  A pass is marked exact when cfg.exact is set and every pair was
-    proved exactly.  A pair the lattice decides is equal, and exactly so, at
-    every seed, so run_checks passes only the undecided pairs.
+    empty.  So does a DegenerateComparison that pairs raises as it is read,
+    as lax.equations_equivalent's pairs do for an equation they cannot show
+    nonzero; its message is the check's detail as it is.  A pass is marked
+    exact when cfg.exact is set and every pair was proved exactly.  A pair
+    the lattice decides is equal, and exactly so, at every seed, so
+    run_checks passes only the undecided pairs.
     """
     proved = cfg.exact
     try:

@@ -8,10 +8,14 @@ took its verdict from `weyl.check`; they pin the `exact` marks of the
 theorem suites.  The E7 theorem, the relation and the gauge `--exact` hashes
 were recorded before the exact normalizer moved to packed-integer monomials
 with integer coefficients: the same term counts reach the term cap, so the
-same checks are marked `exact`.  The gauge suite marks none, so its hashes
-are those of the runs without `--exact`; the E6 and E7 gauge `--exact` hashes
+same checks are marked `exact`.  The E7 gauge suite marks none, so its hash
+is that of the run without `--exact`; the E6 and E7 gauge `--exact` hashes
 were recorded before the exact normalizer remembered the nodes that trip its
-term cap, a skip that E7's gauge residuals take.  The gauge
+term cap, a skip that E7's gauge residuals take.  The D5 and E6 gauge
+`--exact` hashes were re-recorded when gauge claims came to be compared by
+their 2x2 minors and a pass kept its `exact` mark: d5.s2, d5.G, d5.D,
+d5.inversion and e6.S are marked, and every other byte is that of the runs
+without `--exact`.  The gauge
 `--no-constraint` hashes were recorded when the gauge suite began passing
 its comparison's result through: they pin the witness of each failed claim,
 and apart from the witnesses the reports are those of the runs before.  The
@@ -123,9 +127,9 @@ GOLDEN = [
     ("verify-relations --family E7 --seed 0 --exact --format json", 0,
      "73ccf8d086dc828fdf13e617104fa5dcc23ead456c024ca160dbf78912bf9af2"),
     ("verify-gauge --family D5 --seed 0 --exact --format json", 0,
-     "ccaf0af4571931607e76bbd645f60dd56671c10fbdb14ea7d68158203eb2bfdd"),
+     "8e05e9985642b4f382a1c01811dbc2f9101a0139d0181a13b45067df753259dc"),
     ("verify-gauge --family E6 --seed 0 --exact --format json", 0,
-     "c2acbe19a43d2e83ef00dba58eae52e1af62adb2df996e4d36fae887124dd16d"),
+     "9789caf119c015d2ef79d1b191f7bee25acda5e97486c5537dba0df4dacee3e4"),
     ("verify-gauge --family E7 --seed 0 --exact --format json", 0,
      "311edc9603fe6c829d77fb84cc635bf2460f0c2326b9053cb0251adcc2a60f17"),
     ("verify-gauge --no-constraint --family D5 --seed 0 --format json", 1,

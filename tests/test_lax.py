@@ -5,9 +5,11 @@ import itertools
 import re
 
 import pytest
+from dags import small_dags
+from hypothesis import assume, given, settings, strategies as st
 
-from qpweyl.expr import ZERO, evaluate, mul, parse, sub, sym
-from qpweyl.identity import DEFAULT_PRIME, identities_equal
+from qpweyl.expr import ZERO, add, evaluate, mul, num, parse, sub, sym
+from qpweyl.identity import DEFAULT_PRIME, DegenerateComparison, identities_equal
 from qpweyl.lax import (
     CLAIMS,
     LinearQDE,
@@ -188,11 +190,11 @@ def test_scalar_multiple_is_equivalent(d5):
     assert equations_equivalent(eq5, zfac, label="xz").ok
 
 
-def cross_difference(e1, e2, idx, pivot=1):
-    """The residual the comparison samples for pair idx against the pivot."""
-    c1, c2 = e1.coefficients()[idx], e2.coefficients()[idx]
-    p1, p2 = e1.coefficients()[pivot], e2.coefficients()[pivot]
-    return sub(mul(c1, p2), mul(c2, p1))
+def minor_sides(e1, e2, name):
+    """The two sides of the named minor a_i b_j - a_j b_i, as compared."""
+    i, j = ({"up": 0, "mid": 1, "down": 2}[part] for part in name.split(":"))
+    a, b = e1.coefficients(), e2.coefficients()
+    return mul(a[i], b[j]), mul(a[j], b[i])
 
 
 def test_wrong_substitution_is_not_equivalent(d5):
@@ -201,10 +203,11 @@ def test_wrong_substitution_is_not_equivalent(d5):
     wrong = substitute_params(eq5, d5.generators["s0"])
     res = equations_equivalent(gauged, wrong, d5.constraint, label="wrong")
     assert res.status == "fail"
-    # the witness makes the failing cross difference nonzero
-    idx = int(re.fullmatch(r"images of cross:(\d) differ", res.detail).group(1))
-    residual = d5.constraint.apply(cross_difference(gauged, wrong, idx))
-    assert evaluate(residual, res.witness, DEFAULT_PRIME) != 0
+    # the named minor's two sides differ at the witness
+    name = re.fullmatch(r"images of (\w+:\w+) differ", res.detail).group(1)
+    left, right = (evaluate(d5.constraint.apply(side), res.witness, DEFAULT_PRIME)
+                   for side in minor_sides(gauged, wrong, name))
+    assert left != right
 
 
 def test_equivalence_is_an_equivalence_relation(d5):
@@ -222,30 +225,55 @@ def test_equivalence_is_an_equivalence_relation(d5):
         assert equations_equivalent(a, b, label="sym").ok
 
 
-def test_zero_mid_falls_back_to_up_pivot():
-    from qpweyl.expr import ZERO
+def test_zero_mid_coefficients_compare_up_and_down():
     a = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu2"))
     b = LinearQDE(parse("7*(z - nu1)"), ZERO, parse("7*(z - nu2)"))
-    assert equations_equivalent(a, b, label="fallback").ok
+    assert equations_equivalent(a, b, label="zero-mid").ok
     c = LinearQDE(parse("z - nu1"), ZERO, parse("z - nu3"))
-    assert not equations_equivalent(a, c, label="fallback2").ok
+    res = equations_equivalent(a, c, label="zero-mid2")
+    assert (res.status, res.detail) == ("fail", "images of up:down differ")
 
 
 def test_all_zero_equation_is_degenerate():
-    from qpweyl.expr import ZERO
     zero_eq = LinearQDE(ZERO, ZERO, ZERO)
     res = equations_equivalent(zero_eq, zero_eq, label="degen")
     assert res.status == "degenerate"
-    assert res.detail == "all candidate pivot coefficients vanish"
+    assert res.detail == "no coefficient of equation 1 is nonzero at a sample point for 'degen'"
 
 
-def test_degenerate_pivot_zero_test_is_returned_as_it_is():
-    # The mid pair is tried first; every sample is a pole of its zero test.
-    a = LinearQDE(parse("z - nu1"), parse("z/(f - f)"), parse("z - nu2"))
-    res = equations_equivalent(a, a, cfg=CheckConfig(trials=2), label="pivot")
+@pytest.mark.parametrize("first", [True, False])
+def test_zero_equation_against_l1_is_degenerate(d5, first):
+    # Every minor of a zero equation vanishes: only the nonzero proof keeps
+    # the check from passing, in either argument order.
+    eq5, zero_eq = build_L1(d5), LinearQDE(ZERO, ZERO, ZERO)
+    e1, e2 = (zero_eq, eq5) if first else (eq5, zero_eq)
+    res = equations_equivalent(e1, e2, d5.constraint, label="zero")
     assert res.status == "degenerate"
-    assert res.id == "pivot:zero"
-    assert "exhausted" in res.detail
+    assert res.detail == (f"no coefficient of equation {1 if first else 2} is nonzero"
+                          " at a sample point for 'zero'")
+
+
+def test_equation_whose_every_coefficient_is_a_pole_is_degenerate():
+    # Every sample point is a pole of each coefficient, so the nonzero proof
+    # of the second equation exhausts its points; the minors, which would be
+    # poles too, are never compared.
+    pole = parse("z/(f - f)")
+    a = LinearQDE(pole, pole, pole)
+    b = LinearQDE(parse("z - nu1"), parse("z"), parse("z - nu2"))
+    res = equations_equivalent(b, a, cfg=CheckConfig(trials=2), label="poles")
+    assert res.status == "degenerate"
+    assert res.detail == "exhausted 200 sampling attempts for 'poles:eq2'"
+
+
+def test_degenerate_minor_is_returned_as_it_is():
+    # The mid coefficient is a pole at every sample point, but up is shown
+    # nonzero first, so the first minor, mid:up, is compared and exhausts
+    # its points.
+    a = LinearQDE(parse("z - nu1"), parse("z/(f - f)"), parse("z - nu2"))
+    res = equations_equivalent(a, a, cfg=CheckConfig(trials=2), label="minor")
+    assert res.status == "degenerate"
+    assert res.id == "minor"
+    assert res.detail == "exhausted 200 sampling attempts for 'minor:mid:up'"
 
 
 def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
@@ -253,7 +281,8 @@ def test_gauge_claim_on_zero_equation_is_degenerate(monkeypatch, d5):
     monkeypatch.setattr(lax, "build_L1", lambda fam: LinearQDE(ZERO, ZERO, ZERO))
     result = verify_gauge_claim(d5, "d5.s2")
     assert result.status == "degenerate"
-    assert "pivot" in result.detail
+    assert result.detail == (f"{CLAIMS['d5.s2'].note}: no coefficient of equation 1"
+                             " is nonzero at a sample point for 'd5.s2'")
     assert not result.ok
 
 
@@ -265,6 +294,51 @@ def test_gauge_claim_with_pole_everywhere_is_degenerate(monkeypatch, d5):
     result = verify_gauge_claim(d5, "d5.s2", CheckConfig(trials=2))
     assert result.status == "degenerate"
     assert "exhausted" in result.detail
+
+
+def shown_nonzero(c):
+    """Whether sampling shows c nonzero; None when every point is a pole."""
+    try:
+        return identities_equal(c, ZERO).verdict == "unequal"
+    except DegenerateComparison:
+        return None
+
+
+_TRIPLES = st.tuples(small_dags(), small_dags(), small_dags())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, small_dags())
+def test_an_equation_is_equivalent_to_a_nonzero_multiple(coefficients, r):
+    shown = [shown_nonzero(c) for c in (*coefficients, r)]
+    assume(None not in shown and any(shown[:3]) and shown[3])
+    multiple = LinearQDE(*(mul(r, c) for c in coefficients))
+    assert equations_equivalent(LinearQDE(*coefficients), multiple, label="re").ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIPLES, st.integers(0, 2))
+def test_one_coefficient_plus_one_fails_at_a_minor(coefficients, k):
+    # Another coefficient is nonzero, so no common factor can absorb the 1.
+    shown = [shown_nonzero(c) for c in coefficients]
+    assume(None not in shown and any(shown[:k] + shown[k + 1:]))
+    e = LinearQDE(*coefficients)
+    bumped = LinearQDE(*(add(c, num(1)) if i == k else c for i, c in enumerate(coefficients)))
+    res = equations_equivalent(e, bumped, label="bump")
+    assert res.status == "fail"
+    name = re.fullmatch(r"images of (\w+:\w+) differ", res.detail).group(1)
+    assert evaluate(sub(*minor_sides(e, bumped, name)), res.witness, DEFAULT_PRIME) != 0
+
+
+def test_exact_gauge_passes_keep_their_mark(families):
+    # With --exact, the minors of five claims are proved; every other pass
+    # keeps its claim's note.
+    cfg = CheckConfig(exact=True)
+    checks = [c for fam in families.values() for c in verify_gauge_claims(fam, cfg).checks]
+    assert all(c.ok for c in checks)
+    assert [c.id for c in checks if c.detail == "exact"] == [
+        "d5.s2", "d5.G", "d5.D", "d5.inversion", "e6.S"]
+    assert all(c.detail == CLAIMS[c.id].note for c in checks if c.detail != "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +370,7 @@ def test_gauge_claim_passes(families, claim_id):
 @pytest.mark.parametrize("fam_name", ["D5", "E6", "E7"])
 def test_gauge_claims_without_constraint_fail_with_sound_witness(families, fam_name):
     # Every claim that fails without the constraint fails at a point where
-    # a cross difference against the mid pivot is nonzero.
+    # the two sides of a minor differ.
     fam = families[fam_name]
     cfg = CheckConfig(use_constraint=False)
     failed = [c for c in verify_gauge_claims(fam, cfg).checks if c.status == "fail"]
@@ -305,9 +379,10 @@ def test_gauge_claims_without_constraint_fail_with_sound_witness(families, fam_n
         claim = CLAIMS[res.id]
         assert res.detail == f"{claim.note}: mismatch"
         gauged, target = claim_equations(fam, claim)
-        values = [evaluate(cross_difference(gauged, target, idx), res.witness, DEFAULT_PRIME)
-                  for idx in (0, 2)]
-        assert any(values), res.id
+        assert any(evaluate(left, res.witness, DEFAULT_PRIME)
+                   != evaluate(right, res.witness, DEFAULT_PRIME)
+                   for left, right in (minor_sides(gauged, target, name)
+                                       for name in ("mid:up", "mid:down", "up:down"))), res.id
 
 
 def test_unknown_claim_id(d5):

@@ -23,7 +23,7 @@ from qpweyl.evolution import (
     make_state,
     orbit_step,
 )
-from qpweyl.expr import parse, sym
+from qpweyl.expr import ZERO, parse, sym
 from qpweyl.identity import (
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
@@ -345,26 +345,35 @@ def test_shared_families_hold_read_only_generators():
         assert type(fam.xi) is Transformation
 
 
-def test_equivalence_zero_tests_run_sampled(d5, monkeypatch):
-    seen, points = [], []
-    original = lax.check
+def test_equivalence_nonzero_proofs_share_the_check_points(d5, monkeypatch):
+    proofs, checks = [], []
+    original_check, original_equal = lax.check, lax.identities_equal
 
-    def spy(check_id, pairs, constraint, cfg, at):
-        seen.append(cfg)
-        points.append(at)
-        return original(check_id, pairs, constraint, cfg, at)
+    def spy_check(check_id, pairs, constraint, cfg, at):
+        checks.append((cfg, at))
+        return original_check(check_id, pairs, constraint, cfg, at)
 
-    monkeypatch.setattr(lax, "check", spy)
+    def spy_equal(a, b, constraint, cfg, **kwargs):
+        res = original_equal(a, b, constraint, cfg, **kwargs)
+        proofs.append((b, cfg, kwargs["points"], res))
+        return res
+
+    monkeypatch.setattr(lax, "check", spy_check)
+    monkeypatch.setattr(lax, "identities_equal", spy_equal)
     cfg = CheckConfig(trials=3, prime=DEFAULT_PRIME, seed=5, exact=True, use_constraint=False)
     eq = build_L1(d5)
     assert equations_equivalent(eq, eq, d5.constraint, cfg, label="t").ok
-    zero_tests = seen[:-1]
-    assert zero_tests and all(c == CheckConfig(3, DEFAULT_PRIME, 5, False, False) for c in zero_tests)
-    assert type(zero_tests[0]) is CheckConfig
-    assert seen[-1] == cfg
+    # One proof per equation: its first coefficient is nonzero at the probe
+    # point, so the exact path, which only an "equal" verdict reaches, is
+    # never taken, and no other coefficient is tested.
+    assert len(proofs) == 2 and len(checks) == 1
+    assert all(b is ZERO and c == cfg and (r.verdict, r.trials, r.resamples) == ("unequal", 1, 0)
+               for b, c, _, r in proofs)
+    assert checks[0][0] == cfg
     assert cfg.exact   # the caller's config is unchanged
-    # The zero tests and the cross check read one set of points.
-    assert points[0] is not None and all(at is points[0] for at in points)
+    # The nonzero proofs and the minors read one set of points.
+    at = checks[0][1]
+    assert at is not None and all(p is at for _, _, p, _ in proofs)
 
 
 def test_claim_results_carry_the_claim_id_and_note(d5):

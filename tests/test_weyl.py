@@ -111,7 +111,7 @@ def test_shared_descriptors_and_compile_cache_from_several_threads(e6, e7):
     # 4 threads run three suites on the shared E6 and E7 descriptors at once,
     # each with its own seed, and one mutant suite each, racing to parse,
     # compose, reduce to the lattice, build residuals and suite entries, a
-    # gauge claim's cross pairs among them, and compile the same things from
+    # gauge claim's minor pairs among them, and compile the same things from
     # empty memos.
     # One --exact job per thread, two on each family, races on the exact
     # outcome cache.  Each thread builds its own copy of its mutant, equal to
@@ -866,8 +866,8 @@ def test_check_with_an_empty_name_returns_a_lone_comparisons_witness():
 
 def test_a_check_alone_returns_the_witness_it_returns_in_its_suite(families):
     # The involution suite on a corrupted table, and the gauge suite without
-    # the constraint, where every claim's pivot zero tests and cross check
-    # share the suite's points with the other claims.
+    # the constraint, where every claim's nonzero proofs and minors share
+    # the suite's points with the other claims.
     from qpweyl.lax import CLAIMS, verify_gauge_claim
 
     mutant = families["D5"].with_generator("s3", {
