@@ -4,9 +4,7 @@ A comparison is decided by the first of two rules that applies:
 1. lattice: two Laurent monomials with coefficient 1, such as the images of
    q, nu1..nu8, kappa1, kappa2, are equal when their exponents agree after
    the constrained symbol's exponent is carried over to its replacement,
-   which must itself be such a monomial if either side mentions the symbol.
-   A node's reduced exponents depend on no seed, so the last
-   LATTICE_CACHE_SIZE are kept: the rule costs one lookup per node;
+   which must itself be such a monomial if either side mentions the symbol;
 2. sampling: the constrained difference is evaluated at independent uniform
    points of a large prime field.  A nonzero value disproves the identity,
    and that point alone is returned as the witness; agreement at every trial
@@ -14,7 +12,7 @@ A comparison is decided by the first of two rules that applies:
 Only points with nonzero coordinates are drawn, so rule 1 is exact and
 returns what sampling would; the error bound below concerns rule 2.  Rule
 1's verdict and the constrained residual that rule 2 samples depend on no
-seed either, so both are kept per pair (a, b, constraint), the last
+seed, so both are kept per pair (a, b, constraint), the last
 RESIDUAL_CACHE_SIZE of them: a comparison made again only samples.
 
 The error bound.  A nonzero residual whose numerator has degree at most D
@@ -313,20 +311,12 @@ def lattice_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None) -> bo
     return lattice is not None and lattice == _reduced_monomial(b, constraint)
 
 
-#: Reduced monomials kept, by the node and the constraint or None: a
-#: benchmark pass asks for at most 396 distinct ones.
-LATTICE_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple | None:
     """e.monomial with the constraint applied: the eliminated symbol's
     exponent k becomes k times the replacement's exponents.  None when e is
     not a monomial, or when e mentions that symbol, even with exponent 0,
     and the replacement is not a monomial: the substituted program could
-    then divide by zero where sampling would resample.  The node is
-    interned and the relation read-only, so the last LATTICE_CACHE_SIZE
-    results are kept."""
+    then divide by zero where sampling would resample."""
     m = e.monomial
     if m is None or constraint is None or constraint.eliminated not in e.free:
         return m

@@ -40,20 +40,13 @@ from .identity import (
 from .report import CheckResult, Frozen, Report, Value
 
 
-#: Map images kept: a benchmark pass applies at most 89 distinct (map, node)
-#: pairs.
-IMAGE_CACHE_SIZE = 1024
-
-
 class Transformation(Value):
     """A total substitution map symbol -> Expr; omitted symbols map to themselves.
 
     A value, as an Expr node is: images is read-only, and two maps are equal,
     and hash alike, when their (name, image) items are, so compose can be
     memoized by value.  The hash is computed once, as a tuple does not keep
-    its own.  Applying a map is memoized by value too, as compose is: the
-    last IMAGE_CACHE_SIZE images are kept by the pair (map, node), and an
-    ExprError (a zero denominator) is raised again on every call.
+    its own.
     """
 
     __slots__ = ("images", "items", "_hash")
@@ -74,7 +67,6 @@ class Transformation(Value):
     def image(self, name: str) -> Expr:
         return self.images.get(name) or sym(name)   # an Expr is never false
 
-    @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
     def __call__(self, e: Expr) -> Expr:
         return substitute(e, self.images)
 
