@@ -36,11 +36,14 @@ identities fail there.  The remaining trials run the residual's compiled
 program over their points in batches of at most _LANE_CAP, one lane per
 point, which needs no modular inverse since only whether a value is zero
 matters.  The lanes are scanned in the order of a point-by-point loop, so
-verdicts, witnesses and counts are that loop's.  Each public suite call
+verdicts, witnesses and counts are that loop's.  The first values of
+each stream, its head, are read once per process (_stream_head): they are
+coordinates, the same for every call at one seed.  Each public suite call
 builds one Points object, which its comparisons share, and a lone
 identities_equal builds its own; the object keeps the value of every node
 evaluated at the probe and at each batch, so a node that several residuals
-share is evaluated once per point, and it is dropped when the call returns.
+share is evaluated once per point, and it is dropped when the call returns:
+no node value and no verdict outlives a call.
 
 Sharing the points leaves each comparison's bound (D/(p - 1))^t as it was:
 its trials still read independent, uniform, nonzero points, and a point at
@@ -328,6 +331,18 @@ def _reduced_monomial(e: Expr, constraint: ConstraintRelation | None) -> tuple |
 #: The most points one batch runs: _run_lanes keeps a list of lanes per
 #: instruction, so a batch's memory grows with program size times lanes.
 _LANE_CAP = 256
+#: Stream heads kept, by seed, name, prime and length: a benchmark pass reads
+#: at most 50.  A head holds at most _LANE_CAP values, so over the default
+#: prime the cache holds at most about 3 MB.
+HEAD_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=HEAD_CACHE_SIZE)
+def _stream_head(seed: int, name: str, prime: int, keep: int) -> tuple[int, ...]:
+    """Values 0 .. keep - 1 of name's stream under seed: coordinates alone,
+    which every call at the seed reads, so the last HEAD_CACHE_SIZE heads
+    are kept for the process."""
+    return tuple(stream_values(seed, name, prime, 0, keep))
 
 
 class Points:
@@ -339,41 +354,50 @@ class Points:
     probe maps a node to its projective pair at point 0 (see
     expr._run_projective), and batch(start, m) to its lanes at points
     start .. start + m - 1 (see expr._run_lanes), so a node that several
-    residuals share is evaluated once per point.  Only the first `trials`
-    points of each stream are kept, with the lane memos of batches within
-    them: a comparison that resamples past them reads its points afresh and
-    keeps nothing, so its memory is one batch's whatever its budget.  An
-    object serves one call; no value outlives it.
+    residuals share is evaluated once per point.  The first min(trials,
+    _LANE_CAP) points of each stream come from the process's stream heads,
+    and point 0 and each batch's columns within them are built once per
+    object, with the lane memos of those batches: a comparison that
+    resamples past them reads its points afresh and keeps nothing, so its
+    memory is one batch's whatever its budget.  An object serves one call;
+    no node value outlives it.
     """
 
-    __slots__ = ("prime", "seed", "probe", "_keep", "_kept", "_batches")
+    __slots__ = ("prime", "seed", "probe", "_keep", "_first", "_columns", "_batches")
 
     def __init__(self, cfg: CheckConfig):
         self.prime, self.seed = cfg.prime, cfg.seed
         self.probe: dict = {}
-        self._keep = cfg.trials
-        self._kept: dict[str, list[int]] = {}
+        self._keep = min(cfg.trials, _LANE_CAP)
+        self._first: dict[str, int] = {}
+        self._columns: dict[tuple[int, int], dict[str, list[int]]] = {}
         self._batches: dict[tuple[int, int], dict] = {}
 
-    def _head(self, name: str) -> list[int]:
-        """The kept values of name's stream, read on its first use."""
-        kept = self._kept.get(name)
-        if kept is None:
-            kept = self._kept[name] = stream_values(self.seed, name, self.prime, 0, self._keep)
-        return kept
+    def _head(self, name: str) -> tuple[int, ...]:
+        return _stream_head(self.seed, name, self.prime, self._keep)
 
     def first(self, names) -> dict[str, int]:
-        """Point 0."""
-        return {n: self._head(n)[0] for n in names}
+        """Point 0, at least at names."""
+        point = self._first
+        for n in names:
+            if n not in point:
+                point[n] = self._head(n)[0]
+        return point
 
     def columns(self, names, start: int, m: int) -> dict[str, list[int]]:
-        """Points start .. start + m - 1, one column per name."""
+        """Points start .. start + m - 1, one column per name, at least."""
         end, keep = start + m, self._keep
-        if end <= keep:
-            return {n: self._head(n)[start:end] for n in names}
-        return {n: self._head(n)[start:keep]
-                + stream_values(self.seed, n, self.prime, max(start, keep), end)
-                for n in names}
+        if end > keep:
+            return {n: [*self._head(n)[start:keep],
+                        *stream_values(self.seed, n, self.prime, max(start, keep), end)]
+                    for n in names}
+        columns = self._columns.get((start, m))
+        if columns is None:
+            columns = self._columns[start, m] = {}
+        for n in names:
+            if n not in columns:
+                columns[n] = list(self._head(n)[start:end])
+        return columns
 
     def batch(self, start: int, m: int) -> dict | None:
         """The lane memo of points start .. start + m - 1, None past the kept
@@ -404,6 +428,8 @@ def _sample(r, trials, points: Points, label) -> IdentityResult:
     except DivisionByZero:
         refuted, done = False, 0
         result.resamples = 1
+    if refuted:
+        witness = {n: point[n] for n in names}
     # The rest in batches: each lane is scanned in order as one trial of the
     # point-by-point loop, so every count and witness is the loop's.
     while not refuted and done < trials:
@@ -421,12 +447,12 @@ def _sample(r, trials, points: Points, label) -> IdentityResult:
             else:
                 done += 1
                 if v:
-                    point = {n: columns[n][i] for n in names}
+                    witness = {n: columns[n][i] for n in names}
                     refuted = True
                     break
     if refuted:
         result.verdict = "unequal"
-        result.witness = point
+        result.witness = witness
     result.trials = done
     return result
 

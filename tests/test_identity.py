@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import hashlib
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -853,11 +854,14 @@ def test_trials_above_the_lane_cap_match_point_by_point_loop(trials):
         sizes.append(m)
         return run_lanes(code, nodes, columns, m, p, memo)
 
-    with mock.patch.object(identity, "_run_lanes", spy):
-        for a, b in ((poles, poles), (poles, num(0)), (div(f, g), mul(f, pow_(g, -1))),
-                     (div(num(1), sub(f, f)), f)):
-            batched, sequential = _both(a, b, None, CheckConfig(trials), "above-cap")
-            assert batched == sequential
+    # Once from empty stream heads, once from the heads the first run kept.
+    identity._stream_head.cache_clear()
+    for _heads in ("cold", "warm"):
+        with mock.patch.object(identity, "_run_lanes", spy):
+            for a, b in ((poles, poles), (poles, num(0)), (div(f, g), mul(f, pow_(g, -1))),
+                         (div(num(1), sub(f, f)), f)):
+                batched, sequential = _both(a, b, None, CheckConfig(trials), "above-cap")
+                assert batched == sequential
     assert max(sizes) == identity._LANE_CAP
 
 
@@ -878,6 +882,71 @@ def test_points_are_each_symbols_own_stream():
         assert points.columns(["nu1"], 3, 20) == {"nu1": got["nu1"][3:23]}
         assert points.columns(names, 250, 20) == {n: got[n][250:270] for n in names}
         assert points.columns(names, 1, 4) == {n: got[n][1:5] for n in names}
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, _REJECTING_PRIME])
+def test_a_kept_stream_head_is_a_fresh_read_of_its_stream(prime):
+    # The heads hold coordinates alone: read warm, a head is still the first
+    # values of its own stream, whichever heads were kept before it.
+    identity._stream_head.cache_clear()
+    for _heads in ("cold", "warm"):
+        for seed in range(4):
+            for name in ("f", "g", "nu1", "kappa2"):
+                for keep in (1, DEFAULT_TRIALS, identity._LANE_CAP):
+                    fresh = stream_values(seed, name, prime, 0, keep)
+                    assert list(identity._stream_head(seed, name, prime, keep)) == fresh
+    assert identity._stream_head.cache_info().hits == 4 * 4 * 3
+
+
+def test_a_stream_head_holds_at_most_one_batch():
+    # However many trials a config asks for, a kept head is one batch long,
+    # so the cache's worst case is HEAD_CACHE_SIZE heads of _LANE_CAP values;
+    # the README states that bound.
+    points = identity.Points(CheckConfig(trials=identity.MAX_TRIALS))
+    assert len(points._head("f")) == identity._LANE_CAP
+    maxsize = identity._stream_head.cache_info().maxsize
+    assert maxsize == identity.HEAD_CACHE_SIZE
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("`identity._stream_head`", 1)[1].split("\n- ", 1)[0]
+    assert f"{maxsize} heads" in " ".join(bullet.split())
+
+
+def test_suite_calls_at_one_seed_read_each_stream_once(families):
+    # Two suite calls per family at one seed read each symbol's stream once
+    # in all; a refuting request made again, on a mutant built afresh, reads
+    # none.
+    from qpweyl.evolution import verify_theorem_i
+    from qpweyl.weyl import verify_involutions, verify_relations
+
+    reads = []
+    real = identity.stream_values
+
+    def spy(seed, name, prime, start, end):
+        reads.append((seed, name, start, end))
+        return real(seed, name, prime, start, end)
+
+    def mutant_request(cfg):
+        mutant = families["D5"].with_generator("s1", {"nu3": "nu5", "nu5": "nu3"})
+        return verify_involutions(mutant, cfg), verify_theorem_i(mutant, cfg)
+
+    identity._stream_head.cache_clear()
+    cfg = CheckConfig(seed=3)
+    with mock.patch.object(identity, "stream_values", spy):
+        for fam in families.values():
+            assert verify_relations(fam, cfg).ok and verify_theorem_i(fam, cfg).ok
+    names = [name for _, name, _, _ in reads]
+    assert names and len(names) == len(set(names))
+    assert {(seed, start, end) for seed, _, start, end in reads} == {(3, 0, cfg.trials)}
+
+    reads.clear()
+    cfg = CheckConfig(trials=4, seed=5)
+    with mock.patch.object(identity, "stream_values", spy):
+        first = mutant_request(cfg)
+        once = list(reads)
+        again = mutant_request(cfg)
+    assert once and len({name for _, name, _, _ in once}) == len(once)
+    assert reads == once
+    assert again == first and not all(report.ok for report in first)
 
 
 def test_a_label_moves_no_point():
@@ -910,7 +979,9 @@ def test_comparisons_sharing_points_match_the_loop_one_by_one():
     poles = _residue_poles(["f", "g"], DEFAULT_PRIME)
     pairs = [(poles, poles), (poles, num(0)), (mul(f, poles), mul(poles, f)),
              (div(f, g), f), (poles, poles), (div(num(1), sub(f, f)), f), (poles, num(0))]
-    for seed in range(3):
+    # Once from empty stream heads, once from the heads the first run kept.
+    identity._stream_head.cache_clear()
+    for seed in [*range(3), *range(3)]:
         cfg = CheckConfig(trials=3, seed=seed)
         points = identity.Points(cfg)
         for a, b in pairs:

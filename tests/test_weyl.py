@@ -100,7 +100,7 @@ def test_make_family_never_caches_an_unknown_name():
 
 #: Every cache the package keeps for the process but those of UNCLEARED.
 MEMOS = (weyl.compose, expr_module._parse, identity._residual, expr_module._compile,
-         identity._normalize, weyl._suite_entry)
+         identity._normalize, weyl._suite_entry, identity._stream_head)
 
 #: The process caches no test needs to empty, each with the reason.
 UNCLEARED = {
@@ -110,8 +110,8 @@ UNCLEARED = {
 
 
 def _clear_memos():
-    """Empty the compose, parse, residual, compile, exact outcome and suite
-    entry caches."""
+    """Empty the compose, parse, residual, compile, exact outcome, suite
+    entry and stream head caches."""
     for memo in MEMOS:
         memo.cache_clear()
 
@@ -991,6 +991,35 @@ def test_every_verify_command_prints_the_same_json_warm_as_cold(family):
         cold.append(run(argv))
     for _ in range(2):
         assert [run(argv) for argv in argvs] == cold
+    assert {code for code, _ in cold} == {0, 1}
+
+
+@pytest.mark.parametrize("family", weyl.FAMILY_NAMES)
+def test_every_verify_command_prints_the_same_json_warm_across_seeds_and_trials(family):
+    # In one process each command runs at seed 0, then at seed 7, then with
+    # 4 trials at seed 0, so that stream heads kept for one seed or one
+    # trial count answer a run at another; each output is the one from
+    # empty caches.  The runs without the constraint fail with witnesses,
+    # which show the points read.
+    from qpweyl import cli
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, out.getvalue()
+
+    points = (("--seed", "0"), ("--seed", "7"), ("--seed", "0", "--trials", "4"))
+    argvs = [[cmd, "--family", family, "--format", "json", *constraint, *at]
+             for cmd in ("verify-relations", "verify-theorem", "verify-gauge")
+             for constraint in ((), ("--no-constraint",))
+             for at in points]
+    cold = []
+    for argv in argvs:
+        _clear_memos()
+        cold.append(run(argv))
+    _clear_memos()
+    assert [run(argv) for argv in argvs] == cold
     assert {code for code, _ in cold} == {0, 1}
 
 
