@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact", action="store_true",
-                       help="additionally prove identities by exact normalization")
+                       help="also prove identities by exact normalization, asked "
+                            "once the first sample point agrees; a proof ends sampling")
         p.add_argument("--no-constraint", action="store_true",
                        help="drop the parameter constraint from every check")
 

@@ -52,10 +52,12 @@ of one call are now dependent, so a check's error is bounded, as before, by
 the union bound over its comparisons, which needs no independence.
 
 An exact secondary path normalizes the difference to a single polynomial
-fraction and proves the zero identity outright.  It is gated by an
-expression-size bound because fully expanded normal forms of long Weyl-word
-composites blow up.  Each residual's outcome, its verdict or why the path is
-unavailable, is kept in a bounded LRU cache, one entry per residual.
+fraction and proves the zero identity outright.  A residual the probe does
+not refute is asked there at once, or after the trials when the probe hit a
+pole, so a proof ends a comparison after its first trial.  The path is gated
+by an expression-size bound because fully expanded normal forms of long
+Weyl-word composites blow up.  Each residual's outcome, its verdict or why
+the path is unavailable, is kept in a bounded LRU cache, one per residual.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = N
     The rules of the module docstring, in order: lattice ("exact-proved"
     with cfg.exact, and no residual is built), sampling.  The lattice returns
     the sampling loop's result: every trial equal and none resampled.  With
-    cfg.exact, an "equal" from sampling goes on to the exact path.  Sampling
+    cfg.exact, sampling asks the exact path too (see _sample).  Sampling
     reads points, built from a config with cfg's prime and seed, or a
     Points(cfg) of its own; the label only names the comparison in a
     DegenerateComparison message.
@@ -276,20 +278,7 @@ def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = N
         points = Points(cfg)
     elif (points.prime, points.seed) != (cfg.prime, cfg.seed):
         raise ValueError("points were drawn for another prime or seed")
-    result = _sample(r, cfg.trials, points, label)
-    if cfg.exact and result.verdict == "equal":
-        try:
-            if exact_zero(r):
-                result.verdict = "exact-proved"
-            else:
-                # The probabilistic pass accepted but the exact normal form is
-                # nonzero: impossible for a correct engine, so fail loudly.
-                raise AssertionError(
-                    "probabilistic and exact verdicts disagree; engine defect"
-                )
-        except ExactPathUnavailable:
-            pass
-    return result
+    return _sample(r, cfg, points, label)
 
 
 #: Residuals kept, by the pair and the constraint or None: a benchmark pass
@@ -410,12 +399,23 @@ class Points:
         return memo
 
 
-def _sample(r, trials, points: Points, label) -> IdentityResult:
+def _prove(r) -> bool | str:
+    """exact_zero(r), or why the exact path is unavailable."""
+    try:
+        return exact_zero(r)
+    except ExactPathUnavailable as err:
+        return str(err)
+
+
+def _sample(r, cfg: CheckConfig, points: Points, label) -> IdentityResult:
     """Test the residual r = a - b (constrained) at the points, in the order
     of a trial-by-trial loop whose attempt j reads point j; a refutation
-    returns its point."""
+    returns its point.  With cfg.exact, a residual the trials do not refute
+    goes to the exact path, right after the probe when the probe drew its
+    point: a proof ends the comparison there.  A nonzero normal form or an
+    unavailable path leaves the verdict to the trials."""
     names = sorted(r.free)
-    prime = points.prime
+    prime, trials = points.prime, cfg.trials
 
     result = IdentityResult(verdict="equal")
     budget = 100 * trials
@@ -430,6 +430,9 @@ def _sample(r, trials, points: Points, label) -> IdentityResult:
         result.resamples = 1
     if refuted:
         witness = {n: point[n] for n in names}
+    proof = _prove(r) if cfg.exact and done and not refuted else None
+    if proof is True:
+        return IdentityResult("exact-proved", trials=done)
     # The rest in batches: each lane is scanned in order as one trial of the
     # point-by-point loop, so every count and witness is the loop's.
     while not refuted and done < trials:
@@ -453,6 +456,12 @@ def _sample(r, trials, points: Points, label) -> IdentityResult:
     if refuted:
         result.verdict = "unequal"
         result.witness = witness
+    elif cfg.exact:
+        proof = _prove(r) if proof is None else proof
+        if proof is False:   # every trial agrees with a nonzero normal form
+            raise AssertionError("probabilistic and exact verdicts disagree; engine defect")
+        if proof is True:
+            result.verdict = "exact-proved"
     result.trials = done
     return result
 
@@ -474,14 +483,14 @@ def _sample(r, trials, points: Points, label) -> IdentityResult:
 
 #: The most term pairs one product may form.  Over the 18 --exact verify
 #: runs (three commands, three families, with and without the constraint)
-#: no proof forms more than 73,920, and under a cap of 400,000 the 14 of 73
+#: no proof forms more than 73,920, and under a cap of 400,000 the 14 of 86
 #: residuals that end in term blow-up took 616 of the 725 ms spent in the
 #: exact path.  tests/test_identity.py keeps the cap a third above every proof.
 _TERM_CAP = 100_000
 _SIZE_BOUND = 20_000
 
 #: Residual outcomes kept, by the residual alone: the bound and the cap are
-#: constants.  The 18 --exact verify runs normalize 73 distinct residuals.
+#: constants.  The 18 --exact verify runs normalize 86 distinct residuals.
 EXACT_CACHE_SIZE = 256
 
 

@@ -246,11 +246,11 @@ def test_exact_flag_marks_proved_checks(capsys):
     assert all(c.get("detail") == "exact" for c in checks)
 
 
-def test_pole_at_every_sample_is_degenerate_not_a_traceback(capsys, monkeypatch, d5):
+def _pole_at_every_sample(capsys, monkeypatch, d5, *flags):
     mutant = d5.with_generator("s0", {"nu7": "nu8", "nu8": "nu8/(nu1 - nu1)"})
     monkeypatch.setattr(cli, "make_family", lambda name: mutant)
     code, out, err = run(capsys, "verify-relations", "--family", "D5",
-                         "--trials", "2", "--format", "json")
+                         "--trials", "2", "--format", "json", *flags)
     assert code == 1
     assert err == ""
     doc = json.loads(out)
@@ -262,6 +262,16 @@ def test_pole_at_every_sample_is_degenerate_not_a_traceback(capsys, monkeypatch,
     }
     assert all("exhausted" in c["detail"] for c in degenerate)
     assert doc["summary"] == {"pass": 24, "fail": 0, "degenerate": 8, "total": 32}
+
+
+def test_pole_at_every_sample_is_degenerate_not_a_traceback(capsys, monkeypatch, d5):
+    _pole_at_every_sample(capsys, monkeypatch, d5)
+
+
+def test_pole_at_every_sample_is_degenerate_under_exact_too(capsys, monkeypatch, d5):
+    # A probe at a pole asks the exact path only after the trials, so the
+    # comparisons that find no point off the poles stay degenerate.
+    _pole_at_every_sample(capsys, monkeypatch, d5, "--exact")
 
 
 def test_list_families(capsys):

@@ -303,6 +303,80 @@ def test_an_exact_path_that_disagrees_with_sampling_is_an_engine_defect():
             identities_equal(a, b, None, CheckConfig(exact=True))
 
 
+def _point_zero(name, cfg):
+    """name's coordinate at sample point 0 under cfg."""
+    return identity._stream_head(cfg.seed, name, cfg.prime,
+                                 min(cfg.trials, identity._LANE_CAP))[0]
+
+
+def _exact_calls(calls):
+    """identity.exact_zero patched to note each call in calls."""
+    exact = identity.exact_zero
+    return mock.patch.object(identity, "exact_zero",
+                             lambda r: calls.append("exact") or exact(r))
+
+
+def _lane_calls(calls):
+    """identity._run_lanes patched to note each batch in calls."""
+    run_lanes = identity._run_lanes
+    return mock.patch.object(identity, "_run_lanes",
+                             lambda *args: calls.append("lanes") or run_lanes(*args))
+
+
+def test_a_proof_ends_a_comparison_after_its_probe():
+    # The probe draws point 0 and agrees; the exact path proves the residual,
+    # so no lane batch runs and the result counts the one point drawn.
+    calls = []
+    with _exact_calls(calls), _lane_calls(calls):
+        r = identities_equal(parse("(f + g)^2"), parse("f^2 + 2*f*g + g^2"), None,
+                             CheckConfig(exact=True))
+    assert r == IdentityResult("exact-proved", trials=1)
+    assert calls == ["exact"]
+
+
+def test_a_false_identity_that_survives_the_probe_is_left_to_the_trials():
+    # f against the constant f takes at point 0: the difference vanishes at
+    # the probe but is not zero.  The exact path is asked once, finds a
+    # nonzero normal form, and the trials refute the pair as without it.
+    cfg = CheckConfig(seed=5)
+    a, b = sym("f"), num(_point_zero("f", cfg))
+    sampled = identities_equal(a, b, None, cfg)
+    assert sampled.verdict == "unequal" and sampled.trials == 2
+    calls = []
+    with _exact_calls(calls), _lane_calls(calls):
+        exact = identities_equal(a, b, None, cfg._replace(exact=True))
+    assert exact == sampled
+    assert calls == ["exact", "lanes"]
+
+
+def test_a_probe_at_a_pole_asks_the_exact_path_after_the_trials():
+    # The probe divides by zero, so the trials run first, from point 1, and
+    # the proof comes after them: the result counts every trial and the
+    # resampled probe.
+    cfg = CheckConfig(trials=4, exact=True)
+    c = num(_point_zero("f", cfg))
+    f = sym("f")
+    a = div(sub(pow_(f, 2), pow_(c, 2)), sub(f, c))
+    calls = []
+    with _exact_calls(calls), _lane_calls(calls):
+        r = identities_equal(a, add(f, c), None, cfg)
+    assert r == IdentityResult("exact-proved", trials=4, resamples=1)
+    assert calls == ["lanes", "exact"]
+
+
+def test_a_warm_exact_theorem_run_samples_only_probes(capsys):
+    # Every D5 Theorem I comparison is proved right after its probe, warm as
+    # from a fresh process.
+    from qpweyl import cli
+
+    for _run in ("first", "warm"):
+        calls = []
+        with _lane_calls(calls):
+            assert cli.main(["verify-theorem", "--family", "D5", "--exact"]) == 0
+        assert calls == []
+        assert capsys.readouterr().out.count("(exact)") == 22
+
+
 def test_exact_and_probabilistic_verdicts_agree_on_random_pairs():
     import random
 
@@ -1166,7 +1240,7 @@ def _lattice_and_sample(a, b, k, cfg, label):
                            lambda *args: sampled.append(1) or sample(*args)):
         got = identities_equal(a, b, k, cfg, label=label)
     r = sub(a, b) if k is None else k.apply(sub(a, b))
-    loop = identity._sample(r, cfg.trials, identity.Points(cfg), label)
+    loop = identity._sample(r, cfg, identity.Points(cfg), label)
     return got, not sampled, loop
 
 
