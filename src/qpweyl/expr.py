@@ -352,10 +352,10 @@ def substitute(e: Expr, images: Mapping[str, Expr], memo: dict | None = None) ->
 # a straight-line program (Kaltofen 1988): one instruction per DAG node in
 # post-order, each referring to its children by slot.  Over F_p the program
 # runs projectively on (numerator, denominator) pairs reduced into [0, p),
-# with one rule per instruction kind.  Only a quotient divides (a power's
-# exponent is at least 2), and it first checks that its divisor's numerator
-# is nonzero, so no denominator is zero and a run needs no modular inverse
-# until the final pair becomes a value.  Where only the zero test matters,
+# with one rule per instruction kind, and needs no modular inverse until the
+# final pair becomes a value.  A pair carries its own pole: a node is a pole
+# exactly when its denominator is 0 mod p, and as every rule multiplies
+# denominators, so is each node above it.  Where only the zero test matters,
 # one run carries many points at once, one lane per point, and needs no
 # inverse.
 
@@ -433,9 +433,15 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int,
 
     Pairs are stored reduced mod p, and each instruction kind has one rule:
     a sum of n/d and n'/d' is (n d' + n' d, d d'), a product multiplies
-    numerators and denominators, and a power raises both.  memo maps a node
-    to its pair at the point `values` gives: a node found there is not run
-    again, and each node run is added.  A node that raises is never added.
+    numerators and denominators, a power raises both, and a quotient is
+    (n d'^2, d n' d'), the value of (n d', d n'): the extra d' keeps a pole
+    in the divisor's own subtree, which 1/(g + 1/(f - 1)) at f = 1 would
+    otherwise lose as the value 0.  A constant or a value n/d is (n, d).
+    Any other denominator is a product of nonzero residues, so a node is a
+    pole exactly when its denominator is 0, and the run ends by raising
+    DivisionByZero at the first pole in post-order.  memo maps a node to
+    its pair at the point `values` gives: a node found there is not run
+    again, and each node run is added unless it is a pole.
     """
     if memo is None:
         memo = {}
@@ -453,49 +459,36 @@ def _run_projective(code, nodes, values: Mapping[str, object], p: int,
             for k in arg:
                 x = x * nums[k] % p
                 y = y * dens[k] % p
-            nums[i] = x
-            dens[i] = y
         elif kind == "add":
-            x = 0
-            y = 1
+            x, y = 0, 1
             for k in arg:
                 d = dens[k]
                 x = (x * d + nums[k] * y) % p
                 y = y * d % p
-            nums[i] = x
-            dens[i] = y
         elif kind == "sym":
             try:
                 v = values[arg]
             except KeyError:
                 raise ExprError(f"no value for symbol '{arg}'") from None
             if isinstance(v, int):
-                nums[i] = v % p
+                x, y = v % p, 1
             else:  # a rational n/d is the pair (n, d), as over Q
                 v = Fraction(v)
-                d = v.denominator % p
-                if d == 0:
-                    raise DivisionByZero(node)
-                nums[i] = v.numerator % p
-                dens[i] = d
+                x, y = v.numerator % p, v.denominator % p
         elif kind == "pow":
             k, n = arg
-            nums[i] = pow(nums[k], n, p)
-            dens[i] = pow(dens[k], n, p)
+            x, y = pow(nums[k], n, p), pow(dens[k], n, p)
         elif kind == "div":
             a, b = arg
-            x = nums[b]
-            if x == 0:
-                raise DivisionByZero(node)
-            nums[i] = nums[a] * dens[b] % p
-            dens[i] = dens[a] * x % p
+            d = dens[b]
+            x, y = nums[a] * d * d % p, dens[a] * nums[b] * d % p
         else:
-            d = arg.denominator % p
-            if d == 0:
-                raise DivisionByZero(node)
-            nums[i] = arg.numerator % p
-            dens[i] = d
-        memo[node] = nums[i], dens[i]
+            x, y = arg.numerator % p, arg.denominator % p
+        nums[i], dens[i] = x, y
+        if y:
+            memo[node] = x, y
+    if not dens[-1]:
+        raise DivisionByZero(nodes[dens.index(0)])
     return nums[-1], dens[-1]
 
 
@@ -505,35 +498,27 @@ def _run_lanes(code, nodes, columns: Mapping[str, list], m: int, p: int,
     column being point i; returns each lane's final numerator, or None where
     _run_projective would raise DivisionByZero.
 
-    Column values must lie in [0, p), and so does every stored value.  Only
-    whether a lane's value is zero matters, so no lane is ever inverted.  A
-    lane whose quotient divisor has numerator 0 is dead: it is marked and
-    left to run on, and its other lanes keep nonzero denominators.  A
-    constant is a column, as a symbol is, and a product multiplies its
-    children's columns in order.  A denominator column of ones is kept as
-    None.  memo maps a node to its (numerators, denominators, dead lanes)
-    at these columns, the dead lanes being those at which the node's own
-    subtree divides by zero, as a frozenset, or None: a node found there is
-    not run again and brings its dead lanes, and each node run is added.
-    A constant whose denominator p divides kills every lane and ends the run.
+    Column values must lie in [0, p), and so does every stored value.  The
+    rules are _run_projective's, lane by lane, so a lane is a pole exactly
+    where its final denominator is 0.  Only whether a lane's value is zero
+    matters, so no lane is ever inverted.  A constant is a column, as a
+    symbol is, and a product multiplies its children's columns in order.  A
+    denominator column of ones is kept as None.  memo maps a node to its
+    (numerators, denominators) at these columns: a node found there is not
+    run again, and each node run is added.
     """
     if memo is None:
         memo = {}
     nums: list[list] = []
     dens: list = []
-    deads: list = []
-    # Until a dead lane appears, every node's dead lanes are None.
-    poles = False
     for (kind, arg), node in zip(code, nodes):
         hit = memo.get(node)
         if hit is not None:
-            x, y, dead = hit
-            poles = poles or dead is not None
+            x, y = hit
             nums.append(x)
             dens.append(y)
-            deads.append(dead)
             continue
-        y = dead = None
+        y = None
         if kind == "mul":
             x = nums[arg[0]]
             for k in arg[1:]:
@@ -570,31 +555,21 @@ def _run_lanes(code, nodes, columns: Mapping[str, list], m: int, p: int,
             a, b = arg
             x, y = nums[a], dens[a]
             n, d = nums[b], dens[b]
-            if 0 in n:
-                poles = True
-                dead = frozenset([j for j, c in enumerate(n) if c == 0])
-            if d is not None:
-                x = [c * e % p for c, e in zip(x, d)]
-            y = n if y is None else [c * e % p for c, e in zip(y, n)]
+            if d is None:
+                y = n if y is None else [c * e % p for c, e in zip(y, n)]
+            else:
+                x = [c * e * e % p for c, e in zip(x, d)]
+                y = ([c * e % p for c, e in zip(n, d)] if y is None
+                     else [c * e * f % p for c, e, f in zip(y, n, d)])
         else:
-            if arg.denominator % p == 0:
-                return [None] * m
             x = [arg.numerator % p] * m
             if arg.denominator != 1:
                 y = [arg.denominator % p] * m
-        if poles and kind != "sym" and kind != "num":
-            for k in arg[:1] if kind == "pow" else arg:
-                d = deads[k]
-                if d is not None:
-                    dead = d if dead is None else dead | d
-        memo[node] = x, y, dead
+        memo[node] = x, y
         nums.append(x)
         dens.append(y)
-        deads.append(dead)
-    dead = deads[-1]
-    if dead is None:
-        return nums[-1]
-    return [None if j in dead else v for j, v in enumerate(nums[-1])]
+    y = dens[-1]
+    return nums[-1] if y is None else [v if d else None for v, d in zip(nums[-1], y)]
 
 
 def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None, *,
@@ -606,9 +581,10 @@ def evaluate(e: Expr, values: Mapping[str, object], p: int | None = None, *,
     Raises DivisionByZero with the offending subexpression when a
     denominator vanishes: the first quotient in post-order whose divisor is
     zero (a negative power is built as a quotient), or, over F_p, a
-    constant or a symbol's value whose denominator p divides.  The caller
-    is expected to resample.  Over F_p, memo (see _run_projective) keeps
-    the pair of every node run, for later calls at the same values and p.
+    constant or a symbol's value whose denominator p divides, once the run
+    has ended.  The caller is expected to resample.  Over F_p, memo (see
+    _run_projective) keeps the pair of every node run but a pole, for later
+    calls at the same values and p.
     """
     code, nodes = _compile(e)
     if p is None:

@@ -264,16 +264,17 @@ def identities_equal(a: Expr, b: Expr, constraint: ConstraintRelation | None = N
 
     The rules of the module docstring, in order: lattice ("exact-proved"
     with cfg.exact, and no residual is built), sampling.  The lattice returns
-    the sampling loop's result: every trial equal and none resampled.  With
-    cfg.exact, sampling asks the exact path too (see _sample).  Sampling
-    reads points, built from a config with cfg's prime and seed, or a
-    Points(cfg) of its own; the label only names the comparison in a
-    DegenerateComparison message.
+    the sampling loop's result: every trial equal and none resampled, or
+    with cfg.exact one trial and a proof.  With cfg.exact, sampling asks the
+    exact path too (see _sample).  Sampling reads points, built from a
+    config with cfg's prime and seed, or a Points(cfg) of its own; the label
+    only names the comparison in a DegenerateComparison message.
     """
     r = _residual(a, b, constraint)
     if r is None:
         # Monomials have no pole at a point with nonzero coordinates.
-        return IdentityResult("exact-proved" if cfg.exact else "equal", trials=cfg.trials)
+        return IdentityResult("exact-proved" if cfg.exact else "equal",
+                              trials=1 if cfg.exact else cfg.trials)
     if points is None:
         points = Points(cfg)
     elif (points.prime, points.seed) != (cfg.prime, cfg.seed):
@@ -475,11 +476,13 @@ def _sample(r, cfg: CheckConfig, points: Points, label) -> IdentityResult:
 # addition.  The width holds the program's degree bound, so no exponent ever
 # carries into its neighbour's field.
 # _normalize runs the pair rules of expr._run_projective over Z[x], one rule
-# per instruction kind, and never reduces a pair: the last numerator is the
-# zero polynomial iff the rational function is identically zero.  Scaling a
-# pair by a nonzero constant or a monomial changes no term count, so the cap
-# trips at the same node as in tests/test_identity.py's Fraction reference,
-# which divides each pair through by a coefficient and a monomial.
+# per instruction kind, but a quotient tests its divisor for the zero
+# polynomial instead of carrying a pole, so it is (n d', d n').  It never
+# reduces a pair: the last numerator is the zero polynomial iff the rational
+# function is identically zero.  Scaling a pair by a nonzero constant or a
+# monomial changes no term count, so the cap trips at the same node as in
+# tests/test_identity.py's Fraction reference, which divides each pair
+# through by a coefficient and a monomial.
 
 #: The most term pairs one product may form.  Over the 18 --exact verify
 #: runs (three commands, three families, with and without the constraint)

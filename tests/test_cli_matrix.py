@@ -1,10 +1,13 @@
 """BENCH_cli.json, the per-command matrix that tools/matrix.py writes.
 
 The file must hold a row for every command, family and flag set of the
-matrix, and each recorded exit status must be what cli.main returns now.
+matrix, and each recorded exit status and stdout SHA-256 must be what
+cli.main returns and prints now, so the file pins every row's output bytes:
+a change to an output must re-record the file (python3 tools/matrix.py).
 No timing is asserted: the times are the host's.
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -55,4 +58,5 @@ def test_each_recorded_exit_status_is_what_the_command_returns_now(row_id, capsy
                                                                    monkeypatch):
     monkeypatch.chdir(ROOT)   # evolve reads sample-params.json from the root
     assert cli.main(ROWS[row_id]["argv"][2:]) == ROWS[row_id]["status"]
-    capsys.readouterr()
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == ROWS[row_id]["stdout_sha256"]

@@ -21,7 +21,7 @@ from expr_reference import (
     ref_substitute,
     ref_sym,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qpweyl.expr as expr_module
 from qpweyl.evolution import time_evolution
@@ -355,10 +355,14 @@ def test_eval_prime_field_matches_exact():
 
 
 def test_eval_division_by_zero_carries_node():
-    e = parse("1/(f - nu3)")
-    with pytest.raises(DivisionByZero) as err:
-        evaluate(e, {"f": Fraction(7), "nu3": Fraction(7)})
-    assert err.value.node is e
+    # At f = 1 the divisor of 1/(g + 1/(f - 1)) is a pole itself, not zero:
+    # the node named is the inner quotient, over Q and over F_p.
+    for text, pole, values in (("1/(f - nu3)", "1/(f - nu3)", {"f": 7, "nu3": 7}),
+                               ("1/(g + 1/(f - 1))", "1/(f - 1)", {"f": 1, "g": 2})):
+        for p in (None, DEFAULT_PRIME):
+            with pytest.raises(DivisionByZero) as err:
+                evaluate(parse(text), {n: Fraction(v) for n, v in values.items()}, p)
+            assert err.value.node is parse(pole)
 
 
 def test_eval_zero_to_a_negative_power_over_q_carries_node():
@@ -480,17 +484,20 @@ def test_rational_and_float_values_over_fp():
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_dags(), st.sampled_from(_FIELD_PRIMES), st.data())
-def test_lanes_match_one_point_runs(e, p, data):
-    # Values from {1, 2, 3, p - 1} make poles frequent; a lane is None exactly
-    # where the one-point run raises, and zero exactly where its numerator is.
-    values = st.sampled_from([1 % p, 2 % p, 3 % p, p - 1])
-    m = data.draw(st.integers(1, 12))
-    columns = {n: data.draw(st.lists(values, min_size=m, max_size=m)) for n in "fgq"}
-    _assert_lanes_match_one_point_runs(e, columns, m, p)
+@given(small_dags(), st.sampled_from(_FIELD_PRIMES),
+       st.lists(st.tuples(*[st.sampled_from([1, 2, 3, -1])] * 3), min_size=1, max_size=12))
+@example(parse("1/(g + 1/(f - 1))"), DEFAULT_PRIME, [(1, 2, 3), (2, 2, 3)])
+def test_lanes_match_one_point_runs(e, p, points):
+    # Values from {1, 2, 3, p - 1} make poles frequent.  In the example, lane
+    # 0 is at f = 1, where the outer quotient's divisor is a pole itself: the
+    # lane is None, though that divisor's numerator is 1.
+    columns = {n: [v % p for v in column] for n, column in zip("fgq", zip(*points))}
+    _assert_lanes_match_one_point_runs(e, columns, len(points), p)
 
 
 def _assert_lanes_match_one_point_runs(e, columns, m, p):
+    # A lane is None exactly where the one-point run raises, which is where
+    # the reference walk raises, and zero exactly where their values are.
     code, nodes = expr_module._compile(e)
     lanes = expr_module._run_lanes(code, nodes, columns, m, p)
     assert len(lanes) == m
@@ -498,10 +505,14 @@ def _assert_lanes_match_one_point_runs(e, columns, m, p):
         point = {n: column[i] for n, column in columns.items()}
         try:
             numer, _ = expr_module._run_projective(code, nodes, point, p)
-        except DivisionByZero:
+        except DivisionByZero as err:
             assert lane is None
+            with pytest.raises(DivisionByZero) as ref:
+                _reference_evaluate(e, point, p)
+            assert ref.value.node is err.node
         else:
-            assert lane is not None and (lane == 0) == (numer == 0)
+            value = _reference_evaluate(e, point, p)
+            assert lane is not None and (lane == 0) == (numer == 0) == (value == 0)
         assert lane is None or 0 <= lane < p
 
 

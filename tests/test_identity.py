@@ -1270,9 +1270,12 @@ def test_lattice_verdict_is_the_sampling_loops(ma, mb, constrained, how, trials,
         assert decided
     assert decided == (identity._reduced_monomial(a, k) == identity._reduced_monomial(b, k))
     if decided:
-        exact = identities_equal(a, b, k, cfg._replace(exact=True), label="lattice")
-        assert exact == IdentityResult("exact-proved", trials=trials)
-        assert exact_zero(sub(a, b) if k is None else k.apply(sub(a, b)))
+        # Under --exact the loop proves after its probe: one trial, as here.
+        exact_cfg = cfg._replace(exact=True)
+        exact = identities_equal(a, b, k, exact_cfg, label="lattice")
+        r = sub(a, b) if k is None else k.apply(sub(a, b))
+        assert exact == identity._sample(r, exact_cfg, identity.Points(exact_cfg), "lattice")
+        assert exact_zero(r)
 
 
 @pytest.mark.parametrize("a, b, k", [
